@@ -62,7 +62,7 @@ def _windows(text: str) -> list[int]:
 
 def cmd_synth(args: argparse.Namespace, out) -> int:
     s = parse_stabilizer(_read(args.input))
-    result = synthesize(s)
+    result = synthesize(s, record_checkpoints=args.checkpoints)
     circuit_text = format_circuit(result.encoder)
     if args.out:
         Path(args.out).write_text(circuit_text, encoding="utf-8")

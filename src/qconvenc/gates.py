@@ -2,13 +2,21 @@
 
 Each template denotes one gate replicated at every block shift.  Qubit
 indices are 1-based within a block; the offset couples qubits in blocks
-that many steps apart.  Column actions on S(D) = (X(D) | Z(D)):
+that many steps apart.
 
-    H(i)          swap x-col i and z-col i
+COLUMN_ACTIONS is the single statement of gate semantics.  Each kind is an
+ordered tuple of column updates "column dst += D^k * column src" on
+S(D) = (X(D) | Z(D)):
+
+    H(i)          x_i += z_i ;  z_i += x_i ;  x_i += z_i   (a swap)
     P(i)          z_i += x_i
-    PL(i, l)      z_i += (D^-l + D^l) x_i              (l != 0)
+    PL(i, l)      z_i += D^-l x_i ;  z_i += D^l x_i        (l != 0)
     CNOT(i,j,l)   x_j += D^l x_i ;  z_i += D^-l z_j
     CSIGN(i,j,l)  z_j += D^l x_i ;  z_i += D^-l x_j
+
+Two interpreters read the table: `act` updates mutable polynomial rows in
+place (`apply` wraps it for frozen matrices), and `verify.conjugate` runs
+each update over a whole unrolled window as one masked shift-and-XOR.
 
 All of them square to the identity over GF(2), so a circuit is undone by
 replaying its templates in reversed order.
@@ -17,7 +25,10 @@ replaying its templates in reversed order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+
 from .errors import ParseError
+from .matrix import thaw
 from .poly import LaurentPoly
 from .stabilizer import StabilizerMatrix
 
@@ -29,6 +40,18 @@ CSIGN = "CSIGN"
 
 _TWO_QUBIT = (CNOT, CSIGN)
 
+X_SIDE, Z_SIDE = 0, 1
+
+# kind -> updates (dst side, dst qubit, src side, src qubit, shift sign):
+# qubit 0 is the template's i and 1 its j; the shift is sign * ell blocks
+COLUMN_ACTIONS = {
+    H: ((X_SIDE, 0, Z_SIDE, 0, 0), (Z_SIDE, 0, X_SIDE, 0, 0), (X_SIDE, 0, Z_SIDE, 0, 0)),
+    P: ((Z_SIDE, 0, X_SIDE, 0, 0),),
+    PL: ((Z_SIDE, 0, X_SIDE, 0, -1), (Z_SIDE, 0, X_SIDE, 0, 1)),
+    CNOT: ((X_SIDE, 1, X_SIDE, 0, 1), (Z_SIDE, 0, Z_SIDE, 1, -1)),
+    CSIGN: ((Z_SIDE, 1, X_SIDE, 0, 1), (Z_SIDE, 0, X_SIDE, 1, -1)),
+}
+
 
 @dataclass(frozen=True)
 class GateTemplate:
@@ -38,9 +61,9 @@ class GateTemplate:
     ell: int = 0
 
     def __post_init__(self):
-        if self.kind not in (H, P, PL, CNOT, CSIGN):
+        if self.kind not in COLUMN_ACTIONS:
             raise ValueError(f"unknown gate kind {self.kind!r}")
-        if self.i < 1 or (self.kind in _TWO_QUBIT and self.j < 1):
+        if min(self.qubits) < 1:
             raise ValueError("qubit indices are 1-based")
         if self.kind in (H, P, PL) and self.j != 0:
             raise ValueError(f"{self.kind} takes a single qubit")
@@ -64,8 +87,23 @@ class GateTemplate:
     def reach(self) -> int:
         return abs(self.ell)
 
+    @property
+    def qubits(self) -> tuple[int, ...]:
+        return (self.i, self.j) if self.kind in _TWO_QUBIT else (self.i,)
+
+    @cached_property
+    def updates(self) -> tuple[tuple[int, int, int, int, int], ...]:
+        """Column updates (dst side, dst column, src side, src column, k):
+        column dst += D^k * column src, columns 0-based."""
+        cols = (self.i - 1, self.j - 1)
+        return tuple(
+            (dst_side, cols[dst], src_side, cols[src], sign * self.ell)
+            for dst_side, dst, src_side, src, sign in COLUMN_ACTIONS[self.kind]
+        )
+
     def is_diagonal(self) -> bool:
-        return self.kind in (P, PL, CSIGN)
+        """Diagonal in the Z basis: no update writes an X column."""
+        return all(u[0] == Z_SIDE for u in COLUMN_ACTIONS[self.kind])
 
     def __str__(self) -> str:
         if self.kind == H:
@@ -89,7 +127,7 @@ class Circuit:
     def __post_init__(self):
         object.__setattr__(self, "templates", tuple(self.templates))
         for g in self.templates:
-            if g.i > self.n or (g.kind in _TWO_QUBIT and g.j > self.n):
+            if max(g.qubits) > self.n:
                 raise ValueError(f"template {g} exceeds n={self.n}")
 
     @property
@@ -108,41 +146,22 @@ def reverse(c: Circuit) -> Circuit:
     return Circuit(c.n, tuple(reversed(c.templates)))
 
 
-def _check_index(s: StabilizerMatrix, q: int) -> int:
-    if not 1 <= q <= s.n:
-        raise IndexError(f"qubit index {q} outside 1..{s.n}")
-    return q - 1
+def act(x: list[list[LaurentPoly]], z: list[list[LaurentPoly]], g: GateTemplate) -> None:
+    """Apply one template in place to mutable (X | Z) rows."""
+    n = len(x[0])
+    for q in g.qubits:
+        if not 1 <= q <= n:
+            raise IndexError(f"qubit index {q} outside 1..{n}")
+    sides = (x, z)
+    for dst_side, dst, src_side, src, k in g.updates:
+        for row, from_row in zip(sides[dst_side], sides[src_side]):
+            row[dst] = row[dst] + from_row[src].shifted(k)
 
 
 def apply(s: StabilizerMatrix, g: GateTemplate) -> StabilizerMatrix:
     """Apply one template to the stabilizer matrix; preserves commutation."""
-    x = [list(row) for row in s.x]
-    z = [list(row) for row in s.z]
-    if g.kind == H:
-        i = _check_index(s, g.i)
-        for r in range(s.r):
-            x[r][i], z[r][i] = z[r][i], x[r][i]
-    elif g.kind == P:
-        i = _check_index(s, g.i)
-        for r in range(s.r):
-            z[r][i] = z[r][i] + x[r][i]
-    elif g.kind == PL:
-        i = _check_index(s, g.i)
-        coeff = LaurentPoly.d(-g.ell) + LaurentPoly.d(g.ell)
-        for r in range(s.r):
-            z[r][i] = z[r][i] + coeff * x[r][i]
-    elif g.kind == CNOT:
-        i, j = _check_index(s, g.i), _check_index(s, g.j)
-        fwd, back = LaurentPoly.d(g.ell), LaurentPoly.d(-g.ell)
-        for r in range(s.r):
-            x[r][j] = x[r][j] + fwd * x[r][i]
-            z[r][i] = z[r][i] + back * z[r][j]
-    else:  # CSIGN
-        i, j = _check_index(s, g.i), _check_index(s, g.j)
-        fwd, back = LaurentPoly.d(g.ell), LaurentPoly.d(-g.ell)
-        for r in range(s.r):
-            z[r][j] = z[r][j] + fwd * x[r][i]
-            z[r][i] = z[r][i] + back * x[r][j]
+    x, z = thaw(s.x), thaw(s.z)
+    act(x, z, g)
     return StabilizerMatrix.from_rows(s.n, x, z)
 
 

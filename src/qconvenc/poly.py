@@ -39,16 +39,9 @@ def set_max_span(limit: int) -> int:
     return old
 
 
-def max_span() -> int:
-    return _max_span
-
-
-def _check_span(bits: int) -> int:
-    if bits and bits.bit_length() - 1 > _max_span:
-        raise ExponentOverflowError(
-            f"polynomial span {bits.bit_length() - 1} exceeds limit {_max_span}"
-        )
-    return bits
+def _check_span(span: int) -> None:
+    if span > _max_span:
+        raise ExponentOverflowError(f"polynomial span {span} exceeds limit {_max_span}")
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +103,8 @@ class Poly:
     def __init__(self, bits: int):
         if bits < 0:
             raise ValueError("polynomial bits must be non-negative")
-        object.__setattr__(self, "bits", _check_span(bits))
+        _check_span(bits.bit_length() - 1)
+        object.__setattr__(self, "bits", bits)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -127,15 +121,6 @@ class Poly:
     def d(cls) -> "Poly":
         """The indeterminate D."""
         return cls(2)
-
-    @classmethod
-    def from_exponents(cls, exps: Iterable[int]) -> "Poly":
-        bits = 0
-        for e in exps:
-            if e < 0:
-                raise ValueError("Poly exponents must be non-negative")
-            bits ^= 1 << e
-        return cls(bits)
 
     @property
     def degree(self) -> int:
@@ -185,11 +170,6 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({self})"
-
-
-def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
-    """Euclidean division: a = q*b + rem with deg(rem) < deg(b)."""
-    return divmod(a, b)
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
@@ -246,8 +226,9 @@ class LaurentPoly:
             shift = (bits & -bits).bit_length() - 1
             bits >>= shift
             offset += shift
+        _check_span(bits.bit_length() - 1)
         object.__setattr__(self, "offset", offset)
-        object.__setattr__(self, "bits", _check_span(bits))
+        object.__setattr__(self, "bits", bits)
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
@@ -275,18 +256,12 @@ class LaurentPoly:
         if not seen:
             return cls.zero()
         lo = min(seen)
+        # check before building the bits, which take memory of the span
+        _check_span(max(seen) - lo)
         bits = 0
         for e in seen:
             bits |= 1 << (e - lo)
         return cls(lo, bits)
-
-    @classmethod
-    def from_poly(cls, p: Poly, shift: int = 0) -> "LaurentPoly":
-        return cls(shift, p.bits)
-
-    @classmethod
-    def parse(cls, text: str) -> "LaurentPoly":
-        return cls.from_exponents(parse_terms(text))
 
     # -- structure ---------------------------------------------------------
 
@@ -329,9 +304,6 @@ class LaurentPoly:
     def exponents(self) -> tuple[int, ...]:
         return tuple(_exponents(self.bits, self.offset))
 
-    def is_monomial(self) -> bool:
-        return self.bits == 1
-
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
@@ -350,7 +322,7 @@ class LaurentPoly:
 
     def shifted(self, k: int) -> "LaurentPoly":
         """Multiply by D^k (shift by k blocks)."""
-        if self.bits == 0:
+        if self.bits == 0 or k == 0:
             return self
         return LaurentPoly(self.offset + k, self.bits)
 
@@ -379,25 +351,6 @@ class LaurentPoly:
 
 L_ZERO = LaurentPoly.zero()
 L_ONE = LaurentPoly.one()
-
-
-def add(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Coefficient-wise XOR of two Laurent polynomials."""
-    return a + b
-
-
-def mul(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """GF(2) convolution; offsets add."""
-    return a * b
-
-
-def reciprocal(a: LaurentPoly) -> LaurentPoly:
-    return a.reciprocal()
-
-
-def laurent_degree(a: LaurentPoly) -> int:
-    """Exponent span of a nonzero Laurent polynomial."""
-    return a.degree
 
 
 def laurent_divmod(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:

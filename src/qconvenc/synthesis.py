@@ -36,11 +36,12 @@ from .gates import (
     H,
     P,
     PL,
+    act,
     apply,
     reverse,
     swap_templates,
 )
-from .matrix import freeze, identity, zeros
+from .matrix import freeze, identity, thaw, zeros
 from .poly import (
     LaurentPoly,
     Poly,
@@ -104,11 +105,13 @@ class SynthesisResult:
 
 
 class _Driver:
-    """Applies streamed operations to the full stabilizer matrix, emitting
-    gate templates for column operations and logging row operations."""
+    """Applies streamed operations in place to one (X | Z) work pair kept for
+    the whole reduction, emitting gate templates for column operations and
+    logging row operations."""
 
     def __init__(self, s: StabilizerMatrix, record_checkpoints: bool):
-        self.s = s
+        self.n = s.n
+        self.x, self.z = thaw(s.x), thaw(s.z)
         self.gates: list[GateTemplate] = []
         self.row_ops: list[RowOp] = []
         self.oplog: list[OpLogEntry] = []
@@ -118,25 +121,24 @@ class _Driver:
         self._run_type: Optional[str] = None
         self._dirty = False
 
+    def matrix(self) -> StabilizerMatrix:
+        return StabilizerMatrix.from_rows(self.n, self.x, self.z)
+
     def gate(self, g: GateTemplate) -> None:
-        self.s = apply(self.s, g)
+        act(self.x, self.z, g)
         self.gates.append(g)
         self.oplog.append(("gate", g))
         self._dirty = True
 
     def row(self, op: RowOp) -> None:
-        x = [list(r) for r in self.s.x]
-        z = [list(r) for r in self.s.z]
-        apply_row_op(x, op)
-        apply_row_op(z, op)
-        self.s = StabilizerMatrix.from_rows(self.s.n, x, z)
+        _row_op(self.x, self.z, op)
         self.row_ops.append(op)
         self.oplog.append(("row", op))
         self._dirty = True
 
     def checkpoint(self, label: str) -> None:
         if self.record and self._dirty:
-            self.checkpoints.append((label, self.s))
+            self.checkpoints.append((label, self.matrix()))
         self._dirty = False
 
     # -- smith streaming -----------------------------------------------------
@@ -166,6 +168,11 @@ class _Driver:
         else:
             for e in op.f.exponents():
                 self.gate(GateTemplate(CNOT, op.i + 1, op.j + 1, e))
+
+
+def _row_op(x: list[list[LaurentPoly]], z: list[list[LaurentPoly]], op: RowOp) -> None:
+    apply_row_op(x, op)
+    apply_row_op(z, op)
 
 
 def _y_power(d: int) -> LaurentPoly:
@@ -241,11 +248,11 @@ def synthesize(s: StabilizerMatrix, record_checkpoints: bool = True) -> Synthesi
     drv = _Driver(s, record_checkpoints)
 
     # step 1: normal form of the X part
-    smith(drv.s.x, on_op=drv.on_smith_op)
+    smith(drv.x, on_op=drv.on_smith_op)
     drv.flush_run()
 
-    rank = _diag_rank(drv.s.x)
-    gamma = [drv.s.x[i][i] for i in range(rank)]
+    rank = _diag_rank(drv.x)
+    gamma = [drv.x[i][i] for i in range(rank)]
     measure = _degree_measure(gamma)
     budget = measure + r + 1
     step2_log: list[tuple[int, int]] = [(rank, measure)]
@@ -253,10 +260,10 @@ def synthesize(s: StabilizerMatrix, record_checkpoints: bool = True) -> Synthesi
 
     def resmith_and_log(prev_rank: int, prev_measure: int) -> None:
         nonlocal rank, gamma, measure, budget
-        smith(drv.s.x, on_op=drv.on_smith_op)
+        smith(drv.x, on_op=drv.on_smith_op)
         drv.flush_run()
-        rank = _diag_rank(drv.s.x)
-        gamma = [drv.s.x[i][i] for i in range(rank)]
+        rank = _diag_rank(drv.x)
+        gamma = [drv.x[i][i] for i in range(rank)]
         measure = _degree_measure(gamma)
         step2_log.append((rank, measure))
         if prev_rank == r and measure >= prev_measure:
@@ -279,10 +286,10 @@ def synthesize(s: StabilizerMatrix, record_checkpoints: bool = True) -> Synthesi
     while True:
         # residual Z columns opposite the zero X block
         drv.phase = "step2"
-        rank = _diag_rank(drv.s.x)
-        gamma = [drv.s.x[i][i] for i in range(rank)]
+        rank = _diag_rank(drv.x)
+        gamma = [drv.x[i][i] for i in range(rank)]
         z2_cols = list(range(rank, n))
-        z2 = [[drv.s.z[i][c] for c in z2_cols] for i in range(r)]
+        z2 = [[drv.z[i][c] for c in z2_cols] for i in range(r)]
         z2_zero = all(e.is_zero() for row in z2 for e in row)
         if z2_zero and rank != r:
             raise PreconditionError("rank collapsed during reduction")
@@ -290,7 +297,7 @@ def synthesize(s: StabilizerMatrix, record_checkpoints: bool = True) -> Synthesi
             spend_iteration()
             prev_rank, prev_measure = rank, measure
             for c in z2_cols:
-                if any(not drv.s.z[i][c].is_zero() for i in range(r)):
+                if any(not drv.z[i][c].is_zero() for i in range(r)):
                     drv.gate(GateTemplate(H, c + 1))
             drv.checkpoint("step2 hadamard swap")
             resmith_and_log(prev_rank, prev_measure)
@@ -304,7 +311,7 @@ def synthesize(s: StabilizerMatrix, record_checkpoints: bool = True) -> Synthesi
             for c in range(n):
                 if c == i:
                     continue
-                e = drv.s.z[i][c]
+                e = drv.z[i][c]
                 if e.is_zero():
                     continue
                 f = laurent_div(e, gamma[i])
@@ -315,11 +322,11 @@ def synthesize(s: StabilizerMatrix, record_checkpoints: bool = True) -> Synthesi
                     )
                 for exp in f.exponents():
                     drv.gate(GateTemplate(CSIGN, i + 1, c + 1, exp))
-                if not drv.s.z[i][c].is_zero():
+                if not drv.z[i][c].is_zero():
                     raise NonClearableError(
                         f"Z entry ({i + 1},{c + 1}) failed to clear"
                     )
-                if c < r and not drv.s.z[c][i].is_zero():
+                if c < r and not drv.z[c][i].is_zero():
                     raise NonClearableError(
                         f"mirrored Z entry ({c + 1},{i + 1}) did not vanish with "
                         f"({i + 1},{c + 1}); input is not self-orthogonal"
@@ -333,8 +340,8 @@ def synthesize(s: StabilizerMatrix, record_checkpoints: bool = True) -> Synthesi
         offenders = [
             i
             for i in range(r)
-            if not drv.s.z[i][i].is_zero()
-            and laurent_div(drv.s.z[i][i], gamma[i]) is None
+            if not drv.z[i][i].is_zero()
+            and laurent_div(drv.z[i][i], gamma[i]) is None
         ]
         if not offenders:
             break
@@ -342,17 +349,17 @@ def synthesize(s: StabilizerMatrix, record_checkpoints: bool = True) -> Synthesi
         spend_iteration()
         prev_rank, prev_measure = rank, measure
         for i in offenders:
-            f = _symmetric_quotient(drv.s.z[i][i], gamma[i])
+            f = _symmetric_quotient(drv.z[i][i], gamma[i])
             if not f.is_zero():
                 c0, ells = symmetric_decompose(f)
                 if c0:
                     drv.gate(GateTemplate(P, i + 1))
                 for ell in ells:
                     drv.gate(GateTemplate(PL, i + 1, 0, ell))
-            if drv.s.z[i][i].is_zero() or drv.s.z[i][i].degree >= gamma[i].degree:
+            if drv.z[i][i].is_zero() or drv.z[i][i].degree >= gamma[i].degree:
                 raise NonClearableError(
                     f"symmetric reduction failed at row {i + 1}: residue "
-                    f"{drv.s.z[i][i]} against gamma {gamma[i]}"
+                    f"{drv.z[i][i]} against gamma {gamma[i]}"
                 )
             drv.gate(GateTemplate(H, i + 1))
         drv.checkpoint("step5 symmetric reduction")
@@ -361,7 +368,7 @@ def synthesize(s: StabilizerMatrix, record_checkpoints: bool = True) -> Synthesi
     # step 5: cancel the now-divisible diagonal residues with P and PL
     drv.phase = "step5"
     for i in range(r):
-        d = drv.s.z[i][i]
+        d = drv.z[i][i]
         if d.is_zero():
             continue
         sigma = laurent_div(d, gamma[i])
@@ -377,7 +384,7 @@ def synthesize(s: StabilizerMatrix, record_checkpoints: bool = True) -> Synthesi
             drv.gate(GateTemplate(P, i + 1))
         for ell in ells:
             drv.gate(GateTemplate(PL, i + 1, 0, ell))
-        if not drv.s.z[i][i].is_zero():
+        if not drv.z[i][i].is_zero():
             raise NonClearableError(f"diagonal entry ({i + 1},{i + 1}) failed to clear")
     drv.checkpoint("step5 phase ops")
 
@@ -387,7 +394,7 @@ def synthesize(s: StabilizerMatrix, record_checkpoints: bool = True) -> Synthesi
         drv.gate(GateTemplate(H, i + 1))
     drv.checkpoint("step6 hadamard")
 
-    normal_form = drv.s
+    normal_form = drv.matrix()
     for i in range(r):
         for c in range(n):
             if not normal_form.x[i][c].is_zero():
@@ -459,15 +466,17 @@ def subcode_stabilizer(result: SynthesisResult) -> StabilizerMatrix:
 
 
 def replay(s: StabilizerMatrix, oplog: Sequence[OpLogEntry]) -> StabilizerMatrix:
-    """Re-apply a recorded op log (gates and row operations) to a matrix."""
+    """Re-apply a recorded op log (gates and row operations) to a matrix.
+
+    Gates go through `apply`, one frozen matrix each, so a replay checks the
+    driver's in-place work pair rather than sharing it.
+    """
     for kind, op in oplog:
         if kind == "gate":
             s = apply(s, op)
         else:
-            x = [list(row) for row in s.x]
-            z = [list(row) for row in s.z]
-            apply_row_op(x, op)
-            apply_row_op(z, op)
+            x, z = thaw(s.x), thaw(s.z)
+            _row_op(x, z, op)
             s = StabilizerMatrix.from_rows(s.n, x, z)
     return s
 

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 from .errors import PreconditionError, WindowTooSmallError
-from .gates import CNOT, CSIGN, Circuit, GateTemplate, H, P, PL
-from .stabilizer import StabilizerMatrix, placement_bits, unroll, window_inner
+from .gates import CNOT, CSIGN, Circuit, GateTemplate, PL
+from .stabilizer import StabilizerMatrix, placement_bits, window_inner
 from .synthesis import SynthesisResult, subcode_for
 
 
@@ -73,8 +73,12 @@ def inner(p: PauliVector, q: PauliVector) -> int:
 def conjugate(c: Circuit, blocks: int, p: PauliVector) -> PauliVector:
     """Propagate a Pauli through every in-window instance of every template.
 
-    Templates apply in list order; within a template the instances commute,
-    so the shift order is immaterial.
+    Each column update of a template moves all its in-window instances at
+    once: the source column's bits, masked out of one side of the (x|z)
+    word, shift by k blocks onto the destination column and are XORed in.
+    The destination mask drops what lands outside the window, which is the
+    open boundary.  Templates apply in list order; the instances of one
+    template commute, so their order is immaterial.
     """
     if p.n != c.n or p.blocks != blocks:
         raise ValueError("Pauli vector does not match the window")
@@ -82,48 +86,15 @@ def conjugate(c: Circuit, blocks: int, p: PauliVector) -> PauliVector:
         raise WindowTooSmallError(f"window {blocks} < circuit memory {c.memory} + 1")
     n = c.n
     half = n * blocks
+    first_column = ((1 << half) - 1) // ((1 << n) - 1)
+    masks = [first_column << q for q in range(n)]
     bits = p.bits
     for g in c.templates:
-        for t in range(blocks):
-            if g.kind == H:
-                a = t * n + (g.i - 1)
-                xa, za = (bits >> a) & 1, (bits >> (half + a)) & 1
-                if xa != za:
-                    bits ^= (1 << a) | (1 << (half + a))
-            elif g.kind == P:
-                a = t * n + (g.i - 1)
-                if (bits >> a) & 1:
-                    bits ^= 1 << (half + a)
-            elif g.kind == PL:
-                tb = t + g.ell
-                if not 0 <= tb < blocks:
-                    continue
-                a = t * n + (g.i - 1)
-                b = tb * n + (g.i - 1)
-                if (bits >> a) & 1:
-                    bits ^= 1 << (half + b)
-                if (bits >> b) & 1:
-                    bits ^= 1 << (half + a)
-            elif g.kind == CNOT:
-                tb = t + g.ell
-                if not 0 <= tb < blocks:
-                    continue
-                a = t * n + (g.i - 1)
-                b = tb * n + (g.j - 1)
-                if (bits >> a) & 1:
-                    bits ^= 1 << b
-                if (bits >> (half + b)) & 1:
-                    bits ^= 1 << (half + a)
-            else:  # CSIGN
-                tb = t + g.ell
-                if not 0 <= tb < blocks:
-                    continue
-                a = t * n + (g.i - 1)
-                b = tb * n + (g.j - 1)
-                if (bits >> a) & 1:
-                    bits ^= 1 << (half + b)
-                if (bits >> b) & 1:
-                    bits ^= 1 << (half + a)
+        for dst_side, dst, src_side, src, k in g.updates:
+            moved = (bits >> src_side * half) & masks[src]
+            step = k * n + dst - src
+            moved = (moved << step if step >= 0 else moved >> -step) & masks[dst]
+            bits ^= moved << dst_side * half
     return PauliVector(n, blocks, bits)
 
 
@@ -396,15 +367,4 @@ def render_encoder_check(check: EncoderCheck) -> str:
         status = "pass" if rc.ok else "FAIL"
         lines.append(f"  generator {rc.gen + 1} shift {rc.shift}: {status}")
     lines.append(f"result: {'pass' if check.ok else 'FAIL'}")
-    return "\n".join(lines) + "\n"
-
-
-def render_encoder_records(check: EncoderCheck) -> str:
-    lines = []
-    for rc in check.rows:
-        lines.append(
-            f"roundtrip N={check.blocks} gen={rc.gen + 1} shift={rc.shift} "
-            f"ok={int(rc.ok)}"
-        )
-    lines.append(f"roundtrip N={check.blocks} all_ok={int(check.ok)}")
     return "\n".join(lines) + "\n"

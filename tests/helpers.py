@@ -8,6 +8,7 @@ from qconvenc.gates import CNOT, CSIGN, Circuit, GateTemplate, H, P, PL, apply_c
 from qconvenc.matrix import freeze, identity, zeros
 from qconvenc.poly import LaurentPoly, parse_laurent
 from qconvenc.stabilizer import F4Poly, StabilizerMatrix
+from qconvenc.verify import PauliVector
 
 L = parse_laurent
 
@@ -165,3 +166,56 @@ def mutate_one_entry(rng: random.Random, s: StabilizerMatrix) -> StabilizerMatri
     else:
         z[i][c] = z[i][c] + flip
     return StabilizerMatrix.from_rows(s.n, x, z)
+
+
+# -- window conjugation oracle ------------------------------------------------
+
+
+def reference_conjugate(c: Circuit, blocks: int, p: PauliVector) -> PauliVector:
+    """Gate-by-gate conjugation, one template instance per block shift;
+    instances reaching outside the window are dropped (open boundary)."""
+    n = c.n
+    half = n * blocks
+    bits = p.bits
+    for g in c.templates:
+        for t in range(blocks):
+            if g.kind == H:
+                a = t * n + (g.i - 1)
+                xa, za = (bits >> a) & 1, (bits >> (half + a)) & 1
+                if xa != za:
+                    bits ^= (1 << a) | (1 << (half + a))
+            elif g.kind == P:
+                a = t * n + (g.i - 1)
+                if (bits >> a) & 1:
+                    bits ^= 1 << (half + a)
+            elif g.kind == PL:
+                tb = t + g.ell
+                if not 0 <= tb < blocks:
+                    continue
+                a = t * n + (g.i - 1)
+                b = tb * n + (g.i - 1)
+                if (bits >> a) & 1:
+                    bits ^= 1 << (half + b)
+                if (bits >> b) & 1:
+                    bits ^= 1 << (half + a)
+            elif g.kind == CNOT:
+                tb = t + g.ell
+                if not 0 <= tb < blocks:
+                    continue
+                a = t * n + (g.i - 1)
+                b = tb * n + (g.j - 1)
+                if (bits >> a) & 1:
+                    bits ^= 1 << b
+                if (bits >> (half + b)) & 1:
+                    bits ^= 1 << (half + a)
+            else:  # CSIGN
+                tb = t + g.ell
+                if not 0 <= tb < blocks:
+                    continue
+                a = t * n + (g.i - 1)
+                b = tb * n + (g.j - 1)
+                if (bits >> a) & 1:
+                    bits ^= 1 << (half + b)
+                if (bits >> b) & 1:
+                    bits ^= 1 << (half + a)
+    return PauliVector(n, blocks, bits)

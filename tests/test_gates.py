@@ -66,6 +66,26 @@ class TestApply:
         assert got.x[0] == tuple(lrow("1+D", "D^2+D^3+D^4"))
         assert got.z[0] == tuple(lrow("D^-1+D^-3", "1"))
 
+    @pytest.mark.parametrize(
+        "g, want_x, want_z",
+        [
+            # (x1, x2 | z1, z2) -> (z1, x2 | x1, z2)
+            (GateTemplate(H, 1), ("D^-1", "D^2"), ("1+D", "1")),
+            # (x1, x2 | z1, z2) -> (x1, x2 | z1, z2 + x2)
+            (GateTemplate(P, 2), ("1+D", "D^2"), ("D^-1", "1+D^2")),
+            # (x1, x2 | z1, z2) -> (x1, x2 | z1 + (D^-l + D^l) x1, z2), where
+            # D^-1 + (D^-2 + D^-1 + D^2 + D^3) = D^-2 + D^2 + D^3
+            (GateTemplate(PL, 1, 0, 2), ("1+D", "D^2"), ("D^-2+D^2+D^3", "1")),
+            # (x1, x2 | z1, z2) -> (x1, x2 | z1 + D^-l x2, z2 + D^l x1)
+            (GateTemplate(CSIGN, 1, 2, 1), ("1+D", "D^2"), ("D^-1+D", "1+D+D^2")),
+        ],
+    )
+    def test_single_qubit_and_csign_column_actions(self, g, want_x, want_z):
+        s = stab(2, [(["1+D", "D^2"], ["D^-1", "1"])])
+        got = apply(s, g)
+        assert got.x[0] == tuple(lrow(*want_x))
+        assert got.z[0] == tuple(lrow(*want_z))
+
     def test_h_involution(self):
         s = rate_third_code()
         g = GateTemplate(H, 2)

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -18,6 +19,7 @@ from qconvenc.poly import (
     symmetric_decompose,
     xgcd,
 )
+from qconvenc.stabilizer import parse_stabilizer
 
 L = parse_laurent
 
@@ -336,3 +338,20 @@ class TestSpanLimit:
             assert L("D^30") * L("D^-30") == L("1")  # monomials never widen
         finally:
             set_max_span(old)
+
+    @pytest.mark.parametrize("text", ["1 + D^50000000", "f4 n=1\nrow: 1 + D^50000000\n"])
+    def test_parser_checks_span_before_allocating(self, text):
+        # a 50,000,000-bit body would take over 6 MB
+        old = set_max_span(16)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ExponentOverflowError, match="span 50000000 exceeds limit 16"):
+                if text.startswith("f4"):
+                    parse_stabilizer(text)
+                else:
+                    parse_laurent(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            set_max_span(old)
+        assert peak < 1 << 20

@@ -2,9 +2,16 @@ import random
 
 import pytest
 
-from helpers import random_template, random_valid_code, rate_third_code, stab
+from helpers import (
+    random_circuit,
+    random_template,
+    random_valid_code,
+    rate_third_code,
+    reference_conjugate,
+    stab,
+)
 from qconvenc.errors import PreconditionError, WindowTooSmallError
-from qconvenc.gates import CNOT, Circuit, GateTemplate, H, P, PL, apply
+from qconvenc.gates import CNOT, CSIGN, Circuit, GateTemplate, H, P, PL, apply
 from qconvenc.stabilizer import params, placement_bits, unroll
 from qconvenc.synthesis import synthesize
 from qconvenc.verify import (
@@ -45,6 +52,24 @@ class TestConjugate:
         c = Circuit(1, (GateTemplate(PL, 1, 0, 3),))
         with pytest.raises(WindowTooSmallError):
             conjugate(c, 3, single_pauli(1, 3, 0, 1, "X"))
+
+    def test_matches_gate_by_gate_reference(self):
+        # random full-window Paulis and single-qubit seeds in the first and
+        # last block, so instances are clipped at either edge; offsets of
+        # both signs
+        rng = random.Random(805)
+        kinds = set()
+        for _ in range(400):
+            n = rng.randint(1, 5)
+            c = random_circuit(rng, n, rng.randint(0, 10), max_off=3)
+            kinds.update(g.kind for g in c.templates)
+            blocks = c.memory + 1 + rng.randint(0, 6)
+            seeds = [PauliVector(n, blocks, rng.getrandbits(2 * n * blocks))]
+            for block in (0, blocks - 1):
+                seeds.append(single_pauli(n, blocks, block, rng.randint(1, n), rng.choice("XYZ")))
+            for p in seeds:
+                assert conjugate(c, blocks, p) == reference_conjugate(c, blocks, p)
+        assert kinds == {H, P, PL, CNOT, CSIGN}
 
     def test_matches_polynomial_action_on_interior(self):
         # window conjugation of unrolled rows agrees with the exact column

@@ -312,12 +312,20 @@ class LaurentPoly:
         if other.bits == 0:
             return self
         lo = min(self.offset, other.offset)
+        if abs(self.offset - other.offset) > _max_span:
+            # unless the tops meet too, no end cancels and the nominal span
+            # is the sum's: check it before building bits that wide
+            tops = (self.offset + self.bits.bit_length(), other.offset + other.bits.bit_length())
+            if tops[0] != tops[1]:
+                _check_span(max(tops) - 1 - lo)
         bits = (self.bits << (self.offset - lo)) ^ (other.bits << (other.offset - lo))
         return LaurentPoly(lo, bits)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         if self.bits == 0 or other.bits == 0:
             return LaurentPoly.zero()
+        # spans add exactly over GF(2); check before building the product
+        _check_span(self.bits.bit_length() + other.bits.bit_length() - 2)
         return LaurentPoly(self.offset + other.offset, _mul_bits(self.bits, other.bits))
 
     def shifted(self, k: int) -> "LaurentPoly":

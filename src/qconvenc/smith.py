@@ -6,6 +6,11 @@ the exponent span as degree.  Column operations are recorded so the caller
 can realize them as CNOT templates; row operations are recorded separately
 since left multiplication by an invertible matrix does not change the code.
 
+The reduction changes the matrix only through an `apply(kind, op)`
+callback: by default on a private copy, or the caller's own, which reduces
+the caller's rows in place.  A and B are derived from the transcripts when
+first read, so callers that need only Gamma or the rank never build them.
+
 Pivot selection is deterministic: the nonzero entry of minimal span, ties
 broken by lowest row then lowest column.  When the pivot sits in the pivot
 row but not the pivot column, the pivot-column entry is reduced by single
@@ -16,6 +21,7 @@ and reproduces hand reductions that avoid column swaps.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, partial
 from typing import Callable, Optional, Sequence
 
 from .errors import LoopLimitError
@@ -86,9 +92,14 @@ def apply_row_op(rows: list[list[LaurentPoly]], op: RowOp) -> None:
         rows[op.i] = [e.shifted(op.power) for e in rows[op.i]]
 
 
+def _apply_op(rows: list[list[LaurentPoly]], kind: str, op) -> None:
+    (apply_col_op if kind == "col" else apply_row_op)(rows, op)
+
+
 @dataclass(frozen=True)
 class SmithDecomposition:
-    """A, Gamma, B with A*Gamma*B equal to the input matrix.
+    """Gamma and its transcripts; A and B, built from them on first read,
+    satisfy A*Gamma*B == the input.
 
     col_ops hold the reduction-order column operations; applying them to the
     input reproduces A*Gamma, and B is their reversed composition (each
@@ -97,11 +108,27 @@ class SmithDecomposition:
     scalings, whose inverse composition is A.
     """
 
-    a: Matrix
     gamma: Matrix
-    b: Matrix
     col_ops: tuple[ElementaryColOp, ...]
     row_ops: tuple[RowOp, ...]
+
+    @cached_property
+    def a(self) -> Matrix:
+        # each row transform's inverse applied on the right, in order: a
+        # swap or add of rows i, j is the same column operation on A
+        a = thaw(identity(len(self.gamma)))
+        for op in self.row_ops:
+            if op.kind == "scale":
+                for row in a:
+                    row[op.i] = row[op.i].shifted(-op.power)
+            else:
+                apply_col_op(a, ElementaryColOp(op.kind, op.i, op.j, op.f))
+        return freeze(a)
+
+    @cached_property
+    def b(self) -> Matrix:
+        n = len(self.gamma[0]) if self.gamma else 0
+        return compose_col_ops(list(reversed(self.col_ops)), n)
 
     @property
     def divisors(self) -> tuple[LaurentPoly, ...]:
@@ -126,14 +153,13 @@ def compose_col_ops(ops: Sequence[ElementaryColOp], n: int) -> Matrix:
 
 
 class _Reducer:
-    def __init__(self, m: Sequence[Sequence[LaurentPoly]], on_op: Optional[OpCallback]):
-        self.work = thaw(m)
-        self.r = len(self.work)
-        self.n = len(self.work[0]) if self.r else 0
+    def __init__(self, work: list[list[LaurentPoly]], apply: OpCallback):
+        self.work = work
+        self.r = len(work)
+        self.n = len(work[0]) if self.r else 0
         self.col_ops: list[ElementaryColOp] = []
         self.row_ops: list[RowOp] = []
-        self.a = thaw(identity(self.r))
-        self.on_op = on_op
+        self.apply = apply
         total_span = sum(
             e.degree for row in self.work for e in row if not e.is_zero()
         )
@@ -146,27 +172,13 @@ class _Reducer:
 
     def emit_col(self, op: ElementaryColOp):
         self._tick()
-        apply_col_op(self.work, op)
+        self.apply("col", op)
         self.col_ops.append(op)
-        if self.on_op:
-            self.on_op("col", op)
 
     def emit_row(self, op: RowOp):
         self._tick()
-        apply_row_op(self.work, op)
-        # A accumulates the inverse of each row transform, applied on the right
-        if op.kind == "swap":
-            for row in self.a:
-                row[op.i], row[op.j] = row[op.j], row[op.i]
-        elif op.kind == "add":
-            for row in self.a:
-                row[op.j] = row[op.j] + op.f * row[op.i]
-        else:
-            for row in self.a:
-                row[op.i] = row[op.i].shifted(-op.power)
+        self.apply("row", op)
         self.row_ops.append(op)
-        if self.on_op:
-            self.on_op("row", op)
 
     # -- phases -------------------------------------------------------------
 
@@ -282,23 +294,25 @@ class _Reducer:
 
 
 def smith(
-    m: Sequence[Sequence[LaurentPoly]], on_op: Optional[OpCallback] = None
+    m: Sequence[Sequence[LaurentPoly]], apply: Optional[OpCallback] = None
 ) -> SmithDecomposition:
     """Smith normal form of a Laurent polynomial matrix.
+
+    Without `apply`, a private copy of `m` is reduced with `apply_col_op`
+    and `apply_row_op`.  With it, `m` must be mutable rows, which smith
+    reads but changes only by calling `apply("col", op)` (ElementaryColOp)
+    or `apply("row", op)` (RowOp); each call must apply `op` to `m` in place
+    and may do more, such as keep other columns in step.  `m` ends as Gamma.
 
     The all-zero matrix returns a zero Gamma with empty transcripts.  The
     decomposition satisfies A*Gamma*B == M exactly, the divisors form a
     divisibility chain over the Laurent ring, and det(A), det(B) are units.
     """
-    r = len(m)
-    n = len(m[0]) if r else 0
-    red = _Reducer(m, on_op)
+    work = thaw(m) if apply is None else m
+    red = _Reducer(work, apply or partial(_apply_op, work))
     red.run()
-    b = compose_col_ops(list(reversed(red.col_ops)), n)
     return SmithDecomposition(
-        a=freeze(red.a),
-        gamma=freeze(red.work),
-        b=b,
+        gamma=freeze(work),
         col_ops=tuple(red.col_ops),
         row_ops=tuple(red.row_ops),
     )
@@ -306,8 +320,6 @@ def smith(
 
 def smith_rank(m: Sequence[Sequence[LaurentPoly]]) -> int:
     """Rank over the rational function field, via the number of divisors."""
-    if not m or not m[0]:
-        return 0
     return smith(m).rank
 
 

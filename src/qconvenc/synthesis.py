@@ -144,22 +144,19 @@ class _Driver:
     # -- smith streaming -----------------------------------------------------
 
     def on_smith_op(self, op_type: str, op) -> None:
-        if self._run_type is not None and op_type != self._run_type:
-            self._flush_run()
+        if op_type != self._run_type:
+            self.flush_run()
         self._run_type = op_type
         if op_type == "col":
             self._col_op(op)
         else:
             self.row(op)
 
-    def _flush_run(self) -> None:
-        kind = "column" if self._run_type == "col" else "row"
-        self.checkpoint(f"{self.phase} {kind} ops")
-        self._run_type = None
-
     def flush_run(self) -> None:
         if self._run_type is not None:
-            self._flush_run()
+            kind = "column" if self._run_type == "col" else "row"
+            self.checkpoint(f"{self.phase} {kind} ops")
+            self._run_type = None
 
     def _col_op(self, op: ElementaryColOp) -> None:
         if op.kind == "swap":
@@ -214,24 +211,18 @@ def _symmetric_quotient(z: LaurentPoly, gamma: LaurentPoly) -> LaurentPoly:
     return acc
 
 
-def _diag_rank(x) -> int:
-    """Length of the leading nonzero diagonal of a diagonal-shaped X part."""
-    r, n = len(x), len(x[0])
-    rank = 0
-    for i in range(min(r, n)):
+def _diagonal(x) -> list[LaurentPoly]:
+    """The leading nonzero diagonal of a diagonal-shaped X part."""
+    gamma = []
+    for i in range(min(len(x), len(x[0]))):
         if x[i][i].is_zero():
             break
-        rank += 1
-    for i in range(r):
-        for c in range(n):
-            if i != c or i >= rank:
-                if not x[i][c].is_zero():
-                    raise AssertionError("X part is not in diagonal form")
-    return rank
-
-
-def _degree_measure(gamma: Sequence[LaurentPoly]) -> int:
-    return sum(g.degree for g in gamma)
+        gamma.append(x[i][i])
+    for i, row in enumerate(x):
+        for c, e in enumerate(row):
+            if (i != c or i >= len(gamma)) and not e.is_zero():
+                raise AssertionError("X part is not in diagonal form")
+    return gamma
 
 
 def synthesize(s: StabilizerMatrix, record_checkpoints: bool = True) -> SynthesisResult:
@@ -246,31 +237,26 @@ def synthesize(s: StabilizerMatrix, record_checkpoints: bool = True) -> Synthesi
     validate_code(s)
     n, r = s.n, s.r
     drv = _Driver(s, record_checkpoints)
-
-    # step 1: normal form of the X part
-    smith(drv.x, on_op=drv.on_smith_op)
-    drv.flush_run()
-
-    rank = _diag_rank(drv.x)
-    gamma = [drv.x[i][i] for i in range(rank)]
-    measure = _degree_measure(gamma)
-    budget = measure + r + 1
-    step2_log: list[tuple[int, int]] = [(rank, measure)]
+    rank, gamma, measure, budget = 0, [], 0, 0
+    step2_log: list[tuple[int, int]] = []
     iterations = 0
 
-    def resmith_and_log(prev_rank: int, prev_measure: int) -> None:
+    def smith_x() -> None:
+        # reduce the work pair's X part in place; log (rank, degree measure)
         nonlocal rank, gamma, measure, budget
-        smith(drv.x, on_op=drv.on_smith_op)
+        smith(drv.x, drv.on_smith_op)
         drv.flush_run()
-        rank = _diag_rank(drv.x)
-        gamma = [drv.x[i][i] for i in range(rank)]
-        measure = _degree_measure(gamma)
+        gamma = _diagonal(drv.x)
+        rank = len(gamma)
+        measure = sum(g.degree for g in gamma)
+        if step2_log:
+            prev_rank, prev_measure = step2_log[-1]
+            if prev_rank == r and measure >= prev_measure:
+                raise LoopLimitError(
+                    "divisor degree measure did not decrease "
+                    f"({prev_measure} -> {measure}); reduction is stuck"
+                )
         step2_log.append((rank, measure))
-        if prev_rank == r and measure >= prev_measure:
-            raise LoopLimitError(
-                "divisor degree measure did not decrease "
-                f"({prev_measure} -> {measure}); reduction is stuck"
-            )
         # rank-raising swaps may legitimately grow the measure; extend the
         # budget so only non-decreasing full-rank passes can exhaust it
         budget = max(budget, measure + r + 1)
@@ -283,11 +269,11 @@ def synthesize(s: StabilizerMatrix, record_checkpoints: bool = True) -> Synthesi
                 f"degree-reduction loop exceeded its budget of {budget}"
             )
 
+    # step 1: normal form of the X part
+    smith_x()
     while True:
         # residual Z columns opposite the zero X block
         drv.phase = "step2"
-        rank = _diag_rank(drv.x)
-        gamma = [drv.x[i][i] for i in range(rank)]
         z2_cols = list(range(rank, n))
         z2 = [[drv.z[i][c] for c in z2_cols] for i in range(r)]
         z2_zero = all(e.is_zero() for row in z2 for e in row)
@@ -295,12 +281,11 @@ def synthesize(s: StabilizerMatrix, record_checkpoints: bool = True) -> Synthesi
             raise PreconditionError("rank collapsed during reduction")
         if not z2_zero and not (rank == r and all(row_divisibility_check(gamma, z2))):
             spend_iteration()
-            prev_rank, prev_measure = rank, measure
             for c in z2_cols:
                 if any(not drv.z[i][c].is_zero() for i in range(r)):
                     drv.gate(GateTemplate(H, c + 1))
             drv.checkpoint("step2 hadamard swap")
-            resmith_and_log(prev_rank, prev_measure)
+            smith_x()
             continue
 
         # steps 3-4: clear all off-diagonal Z entries with CSIGN batches;
@@ -347,7 +332,6 @@ def synthesize(s: StabilizerMatrix, record_checkpoints: bool = True) -> Synthesi
             break
         drv.phase = "step5"
         spend_iteration()
-        prev_rank, prev_measure = rank, measure
         for i in offenders:
             f = _symmetric_quotient(drv.z[i][i], gamma[i])
             if not f.is_zero():
@@ -363,7 +347,7 @@ def synthesize(s: StabilizerMatrix, record_checkpoints: bool = True) -> Synthesi
                 )
             drv.gate(GateTemplate(H, i + 1))
         drv.checkpoint("step5 symmetric reduction")
-        resmith_and_log(prev_rank, prev_measure)
+        smith_x()
 
     # step 5: cancel the now-divisible diagonal residues with P and PL
     drv.phase = "step5"

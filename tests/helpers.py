@@ -8,7 +8,7 @@ from qconvenc.gates import CNOT, CSIGN, Circuit, GateTemplate, H, P, PL, apply_c
 from qconvenc.matrix import freeze, identity, zeros
 from qconvenc.poly import LaurentPoly, parse_laurent
 from qconvenc.stabilizer import F4Poly, StabilizerMatrix
-from qconvenc.verify import PauliVector
+from qconvenc.verify import PauliVector, conjugate, single_pauli
 
 L = parse_laurent
 
@@ -219,3 +219,20 @@ def reference_conjugate(c: Circuit, blocks: int, p: PauliVector) -> PauliVector:
                 if (bits >> b) & 1:
                     bits ^= 1 << (half + a)
     return PauliVector(n, blocks, bits)
+
+
+def reference_image_reach(c: Circuit) -> tuple[int, int]:
+    """Backward and forward block reach of single-qubit X, Z and Y seed
+    images, measured at the center of a window too wide for any clipping."""
+    spread = sum(g.reach for g in c.templates)
+    aux = 2 * spread + c.memory + 3
+    center = aux // 2
+    back = fwd = 0
+    for qubit in range(1, c.n + 1):
+        for kind in ("X", "Z", "Y"):
+            img = conjugate(c, aux, single_pauli(c.n, aux, center, qubit, kind))
+            for pos in img.support:
+                blk = pos // c.n
+                back = max(back, center - blk)
+                fwd = max(fwd, blk - center)
+    return back, fwd

@@ -1,4 +1,7 @@
 import io
+from pathlib import Path
+
+import pytest
 
 from qconvenc.cli import main
 from qconvenc.gates import parse_circuit
@@ -156,3 +159,26 @@ class TestVerify:
         (tmp_path / "c.circ").write_text("n=3\n", encoding="utf-8")
         code, _ = run(["verify", stab_path, str(tmp_path / "c.circ"), "--windows", "9,3"])
         assert code == 2
+
+
+DATA = Path(__file__).parent / "data"
+
+
+class TestGoldenTranscripts:
+    """Output on the worked example, byte for byte as committed in
+    tests/data; rate_third_cut.enc is the encoder without its last template."""
+
+    @pytest.mark.parametrize(
+        "argv, golden, exit_code",
+        [
+            (["synth", "rate_third.stab"], "synth.txt", 0),
+            (["synth", "--checkpoints", "rate_third.stab"], "synth_checkpoints.txt", 0),
+            (["verify", "--windows", "5,10,20", "rate_third.stab", "rate_third.enc"], "verify.txt", 0),
+            (["verify", "--windows", "5,10,20", "rate_third.stab", "rate_third_cut.enc"], "verify_cut.txt", 5),
+        ],
+    )
+    def test_transcript(self, argv, golden, exit_code):
+        argv = [str(DATA / a) if a.startswith("rate_third") else a for a in argv]
+        code, text = run(argv)
+        assert code == exit_code
+        assert text.encode("utf-8") == (DATA / golden).read_bytes()

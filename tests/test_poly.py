@@ -339,7 +339,15 @@ class TestSpanLimit:
         finally:
             set_max_span(old)
 
-    @pytest.mark.parametrize("text", ["1 + D^50000000", "f4 n=1\nrow: 1 + D^50000000\n"])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "1 + D^50000000",
+            "f4 n=1\nrow: 1 + D^50000000\n",
+            # the w-image adds 1 and D^50000000, two terms each of span 0
+            "f4 n=1\nrow: 1 + wD^50000000\n",
+        ],
+    )
     def test_parser_checks_span_before_allocating(self, text):
         # a 50,000,000-bit body would take over 6 MB
         old = set_max_span(16)

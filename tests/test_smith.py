@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from qconvenc.matrix import det, freeze, identity, mat_mul
+from qconvenc.matrix import det, freeze, identity, mat_mul, thaw
 from qconvenc.poly import (
     LaurentPoly,
     Poly,
@@ -14,7 +14,9 @@ from qconvenc.poly import (
 )
 from qconvenc.smith import (
     ElementaryColOp,
+    apply_col_op,
     apply_col_ops,
+    apply_row_op,
     compose_col_ops,
     row_divisibility_check,
     smith,
@@ -173,6 +175,26 @@ class TestSmithProperties:
             dec = smith(m)
             assert_valid_decomposition(m, dec)
             assert [g.body for g in dec.divisors] == minor_gcd_bodies(m)
+
+    def test_caller_applies_each_op_in_place(self):
+        rng = random.Random(401)
+        for _ in range(120):
+            m = random_poly_matrix(rng, rng.randint(1, 3), rng.randint(1, 5))
+            rows = thaw(m)
+            seen = []
+
+            def apply(kind, op):
+                seen.append((kind, op))
+                (apply_col_op if kind == "col" else apply_row_op)(rows, op)
+
+            dec = smith(rows, apply)
+            ref = smith(m)
+            # A and B are built only when read
+            assert not {"a", "b"} & vars(dec).keys()
+            assert freeze(rows) == dec.gamma == ref.gamma
+            assert (dec.col_ops, dec.row_ops) == (ref.col_ops, ref.row_ops)
+            assert (dec.a, dec.b) == (ref.a, ref.b)
+            assert len(seen) == len(dec.col_ops) + len(dec.row_ops)
 
     def test_gamma_is_fixed_point(self):
         rng = random.Random(402)

@@ -8,6 +8,7 @@ from helpers import (
     random_valid_code,
     rate_third_code,
     reference_conjugate,
+    reference_image_reach,
     stab,
 )
 from qconvenc.errors import PreconditionError, WindowTooSmallError
@@ -16,10 +17,13 @@ from qconvenc.stabilizer import params, placement_bits, unroll
 from qconvenc.synthesis import synthesize
 from qconvenc.verify import (
     PauliVector,
+    _interior_max,
+    _saturation_window,
     chain_propagation_report,
     cnot_chain_conjugate,
     conjugate,
     csign_cascade,
+    image_reach,
     inner,
     propagation_report,
     render_encoder_check,
@@ -192,6 +196,30 @@ class TestPropagation:
     def test_unsorted_sizes_rejected(self):
         with pytest.raises(ValueError):
             propagation_report(Circuit(1), [10, 5])
+
+    def test_probe_window_is_saturated(self):
+        # the verdict reads one probe window: a wider one, as far again as the
+        # margin, must see the same interior maximum
+        rng = random.Random(806)
+        circuits = [random_circuit(rng, rng.randint(1, 4), rng.randint(0, 10)) for _ in range(300)]
+        while len(circuits) < 340:
+            res = synthesize(random_valid_code(rng, max_n=3, max_gates=6, max_off=1))
+            if sum(g.reach for g in res.encoder.templates) <= 20:
+                circuits.append(res.encoder)
+        for c in circuits:
+            probe = max(_saturation_window(c), c.memory + 1)
+            margin = c.memory
+            assert _interior_max(c, probe, margin) == _interior_max(c, probe + margin + 1, margin)
+
+
+class TestImageReach:
+    def test_matches_wide_window_reference(self):
+        rng = random.Random(807)
+        circuits = [random_circuit(rng, rng.randint(1, 5), rng.randint(0, 10), max_off=3) for _ in range(200)]
+        circuits += [synthesize(random_valid_code(rng, max_gates=6)).encoder for _ in range(20)]
+        circuits.append(synthesize(rate_third_code()).encoder)
+        for c in circuits:
+            assert image_reach(c) == reference_image_reach(c)
 
 
 class TestVerifyEncoder:

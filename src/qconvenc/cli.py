@@ -21,7 +21,7 @@ from .errors import (
     PreconditionError,
 )
 from .gates import format_circuit, parse_circuit
-from .poly import set_max_span
+from .poly import max_span, set_max_span
 from .stabilizer import (
     check_symplectic,
     params,
@@ -77,6 +77,13 @@ def cmd_synth(args: argparse.Namespace, out) -> int:
 
 
 def cmd_verify(args: argparse.Namespace, out) -> int:
+    # verification cost grows faster than the window size, and windows must
+    # cover the circuit memory, so this caps template offsets as well
+    limit = max_span()
+    if args.window_sizes[-1] > limit:
+        raise PreconditionError(
+            f"window size {args.window_sizes[-1]} exceeds the span limit {limit}"
+        )
     s = parse_stabilizer(_read(args.stabilizer))
     circuit = parse_circuit(_read(args.circuit))
     if circuit.n != s.n:

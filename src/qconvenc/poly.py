@@ -39,6 +39,11 @@ def set_max_span(limit: int) -> int:
     return old
 
 
+def max_span() -> int:
+    """The current exponent-span limit."""
+    return _max_span
+
+
 def _check_span(span: int) -> None:
     if span > _max_span:
         raise ExponentOverflowError(f"polynomial span {span} exceeds limit {_max_span}")

@@ -42,14 +42,7 @@ from .gates import (
     swap_templates,
 )
 from .matrix import freeze, identity, thaw, zeros
-from .poly import (
-    LaurentPoly,
-    Poly,
-    RationalFn,
-    laurent_div,
-    series_head,
-    symmetric_decompose,
-)
+from .poly import LaurentPoly, Poly, laurent_div, symmetric_decompose
 from .smith import ElementaryColOp, RowOp, apply_row_op, row_divisibility_check, smith
 from .stabilizer import StabilizerMatrix, format_sides, params, validate_code
 
@@ -63,7 +56,8 @@ class GammaClass:
     unit:   the qubit stream is constrained to the zero state.
     shift:  gamma = D^l leaves the first l blocks unconstrained.
     proper: a true subcode row; the ignored periodic states are reported as
-            the power-series head of 1/gamma over one period.
+            the power-series head of 1/gamma over one period, the order of D
+            modulo gamma's body, found by the long division that emits it.
     """
 
     value: LaurentPoly
@@ -407,7 +401,8 @@ def synthesize(s: StabilizerMatrix, record_checkpoints: bool = True) -> Synthesi
 
 
 def classify(gamma: Sequence[LaurentPoly]) -> tuple[GammaClass, ...]:
-    """Per-divisor report: unit, shift D^l, or proper with the periodic head."""
+    """Per-divisor report: unit, shift D^l, or proper with the periodic head,
+    whose period and bits come from one pass of `_period_series`."""
     out = []
     for g in gamma:
         if g.bits == 1:
@@ -416,25 +411,29 @@ def classify(gamma: Sequence[LaurentPoly]) -> tuple[GammaClass, ...]:
             else:
                 out.append(GammaClass(g, "shift", shift=g.offset))
         else:
-            body = g.body
-            period = _order_of_d(body)
-            series = series_head(RationalFn(Poly.one(), body), period)
+            period, series = _period_series(g.bits)
             out.append(GammaClass(g, "proper", period=period, series=series))
     return tuple(out)
 
 
-def _order_of_d(body: Poly) -> int:
-    """Multiplicative order of D modulo a polynomial with constant term 1.
+def _period_series(body: int) -> tuple[int, tuple[int, ...]]:
+    """The period of the power series of 1/body and its bits over one period.
 
-    The expansion of 1/body repeats with exactly this period.
-    """
-    d = Poly.d()
-    acc = d % body
-    for e in range(1, 1 << body.degree):
-        if acc == Poly.one():
-            return e
-        acc = (acc * d) % body
-    raise AssertionError(f"no multiplicative order found for {body}")
+    Each long-division step emits the state's constant bit and multiplies the
+    state by D^-1 modulo body, a permutation of the residues when body has
+    constant term 1: the state, started at 1, comes back to 1 after exactly
+    the multiplicative order of D, the period of the series."""
+    if not body & 1:
+        raise ZeroDivisionError(f"1/({Poly(body)}) is not a power series")
+    state, out = 1, []
+    while True:
+        c = state & 1
+        if c:
+            state ^= body
+        state >>= 1
+        out.append(c)
+        if state == 1:
+            return len(out), tuple(out)
 
 
 def subcode_for(n: int, r: int) -> StabilizerMatrix:

@@ -6,7 +6,7 @@ import random
 
 from qconvenc.gates import CNOT, CSIGN, Circuit, GateTemplate, H, P, PL, apply_circuit
 from qconvenc.matrix import freeze, identity, zeros
-from qconvenc.poly import LaurentPoly, parse_laurent
+from qconvenc.poly import LaurentPoly, Poly, parse_laurent
 from qconvenc.stabilizer import F4Poly, StabilizerMatrix
 from qconvenc.verify import PauliVector, conjugate, single_pauli
 
@@ -236,3 +236,43 @@ def reference_image_reach(c: Circuit) -> tuple[int, int]:
                 back = max(back, center - blk)
                 fwd = max(fwd, blk - center)
     return back, fwd
+
+
+# -- divisor classification oracle --------------------------------------------
+
+
+def reference_order_of_d(body: Poly) -> int:
+    """Multiplicative order of D modulo a polynomial with constant term 1, by
+    repeated multiplication and reduction with `Poly` arithmetic."""
+    d = Poly.d()
+    acc = d % body
+    for e in range(1, 1 << body.degree):
+        if acc == Poly.one():
+            return e
+        acc = (acc * d) % body
+    raise AssertionError(f"no multiplicative order found for {body}")
+
+
+def divisor_bodies(seed: int = 4004) -> list[Poly]:
+    """Every polynomial of degree 1 to 8 with constant term 1, then 100 seeded
+    ones of degree 9 to 14: half drawn at random, half products f^e * g with
+    a repeated factor f."""
+    bodies = [Poly(b) for b in range(3, 1 << 9, 2)]
+    rng = random.Random(seed)
+
+    def draw(degree: int) -> Poly:
+        return Poly((1 << degree) | rng.getrandbits(degree) | 1)
+
+    while len(bodies) < 255 + 100:
+        if len(bodies) % 2:
+            body = draw(rng.randint(9, 14))
+        else:
+            f, e = draw(rng.randint(1, 4)), rng.randint(2, 3)
+            g_degree = rng.randint(9, 14) - e * f.degree
+            if g_degree < 0:
+                continue
+            body = draw(g_degree)
+            for _ in range(e):
+                body = body * f
+        bodies.append(body)
+    return bodies

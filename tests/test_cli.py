@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -159,6 +160,27 @@ class TestVerify:
         (tmp_path / "c.circ").write_text("n=3\n", encoding="utf-8")
         code, _ = run(["verify", stab_path, str(tmp_path / "c.circ"), "--windows", "9,3"])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "options, circuit, windows, message",
+        [
+            ([], "H q=1", "5,10,10000000", "window size 10000000 exceeds the span limit 65536"),
+            # windows must reach memory + 1, so the cap bounds offsets too
+            ([], "CNOT c=1 t=2 off=100000", "100001", "window size 100001 exceeds the span limit 65536"),
+            (["--max-span", "8"], "H q=1", "5,10", "window size 10 exceeds the span limit 8"),
+        ],
+    )
+    def test_window_above_span_limit(self, tmp_path, options, circuit, windows, message):
+        stab_path = write(tmp_path, "code.stab", RATE_THIRD)
+        circ_path = write(tmp_path, "c.circ", f"n=3\n{circuit}\n")
+        tracemalloc.start()
+        try:
+            code, text = run([*options, "verify", stab_path, circ_path, "--windows", windows])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, text) == (3, f"precondition failed: {message}\n")
+        assert peak < 1 << 20
 
 
 DATA = Path(__file__).parent / "data"

@@ -1,8 +1,17 @@
 import random
+import time
 
 import pytest
 
-from helpers import L, random_valid_code, rate_third_code, stab, z_only_identity_code
+from helpers import (
+    L,
+    divisor_bodies,
+    random_valid_code,
+    rate_third_code,
+    reference_order_of_d,
+    stab,
+    z_only_identity_code,
+)
 from qconvenc.errors import PreconditionError
 from qconvenc.gates import (
     CNOT,
@@ -13,7 +22,7 @@ from qconvenc.gates import (
     apply_circuit,
     depth_schedule,
 )
-from qconvenc.poly import LaurentPoly
+from qconvenc.poly import LaurentPoly, Poly, RationalFn, series_head
 from qconvenc.smith import RowOp
 from qconvenc.stabilizer import check_symplectic, params
 from qconvenc.synthesis import (
@@ -218,3 +227,47 @@ class TestClassify:
         assert cls.kind == "proper"
         assert cls.period == 3
         assert cls.series == (1, 1, 0)
+
+    def test_proper_matches_order_search_oracle(self):
+        for k, body in enumerate(divisor_bodies()):
+            (cls,) = classify([LaurentPoly(k % 5 - 2, body.bits)])
+            period = reference_order_of_d(body)
+            assert cls.kind == "proper"
+            assert (cls.period, cls.series) == (
+                period,
+                series_head(RationalFn(Poly.one(), body), period),
+            ), body
+
+    def test_proper_matches_sympy_gf2(self):
+        sympy = pytest.importorskip("sympy")
+        from sympy.polys.domains import ZZ
+        from sympy.polys.galoistools import gf_div, gf_pow_mod
+
+        def divides_d_power_plus_one(g, m):
+            return gf_pow_mod([ZZ(1), ZZ(0)], m, g, 2, ZZ) == [ZZ(1)]
+
+        bodies = divisor_bodies() + [L("1 + D + D^3 + D^12 + D^16").body]
+        for body in bodies:
+            (cls,) = classify([LaurentPoly(0, body.bits)])
+            n = cls.period
+            g = [ZZ(body.coeff(e)) for e in range(body.degree, -1, -1)]
+            assert divides_d_power_plus_one(g, n), body
+            for q in sympy.factorint(n):
+                assert not divides_d_power_plus_one(g, n // q), (body, q)
+            d_n_plus_one = [ZZ(1)] + [ZZ(0)] * (n - 1) + [ZZ(1)]
+            quotient, rest = gf_div(d_n_plus_one, g, 2, ZZ)
+            assert rest == []
+            low_to_high = [int(c) for c in reversed(quotient)]
+            assert list(cls.series) == low_to_high + [0] * (n - len(low_to_high)), body
+
+    def test_primitive_degree_twenty_within_budget(self):
+        start = time.perf_counter()
+        (cls,) = classify([L("1 + D^3 + D^20")])
+        elapsed = time.perf_counter() - start
+        assert cls.period == (1 << 20) - 1
+        assert len(cls.series) == cls.period
+        assert elapsed < 2.0
+
+    def test_zero_divisor_raises(self):
+        with pytest.raises(ZeroDivisionError):
+            classify([LaurentPoly.zero()])

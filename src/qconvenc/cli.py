@@ -30,6 +30,7 @@ from .stabilizer import (
 )
 from .synthesis import build_report, format_checkpoints, synthesize
 from .verify import (
+    image_reach,
     propagation_report,
     render_encoder_check,
     render_propagation,
@@ -104,8 +105,11 @@ def cmd_verify(args: argparse.Namespace, out) -> int:
         raise PreconditionError(
             f"no window size reaches 2*(memory+1) = {2 * (memory + 1)}"
         )
+    # the margin verify_encoder would size from the measured image reach,
+    # computed once for all round-trip windows
+    margin = max(memory, *image_reach(circuit))
     for blocks in round_trip_sizes:
-        chk = verify_encoder(s, circuit, blocks)
+        chk = verify_encoder(s, circuit, blocks, margin)
         out.write(render_encoder_check(chk))
         ok = ok and chk.ok
     return EXIT_OK if ok else EXIT_VERIFICATION

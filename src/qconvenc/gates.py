@@ -15,8 +15,9 @@ S(D) = (X(D) | Z(D)):
     CSIGN(i,j,l)  z_j += D^l x_i ;  z_i += D^-l x_j
 
 Two interpreters read the table: `act` updates mutable polynomial rows in
-place (`apply` wraps it for frozen matrices), and `verify.conjugate` runs
-each update over a whole unrolled window as one masked shift-and-XOR.
+place (`apply` wraps it for frozen matrices), and the window kernel behind
+`verify.conjugate` runs each update as one masked shift-and-XOR over a
+batch of unrolled windows packed side by side.
 
 All of them square to the identity over GF(2), so a circuit is undone by
 replaying its templates in reversed order.
@@ -169,26 +170,6 @@ def apply_circuit(s: StabilizerMatrix, c: Circuit) -> StabilizerMatrix:
     for g in c.templates:
         s = apply(s, g)
     return s
-
-
-def apply_poly(
-    s: StabilizerMatrix, kind: str, i: int, j: int, f: LaurentPoly
-) -> tuple[StabilizerMatrix, list[GateTemplate]]:
-    """Expand f into monomials and apply one elementary template per term.
-
-    The net effect adds f on the forward column and reciprocal(f) on the
-    backward column.
-    """
-    if kind not in _TWO_QUBIT:
-        raise ValueError("apply_poly expands CNOT or CSIGN templates")
-    if f.is_zero():
-        raise ValueError("apply_poly needs a nonzero polynomial")
-    emitted = []
-    for e in f.exponents():
-        g = GateTemplate(kind, i, j, e)
-        s = apply(s, g)
-        emitted.append(g)
-    return s, emitted
 
 
 def swap_templates(i: int, j: int) -> list[GateTemplate]:

@@ -26,37 +26,3 @@ def identity(n: int) -> Matrix:
 
 def zeros(r: int, n: int) -> Matrix:
     return tuple(tuple(L_ZERO for _ in range(n)) for _ in range(r))
-
-
-def mat_mul(a: Sequence[Sequence[LaurentPoly]], b: Sequence[Sequence[LaurentPoly]]) -> Matrix:
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    out = []
-    for i in range(rows):
-        row = []
-        for j in range(cols):
-            acc = L_ZERO
-            for k in range(inner):
-                acc = acc + a[i][k] * b[k][j]
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def det(m: Sequence[Sequence[LaurentPoly]]) -> LaurentPoly:
-    """Exact determinant by Laplace expansion; fine at desk scale."""
-    n = len(m)
-    if n == 0:
-        return L_ONE
-    if any(len(row) != n for row in m):
-        raise ValueError("determinant of a non-square matrix")
-    if n == 1:
-        return m[0][0]
-    acc = L_ZERO
-    for j in range(n):
-        if m[0][j].is_zero():
-            continue
-        minor = [
-            [m[i][c] for c in range(n) if c != j] for i in range(1, n)
-        ]
-        acc = acc + m[0][j] * det(minor)
-    return acc

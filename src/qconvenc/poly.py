@@ -181,25 +181,6 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return Poly(_gcd_bits(a.bits, b.bits))
 
 
-def xgcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
-    """Extended gcd: returns (g, u, v) with u*a + v*b = g.
-
-    Over GF(2) the gcd is automatically monic; raises when both inputs are
-    zero.
-    """
-    if a.is_zero() and b.is_zero():
-        raise ZeroDivisionError("xgcd of two zero polynomials")
-    r0, r1 = a.bits, b.bits
-    u0, u1 = 1, 0
-    v0, v1 = 0, 1
-    while r1:
-        q, r = _divmod_bits(r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, u0 ^ _mul_bits(q, u1)
-        v0, v1 = v1, v0 ^ _mul_bits(q, v1)
-    return Poly(r0), Poly(u0), Poly(v0)
-
-
 # ---------------------------------------------------------------------------
 # LaurentPoly
 
@@ -476,28 +457,6 @@ class RationalFn:
 
     def __repr__(self) -> str:
         return f"RationalFn({self})"
-
-
-def series_head(r: RationalFn, count: int) -> tuple[int, ...]:
-    """First `count` coefficients of the power-series expansion of r.
-
-    Requires the denominator to have a nonzero constant term; used only to
-    report the periodic states that the reduction ignores.
-    """
-    if count < 0:
-        raise ValueError("count must be non-negative")
-    if r.den.coeff(0) == 0:
-        raise ValueError("expansion is not a power series: denominator constant term is zero")
-    state = r.num.bits
-    den = r.den.bits
-    out = []
-    for _ in range(count):
-        c = state & 1
-        if c:
-            state ^= den
-        state >>= 1
-        out.append(c)
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -72,17 +72,6 @@ def apply_col_op(rows: list[list[LaurentPoly]], op: ElementaryColOp) -> None:
             row[op.j] = row[op.j] + op.f * row[op.i]
 
 
-def apply_col_ops(m: Sequence[Sequence[LaurentPoly]], ops: Sequence[ElementaryColOp]) -> Matrix:
-    """Apply column operations left to right; indices must be in bounds."""
-    n = len(m[0]) if m else 0
-    work = thaw(m)
-    for op in ops:
-        if not (0 <= op.i < n and 0 <= op.j < n):
-            raise IndexError(f"column op index out of range: {op}")
-        apply_col_op(work, op)
-    return freeze(work)
-
-
 def apply_row_op(rows: list[list[LaurentPoly]], op: RowOp) -> None:
     if op.kind == "swap":
         rows[op.i], rows[op.j] = rows[op.j], rows[op.i]

@@ -10,6 +10,7 @@ p = block*n + stream, x bits first.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .errors import ParseError, PreconditionError, WindowTooSmallError
@@ -53,6 +54,27 @@ class StabilizerMatrix:
         if lo is None:
             return None
         return lo, hi
+
+    @cached_property
+    def _row_patterns(self) -> tuple[Optional[tuple[int, int, int, int]], ...]:
+        """Per row: (lo, hi, x, z) with the row's x and z bits laid out from
+        block lo upward, qubit position (e - lo)*n + column; None if empty."""
+        patterns = []
+        for i in range(self.r):
+            env = self.row_envelope(i)
+            if env is None:
+                patterns.append(None)
+                continue
+            lo, hi = env
+            sides = []
+            for part in (self.x, self.z):
+                bits = 0
+                for c, e in enumerate(part[i]):
+                    for exp in e.exponents():
+                        bits |= 1 << ((exp - lo) * self.n + c)
+                sides.append(bits)
+            patterns.append((lo, hi, *sides))
+        return tuple(patterns)
 
     def __str__(self) -> str:
         return format_stabilizer(self)
@@ -223,28 +245,21 @@ def placement_bits(
     Returns None when the support is not fully contained and truncate is
     False; with truncate=True, out-of-window coordinates are dropped.
     """
-    env = s.row_envelope(gen)
-    if env is None:
+    pattern = s._row_patterns[gen]
+    if pattern is None:
         return None
-    lo, hi = env
+    lo, hi, x, z = pattern
     if not truncate and (shift + lo < 0 or shift + hi > blocks - 1):
         return None
     half = s.n * blocks
-    bits = 0
-    any_bit = False
-    for part, base in ((s.x, 0), (s.z, half)):
-        for c in range(s.n):
-            e = part[gen][c]
-            if e.is_zero():
-                continue
-            for exp in e.exponents():
-                blk = shift + exp
-                if 0 <= blk < blocks:
-                    bits |= 1 << (base + blk * s.n + c)
-                    any_bit = True
-    if truncate and not any_bit:
-        return None
-    return bits
+    at = (shift + lo) * s.n
+    x, z = (x << at, z << at) if at >= 0 else (x >> -at, z >> -at)
+    if truncate:
+        window = (1 << half) - 1
+        x, z = x & window, z & window
+        if not x | z:
+            return None
+    return x | z << half
 
 
 def unroll(s: StabilizerMatrix, blocks: int) -> UnrolledWindow:

@@ -11,7 +11,8 @@ starts at block 0).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from itertools import islice
+from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import PreconditionError, WindowTooSmallError
 from .gates import CNOT, CSIGN, Circuit, GateTemplate, PL, act
@@ -71,32 +72,70 @@ def inner(p: PauliVector, q: PauliVector) -> int:
     return window_inner(p.bits, q.bits, p.half)
 
 
-def conjugate(c: Circuit, blocks: int, p: PauliVector) -> PauliVector:
-    """Propagate a Pauli through every in-window instance of every template.
+# packed width of one side of a conjugation batch: lanes are added until it
+# would pass about 1 Mbit, so a wide window never holds seeds x window bits
+_BATCH_BITS = 1 << 20
 
-    Each column update of a template moves all its in-window instances at
-    once: the source column's bits, masked out of one side of the (x|z)
-    word, shift by k blocks onto the destination column and are XORed in.
-    The destination mask drops what lands outside the window, which is the
-    open boundary.  Templates apply in list order; the instances of one
-    template commute, so their order is immaterial.
+
+def _lane_images(
+    c: Circuit, blocks: int, seeds: Iterable[tuple[int, int]]
+) -> Iterator[tuple[int, int]]:
+    """Conjugate a stream of window seeds, each an (x, z) pair of n*blocks
+    bits, yielding each image in order as the same kind of pair.
+
+    A batch of seeds is packed into one X int and one Z int, one lane per
+    seed.  A lane is the window's n*blocks bits followed by a guard of at
+    least n*memory bits, padded to whole bytes.  Each column update of a
+    template then moves all its in-window instances in every lane at once:
+    the source column's bits are masked out of one side, shifted by k blocks
+    onto the destination column and XORed in.  No update shifts by more
+    than memory blocks, so a bit that leaves its window lands in a guard
+    (its own lane's, or the lane below's).  Source masks never read a
+    guard, and guards are cleared before unpacking, so what lands there is
+    dropped: the open boundary.  Templates apply in list order; the
+    instances of one template commute, so their order is immaterial.  The
+    map is GF(2)-linear, boundary included.
     """
+    n = c.n
+    lane_bytes = (n * (blocks + c.memory) + 7) // 8
+    lanes = max(1, _BATCH_BITS // (8 * lane_bytes))
+    window = (1 << n * blocks) - 1
+    first_column = window // ((1 << n) - 1)
+    lane_window = window.to_bytes(lane_bytes, "little")
+    lane_columns = [(first_column << q).to_bytes(lane_bytes, "little") for q in range(n)]
+    columns: list[int] = []
+    seeds = iter(seeds)
+    while batch := list(islice(seeds, lanes)):
+        if not columns:
+            # masks sized by the first batch, the widest
+            windows = int.from_bytes(lane_window * len(batch), "little")
+            columns = [int.from_bytes(col * len(batch), "little") for col in lane_columns]
+        sides = [
+            int.from_bytes(b"".join(bits.to_bytes(lane_bytes, "little") for bits in part), "little")
+            for part in zip(*batch)
+        ]
+        for g in c.templates:
+            for dst_side, dst, src_side, src, k in g.updates:
+                moved = sides[src_side] & columns[src]
+                step = k * n + dst - src
+                sides[dst_side] ^= moved << step if step >= 0 else moved >> -step
+        size = len(batch) * lane_bytes
+        xs, zs = (memoryview((side & windows).to_bytes(size, "little")) for side in sides)
+        for at in range(0, size, lane_bytes):
+            lane = slice(at, at + lane_bytes)
+            yield int.from_bytes(xs[lane], "little"), int.from_bytes(zs[lane], "little")
+
+
+def conjugate(c: Circuit, blocks: int, p: PauliVector) -> PauliVector:
+    """Propagate a Pauli through every in-window instance of every template:
+    the lane kernel `_lane_images` on one lane."""
     if p.n != c.n or p.blocks != blocks:
         raise ValueError("Pauli vector does not match the window")
     if blocks < c.memory + 1:
         raise WindowTooSmallError(f"window {blocks} < circuit memory {c.memory} + 1")
-    n = c.n
-    half = n * blocks
-    first_column = ((1 << half) - 1) // ((1 << n) - 1)
-    masks = [first_column << q for q in range(n)]
-    bits = p.bits
-    for g in c.templates:
-        for dst_side, dst, src_side, src, k in g.updates:
-            moved = (bits >> src_side * half) & masks[src]
-            step = k * n + dst - src
-            moved = (moved << step if step >= 0 else moved >> -step) & masks[dst]
-            bits ^= moved << dst_side * half
-    return PauliVector(n, blocks, bits)
+    half = p.half
+    ((x, z),) = _lane_images(c, blocks, [(p.bits & ((1 << half) - 1), p.bits >> half)])
+    return PauliVector(c.n, blocks, x | z << half)
 
 
 # ---------------------------------------------------------------------------
@@ -120,12 +159,21 @@ class PropagationReport:
 
 
 def _interior_max(c: Circuit, blocks: int, margin: int) -> int:
+    """Max image support over the X, Z and Y seeds of the interior qubits.
+
+    Only X and Z seeds are conjugated, in consecutive pairs per position:
+    the window map is linear, so the Y image is their XOR.
+    """
+    seeds = (
+        seed
+        for pos in range(margin * c.n, (blocks - margin) * c.n)
+        for seed in ((1 << pos, 0), (0, 1 << pos))
+    )
+    images = _lane_images(c, blocks, seeds)
     best = 0
-    for block in range(margin, blocks - margin):
-        for qubit in range(1, c.n + 1):
-            for kind in ("X", "Z", "Y"):
-                img = conjugate(c, blocks, single_pauli(c.n, blocks, block, qubit, kind))
-                best = max(best, img.support_size)
+    for (xx, xz), (zx, zz) in zip(images, images):
+        y = (xx ^ zx) | (xz ^ zz)
+        best = max(best, int.bit_count(xx | xz), int.bit_count(zx | zz), int.bit_count(y))
     return best
 
 
@@ -325,15 +373,25 @@ def verify_encoder(
             f"window {blocks} leaves no interior at margin {margin}"
         )
     basis = stabilizer_window_basis(s, blocks)
-    rows = []
-    for gen in range(s0.r):
-        for shift in range(margin, blocks - margin):
-            bits = placement_bits(s0, blocks, gen, shift)
-            if bits is None:
-                continue
-            img = conjugate(encoder, blocks, PauliVector(s.n, blocks, bits))
-            rows.append(RowCheck(gen, shift, _gf2_in_span(basis, img.bits)))
-    return EncoderCheck(blocks, margin, tuple(rows))
+
+    def placements() -> Iterator[tuple[int, int]]:
+        # interior shifts whose placement lies wholly inside the window
+        for gen in range(s0.r):
+            env = s0.row_envelope(gen)
+            if env is not None:
+                lo, hi = env
+                for shift in range(max(margin, -lo), min(blocks - margin, blocks - hi)):
+                    yield gen, shift
+
+    half = s.n * blocks
+    window = (1 << half) - 1
+    seeds = (placement_bits(s0, blocks, gen, shift) for gen, shift in placements())
+    images = _lane_images(encoder, blocks, ((bits & window, bits >> half) for bits in seeds))
+    rows = tuple(
+        RowCheck(gen, shift, _gf2_in_span(basis, x | z << half))
+        for (gen, shift), (x, z) in zip(placements(), images)
+    )
+    return EncoderCheck(blocks, margin, rows)
 
 
 # ---------------------------------------------------------------------------

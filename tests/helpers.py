@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import random
 
-from qconvenc.gates import CNOT, CSIGN, Circuit, GateTemplate, H, P, PL, apply_circuit
-from qconvenc.matrix import freeze, identity, zeros
-from qconvenc.poly import LaurentPoly, Poly, parse_laurent
+from qconvenc.gates import CNOT, CSIGN, Circuit, GateTemplate, H, P, PL, apply, apply_circuit
+from qconvenc.matrix import Matrix, freeze, identity, thaw, zeros
+from qconvenc.poly import L_ONE, L_ZERO, LaurentPoly, Poly, RationalFn, parse_laurent
+from qconvenc.smith import ElementaryColOp, apply_col_op
 from qconvenc.stabilizer import F4Poly, StabilizerMatrix
 from qconvenc.verify import PauliVector, conjugate, single_pauli
 
@@ -45,6 +46,112 @@ def rate_third_f4_rows() -> list[list[F4Poly]]:
             F4Poly(L("1+D"), d),     # 1 + W D  (W = 1 + w)
         ]
     ]
+
+
+# -- arithmetic used only by the tests ------------------------------------------
+
+
+def xgcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
+    """Extended gcd: returns (g, u, v) with u*a + v*b = g.
+
+    Over GF(2) the gcd is automatically monic; raises when both inputs are
+    zero.
+    """
+    if a.is_zero() and b.is_zero():
+        raise ZeroDivisionError("xgcd of two zero polynomials")
+    r0, r1 = a, b
+    u0, u1 = Poly.one(), Poly.zero()
+    v0, v1 = Poly.zero(), Poly.one()
+    while not r1.is_zero():
+        q, r = divmod(r0, r1)
+        r0, r1 = r1, r
+        u0, u1 = u1, u0 + q * u1
+        v0, v1 = v1, v0 + q * v1
+    return r0, u0, v0
+
+
+def series_head(r: RationalFn, count: int) -> tuple[int, ...]:
+    """First `count` coefficients of the power-series expansion of r.
+
+    Requires the denominator to have a nonzero constant term.
+    """
+    if count < 0:
+        raise ValueError("count must be non-negative")
+    if r.den.coeff(0) == 0:
+        raise ValueError("expansion is not a power series: denominator constant term is zero")
+    state = r.num.bits
+    den = r.den.bits
+    out = []
+    for _ in range(count):
+        c = state & 1
+        if c:
+            state ^= den
+        state >>= 1
+        out.append(c)
+    return tuple(out)
+
+
+def mat_mul(a, b) -> Matrix:
+    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
+    out = []
+    for i in range(rows):
+        row = []
+        for j in range(cols):
+            acc = L_ZERO
+            for k in range(inner):
+                acc = acc + a[i][k] * b[k][j]
+            row.append(acc)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def det(m) -> LaurentPoly:
+    """Exact determinant by Laplace expansion; fine at desk scale."""
+    n = len(m)
+    if n == 0:
+        return L_ONE
+    if any(len(row) != n for row in m):
+        raise ValueError("determinant of a non-square matrix")
+    if n == 1:
+        return m[0][0]
+    acc = L_ZERO
+    for j in range(n):
+        if m[0][j].is_zero():
+            continue
+        minor = [[m[i][c] for c in range(n) if c != j] for i in range(1, n)]
+        acc = acc + m[0][j] * det(minor)
+    return acc
+
+
+def apply_col_ops(m, ops: list[ElementaryColOp]) -> Matrix:
+    """Apply column operations left to right; indices must be in bounds."""
+    n = len(m[0]) if m else 0
+    work = thaw(m)
+    for op in ops:
+        if not (0 <= op.i < n and 0 <= op.j < n):
+            raise IndexError(f"column op index out of range: {op}")
+        apply_col_op(work, op)
+    return freeze(work)
+
+
+def apply_poly(
+    s: StabilizerMatrix, kind: str, i: int, j: int, f: LaurentPoly
+) -> tuple[StabilizerMatrix, list[GateTemplate]]:
+    """Expand f into monomials and apply one elementary template per term.
+
+    The net effect adds f on the forward column and reciprocal(f) on the
+    backward column.
+    """
+    if kind not in (CNOT, CSIGN):
+        raise ValueError("apply_poly expands CNOT or CSIGN templates")
+    if f.is_zero():
+        raise ValueError("apply_poly needs a nonzero polynomial")
+    emitted = []
+    for e in f.exponents():
+        g = GateTemplate(kind, i, j, e)
+        s = apply(s, g)
+        emitted.append(g)
+    return s, emitted
 
 
 # -- GF(4) arithmetic oracle (independent of the package implementation) ----
@@ -219,6 +326,18 @@ def reference_conjugate(c: Circuit, blocks: int, p: PauliVector) -> PauliVector:
                 if (bits >> b) & 1:
                     bits ^= 1 << (half + a)
     return PauliVector(n, blocks, bits)
+
+
+def reference_interior_max(c: Circuit, blocks: int, margin: int) -> int:
+    """Max image support over X, Z and Y seeds at every interior qubit, each
+    seed conjugated gate by gate on its own."""
+    best = 0
+    for block in range(margin, blocks - margin):
+        for qubit in range(1, c.n + 1):
+            for kind in ("X", "Z", "Y"):
+                p = single_pauli(c.n, blocks, block, qubit, kind)
+                best = max(best, reference_conjugate(c, blocks, p).support_size)
+    return best
 
 
 def reference_image_reach(c: Circuit) -> tuple[int, int]:

@@ -10,13 +10,14 @@ import pytest
 
 from helpers import (
     L,
+    mat_mul,
     mutate_one_entry,
     random_valid_code,
     rate_third_code,
     stab,
 )
 from qconvenc.gates import depth_schedule
-from qconvenc.matrix import freeze, mat_mul
+from qconvenc.matrix import freeze
 from qconvenc.poly import LaurentPoly, laurent_divides
 from qconvenc.smith import smith
 from qconvenc.stabilizer import check_symplectic, params, window_commutes

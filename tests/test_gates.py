@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from helpers import L, lrow, random_template, random_valid_code, rate_third_code, stab
+from helpers import L, apply_poly, lrow, random_template, random_valid_code, rate_third_code, stab
 from qconvenc.errors import ParseError
 from qconvenc.gates import (
     CNOT,
@@ -14,7 +14,6 @@ from qconvenc.gates import (
     PL,
     apply,
     apply_circuit,
-    apply_poly,
     depth_schedule,
     format_circuit,
     parse_circuit,

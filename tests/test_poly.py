@@ -3,6 +3,7 @@ import tracemalloc
 
 import pytest
 
+from helpers import series_head, xgcd
 from qconvenc.errors import ExponentOverflowError, ParseError
 from qconvenc.poly import (
     LaurentPoly,
@@ -14,10 +15,8 @@ from qconvenc.poly import (
     laurent_div,
     parse_laurent,
     poly_gcd,
-    series_head,
     set_max_span,
     symmetric_decompose,
-    xgcd,
 )
 from qconvenc.stabilizer import parse_stabilizer
 

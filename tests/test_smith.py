@@ -4,7 +4,8 @@ from itertools import combinations
 
 import pytest
 
-from qconvenc.matrix import det, freeze, identity, mat_mul, thaw
+from helpers import apply_col_ops, det, mat_mul
+from qconvenc.matrix import freeze, identity, thaw
 from qconvenc.poly import (
     LaurentPoly,
     Poly,
@@ -15,7 +16,6 @@ from qconvenc.poly import (
 from qconvenc.smith import (
     ElementaryColOp,
     apply_col_op,
-    apply_col_ops,
     apply_row_op,
     compose_col_ops,
     row_divisibility_check,

@@ -9,6 +9,7 @@ from helpers import (
     random_valid_code,
     rate_third_code,
     reference_order_of_d,
+    series_head,
     stab,
     z_only_identity_code,
 )
@@ -22,7 +23,7 @@ from qconvenc.gates import (
     apply_circuit,
     depth_schedule,
 )
-from qconvenc.poly import LaurentPoly, Poly, RationalFn, series_head
+from qconvenc.poly import LaurentPoly, Poly, RationalFn
 from qconvenc.smith import RowOp
 from qconvenc.stabilizer import check_symplectic, params
 from qconvenc.synthesis import (

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -9,15 +10,20 @@ from helpers import (
     rate_third_code,
     reference_conjugate,
     reference_image_reach,
+    reference_interior_max,
     stab,
+    z_only_identity_code,
 )
+from qconvenc import verify
 from qconvenc.errors import PreconditionError, WindowTooSmallError
-from qconvenc.gates import CNOT, CSIGN, Circuit, GateTemplate, H, P, PL, apply
+from qconvenc.gates import CNOT, CSIGN, Circuit, GateTemplate, H, P, PL, apply, apply_circuit
 from qconvenc.stabilizer import params, placement_bits, unroll
-from qconvenc.synthesis import synthesize
+from qconvenc.synthesis import subcode_for, synthesize
 from qconvenc.verify import (
     PauliVector,
+    RowCheck,
     _interior_max,
+    _lane_images,
     _saturation_window,
     chain_propagation_report,
     cnot_chain_conjugate,
@@ -126,6 +132,143 @@ class TestConjugate:
             ip, iq = conjugate(c, blocks, p), conjugate(c, blocks, q)
             if _support_within(ip, 0, blocks) and _support_within(iq, 0, blocks):
                 assert inner(ip, iq) == inner(p, q)
+
+
+class TestLaneKernel:
+    @staticmethod
+    def _seeds(rng: random.Random, n: int, blocks: int, count: int) -> list[int]:
+        # random full-window Paulis and single-qubit seeds in the first and
+        # last block, so instances are clipped at either edge
+        seeds = []
+        for _ in range(count):
+            if rng.random() < 0.5:
+                seeds.append(rng.getrandbits(2 * n * blocks))
+            else:
+                block, qubit = rng.choice((0, blocks - 1)), rng.randint(1, n)
+                seeds.append(single_pauli(n, blocks, block, qubit, rng.choice("XYZ")).bits)
+        return seeds
+
+    @staticmethod
+    def _lanes(c: Circuit, blocks: int, seeds: list[int]) -> list[int]:
+        # seeds and images as (x|z) window ints, passed as (x, z) pairs
+        half = c.n * blocks
+        pairs = [(s & ((1 << half) - 1), s >> half) for s in seeds]
+        return [x | z << half for x, z in _lane_images(c, blocks, pairs)]
+
+    @staticmethod
+    def _reference(c: Circuit, blocks: int, seeds: list[int]) -> list[int]:
+        return [reference_conjugate(c, blocks, PauliVector(c.n, blocks, s)).bits for s in seeds]
+
+    def test_every_lane_matches_gate_by_gate_reference(self):
+        rng = random.Random(808)
+        kinds = set()
+        for trial in range(240):
+            n = rng.randint(1, 5)
+            c = random_circuit(rng, n, rng.randint(0, 10), max_off=3)
+            kinds.update(g.kind for g in c.templates)
+            # windows below memory + 1 too: no shift can jump a guard
+            blocks = rng.randint(1, c.memory + 6)
+            count = (1, 2, rng.randint(3, 40))[trial % 3]
+            seeds = self._seeds(rng, n, blocks, count)
+            assert self._lanes(c, blocks, seeds) == self._reference(c, blocks, seeds)
+        assert kinds == {H, P, PL, CNOT, CSIGN}
+
+    def test_memory_zero_circuits(self):
+        # no guard bits when n*blocks is a whole number of bytes
+        rng = random.Random(810)
+        for _ in range(60):
+            n = rng.randint(1, 4)
+            kinds = (H, P, CNOT, CSIGN) if n > 1 else (H, P)
+            templates = []
+            for _ in range(rng.randint(1, 8)):
+                kind = rng.choice(kinds)
+                if kind in (H, P):
+                    templates.append(GateTemplate(kind, rng.randint(1, n)))
+                else:
+                    i, j = rng.sample(range(1, n + 1), 2)
+                    templates.append(GateTemplate(kind, i, j, 0))
+            c = Circuit(n, tuple(templates))
+            assert c.memory == 0
+            blocks = rng.choice((1, 2, 8, rng.randint(1, 12)))
+            seeds = self._seeds(rng, n, blocks, rng.randint(1, 20))
+            assert self._lanes(c, blocks, seeds) == self._reference(c, blocks, seeds)
+
+    def test_batches_split_the_seed_stream(self, monkeypatch):
+        # a batch width of a few lanes: many batches, the last one narrower
+        rng = random.Random(811)
+        for _ in range(40):
+            n = rng.randint(1, 4)
+            c = random_circuit(rng, n, rng.randint(1, 8), max_off=2)
+            blocks = c.memory + 1 + rng.randint(0, 5)
+            lane_bits = 8 * ((n * (blocks + c.memory) + 7) // 8)
+            monkeypatch.setattr(verify, "_BATCH_BITS", lane_bits * rng.randint(1, 3))
+            seeds = self._seeds(rng, n, blocks, rng.randint(4, 25))
+            assert self._lanes(c, blocks, seeds) == self._reference(c, blocks, seeds)
+
+    def test_interior_max_matches_per_seed_reference(self):
+        rng = random.Random(812)
+        for _ in range(120):
+            c = random_circuit(rng, rng.randint(1, 4), rng.randint(0, 8), max_off=2)
+            blocks = c.memory + 1 + rng.randint(0, 8)
+            margin = rng.randint(0, c.memory + 1)
+            assert _interior_max(c, blocks, margin) == reference_interior_max(c, blocks, margin)
+
+    def test_round_trip_rows_match_per_placement_reference(self):
+        rng = random.Random(813)
+        done = 0
+        while done < 16:
+            s = random_valid_code(rng, max_gates=8)
+            encoder = synthesize(s).encoder
+            if encoder.memory > 2:
+                continue
+            if done % 2 and encoder.templates:
+                # a broken encoder, so some rows fail
+                encoder = Circuit(s.n, encoder.templates[:-1])
+            blocks = 2 * (encoder.memory + 1) + rng.randint(2, 8)
+            margin = max(encoder.memory, *reference_image_reach(encoder))
+            if blocks - 2 * margin < 1:
+                continue
+            chk = verify_encoder(s, encoder, blocks)
+            space = set()
+            for gen in range(s.r):
+                lo, hi = s.row_envelope(gen)
+                for shift in range(-hi, blocks - lo):
+                    bits = placement_bits(s, blocks, gen, shift, truncate=True)
+                    if bits:
+                        space.add(bits)
+            expected = []
+            s0 = subcode_for(s.n, s.r)
+            for gen in range(s0.r):
+                for shift in range(margin, blocks - margin):
+                    bits = placement_bits(s0, blocks, gen, shift)
+                    if bits is None:
+                        continue
+                    img = reference_conjugate(encoder, blocks, PauliVector(s.n, blocks, bits))
+                    expected.append(RowCheck(gen, shift, _in_span(space, img.bits)))
+            assert chk.margin == margin
+            assert chk.rows == tuple(expected)
+            done += 1
+
+    def test_wide_window_memory_is_bounded(self):
+        # n=6 on 2,000 blocks: 24,000 interior X and Z seeds of 24,000 bits,
+        # 72 MB if all were held at once; the window basis alone, 2,000
+        # placements with Z bits above the half-width, peaks near 5 MB
+        rng = random.Random(809)
+        c = random_circuit(rng, 6, 6, max_off=2)
+        s = apply_circuit(z_only_identity_code(6, 1), c)
+        blocks = 2000
+        tracemalloc.start()
+        try:
+            _interior_max(c, blocks, c.memory)
+            interior_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            chk = verify_encoder(s, c, blocks)
+            round_trip_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert chk.ok and len(chk.rows) > 1900
+        assert interior_peak < 4_000_000
+        assert round_trip_peak < 10_000_000
 
 
 def _support_within(p: PauliVector, lo_blk: int, hi_blk: int) -> bool:

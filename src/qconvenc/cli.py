@@ -1,6 +1,7 @@
 """Batch command-line front end: synth, verify, info.
 
-Exit codes: 0 ok, 2 parse error, 3 precondition failure, 4 non-clearable
+Exit codes: 0 ok, 2 parse error (also an unreadable input, an unwritable
+--out path or a bad option value), 3 precondition failure, 4 non-clearable
 reduction (or an internal degree-growth guard), 5 verification failure.
 All numeric output uses the polynomial grammar; identical input and
 configuration produce byte-identical output.
@@ -30,7 +31,7 @@ from .stabilizer import (
 )
 from .synthesis import build_report, format_checkpoints, synthesize
 from .verify import (
-    image_reach,
+    interior_margin,
     propagation_report,
     render_encoder_check,
     render_propagation,
@@ -51,12 +52,19 @@ def _read(path: str) -> str:
         raise ParseError(f"cannot read {path}: {exc}") from None
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc}") from None
+
+
 def _windows(text: str) -> list[int]:
     try:
         sizes = [int(v) for v in text.split(",") if v.strip() != ""]
     except ValueError:
         raise ParseError(f"bad window list {text!r}") from None
-    if not sizes or sorted(sizes) != sizes:
+    if not sizes or any(a >= b for a, b in zip(sizes, sizes[1:])):
         raise ParseError("window sizes must be ascending and non-empty")
     return sizes
 
@@ -66,7 +74,7 @@ def cmd_synth(args: argparse.Namespace, out) -> int:
     result = synthesize(s, record_checkpoints=args.checkpoints)
     circuit_text = format_circuit(result.encoder)
     if args.out:
-        Path(args.out).write_text(circuit_text, encoding="utf-8")
+        _write(args.out, circuit_text)
     else:
         out.write(circuit_text)
         out.write("\n")
@@ -105,9 +113,8 @@ def cmd_verify(args: argparse.Namespace, out) -> int:
         raise PreconditionError(
             f"no window size reaches 2*(memory+1) = {2 * (memory + 1)}"
         )
-    # the margin verify_encoder would size from the measured image reach,
-    # computed once for all round-trip windows
-    margin = max(memory, *image_reach(circuit))
+    # the margin verify_encoder would take, computed once for all windows
+    margin = interior_margin(circuit)
     for blocks in round_trip_sizes:
         chk = verify_encoder(s, circuit, blocks, margin)
         out.write(render_encoder_check(chk))
@@ -185,15 +192,15 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     out = out if out is not None else sys.stdout
     parser = build_parser()
     args = parser.parse_args(argv)
-    previous_span = None
-    if args.max_span is not None:
-        previous_span = set_max_span(args.max_span)
-    if getattr(args, "windows", None) is not None:
-        try:
+    # option values; the span limit is set last, so a rejected value leaves
+    # it unchanged
+    try:
+        if getattr(args, "windows", None) is not None:
             args.window_sizes = _windows(args.windows)
-        except ParseError as exc:
-            out.write(f"error: {exc}\n")
-            return EXIT_PARSE
+        previous_span = None if args.max_span is None else set_max_span(args.max_span)
+    except ValueError as exc:
+        out.write(f"error: {exc}\n")
+        return EXIT_PARSE
     try:
         return args.func(args, out)
     except ParseError as exc:

@@ -21,6 +21,11 @@ batch of unrolled windows packed side by side.
 
 All of them square to the identity over GF(2), so a circuit is undone by
 replaying its templates in reversed order.
+
+_FIELDS is the single statement of the circuit text format: each kind's
+field names for (i, j, ell), None where the kind carries no such field.
+`GateTemplate.__str__` writes a template as its kind followed by the named
+fields, and `parse_circuit` reads them back in the same order.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from functools import cached_property
 from .errors import ParseError
 from .matrix import thaw
 from .poly import LaurentPoly
-from .stabilizer import StabilizerMatrix
+from .stabilizer import StabilizerMatrix, _strip_comments
 
 H = "H"
 P = "P"
@@ -51,6 +56,15 @@ COLUMN_ACTIONS = {
     PL: ((Z_SIDE, 0, X_SIDE, 0, -1), (Z_SIDE, 0, X_SIDE, 0, 1)),
     CNOT: ((X_SIDE, 1, X_SIDE, 0, 1), (Z_SIDE, 0, Z_SIDE, 1, -1)),
     CSIGN: ((Z_SIDE, 1, X_SIDE, 0, 1), (Z_SIDE, 0, X_SIDE, 1, -1)),
+}
+
+# kind -> circuit-format field names of (i, j, ell)
+_FIELDS = {
+    H: ("q", None, None),
+    P: ("q", None, None),
+    PL: ("q", None, "l"),
+    CNOT: ("c", "t", "off"),
+    CSIGN: ("a", "b", "off"),
 }
 
 
@@ -107,15 +121,8 @@ class GateTemplate:
         return all(u[0] == Z_SIDE for u in COLUMN_ACTIONS[self.kind])
 
     def __str__(self) -> str:
-        if self.kind == H:
-            return f"H q={self.i}"
-        if self.kind == P:
-            return f"P q={self.i}"
-        if self.kind == PL:
-            return f"PL q={self.i} l={self.ell}"
-        if self.kind == CNOT:
-            return f"CNOT c={self.i} t={self.j} off={self.ell}"
-        return f"CSIGN a={self.i} b={self.j} off={self.ell}"
+        values = zip(_FIELDS[self.kind], (self.i, self.j, self.ell))
+        return " ".join([self.kind, *(f"{key}={v}" for key, v in values if key)])
 
 
 @dataclass(frozen=True)
@@ -245,11 +252,7 @@ def _take_int(fields: dict[str, str], key: str, line: str) -> int:
 
 
 def parse_circuit(text: str) -> Circuit:
-    lines = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            lines.append(line)
+    lines = _strip_comments(text)
     if not lines or not lines[0].startswith("n="):
         raise ParseError("circuit file must start with n=<int>")
     try:
@@ -267,28 +270,10 @@ def parse_circuit(text: str) -> Circuit:
             key, val = part.split("=", 1)
             fields[key] = val
         try:
-            if kind == "H":
-                g = GateTemplate(H, _take_int(fields, "q", line))
-            elif kind == "P":
-                g = GateTemplate(P, _take_int(fields, "q", line))
-            elif kind == "PL":
-                g = GateTemplate(PL, _take_int(fields, "q", line), 0, _take_int(fields, "l", line))
-            elif kind == "CNOT":
-                g = GateTemplate(
-                    CNOT,
-                    _take_int(fields, "c", line),
-                    _take_int(fields, "t", line),
-                    _take_int(fields, "off", line),
-                )
-            elif kind == "CSIGN":
-                g = GateTemplate(
-                    CSIGN,
-                    _take_int(fields, "a", line),
-                    _take_int(fields, "b", line),
-                    _take_int(fields, "off", line),
-                )
-            else:
+            if kind not in _FIELDS:
                 raise ParseError(f"unknown gate {kind!r}")
+            values = (_take_int(fields, key, line) if key else 0 for key in _FIELDS[kind])
+            g = GateTemplate(kind, *values)
         except ValueError as exc:
             raise ParseError(f"bad template {line!r}: {exc}") from None
         if fields:

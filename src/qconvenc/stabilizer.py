@@ -90,15 +90,8 @@ class CodeParams:
 
 def params(s: StabilizerMatrix) -> CodeParams:
     """Code parameters; memory is the joint exponent span of all entries."""
-    lo = hi = None
-    for part in (s.x, s.z):
-        for row in part:
-            for e in row:
-                if e.is_zero():
-                    continue
-                lo = e.min_exp if lo is None else min(lo, e.min_exp)
-                hi = e.max_exp if hi is None else max(hi, e.max_exp)
-    memory = 0 if lo is None else hi - lo
+    envelopes = [env for env in map(s.row_envelope, range(s.r)) if env is not None]
+    memory = max(hi for _, hi in envelopes) - min(lo for lo, _ in envelopes) if envelopes else 0
     return CodeParams(n=s.n, k=s.n - s.r, r=s.r, memory=memory)
 
 

@@ -25,7 +25,7 @@ The reduction phases:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .errors import LoopLimitError, NonClearableError, PreconditionError
 from .gates import (
@@ -45,8 +45,6 @@ from .matrix import freeze, identity, thaw, zeros
 from .poly import LaurentPoly, Poly, laurent_div, symmetric_decompose
 from .smith import ElementaryColOp, RowOp, apply_row_op, row_divisibility_check, smith
 from .stabilizer import StabilizerMatrix, format_sides, params, validate_code
-
-OpLogEntry = tuple[str, Union[GateTemplate, RowOp]]
 
 
 @dataclass(frozen=True)
@@ -93,7 +91,6 @@ class SynthesisResult:
     memory: int
     checkpoints: tuple[tuple[str, StabilizerMatrix], ...]
     row_ops: tuple[RowOp, ...]
-    oplog: tuple[OpLogEntry, ...]
     step2_log: tuple[tuple[int, int], ...]  # (rank, degree measure) per pass
     step2_budget: int
 
@@ -108,7 +105,6 @@ class _Driver:
         self.x, self.z = thaw(s.x), thaw(s.z)
         self.gates: list[GateTemplate] = []
         self.row_ops: list[RowOp] = []
-        self.oplog: list[OpLogEntry] = []
         self.checkpoints: list[tuple[str, StabilizerMatrix]] = []
         self.record = record_checkpoints
         self.phase = "step1"
@@ -121,14 +117,20 @@ class _Driver:
     def gate(self, g: GateTemplate) -> None:
         act(self.x, self.z, g)
         self.gates.append(g)
-        self.oplog.append(("gate", g))
         self._dirty = True
 
     def row(self, op: RowOp) -> None:
         _row_op(self.x, self.z, op)
         self.row_ops.append(op)
-        self.oplog.append(("row", op))
         self._dirty = True
+
+    def phase_gates(self, i: int, decomposition: tuple[bool, tuple[int, ...]]) -> None:
+        """P and PL on row i's stream for a `symmetric_decompose` result."""
+        c0, ells = decomposition
+        if c0:
+            self.gate(GateTemplate(P, i + 1))
+        for ell in ells:
+            self.gate(GateTemplate(PL, i + 1, 0, ell))
 
     def checkpoint(self, label: str) -> None:
         if self.record and self._dirty:
@@ -166,43 +168,27 @@ def _row_op(x: list[list[LaurentPoly]], z: list[list[LaurentPoly]], op: RowOp) -
     apply_row_op(z, op)
 
 
-def _y_power(d: int) -> LaurentPoly:
-    """(D + D^-1)^d, the degree-d power of the symmetric generator."""
-    y = LaurentPoly.d(-1) + LaurentPoly.d(1)
-    acc = LaurentPoly.one()
-    for _ in range(d):
-        acc = acc * y
-    return acc
-
-
-def _sym_to_y(s: LaurentPoly) -> Poly:
-    """Write a symmetric Laurent polynomial as a polynomial in y = D + D^-1."""
-    bits = 0
-    while not s.is_zero():
-        d = s.max_exp
-        if d < 0 or s.reciprocal() != s:
-            raise AssertionError(f"{s} is not symmetric")
-        bits |= 1 << d
-        s = s + _y_power(d)
-    return Poly(bits)
-
-
 def _symmetric_quotient(z: LaurentPoly, gamma: LaurentPoly) -> LaurentPoly:
     """The floor of z/gamma inside the symmetric subring.
 
-    For a self-orthogonal pair, z/gamma is fixed by D -> 1/D and therefore a
-    rational function of y = D + D^-1; the quotient of the Euclidean division
-    in GF(2)[y], mapped back, is a symmetric Laurent polynomial f such that
-    z + f*gamma has span strictly below span(gamma).
+    For a self-orthogonal pair, z*gamma(1/D) is fixed by D -> 1/D, as is
+    gamma*gamma(1/D).  Long division by top terms stays in that subring:
+    cancelling the top term D^d of the numerator with (D^-k + D^k) times the
+    denominator (k = d - span(gamma), the constant 1 when k = 0) cancels its
+    mirrored bottom term too.  The quotient is the unique symmetric Laurent
+    polynomial f such that z + f*gamma has span strictly below span(gamma).
     """
-    num = _sym_to_y(z * gamma.reciprocal())
-    den = _sym_to_y(gamma * gamma.reciprocal())
-    q = num // den
-    acc = LaurentPoly.zero()
-    for d in range(q.bits.bit_length()):
-        if q.coeff(d):
-            acc = acc + _y_power(d)
-    return acc
+    num = z * gamma.reciprocal()
+    if num.reciprocal() != num:
+        raise AssertionError(f"{num} is not symmetric")
+    den = gamma * gamma.reciprocal()
+    f = LaurentPoly.zero()
+    while not num.is_zero() and num.max_exp >= den.max_exp:
+        k = num.max_exp - den.max_exp
+        term = LaurentPoly.from_exponents({-k, k})
+        f = f + term
+        num = num + term * den
+    return f
 
 
 def _diagonal(x) -> list[LaurentPoly]:
@@ -327,13 +313,7 @@ def synthesize(s: StabilizerMatrix, record_checkpoints: bool = True) -> Synthesi
         drv.phase = "step5"
         spend_iteration()
         for i in offenders:
-            f = _symmetric_quotient(drv.z[i][i], gamma[i])
-            if not f.is_zero():
-                c0, ells = symmetric_decompose(f)
-                if c0:
-                    drv.gate(GateTemplate(P, i + 1))
-                for ell in ells:
-                    drv.gate(GateTemplate(PL, i + 1, 0, ell))
+            drv.phase_gates(i, symmetric_decompose(_symmetric_quotient(drv.z[i][i], gamma[i])))
             if drv.z[i][i].is_zero() or drv.z[i][i].degree >= gamma[i].degree:
                 raise NonClearableError(
                     f"symmetric reduction failed at row {i + 1}: residue "
@@ -357,11 +337,7 @@ def synthesize(s: StabilizerMatrix, record_checkpoints: bool = True) -> Synthesi
                 f"diagonal residue {sigma} at row {i + 1} is not of the "
                 "symmetric constant-plus-pairs shape"
             )
-        c0, ells = decomposition
-        if c0:
-            drv.gate(GateTemplate(P, i + 1))
-        for ell in ells:
-            drv.gate(GateTemplate(PL, i + 1, 0, ell))
+        drv.phase_gates(i, decomposition)
         if not drv.z[i][i].is_zero():
             raise NonClearableError(f"diagonal entry ({i + 1},{i + 1}) failed to clear")
     drv.checkpoint("step5 phase ops")
@@ -394,7 +370,6 @@ def synthesize(s: StabilizerMatrix, record_checkpoints: bool = True) -> Synthesi
         memory=forward.memory,
         checkpoints=tuple(drv.checkpoints),
         row_ops=tuple(drv.row_ops),
-        oplog=tuple(drv.oplog),
         step2_log=tuple(step2_log),
         step2_budget=budget,
     )
@@ -448,20 +423,20 @@ def subcode_stabilizer(result: SynthesisResult) -> StabilizerMatrix:
     return result.s0
 
 
-def replay(s: StabilizerMatrix, oplog: Sequence[OpLogEntry]) -> StabilizerMatrix:
-    """Re-apply a recorded op log (gates and row operations) to a matrix.
+def replay(s: StabilizerMatrix, result: SynthesisResult) -> StabilizerMatrix:
+    """Re-apply a synthesis transcript to a matrix: the forward gates, then
+    the row operations.  Gates act on columns and row operations on rows, so
+    the two commute and this reaches the same matrix as their interleaving.
 
     Gates go through `apply`, one frozen matrix each, so a replay checks the
     driver's in-place work pair rather than sharing it.
     """
-    for kind, op in oplog:
-        if kind == "gate":
-            s = apply(s, op)
-        else:
-            x, z = thaw(s.x), thaw(s.z)
-            _row_op(x, z, op)
-            s = StabilizerMatrix.from_rows(s.n, x, z)
-    return s
+    for g in result.forward.templates:
+        s = apply(s, g)
+    x, z = thaw(s.x), thaw(s.z)
+    for op in result.row_ops:
+        _row_op(x, z, op)
+    return StabilizerMatrix.from_rows(s.n, x, z)
 
 
 def build_report(s: StabilizerMatrix, result: SynthesisResult) -> str:

@@ -18,7 +18,7 @@ from .errors import PreconditionError, WindowTooSmallError
 from .gates import CNOT, CSIGN, Circuit, GateTemplate, PL, act
 from .matrix import identity, thaw, zeros
 from .stabilizer import StabilizerMatrix, placement_bits, window_inner
-from .synthesis import SynthesisResult, subcode_for
+from .synthesis import SynthesisResult
 
 
 @dataclass(frozen=True)
@@ -205,6 +205,13 @@ def image_reach(c: Circuit) -> tuple[int, int]:
     return max(0, -min(ends, default=0)), max(0, max(ends, default=0))
 
 
+def interior_margin(c: Circuit) -> int:
+    """Blocks at either window edge whose seeds may have clipped images: the
+    measured image reach, which may exceed the template memory through
+    composition."""
+    return max(c.memory, *image_reach(c))
+
+
 def propagation_report(c: Circuit, sizes: Sequence[int]) -> PropagationReport:
     sizes = tuple(sizes)
     if any(a >= b for a, b in zip(sizes, sizes[1:])):
@@ -348,12 +355,7 @@ def verify_encoder(
     Only interior shifts are tested: the open boundary truncates the
     circuit, so results within `margin` of either edge are not meaningful.
     """
-    if isinstance(result, SynthesisResult):
-        encoder = result.encoder
-        s0 = result.s0
-    else:
-        encoder = result
-        s0 = subcode_for(s.n, s.r)
+    encoder = result.encoder if isinstance(result, SynthesisResult) else result
     if encoder.n != s.n:
         raise PreconditionError(
             f"dimension mismatch: circuit n={encoder.n}, stabilizer n={s.n}"
@@ -364,32 +366,19 @@ def verify_encoder(
             f"window {blocks} < 2*(memory+1) = {2 * (memory + 1)}"
         )
     if margin is None:
-        # interior means the image cannot touch either edge: use the measured
-        # reach, which may exceed the template memory through composition
-        back, fwd = image_reach(encoder)
-        margin = max(memory, back, fwd)
+        margin = interior_margin(encoder)
     if blocks - 2 * margin < 1:
         raise WindowTooSmallError(
             f"window {blocks} leaves no interior at margin {margin}"
         )
     basis = stabilizer_window_basis(s, blocks)
-
-    def placements() -> Iterator[tuple[int, int]]:
-        # interior shifts whose placement lies wholly inside the window
-        for gen in range(s0.r):
-            env = s0.row_envelope(gen)
-            if env is not None:
-                lo, hi = env
-                for shift in range(max(margin, -lo), min(blocks - margin, blocks - hi)):
-                    yield gen, shift
-
+    # the subcode (0 | I 0) places generator gen at shift as a single Z
+    placements = [(gen, t) for gen in range(s.r) for t in range(margin, blocks - margin)]
+    images = _lane_images(encoder, blocks, ((0, 1 << t * s.n + gen) for gen, t in placements))
     half = s.n * blocks
-    window = (1 << half) - 1
-    seeds = (placement_bits(s0, blocks, gen, shift) for gen, shift in placements())
-    images = _lane_images(encoder, blocks, ((bits & window, bits >> half) for bits in seeds))
     rows = tuple(
         RowCheck(gen, shift, _gf2_in_span(basis, x | z << half))
-        for (gen, shift), (x, z) in zip(placements(), images)
+        for (gen, shift), (x, z) in zip(placements, images)
     )
     return EncoderCheck(blocks, margin, rows)
 

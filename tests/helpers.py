@@ -395,3 +395,41 @@ def divisor_bodies(seed: int = 4004) -> list[Poly]:
                 body = body * f
         bodies.append(body)
     return bodies
+
+
+# -- symmetric quotient oracle ------------------------------------------------
+
+
+def _y_power(d: int) -> LaurentPoly:
+    """(D + D^-1)^d, the degree-d power of the symmetric generator."""
+    y = LaurentPoly.d(-1) + LaurentPoly.d(1)
+    acc = LaurentPoly.one()
+    for _ in range(d):
+        acc = acc * y
+    return acc
+
+
+def _sym_to_y(s: LaurentPoly) -> Poly:
+    """Write a symmetric Laurent polynomial as a polynomial in y = D + D^-1."""
+    bits = 0
+    while not s.is_zero():
+        d = s.max_exp
+        if d < 0 or s.reciprocal() != s:
+            raise AssertionError(f"{s} is not symmetric")
+        bits |= 1 << d
+        s = s + _y_power(d)
+    return Poly(bits)
+
+
+def reference_symmetric_quotient(z: LaurentPoly, gamma: LaurentPoly) -> LaurentPoly:
+    """The floor of z/gamma inside the symmetric subring, through the basis
+    y = D + D^-1: z*gamma(1/D) and gamma*gamma(1/D) become polynomials in y,
+    GF(2)[y] divides them, and the quotient is mapped back."""
+    num = _sym_to_y(z * gamma.reciprocal())
+    den = _sym_to_y(gamma * gamma.reciprocal())
+    q = num // den
+    acc = LaurentPoly.zero()
+    for d in range(q.bits.bit_length()):
+        if q.coeff(d):
+            acc = acc + _y_power(d)
+    return acc

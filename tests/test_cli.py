@@ -6,6 +6,7 @@ import pytest
 
 from qconvenc.cli import main
 from qconvenc.gates import parse_circuit
+from qconvenc.poly import max_span
 
 RATE_THIRD = """\
 # rate 1/3 example
@@ -125,6 +126,19 @@ class TestSynth:
         assert code == 4
         assert "span" in text
 
+    @pytest.mark.parametrize("limit", ["0", "-3"])
+    def test_nonpositive_max_span(self, tmp_path, limit):
+        path = write(tmp_path, "code.stab", RATE_THIRD)
+        assert run(["--max-span", limit, "synth", path]) == (2, "error: span limit must be positive\n")
+
+    def test_unwritable_out(self, tmp_path):
+        path = write(tmp_path, "code.stab", RATE_THIRD)
+        out_path = tmp_path / "missing" / "encoder.circ"
+        code, text = run(["synth", path, "--out", str(out_path)])
+        assert code == 2
+        assert text.startswith(f"parse error: cannot write {out_path}: ")
+        assert text.count("\n") == 1
+
 
 class TestVerify:
     def test_round_trip_exit_zero(self, tmp_path):
@@ -160,6 +174,19 @@ class TestVerify:
         (tmp_path / "c.circ").write_text("n=3\n", encoding="utf-8")
         code, _ = run(["verify", stab_path, str(tmp_path / "c.circ"), "--windows", "9,3"])
         assert code == 2
+
+    def test_repeated_window_size(self, tmp_path):
+        stab_path = write(tmp_path, "code.stab", RATE_THIRD)
+        circ_path = write(tmp_path, "c.circ", "n=3\n")
+        code, text = run(["verify", stab_path, circ_path, "--windows", "5,5"])
+        assert (code, text) == (2, "error: window sizes must be ascending and non-empty\n")
+
+    def test_rejected_windows_keep_the_span_limit(self, tmp_path):
+        stab_path = write(tmp_path, "code.stab", RATE_THIRD)
+        circ_path = write(tmp_path, "c.circ", "n=3\n")
+        before = max_span()
+        assert run(["--max-span", "8", "verify", stab_path, circ_path, "--windows", "9,3"])[0] == 2
+        assert max_span() == before
 
     @pytest.mark.parametrize(
         "options, circuit, windows, message",

@@ -250,3 +250,18 @@ class TestCircuitFormat:
                     "n=2\nH q=1 extra=2"]:
             with pytest.raises(ParseError):
                 parse_circuit(bad)
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("Q q=1", "bad template 'Q q=1': unknown gate 'Q'"),
+            ("PL q=1", "bad template 'PL q=1': missing l= in 'PL q=1'"),
+            ("CSIGN a=1 b=x off=2", "bad template 'CSIGN a=1 b=x off=2': bad integer for b= in 'CSIGN a=1 b=x off=2'"),
+            ("PL q=1 l=0", "bad template 'PL q=1 l=0': PL requires a nonzero offset"),
+            ("H q=1 off=0", "unexpected fields ['off'] in 'H q=1 off=0'"),
+        ],
+    )
+    def test_parse_error_text(self, line, message):
+        with pytest.raises(ParseError) as exc:
+            parse_circuit(f"n=2\n{line}\n")
+        assert str(exc.value) == message

@@ -1,0 +1,80 @@
+"""Property tests: the circuit text format round trip, and the symmetric
+quotient against the y-basis reference."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import L, reference_symmetric_quotient
+from qconvenc.gates import CNOT, CSIGN, Circuit, GateTemplate, H, P, PL, format_circuit, parse_circuit
+from qconvenc.poly import LaurentPoly
+from qconvenc.synthesis import _symmetric_quotient
+
+# reproducible runs that leave no example database behind
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=300)
+
+
+@st.composite
+def templates(draw, n: int) -> GateTemplate:
+    """Any template on n streams: offsets of both signs, CSIGN in either
+    qubit order and PL with a negative offset, which the constructor
+    canonicalizes."""
+    kind = draw(st.sampled_from((H, P, PL, CNOT, CSIGN)))
+    i = draw(st.integers(1, n))
+    if kind in (CNOT, CSIGN):
+        j = draw(st.integers(1, n).filter(lambda j: j != i))
+        return GateTemplate(kind, i, j, draw(st.integers(-5, 5)))
+    if kind == PL:
+        return GateTemplate(PL, i, 0, draw(st.integers(-5, 5).filter(bool)))
+    return GateTemplate(kind, i)
+
+
+@st.composite
+def circuits(draw) -> Circuit:
+    n = draw(st.integers(2, 5))
+    return Circuit(n, tuple(draw(st.lists(templates(n), max_size=12))))
+
+
+@PROPERTY
+@given(circuits())
+def test_circuit_format_round_trip(c):
+    text = format_circuit(c)
+    assert parse_circuit(text) == c
+    assert format_circuit(parse_circuit(text)) == text
+
+
+@st.composite
+def symmetric(draw) -> LaurentPoly:
+    """A sum of terms D^-e + D^e, with e = 0 standing for the constant 1."""
+    exps = draw(st.sets(st.integers(0, 6), max_size=4))
+    return LaurentPoly.from_exponents([x for e in exps for x in {-e, e}])
+
+
+@st.composite
+def self_orthogonal_pairs(draw) -> tuple[LaurentPoly, LaurentPoly]:
+    """(z, gamma) with gamma = D^o b, b palindromic of degree 2h, and
+    z = gamma u + D^(o + h) c for symmetric u and c, so that z gamma(1/D)
+    is symmetric."""
+    h = draw(st.integers(0, 4))
+    o = draw(st.integers(-4, 4))
+    low = draw(st.integers(0, (1 << h) - 1)) << 1 | 1
+    half = [k for k in range(h + 1) if low >> k & 1]
+    b = LaurentPoly.from_exponents(set(half) | {2 * h - k for k in half})
+    gamma = b.shifted(o)
+    z = gamma * draw(symmetric()) + draw(symmetric()).shifted(o + h)
+    return z, gamma
+
+
+@PROPERTY
+@given(self_orthogonal_pairs())
+def test_symmetric_quotient_matches_y_basis(pair):
+    z, gamma = pair
+    f = _symmetric_quotient(z, gamma)
+    assert f == reference_symmetric_quotient(z, gamma)
+    rest = z + f * gamma
+    assert rest.is_zero() or rest.degree < gamma.degree
+
+
+def test_symmetric_quotient_rejects_an_asymmetric_pair():
+    with pytest.raises(AssertionError, match="is not symmetric"):
+        _symmetric_quotient(L("D"), L("1"))

@@ -188,8 +188,8 @@ class TestRandomizedRuns:
         for _ in range(60):
             s = random_valid_code(rng)
             result = synthesize(s)
-            # replaying the full op log reproduces the normal form bit-exactly
-            assert replay(s, result.oplog) == result.normal_form
+            # replaying the transcript reproduces the normal form bit-exactly
+            assert replay(s, result) == result.normal_form
             # every recorded checkpoint still commutes
             for _, snap in result.checkpoints:
                 assert check_symplectic(snap)

@@ -17,6 +17,7 @@ from typing import Iterable, Iterator, Sequence, Union
 from .errors import PreconditionError, WindowTooSmallError
 from .gates import CNOT, CSIGN, Circuit, GateTemplate, PL, act
 from .matrix import identity, thaw, zeros
+from .poly import LaurentPoly
 from .stabilizer import StabilizerMatrix, placement_bits, window_inner
 from .synthesis import SynthesisResult
 
@@ -146,9 +147,9 @@ def conjugate(c: Circuit, blocks: int, p: PauliVector) -> PauliVector:
 class PropagationReport:
     """Max output support over single-qubit interior inputs, per window size.
 
-    The verdict is bounded exactly when the interior maximum on a window
-    past saturation respects the bound, a window-independent ceiling
-    derived from the template count and memory.
+    The verdict is bounded exactly when every single-qubit seed's polynomial
+    image, the image no boundary clips, respects the bound, a
+    window-independent ceiling derived from the template count and memory.
     """
 
     sizes: tuple[int, ...]
@@ -158,18 +159,9 @@ class PropagationReport:
     margin: int
 
 
-def _interior_max(c: Circuit, blocks: int, margin: int) -> int:
-    """Max image support over the X, Z and Y seeds of the interior qubits.
-
-    Only X and Z seeds are conjugated, in consecutive pairs per position:
-    the window map is linear, so the Y image is their XOR.
-    """
-    seeds = (
-        seed
-        for pos in range(margin * c.n, (blocks - margin) * c.n)
-        for seed in ((1 << pos, 0), (0, 1 << pos))
-    )
-    images = _lane_images(c, blocks, seeds)
+def _seed_max(images: Iterator[tuple[int, int]]) -> int:
+    """Max support over consecutive (X image, Z image) pairs of one seed
+    position and their XOR, the Y image: conjugation is linear."""
     best = 0
     for (xx, xz), (zx, zz) in zip(images, images):
         y = (xx ^ zx) | (xz ^ zz)
@@ -177,32 +169,50 @@ def _interior_max(c: Circuit, blocks: int, margin: int) -> int:
     return best
 
 
-def _saturation_window(c: Circuit) -> int:
-    """A window size past which the interior maximum is provably constant.
+def _interior_max(c: Circuit, blocks: int, margin: int) -> int:
+    """Max image support over the X, Z and Y seeds of the interior qubits;
+    only the X and Z seeds are conjugated."""
+    seeds = (
+        seed
+        for pos in range(margin * c.n, (blocks - margin) * c.n)
+        for seed in ((1 << pos, 0), (0, 1 << pos))
+    )
+    return _seed_max(_lane_images(c, blocks, seeds))
 
-    The image of a single-qubit seed stays within the cumulative template
-    offsets on each side; once the interior hosts one fully unclipped seed,
-    larger windows only add translates of seeds that already exist.
-    """
-    spread = sum(g.reach for g in c.templates)
-    margin = c.memory
-    return max(spread, margin) + max(spread, margin) + margin + 2
 
-
-def image_reach(c: Circuit) -> tuple[int, int]:
-    """Backward and forward block reach of single-qubit seed images.
-
-    The X and Z seeds are the rows of the (X|Z) identity, pushed through
-    the exact polynomial action, so the values hold for every interior seed
-    on any window (exponent e is block offset e).  A Y image is the sum of
-    two of those rows, so its support lies in their union.
-    """
+def _seed_images(c: Circuit) -> tuple[list[list[LaurentPoly]], list[list[LaurentPoly]]]:
+    """The rows of the (X|Z) identity, the X and Z unit seeds, pushed
+    through the exact polynomial action: each row is the image of one seed
+    that no boundary clips (exponent e is block offset e)."""
     x = thaw(identity(c.n) + zeros(c.n, c.n))
     z = thaw(zeros(c.n, c.n) + identity(c.n))
     for g in c.templates:
         act(x, z, g)
+    return x, z
+
+
+def image_reach(c: Circuit) -> tuple[int, int]:
+    """Backward and forward block reach of single-qubit seed images, for
+    every interior seed on any window.  A Y image is the sum of two seed
+    rows, so its support lies in their union."""
+    x, z = _seed_images(c)
     ends = [k for row in x + z for e in row if e for k in (e.min_exp, e.max_exp)]
     return max(0, -min(ends, default=0)), max(0, max(ends, default=0))
+
+
+def _image_max(c: Circuit) -> int:
+    """Max support over the X, Z and Y seed images: the interior maximum of
+    any window on which no seed image is clipped.  Each row packs into one
+    int per side, column q at q times the images' common width."""
+    x, z = _seed_images(c)
+    entries = [e for row in x + z for e in row if e]
+    lo = min((e.offset for e in entries), default=0)
+    width = max((e.offset + e.bits.bit_length() - lo for e in entries), default=0)
+    xs, zs = (
+        [sum(e.bits << e.offset - lo + q * width for q, e in enumerate(row) if e) for row in side]
+        for side in (x, z)
+    )
+    return _seed_max((xs[j], zs[j]) for q in range(c.n) for j in (q, c.n + q))
 
 
 def interior_margin(c: Circuit) -> int:
@@ -226,11 +236,7 @@ def propagation_report(c: Circuit, sizes: Sequence[int]) -> PropagationReport:
         maxima.append(_interior_max(c, blocks, margin))
     couplers = sum(1 for g in c.templates if g.kind in (CNOT, CSIGN, PL))
     bound = (couplers + 1) * (2 * c.memory + 1)
-    # verdict probe: a window past saturation, where truncation can no
-    # longer distort the maximum, so a wider probe would read the same; a
-    # circuit is bounded exactly when the probe respects the declared ceiling
-    probe = max(_saturation_window(c), (sizes[-1] if sizes else 0), c.memory + 1)
-    verdict = "bounded" if _interior_max(c, probe, margin) <= bound else "growing"
+    verdict = "bounded" if _image_max(c) <= bound else "growing"
     return PropagationReport(sizes, tuple(maxima), bound, verdict, margin)
 
 
@@ -390,16 +396,8 @@ def verify_encoder(
 def render_propagation(report: PropagationReport) -> str:
     lines = ["N   max-interior-support"]
     for n_, m in zip(report.sizes, report.max_supports):
-        lines.append(f"{n_:<4}{m}")
+        lines.append(f"{n_:<3} {m}")
     lines.append(f"bound {report.bound}  margin {report.margin}  verdict {report.verdict}")
-    return "\n".join(lines) + "\n"
-
-
-def render_propagation_records(report: PropagationReport) -> str:
-    lines = []
-    for n_, m in zip(report.sizes, report.max_supports):
-        lines.append(f"propagation N={n_} max_support={m}")
-    lines.append(f"propagation bound={report.bound} verdict={report.verdict}")
     return "\n".join(lines) + "\n"
 
 

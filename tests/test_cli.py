@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from qconvenc import verify
 from qconvenc.cli import main
 from qconvenc.gates import parse_circuit
 from qconvenc.poly import max_span
@@ -30,6 +31,8 @@ RATE_ZERO = """\
 n=1 r=1
 row: 0 | 1+D
 """
+
+DATA = Path(__file__).parent / "data"
 
 
 def run(argv):
@@ -209,8 +212,40 @@ class TestVerify:
         assert (code, text) == (3, f"precondition failed: {message}\n")
         assert peak < 1 << 20
 
+    def test_windows_are_only_the_given_sizes(self, tmp_path, monkeypatch):
+        # the verdict reads polynomial images: verify builds no window of its own
+        seen = []
+        kernel = verify._lane_images
 
-DATA = Path(__file__).parent / "data"
+        def recording(c, blocks, seeds):
+            seen.append(blocks)
+            return kernel(c, blocks, seeds)
+
+        monkeypatch.setattr(verify, "_lane_images", recording)
+        stab_path = str(DATA / "rate_third.stab")
+        assert run(["verify", "--windows", "5,10,20", stab_path, str(DATA / "rate_third.enc")])[0] == 0
+        circ_path = write(tmp_path, "c.circ", "n=3\n" + "CNOT c=1 t=2 off=7\n" * 40)
+        assert run(["verify", "--windows", "8,16", stab_path, circ_path])[0] == 5
+        assert set(seen) == {5, 10, 20, 8, 16}
+
+    @pytest.mark.parametrize(
+        "options, stabilizer, circuit, windows, message",
+        [
+            # the verdict overflows before the table prints
+            (["--max-span", "5"], "n=2 r=1\nrow: 0, 0 | 1, 0\n",
+             "n=2\n" + "CNOT c=1 t=2 off=1\nCNOT c=2 t=1 off=1\n" * 3, "4",
+             "polynomial span 6 exceeds limit 5"),
+            # no window reaches 2*(memory+1), but the verdict overflows first
+            (["--max-span", "4"], RATE_THIRD, (DATA / "rate_third.enc").read_text(encoding="utf-8"), "4",
+             "polynomial span 5 exceeds limit 4"),
+        ],
+        ids=["table-dropped", "no-round-trip-window"],
+    )
+    def test_seed_images_above_span_limit(self, tmp_path, options, stabilizer, circuit, windows, message):
+        stab_path = write(tmp_path, "code.stab", stabilizer)
+        circ_path = write(tmp_path, "c.circ", circuit)
+        code, text = run([*options, "verify", stab_path, circ_path, "--windows", windows])
+        assert (code, text) == (4, f"reduction failed: {message}\n")
 
 
 class TestGoldenTranscripts:

@@ -21,10 +21,11 @@ from qconvenc.stabilizer import params, placement_bits, unroll
 from qconvenc.synthesis import subcode_for, synthesize
 from qconvenc.verify import (
     PauliVector,
+    PropagationReport,
     RowCheck,
+    _image_max,
     _interior_max,
     _lane_images,
-    _saturation_window,
     chain_propagation_report,
     cnot_chain_conjugate,
     conjugate,
@@ -34,7 +35,6 @@ from qconvenc.verify import (
     propagation_report,
     render_encoder_check,
     render_propagation,
-    render_propagation_records,
     single_pauli,
     verify_encoder,
 )
@@ -303,6 +303,8 @@ class TestPropagation:
         # maximum saturates from N=10 on
         assert rep.max_supports == (12, 13, 13)
         assert rep.max_supports[-1] <= rep.bound
+        # the verdict reads the unclipped images, which reach 13 qubits
+        assert _image_max(res.encoder) == 13
 
     def test_chain_negative_control(self):
         rep = chain_propagation_report(1, [5, 10, 20])
@@ -340,9 +342,9 @@ class TestPropagation:
         with pytest.raises(ValueError):
             propagation_report(Circuit(1), [10, 5])
 
-    def test_probe_window_is_saturated(self):
-        # the verdict reads one probe window: a wider one, as far again as the
-        # margin, must see the same interior maximum
+    def test_verdict_max_is_the_unclipped_interior_max(self):
+        # at a margin of the summed template reach no seed image is clipped,
+        # so the window's interior maximum is the polynomial images' maximum
         rng = random.Random(806)
         circuits = [random_circuit(rng, rng.randint(1, 4), rng.randint(0, 10)) for _ in range(300)]
         while len(circuits) < 340:
@@ -350,9 +352,8 @@ class TestPropagation:
             if sum(g.reach for g in res.encoder.templates) <= 20:
                 circuits.append(res.encoder)
         for c in circuits:
-            probe = max(_saturation_window(c), c.memory + 1)
-            margin = c.memory
-            assert _interior_max(c, probe, margin) == _interior_max(c, probe + margin + 1, margin)
+            margin = sum(g.reach for g in c.templates)
+            assert _image_max(c) == reference_interior_max(c, 2 * margin + 1, margin)
 
 
 class TestImageReach:
@@ -415,9 +416,12 @@ class TestRendering:
     def test_propagation_formats(self):
         rep = propagation_report(csign_cascade(), [5, 10])
         table = render_propagation(rep)
-        records = render_propagation_records(rep)
         assert "verdict bounded" in table
-        assert "propagation N=5 max_support=3" in records
+        assert "5   3\n10  3\n" in table
+
+    def test_propagation_window_column_at_four_digits(self):
+        rep = PropagationReport((999, 1000), (1, 1), 1, "bounded", 0)
+        assert render_propagation(rep).splitlines()[1:3] == ["999 1", "1000 1"]
 
     def test_encoder_check_format(self):
         s = rate_third_code()

@@ -31,7 +31,6 @@ from .stabilizer import (
 )
 from .synthesis import build_report, format_checkpoints, synthesize
 from .verify import (
-    interior_margin,
     propagation_report,
     render_encoder_check,
     render_propagation,
@@ -113,10 +112,8 @@ def cmd_verify(args: argparse.Namespace, out) -> int:
         raise PreconditionError(
             f"no window size reaches 2*(memory+1) = {2 * (memory + 1)}"
         )
-    # the margin verify_encoder would take, computed once for all windows
-    margin = interior_margin(circuit)
     for blocks in round_trip_sizes:
-        chk = verify_encoder(s, circuit, blocks, margin)
+        chk = verify_encoder(s, circuit, blocks)
         out.write(render_encoder_check(chk))
         ok = ok and chk.ok
     return EXIT_OK if ok else EXIT_VERIFICATION

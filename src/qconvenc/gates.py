@@ -134,6 +134,8 @@ class Circuit:
 
     def __post_init__(self):
         object.__setattr__(self, "templates", tuple(self.templates))
+        if self.n < 1:
+            raise ValueError(f"need at least one qubit stream, got n={self.n}")
         for g in self.templates:
             if max(g.qubits) > self.n:
                 raise ValueError(f"template {g} exceeds n={self.n}")
@@ -268,6 +270,8 @@ def parse_circuit(text: str) -> Circuit:
             if "=" not in part:
                 raise ParseError(f"bad field {part!r} in {line!r}")
             key, val = part.split("=", 1)
+            if key in fields:
+                raise ParseError(f"duplicate field {key}= in {line!r}")
             fields[key] = val
         try:
             if kind not in _FIELDS:

@@ -121,12 +121,17 @@ class SmithDecomposition:
 
     @property
     def divisors(self) -> tuple[LaurentPoly, ...]:
+        """The leading nonzero diagonal; every other entry must be zero."""
         out = []
         for i in range(min(len(self.gamma), len(self.gamma[0]) if self.gamma else 0)):
             g = self.gamma[i][i]
             if g.is_zero():
                 break
             out.append(g)
+        for i, row in enumerate(self.gamma):
+            for c, e in enumerate(row):
+                if (i != c or i >= len(out)) and not e.is_zero():
+                    raise AssertionError("Gamma is not in diagonal form")
         return tuple(out)
 
     @property

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 from .errors import ParseError, PreconditionError, WindowTooSmallError
 from .matrix import Matrix, freeze
-from .poly import LaurentPoly, L_ZERO, parse_terms
+from .poly import LaurentPoly, L_ZERO, _check_span, parse_terms
 from .smith import smith_rank
 
 
@@ -58,7 +58,8 @@ class StabilizerMatrix:
     @cached_property
     def _row_patterns(self) -> tuple[Optional[tuple[int, int, int, int]], ...]:
         """Per row: (lo, hi, x, z) with the row's x and z bits laid out from
-        block lo upward, qubit position (e - lo)*n + column; None if empty."""
+        block lo upward, qubit position (e - lo)*n + column; None if empty.
+        A row's envelope must pass the span limit before it is packed."""
         patterns = []
         for i in range(self.r):
             env = self.row_envelope(i)
@@ -66,6 +67,7 @@ class StabilizerMatrix:
                 patterns.append(None)
                 continue
             lo, hi = env
+            _check_span(hi - lo)
             sides = []
             for part in (self.x, self.z):
                 bits = 0

@@ -191,20 +191,6 @@ def _symmetric_quotient(z: LaurentPoly, gamma: LaurentPoly) -> LaurentPoly:
     return f
 
 
-def _diagonal(x) -> list[LaurentPoly]:
-    """The leading nonzero diagonal of a diagonal-shaped X part."""
-    gamma = []
-    for i in range(min(len(x), len(x[0]))):
-        if x[i][i].is_zero():
-            break
-        gamma.append(x[i][i])
-    for i, row in enumerate(x):
-        for c, e in enumerate(row):
-            if (i != c or i >= len(gamma)) and not e.is_zero():
-                raise AssertionError("X part is not in diagonal form")
-    return gamma
-
-
 def synthesize(s: StabilizerMatrix, record_checkpoints: bool = True) -> SynthesisResult:
     """Transform S(D) into (0 0 | Gamma 0), recording the full transcript.
 
@@ -224,9 +210,8 @@ def synthesize(s: StabilizerMatrix, record_checkpoints: bool = True) -> Synthesi
     def smith_x() -> None:
         # reduce the work pair's X part in place; log (rank, degree measure)
         nonlocal rank, gamma, measure, budget
-        smith(drv.x, drv.on_smith_op)
+        gamma = smith(drv.x, drv.on_smith_op).divisors
         drv.flush_run()
-        gamma = _diagonal(drv.x)
         rank = len(gamma)
         measure = sum(g.degree for g in gamma)
         if step2_log:

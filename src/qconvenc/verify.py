@@ -11,13 +11,14 @@ starts at block 0).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import islice
 from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import PreconditionError, WindowTooSmallError
 from .gates import CNOT, CSIGN, Circuit, GateTemplate, PL, act
 from .matrix import identity, thaw, zeros
-from .poly import LaurentPoly
+from .poly import max_span
 from .stabilizer import StabilizerMatrix, placement_bits, window_inner
 from .synthesis import SynthesisResult
 
@@ -180,39 +181,42 @@ def _interior_max(c: Circuit, blocks: int, margin: int) -> int:
     return _seed_max(_lane_images(c, blocks, seeds))
 
 
-def _seed_images(c: Circuit) -> tuple[list[list[LaurentPoly]], list[list[LaurentPoly]]]:
-    """The rows of the (X|Z) identity, the X and Z unit seeds, pushed
-    through the exact polynomial action: each row is the image of one seed
-    that no boundary clips (exponent e is block offset e)."""
+@lru_cache(maxsize=1)
+def _seed_walk(c: Circuit, limit: int) -> tuple[int, int, int]:
+    """Backward reach, forward reach and max X, Z or Y support of the
+    single-qubit seed images: the rows of the (X|Z) identity, the X and Z
+    unit seeds, pushed once through the exact polynomial action.  Each row
+    is the image of one seed that no boundary clips (exponent e is block
+    offset e); it packs into one int per side, column q at q times the
+    images' common width.  `limit` is the span limit the push runs under,
+    so a lowered limit misses the memo and raises again."""
     x = thaw(identity(c.n) + zeros(c.n, c.n))
     z = thaw(zeros(c.n, c.n) + identity(c.n))
     for g in c.templates:
         act(x, z, g)
-    return x, z
+    entries = [e for row in x + z for e in row if e]
+    lo = min((e.min_exp for e in entries), default=0)
+    hi = max((e.max_exp for e in entries), default=0)
+    width = hi + 1 - lo
+    xs, zs = (
+        [sum(e.bits << e.offset - lo + q * width for q, e in enumerate(row) if e) for row in side]
+        for side in (x, z)
+    )
+    best = _seed_max((xs[j], zs[j]) for q in range(c.n) for j in (q, c.n + q))
+    return max(0, -lo), max(0, hi), best
 
 
 def image_reach(c: Circuit) -> tuple[int, int]:
     """Backward and forward block reach of single-qubit seed images, for
     every interior seed on any window.  A Y image is the sum of two seed
     rows, so its support lies in their union."""
-    x, z = _seed_images(c)
-    ends = [k for row in x + z for e in row if e for k in (e.min_exp, e.max_exp)]
-    return max(0, -min(ends, default=0)), max(0, max(ends, default=0))
+    return _seed_walk(c, max_span())[:2]
 
 
 def _image_max(c: Circuit) -> int:
     """Max support over the X, Z and Y seed images: the interior maximum of
-    any window on which no seed image is clipped.  Each row packs into one
-    int per side, column q at q times the images' common width."""
-    x, z = _seed_images(c)
-    entries = [e for row in x + z for e in row if e]
-    lo = min((e.offset for e in entries), default=0)
-    width = max((e.offset + e.bits.bit_length() - lo for e in entries), default=0)
-    xs, zs = (
-        [sum(e.bits << e.offset - lo + q * width for q, e in enumerate(row) if e) for row in side]
-        for side in (x, z)
-    )
-    return _seed_max((xs[j], zs[j]) for q in range(c.n) for j in (q, c.n + q))
+    any window on which no seed image is clipped."""
+    return _seed_walk(c, max_span())[2]
 
 
 def interior_margin(c: Circuit) -> int:
@@ -349,17 +353,15 @@ def stabilizer_window_basis(s: StabilizerMatrix, blocks: int) -> dict[int, int]:
 
 
 def verify_encoder(
-    s: StabilizerMatrix,
-    result: Union[SynthesisResult, Circuit],
-    blocks: int,
-    margin: int | None = None,
+    s: StabilizerMatrix, result: Union[SynthesisResult, Circuit], blocks: int
 ) -> EncoderCheck:
     """Conjugate the unrolled subcode generators by the unrolled encoder and
     check membership in the window row space of the input stabilizer
     (boundary-truncated placements joined).
 
     Only interior shifts are tested: the open boundary truncates the
-    circuit, so results within `margin` of either edge are not meaningful.
+    circuit, so results within `interior_margin(encoder)` blocks of either
+    edge are not meaningful.
     """
     encoder = result.encoder if isinstance(result, SynthesisResult) else result
     if encoder.n != s.n:
@@ -371,8 +373,7 @@ def verify_encoder(
         raise WindowTooSmallError(
             f"window {blocks} < 2*(memory+1) = {2 * (memory + 1)}"
         )
-    if margin is None:
-        margin = interior_margin(encoder)
+    margin = interior_margin(encoder)
     if blocks - 2 * margin < 1:
         raise WindowTooSmallError(
             f"window {blocks} leaves no interior at margin {margin}"

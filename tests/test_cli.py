@@ -172,6 +172,20 @@ class TestVerify:
         assert code == 3
         assert "dimension mismatch" in text
 
+    @pytest.mark.parametrize(
+        "circuit, message",
+        [
+            ("n=3\nH q=1 q=2\n", "duplicate field q= in 'H q=1 q=2'"),
+            ("n=0\n", "need at least one qubit stream, got n=0"),
+            ("n=-3\n", "need at least one qubit stream, got n=-3"),
+        ],
+        ids=["duplicate-field", "zero-streams", "negative-streams"],
+    )
+    def test_circuit_parse_errors(self, tmp_path, circuit, message):
+        stab_path = write(tmp_path, "code.stab", RATE_THIRD)
+        circ_path = write(tmp_path, "c.circ", circuit)
+        assert run(["verify", stab_path, circ_path]) == (2, f"parse error: {message}\n")
+
     def test_bad_windows(self, tmp_path):
         stab_path = write(tmp_path, "code.stab", RATE_THIRD)
         (tmp_path / "c.circ").write_text("n=3\n", encoding="utf-8")
@@ -246,6 +260,32 @@ class TestVerify:
         circ_path = write(tmp_path, "c.circ", circuit)
         code, text = run([*options, "verify", stab_path, circ_path, "--windows", windows])
         assert (code, text) == (4, f"reduction failed: {message}\n")
+
+    def test_stabilizer_row_above_span_limit(self, tmp_path):
+        # the row's exponent envelope is checked before it is packed, so
+        # the round trip fails at once instead of walking every shift
+        stab_path = write(tmp_path, "code.stab", "n=2 r=1\nrow: 1, D^200000 | 0, 0\n")
+        circ_path = write(tmp_path, "c.circ", "n=2\n")
+        code, text = run(["verify", "--windows", "1,2", stab_path, circ_path])
+        assert code == 4
+        assert text.endswith("verdict bounded\nreduction failed: polynomial span 200000 exceeds limit 65536\n")
+
+    def test_one_seed_push_per_command(self, monkeypatch):
+        # the verdict and the round-trip margin read one push of the seeds;
+        # an equal circuit pushed earlier would hit the memo, so clear it
+        verify._seed_walk.cache_clear()
+        calls = []
+        act = verify.act
+
+        def counting(x, z, g):
+            calls.append(g)
+            act(x, z, g)
+
+        monkeypatch.setattr(verify, "act", counting)
+        enc_path = DATA / "rate_third.enc"
+        argv = ["verify", "--windows", "5,10,20", str(DATA / "rate_third.stab"), str(enc_path)]
+        assert run(argv)[0] == 0
+        assert len(calls) == len(parse_circuit(enc_path.read_text(encoding="utf-8")))
 
 
 class TestGoldenTranscripts:

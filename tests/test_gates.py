@@ -56,6 +56,14 @@ class TestTemplateValidation:
         with pytest.raises(ValueError):
             Circuit(2, (GateTemplate(H, 3),))
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_circuit_needs_a_stream(self, n):
+        with pytest.raises(ValueError):
+            Circuit(n)
+        with pytest.raises(ParseError) as exc:
+            parse_circuit(f"n={n}\n")
+        assert str(exc.value) == f"need at least one qubit stream, got n={n}"
+
 
 class TestApply:
     def test_cnot_column_action(self):
@@ -259,6 +267,7 @@ class TestCircuitFormat:
             ("CSIGN a=1 b=x off=2", "bad template 'CSIGN a=1 b=x off=2': bad integer for b= in 'CSIGN a=1 b=x off=2'"),
             ("PL q=1 l=0", "bad template 'PL q=1 l=0': PL requires a nonzero offset"),
             ("H q=1 off=0", "unexpected fields ['off'] in 'H q=1 off=0'"),
+            ("H q=1 q=2", "duplicate field q= in 'H q=1 q=2'"),
         ],
     )
     def test_parse_error_text(self, line, message):

@@ -15,8 +15,9 @@ from helpers import (
     z_only_identity_code,
 )
 from qconvenc import verify
-from qconvenc.errors import PreconditionError, WindowTooSmallError
+from qconvenc.errors import ExponentOverflowError, PreconditionError, WindowTooSmallError
 from qconvenc.gates import CNOT, CSIGN, Circuit, GateTemplate, H, P, PL, apply, apply_circuit
+from qconvenc.poly import set_max_span
 from qconvenc.stabilizer import params, placement_bits, unroll
 from qconvenc.synthesis import subcode_for, synthesize
 from qconvenc.verify import (
@@ -364,6 +365,21 @@ class TestImageReach:
         circuits.append(synthesize(rate_third_code()).encoder)
         for c in circuits:
             assert image_reach(c) == reference_image_reach(c)
+
+    def test_lowered_span_limit_misses_the_memo(self):
+        # the seed push is memoized per circuit and span limit, so a push
+        # that passed under the default limit raises again under a lower one
+        c = synthesize(rate_third_code()).encoder
+        assert image_reach(c) == (3, 2)
+        previous = set_max_span(4)
+        try:
+            with pytest.raises(ExponentOverflowError):
+                image_reach(c)
+            with pytest.raises(ExponentOverflowError):
+                _image_max(c)
+        finally:
+            set_max_span(previous)
+        assert _image_max(c) == 13
 
 
 class TestVerifyEncoder:

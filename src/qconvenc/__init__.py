@@ -11,7 +11,7 @@ from .errors import (
     WindowTooSmallError,
 )
 from .gates import Circuit, GateTemplate, apply, apply_circuit, depth_schedule, reverse
-from .poly import LaurentPoly, Poly, RationalFn, parse_laurent
+from .poly import LaurentPoly, Poly, parse_laurent
 from .smith import SmithDecomposition, smith
 from .stabilizer import (
     StabilizerMatrix,
@@ -39,7 +39,6 @@ __all__ = [
     "reverse",
     "LaurentPoly",
     "Poly",
-    "RationalFn",
     "parse_laurent",
     "SmithDecomposition",
     "smith",

@@ -15,9 +15,10 @@ S(D) = (X(D) | Z(D)):
     CSIGN(i,j,l)  z_j += D^l x_i ;  z_i += D^-l x_j
 
 Two interpreters read the table: `act` updates mutable polynomial rows in
-place (`apply` wraps it for frozen matrices), and the window kernel behind
-`verify.conjugate` runs each update as one masked shift-and-XOR over a
-batch of unrolled windows packed side by side.
+place, skipping rows whose source entry is zero (`apply` wraps it for
+frozen matrices), and the window kernel behind `verify.conjugate` runs
+each update as one masked shift-and-XOR over a batch of unrolled windows
+packed side by side.
 
 All of them square to the identity over GF(2), so a circuit is undone by
 replaying its templates in reversed order.
@@ -25,7 +26,8 @@ replaying its templates in reversed order.
 _FIELDS is the single statement of the circuit text format: each kind's
 field names for (i, j, ell), None where the kind carries no such field.
 `GateTemplate.__str__` writes a template as its kind followed by the named
-fields, and `parse_circuit` reads them back in the same order.
+fields, through one format string per kind derived from the table, and
+`parse_circuit` reads them back in the same order.
 """
 
 from __future__ import annotations
@@ -66,6 +68,17 @@ _FIELDS = {
     CNOT: ("c", "t", "off"),
     CSIGN: ("a", "b", "off"),
 }
+
+# kind -> the template's text, with fields {0}, {1}, {2} for (i, j, ell)
+_FORMATS = {
+    kind: " ".join([kind, *(f"{key}={{{slot}}}" for slot, key in enumerate(keys) if key)])
+    for kind, keys in _FIELDS.items()
+}
+
+# kinds diagonal in the Z basis: no update writes an X column
+_DIAGONAL = frozenset(
+    kind for kind, updates in COLUMN_ACTIONS.items() if all(u[0] == Z_SIDE for u in updates)
+)
 
 
 @dataclass(frozen=True)
@@ -118,11 +131,10 @@ class GateTemplate:
 
     def is_diagonal(self) -> bool:
         """Diagonal in the Z basis: no update writes an X column."""
-        return all(u[0] == Z_SIDE for u in COLUMN_ACTIONS[self.kind])
+        return self.kind in _DIAGONAL
 
     def __str__(self) -> str:
-        values = zip(_FIELDS[self.kind], (self.i, self.j, self.ell))
-        return " ".join([self.kind, *(f"{key}={v}" for key, v in values if key)])
+        return _FORMATS[self.kind].format(self.i, self.j, self.ell)
 
 
 @dataclass(frozen=True)
@@ -163,9 +175,13 @@ def act(x: list[list[LaurentPoly]], z: list[list[LaurentPoly]], g: GateTemplate)
         if not 1 <= q <= n:
             raise IndexError(f"qubit index {q} outside 1..{n}")
     sides = (x, z)
-    for dst_side, dst, src_side, src, k in g.updates:
+    cols = (g.i - 1, g.j - 1)
+    for dst_side, dst, src_side, src, sign in COLUMN_ACTIONS[g.kind]:
+        dst_col, src_col, k = cols[dst], cols[src], sign * g.ell
         for row, from_row in zip(sides[dst_side], sides[src_side]):
-            row[dst] = row[dst] + from_row[src].shifted(k)
+            e = from_row[src_col]
+            if e.bits:
+                row[dst_col] = row[dst_col] + e.shifted(k)
 
 
 def apply(s: StabilizerMatrix, g: GateTemplate) -> StabilizerMatrix:

@@ -4,7 +4,10 @@ Polynomials are int bitsets: bit k holds the coefficient of D^k.  A Laurent
 polynomial is a polynomial body plus an integer offset (its lowest exponent),
 so every nonzero value is D^offset * body with body having constant term 1.
 This makes equality a plain structural comparison and keeps every operation
-exact.
+exact.  The public constructor LaurentPoly(offset, bits) normalizes its
+input and checks the span; sums, products, shifts and reciprocals are
+normalized by construction and span-checked before they are built, so they
+bypass the constructor.
 
 The textual grammar shared by all file formats:
 
@@ -83,12 +86,6 @@ def _divmod_bits(a: int, b: int) -> tuple[int, int]:
     return q, a
 
 
-def _gcd_bits(a: int, b: int) -> int:
-    while b:
-        a, b = b, _divmod_bits(a, b)[1]
-    return a
-
-
 def _reverse_bits(bits: int) -> int:
     # bit k -> bit (L-1-k); used by reciprocal()
     if bits == 0:
@@ -165,20 +162,11 @@ class Poly:
     def __mod__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[1]
 
-    def divides(self, other: "Poly") -> bool:
-        if self.is_zero():
-            return other.is_zero()
-        return (other % self).is_zero()
-
     def __str__(self) -> str:
         return format_terms(((e, 1) for e in _exponents(self.bits, 0)))
 
     def __repr__(self) -> str:
         return f"Poly({self})"
-
-
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    return Poly(_gcd_bits(a.bits, b.bits))
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +211,7 @@ class LaurentPoly:
 
     @classmethod
     def zero(cls) -> "LaurentPoly":
-        return cls(0, 0)
+        return L_ZERO
 
     @classmethod
     def one(cls) -> "LaurentPoly":
@@ -297,34 +285,49 @@ class LaurentPoly:
             return other
         if other.bits == 0:
             return self
-        lo = min(self.offset, other.offset)
-        if abs(self.offset - other.offset) > _max_span:
+        low, high = (self, other) if self.offset <= other.offset else (other, self)
+        gap = high.offset - low.offset
+        if gap > _max_span:
             # unless the tops meet too, no end cancels and the nominal span
             # is the sum's: check it before building bits that wide
-            tops = (self.offset + self.bits.bit_length(), other.offset + other.bits.bit_length())
+            tops = (low.bits.bit_length(), gap + high.bits.bit_length())
             if tops[0] != tops[1]:
-                _check_span(max(tops) - 1 - lo)
-        bits = (self.bits << (self.offset - lo)) ^ (other.bits << (other.offset - lo))
-        return LaurentPoly(lo, bits)
+                _check_span(max(tops) - 1)
+        bits = low.bits ^ (high.bits << gap)
+        shift = 0
+        if gap == 0:
+            # equal offsets cancel the constant terms
+            if bits == 0:
+                return L_ZERO
+            shift = (bits & -bits).bit_length() - 1
+            bits >>= shift
+        _check_span(bits.bit_length() - 1)
+        return _make(low.offset + shift, bits)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         if self.bits == 0 or other.bits == 0:
-            return LaurentPoly.zero()
-        # spans add exactly over GF(2); check before building the product
+            return L_ZERO
+        # spans add exactly over GF(2); check before building the product,
+        # whose body is odd as both factors' are
         _check_span(self.bits.bit_length() + other.bits.bit_length() - 2)
-        return LaurentPoly(self.offset + other.offset, _mul_bits(self.bits, other.bits))
+        return _make(self.offset + other.offset, _mul_bits(self.bits, other.bits))
 
     def shifted(self, k: int) -> "LaurentPoly":
         """Multiply by D^k (shift by k blocks)."""
         if self.bits == 0 or k == 0:
             return self
-        return LaurentPoly(self.offset + k, self.bits)
+        # the body is unchanged; its span is checked against the current
+        # limit, which may have been lowered since it was built
+        _check_span(self.bits.bit_length() - 1)
+        return _make(self.offset + k, self.bits)
 
     def reciprocal(self) -> "LaurentPoly":
         """The substitution D -> 1/D: each term c*D^e maps to c*D^(-e)."""
         if self.bits == 0:
             return self
-        return LaurentPoly(-self.max_exp, _reverse_bits(self.bits))
+        # the reversed body is odd and spans as far, checked as in shifted
+        _check_span(self.bits.bit_length() - 1)
+        return _make(1 - self.offset - self.bits.bit_length(), _reverse_bits(self.bits))
 
     def __eq__(self, other) -> bool:
         return (
@@ -343,7 +346,21 @@ class LaurentPoly:
         return f"LaurentPoly({self})"
 
 
-L_ZERO = LaurentPoly.zero()
+_new = object.__new__
+_set_offset = LaurentPoly.offset.__set__
+_set_bits = LaurentPoly.bits.__set__
+
+
+def _make(offset: int, bits: int) -> LaurentPoly:
+    """A LaurentPoly from a body already normalized (odd, or 0 with offset
+    0) and span-checked: the slots are written directly."""
+    p = _new(LaurentPoly)
+    _set_offset(p, offset)
+    _set_bits(p, bits)
+    return p
+
+
+L_ZERO = _make(0, 0)
 L_ONE = LaurentPoly.one()
 
 
@@ -410,53 +427,6 @@ def symmetric_decompose(a: LaurentPoly) -> Optional[tuple[bool, tuple[int, ...]]
     if not is_symmetric(a):
         return None
     return a.coeff(0) == 1, tuple(e for e in a.exponents() if e > 0)
-
-
-# ---------------------------------------------------------------------------
-# RationalFn: transient quotients and power-series reporting
-
-
-class RationalFn:
-    """A reduced fraction of GF(2) polynomials; zero is canonically 0/1."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: Poly, den: Poly):
-        if den.is_zero():
-            raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero():
-            num, den = Poly.zero(), Poly.one()
-        else:
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num, den = num // g, den // g
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalFn is immutable")
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, RationalFn)
-            and self.num == other.num
-            and self.den == other.den
-        )
-
-    def __hash__(self) -> int:
-        return hash(("RationalFn", self.num.bits, self.den.bits))
-
-    def is_laurent(self) -> bool:
-        """True when the denominator is a monomial D^k."""
-        return self.den.bits & (self.den.bits - 1) == 0
-
-    def __str__(self) -> str:
-        if self.den == Poly.one():
-            return str(self.num)
-        return f"({self.num})/({self.den})"
-
-    def __repr__(self) -> str:
-        return f"RationalFn({self})"
 
 
 # ---------------------------------------------------------------------------

@@ -111,14 +111,18 @@ class SymplecticCheck:
 def check_symplectic(s: StabilizerMatrix) -> SymplecticCheck:
     """Evaluate X(D) Z(1/D)^t + Z(D) X(1/D)^t exactly.
 
-    On failure returns the first offending (i, j) entry and its value.
+    On failure returns the first offending (i, j) entry in row-major order
+    and its value.  Entry (j, i) is entry (i, j) under D -> 1/D, so that
+    entry lies on or above the diagonal and only j >= i is scanned.
     """
+    x_rec = [[e.reciprocal() for e in row] for row in s.x]
+    z_rec = [[e.reciprocal() for e in row] for row in s.z]
     for i in range(s.r):
-        for j in range(s.r):
+        for j in range(i, s.r):
             acc = L_ZERO
             for c in range(s.n):
-                acc = acc + s.x[i][c] * s.z[j][c].reciprocal()
-                acc = acc + s.z[i][c] * s.x[j][c].reciprocal()
+                acc = acc + s.x[i][c] * z_rec[j][c]
+                acc = acc + s.z[i][c] * x_rec[j][c]
             if not acc.is_zero():
                 return SymplecticCheck(False, i, j, acc)
     return SymplecticCheck(True)
@@ -290,17 +294,6 @@ def window_inner(u: int, v: int, half: int) -> int:
     ux, uz = u & mask, u >> half
     vx, vz = v & mask, v >> half
     return (int.bit_count(ux & vz) + int.bit_count(uz & vx)) & 1
-
-
-def window_commutes(s: StabilizerMatrix, blocks: int) -> bool:
-    """Brute-force pairwise commutation over the unrolled window."""
-    w = unroll(s, blocks)
-    half = s.n * blocks
-    for i in range(len(w.rows)):
-        for j in range(i, len(w.rows)):
-            if window_inner(w.rows[i], w.rows[j], half):
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------

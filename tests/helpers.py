@@ -6,9 +6,9 @@ import random
 
 from qconvenc.gates import CNOT, CSIGN, Circuit, GateTemplate, H, P, PL, apply, apply_circuit
 from qconvenc.matrix import Matrix, freeze, identity, thaw, zeros
-from qconvenc.poly import L_ONE, L_ZERO, LaurentPoly, Poly, RationalFn, parse_laurent
+from qconvenc.poly import L_ONE, L_ZERO, LaurentPoly, Poly, _divmod_bits, parse_laurent
 from qconvenc.smith import ElementaryColOp, apply_col_op
-from qconvenc.stabilizer import F4Poly, StabilizerMatrix
+from qconvenc.stabilizer import F4Poly, StabilizerMatrix, SymplecticCheck, unroll, window_inner
 from qconvenc.verify import PauliVector, conjugate, single_pauli
 
 L = parse_laurent
@@ -49,6 +49,66 @@ def rate_third_f4_rows() -> list[list[F4Poly]]:
 
 
 # -- arithmetic used only by the tests ------------------------------------------
+
+
+def divides(a: Poly, b: Poly) -> bool:
+    """Does a divide b in GF(2)[D]?"""
+    if a.is_zero():
+        return b.is_zero()
+    return (b % a).is_zero()
+
+
+def _gcd_bits(a: int, b: int) -> int:
+    while b:
+        a, b = b, _divmod_bits(a, b)[1]
+    return a
+
+
+def poly_gcd(a: Poly, b: Poly) -> Poly:
+    return Poly(_gcd_bits(a.bits, b.bits))
+
+
+class RationalFn:
+    """A reduced fraction of GF(2) polynomials; zero is canonically 0/1."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: Poly, den: Poly):
+        if den.is_zero():
+            raise ZeroDivisionError("rational function with zero denominator")
+        if num.is_zero():
+            num, den = Poly.zero(), Poly.one()
+        else:
+            g = poly_gcd(num, den)
+            if g.degree > 0:
+                num, den = num // g, den // g
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("RationalFn is immutable")
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, RationalFn)
+            and self.num == other.num
+            and self.den == other.den
+        )
+
+    def __hash__(self) -> int:
+        return hash(("RationalFn", self.num.bits, self.den.bits))
+
+    def is_laurent(self) -> bool:
+        """True when the denominator is a monomial D^k."""
+        return self.den.bits & (self.den.bits - 1) == 0
+
+    def __str__(self) -> str:
+        if self.den == Poly.one():
+            return str(self.num)
+        return f"({self.num})/({self.den})"
+
+    def __repr__(self) -> str:
+        return f"RationalFn({self})"
 
 
 def xgcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
@@ -212,6 +272,34 @@ def random_laurent_matrix(rng: random.Random, r: int, n: int, max_deg: int = 3):
             for _ in range(r)
         ]
     )
+
+
+# -- commutation oracles -------------------------------------------------------
+
+
+def reference_symplectic(s: StabilizerMatrix) -> SymplecticCheck:
+    """X(D) Z(1/D)^t + Z(D) X(1/D)^t over every (i, j) in row-major order,
+    each reciprocal taken afresh: the first nonzero entry and its value."""
+    for i in range(s.r):
+        for j in range(s.r):
+            acc = L_ZERO
+            for c in range(s.n):
+                acc = acc + s.x[i][c] * s.z[j][c].reciprocal()
+                acc = acc + s.z[i][c] * s.x[j][c].reciprocal()
+            if not acc.is_zero():
+                return SymplecticCheck(False, i, j, acc)
+    return SymplecticCheck(True)
+
+
+def window_commutes(s: StabilizerMatrix, blocks: int) -> bool:
+    """Brute-force pairwise commutation over the unrolled window."""
+    w = unroll(s, blocks)
+    half = s.n * blocks
+    for i in range(len(w.rows)):
+        for j in range(i, len(w.rows)):
+            if window_inner(w.rows[i], w.rows[j], half):
+                return False
+    return True
 
 
 # -- randomized code construction --------------------------------------------

@@ -15,12 +15,13 @@ from helpers import (
     random_valid_code,
     rate_third_code,
     stab,
+    window_commutes,
 )
 from qconvenc.gates import depth_schedule
 from qconvenc.matrix import freeze
 from qconvenc.poly import LaurentPoly, laurent_divides
 from qconvenc.smith import smith
-from qconvenc.stabilizer import check_symplectic, params, window_commutes
+from qconvenc.stabilizer import check_symplectic, params
 from qconvenc.synthesis import build_report, synthesize
 from qconvenc.verify import (
     chain_propagation_report,

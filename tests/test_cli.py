@@ -289,8 +289,11 @@ class TestVerify:
 
 
 class TestGoldenTranscripts:
-    """Output on the worked example, byte for byte as committed in
-    tests/data; rate_third_cut.enc is the encoder without its last template."""
+    """Output byte for byte as committed in tests/data.  rate_third is the
+    worked example, and rate_third_cut.enc its encoder without the last
+    template.  proper is a Z-only code with divisors of period 4 and 24,
+    whose synthesis takes step-2 Hadamard swaps, the step-5 symmetric
+    reduction, PL gates and CNOT/CSIGN runs; proper.enc is its encoder."""
 
     @pytest.mark.parametrize(
         "argv, golden, exit_code",
@@ -299,10 +302,12 @@ class TestGoldenTranscripts:
             (["synth", "--checkpoints", "rate_third.stab"], "synth_checkpoints.txt", 0),
             (["verify", "--windows", "5,10,20", "rate_third.stab", "rate_third.enc"], "verify.txt", 0),
             (["verify", "--windows", "5,10,20", "rate_third.stab", "rate_third_cut.enc"], "verify_cut.txt", 5),
+            (["synth", "--checkpoints", "proper.stab"], "proper_synth_checkpoints.txt", 0),
+            (["verify", "--windows", "7,14,28", "proper.stab", "proper.enc"], "proper_verify.txt", 0),
         ],
     )
     def test_transcript(self, argv, golden, exit_code):
-        argv = [str(DATA / a) if a.startswith("rate_third") else a for a in argv]
+        argv = [str(DATA / a) if a.endswith((".stab", ".enc")) else a for a in argv]
         code, text = run(argv)
         assert code == exit_code
         assert text.encode("utf-8") == (DATA / golden).read_bytes()

@@ -1,5 +1,6 @@
-"""Property tests: the circuit text format round trip, and the symmetric
-quotient against the y-basis reference."""
+"""Property tests: the circuit text format round trip, the symmetric
+quotient against the y-basis reference, and Laurent arithmetic against its
+exponent-set reference."""
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +8,8 @@ from hypothesis import strategies as st
 
 from helpers import L, reference_symmetric_quotient
 from qconvenc.gates import CNOT, CSIGN, Circuit, GateTemplate, H, P, PL, format_circuit, parse_circuit
-from qconvenc.poly import LaurentPoly
+from qconvenc.errors import ExponentOverflowError
+from qconvenc.poly import LaurentPoly, set_max_span
 from qconvenc.synthesis import _symmetric_quotient
 
 # reproducible runs that leave no example database behind
@@ -78,3 +80,63 @@ def test_symmetric_quotient_matches_y_basis(pair):
 def test_symmetric_quotient_rejects_an_asymmetric_pair():
     with pytest.raises(AssertionError, match="is not symmetric"):
         _symmetric_quotient(L("D"), L("1"))
+
+
+# -- Laurent arithmetic against exponent sets ---------------------------------
+
+
+@st.composite
+def laurents(draw) -> LaurentPoly:
+    """Any value through the public constructor, which normalizes: bodies
+    with trailing zeros, and zero with a nonzero offset."""
+    return LaurentPoly(draw(st.integers(-12, 12)), draw(st.integers(0, (1 << 14) - 1)))
+
+
+_reference = LaurentPoly.from_exponents
+
+# operation name -> (the operation, its reference on exponent sets)
+LAURENT_OPS = {
+    "add": (lambda a, b, k: a + b, lambda a, b, k: _reference(a.exponents() + b.exponents())),
+    "mul": (lambda a, b, k: a * b, lambda a, b, k: _reference(e + f for e in a.exponents() for f in b.exponents())),
+    "shifted": (lambda a, b, k: a.shifted(k), lambda a, b, k: _reference(e + k for e in a.exponents())),
+    "reciprocal": (lambda a, b, k: a.reciprocal(), lambda a, b, k: _reference(-e for e in a.exponents())),
+}
+
+
+def _normalized(p: LaurentPoly) -> bool:
+    return (p.offset, p.bits) == (0, 0) if p.bits == 0 else p.bits & 1 == 1
+
+
+@pytest.mark.parametrize("op", sorted(LAURENT_OPS))
+@PROPERTY
+@given(a=laurents(), b=laurents(), k=st.integers(-20, 20))
+def test_laurent_results_match_exponent_sets(op, a, b, k):
+    run, reference = LAURENT_OPS[op]
+    got = run(a, b, k)
+    assert got == reference(a, b, k)
+    assert _normalized(got)
+    with pytest.raises(AttributeError):
+        got.offset = 0
+    with pytest.raises(AttributeError):
+        got.bits = 1
+
+
+@pytest.mark.parametrize("op", sorted(LAURENT_OPS))
+@PROPERTY
+@given(a=laurents(), b=laurents(), k=st.integers(-20, 20), limit=st.integers(1, 30))
+def test_laurent_results_raise_exactly_above_a_lowered_limit(op, a, b, k, limit):
+    """A result built anew is checked against the current limit; an operand
+    returned as it is (beside a zero summand, or shifted by zero) is not,
+    as it was checked when it was built."""
+    run, reference = LAURENT_OPS[op]
+    want = reference(a, b, k)
+    passed_through = (op == "add" and not (a and b)) or (op == "shifted" and k == 0)
+    old = set_max_span(limit)
+    try:
+        if want.bits and want.degree > limit and not passed_through:
+            with pytest.raises(ExponentOverflowError):
+                run(a, b, k)
+        else:
+            assert run(a, b, k) == want
+    finally:
+        set_max_span(old)

@@ -4,14 +4,13 @@ from itertools import combinations
 
 import pytest
 
-from helpers import apply_col_ops, det, mat_mul
+from helpers import apply_col_ops, det, mat_mul, poly_gcd
 from qconvenc.matrix import freeze, identity, thaw
 from qconvenc.poly import (
     LaurentPoly,
     Poly,
     laurent_divides,
     parse_laurent,
-    poly_gcd,
 )
 from qconvenc.smith import (
     ElementaryColOp,

@@ -8,10 +8,12 @@ from helpers import (
     random_f4_rows,
     rate_third_code,
     rate_third_f4_rows,
+    reference_symplectic,
     stab,
+    window_commutes,
 )
 from qconvenc.errors import ParseError, PreconditionError, WindowTooSmallError
-from qconvenc.poly import LaurentPoly
+from qconvenc.poly import L_ZERO, LaurentPoly
 from qconvenc.stabilizer import (
     F4Poly,
     StabilizerMatrix,
@@ -26,7 +28,6 @@ from qconvenc.stabilizer import (
     systematic_selfdual_check,
     unroll,
     validate_code,
-    window_commutes,
     window_inner,
 )
 
@@ -66,6 +67,43 @@ class TestCheckSymplectic:
         # row-major first failure; value computed by hand from the Eq-3 sum
         assert (chk.row_i, chk.row_j) == (0, 0)
         assert chk.value == L("D^-1+D")
+
+    def test_witness_matches_full_row_major_scan(self):
+        # sparse entries, so that the first violation falls anywhere
+        rng = random.Random(909)
+
+        def sparse(r, n):
+            return [
+                [LaurentPoly(rng.randint(-2, 2), rng.getrandbits(3)) if rng.random() < 0.25 else L_ZERO
+                 for _ in range(n)]
+                for _ in range(r)
+            ]
+
+        witnesses = []
+        for _ in range(300):
+            r, n = rng.randint(2, 5), rng.randint(2, 5)
+            s = StabilizerMatrix.from_rows(n, sparse(r, n), sparse(r, n))
+            chk = check_symplectic(s)
+            assert chk == reference_symplectic(s)
+            if not chk:
+                witnesses.append((chk.row_i, chk.row_j))
+        assert len(witnesses) >= 150
+        assert sum(i < j for i, j in witnesses) >= 100
+        assert sum(i > 0 for i, _ in witnesses) >= 30
+
+    def test_mirrored_pair_is_reported_above_the_diagonal(self):
+        # rows 2 and 3 anticommute at shift 1, entries (2,3) and (3,2) only
+        s = stab(
+            2,
+            [
+                (["0", "1"], ["0", "0"]),
+                (["1", "0"], ["0", "0"]),
+                (["0", "0"], ["D", "0"]),
+            ],
+        )
+        chk = check_symplectic(s)
+        assert (chk.ok, chk.row_i, chk.row_j, chk.value) == (False, 1, 2, L("D^-1"))
+        assert chk == reference_symplectic(s)
 
 
 class TestParams:

@@ -8,6 +8,7 @@ from helpers import (
     divisor_bodies,
     random_valid_code,
     rate_third_code,
+    RationalFn,
     reference_order_of_d,
     series_head,
     stab,
@@ -23,7 +24,7 @@ from qconvenc.gates import (
     apply_circuit,
     depth_schedule,
 )
-from qconvenc.poly import LaurentPoly, Poly, RationalFn
+from qconvenc.poly import LaurentPoly, Poly
 from qconvenc.smith import RowOp
 from qconvenc.stabilizer import check_symplectic, params
 from qconvenc.synthesis import (

@@ -14,11 +14,12 @@ S(D) = (X(D) | Z(D)):
     CNOT(i,j,l)   x_j += D^l x_i ;  z_i += D^-l z_j
     CSIGN(i,j,l)  z_j += D^l x_i ;  z_i += D^-l x_j
 
-Two interpreters read the table: `act` updates mutable polynomial rows in
-place, skipping rows whose source entry is zero (`apply` wraps it for
-frozen matrices), and the window kernel behind `verify.conjugate` runs
-each update as one masked shift-and-XOR over a batch of unrolled windows
-packed side by side.
+Two interpreters read the table template by template: `act` updates
+mutable polynomial rows in place, skipping rows whose source entry is zero
+(`apply` wraps it for frozen matrices), and the window kernel behind
+`verify.conjugate` runs each update as one masked shift-and-XOR over a
+batch of unrolled windows packed side by side.  The synthesis driver reads
+it for whole commuting CNOT and CSIGN runs, one update per column.
 
 All of them square to the identity over GF(2), so a circuit is undone by
 replaying its templates in reversed order.
@@ -149,7 +150,8 @@ class Circuit:
         if self.n < 1:
             raise ValueError(f"need at least one qubit stream, got n={self.n}")
         for g in self.templates:
-            if max(g.qubits) > self.n:
+            # j is 0 on single-qubit kinds, so this is max(g.qubits) > n
+            if g.i > self.n or g.j > self.n:
                 raise ValueError(f"template {g} exceeds n={self.n}")
 
     @property
@@ -163,9 +165,25 @@ class Circuit:
         return format_circuit(self)
 
 
+def _template(kind: str, i: int, j: int = 0, ell: int = 0) -> GateTemplate:
+    """A template from fields known to be valid, such as the synthesis
+    driver's: the canonical orientation of `__post_init__`, without its
+    checks."""
+    if kind == CSIGN and j < i:
+        i, j, ell = j, i, -ell
+    elif kind == PL and ell < 0:
+        ell = -ell
+    g = object.__new__(GateTemplate)
+    g.__dict__.update(kind=kind, i=i, j=j, ell=ell)
+    return g
+
+
 def reverse(c: Circuit) -> Circuit:
-    """The inverse circuit: same templates, reversed order."""
-    return Circuit(c.n, tuple(reversed(c.templates)))
+    """The inverse circuit: same templates, reversed order.  c was checked
+    when it was built, so its reverse is not checked again."""
+    inv = object.__new__(Circuit)
+    inv.__dict__.update(n=c.n, templates=c.templates[::-1])
+    return inv
 
 
 def act(x: list[list[LaurentPoly]], z: list[list[LaurentPoly]], g: GateTemplate) -> None:

@@ -15,7 +15,11 @@ Pivot selection is deterministic: the nonzero entry of minimal span, ties
 broken by lowest row then lowest column.  When the pivot sits in the pivot
 row but not the pivot column, the pivot-column entry is reduced by single
 leading-term cancellations until it takes over; this keeps transcripts short
-and reproduces hand reductions that avoid column swaps.
+and reproduces hand reductions that avoid column swaps.  Only the quotient
+loops lead to a scan of the active submatrix: a row swap brings the pivot to
+row t (no earlier row held an entry as small), a column swap to (t, t), and
+a cancellation changes only column t, so the next pivot is the least of the
+old one and column t's entries.
 """
 
 from __future__ import annotations
@@ -182,7 +186,10 @@ class _Reducer:
             if exps and min(exps) < 0:
                 self.emit_row(RowOp("scale", i, power=-min(exps)))
 
-    def select_pivot(self, t: int):
+    def select_pivot(self, t: int, known: Optional[tuple[int, int]] = None):
+        """The active submatrix's pivot: `known` if the last step kept it."""
+        if known is not None:
+            return known
         best_key = None
         best = None
         for i in range(t, self.r):
@@ -200,26 +207,31 @@ class _Reducer:
         """Bring the active submatrix's gcd to (t, t) and clear its row and
         column.  Returns False when the active submatrix is already zero."""
         work = self.work
+        sel = None
         while True:
             self._tick()
-            sel = self.select_pivot(t)
+            sel = self.select_pivot(t, sel)
             if sel is None:
                 return False
             pi, pj = sel
             if pi != t:
                 self.emit_row(RowOp("swap", t, pi))
+                sel = (t, pj)
                 continue
             if pj != t:
                 diag = work[t][t]
                 if diag.is_zero():
                     self.emit_col(ElementaryColOp("swap", t, pj))
+                    sel = (t, t)
                     continue
                 # tie-breaking guarantees span(diag) > span(pivot): cancel the
                 # leading term of the diagonal entry with a single monomial
                 delta = diag.max_exp - work[t][pj].max_exp
                 self.emit_col(ElementaryColOp("add", pj, t, LaurentPoly.d(delta)))
+                keys = [(work[i][t].degree, i, t) for i in range(t, self.r) if work[i][t].bits]
+                sel = min(keys + [(work[t][pj].degree, t, pj)])[1:]
                 continue
-            pivot = work[t][t]
+            pivot, sel = work[t][t], None
             changed = False
             for c in range(t + 1, self.n):
                 e = work[t][c]

@@ -30,19 +30,21 @@ from typing import Optional, Sequence
 from .errors import LoopLimitError, NonClearableError, PreconditionError
 from .gates import (
     CNOT,
+    COLUMN_ACTIONS,
     CSIGN,
     Circuit,
     GateTemplate,
     H,
     P,
     PL,
+    _template,
     act,
     apply,
     reverse,
     swap_templates,
 )
 from .matrix import freeze, identity, thaw, zeros
-from .poly import LaurentPoly, Poly, laurent_div, symmetric_decompose
+from .poly import LaurentPoly, Poly, laurent_div, max_span, symmetric_decompose
 from .smith import ElementaryColOp, RowOp, apply_row_op, row_divisibility_check, smith
 from .stabilizer import StabilizerMatrix, format_sides, params, validate_code
 
@@ -119,6 +121,43 @@ class _Driver:
         self.gates.append(g)
         self._dirty = True
 
+    def run(self, kind: str, i: int, j: int, f: LaurentPoly) -> None:
+        """The CNOT or CSIGN templates kind(i+1, j+1, l), one per exponent l
+        of f, ascending.  No update of the run reads a column that it
+        writes, so the templates commute, and two or more apply as one
+        update per column: column dst += g * column src, g = f, or f(1/D)
+        where the table's shift sign is -1.  Each partial sum of the
+        template-by-template path lies in the hull of the old entry and
+        g * src; if a hull spans past the limit, the run replays through
+        `act` instead and raises as the templates do."""
+        run = [_template(kind, i + 1, j + 1, e) for e in f.exponents()]
+        limit, new = max_span(), None
+        if len(run) > 1 and f.degree <= limit:
+            sides, cols = (self.x, self.z), (i, j)
+            coeff, new = {1: f, -1: f.reciprocal()}, []
+            updates = (
+                (row, cols[dst], from_row[cols[src]], coeff[sign])
+                for dst_side, dst, src_side, src, sign in COLUMN_ACTIONS[kind]
+                for row, from_row in zip(sides[dst_side], sides[src_side])
+            )
+            for row, col, e, g in updates:
+                if e.bits:
+                    d = row[col]
+                    lo, hi = g.offset + e.offset, g.max_exp + e.max_exp
+                    if d.bits:
+                        lo, hi = min(lo, d.offset), max(hi, d.max_exp)
+                    if hi - lo > limit:
+                        new = None
+                        break
+                    new.append((row, col, d + g * e))
+        if new is None:
+            for template in run:
+                act(self.x, self.z, template)
+        for row, col, value in new or ():
+            row[col] = value
+        self.gates.extend(run)
+        self._dirty = True
+
     def row(self, op: RowOp) -> None:
         _row_op(self.x, self.z, op)
         self.row_ops.append(op)
@@ -128,9 +167,9 @@ class _Driver:
         """P and PL on row i's stream for a `symmetric_decompose` result."""
         c0, ells = decomposition
         if c0:
-            self.gate(GateTemplate(P, i + 1))
+            self.gate(_template(P, i + 1))
         for ell in ells:
-            self.gate(GateTemplate(PL, i + 1, 0, ell))
+            self.gate(_template(PL, i + 1, 0, ell))
 
     def checkpoint(self, label: str) -> None:
         if self.record and self._dirty:
@@ -159,8 +198,7 @@ class _Driver:
             for g in swap_templates(op.i + 1, op.j + 1):
                 self.gate(g)
         else:
-            for e in op.f.exponents():
-                self.gate(GateTemplate(CNOT, op.i + 1, op.j + 1, e))
+            self.run(CNOT, op.i, op.j, op.f)
 
 
 def _row_op(x: list[list[LaurentPoly]], z: list[list[LaurentPoly]], op: RowOp) -> None:
@@ -248,7 +286,7 @@ def synthesize(s: StabilizerMatrix, record_checkpoints: bool = True) -> Synthesi
             spend_iteration()
             for c in z2_cols:
                 if any(not drv.z[i][c].is_zero() for i in range(r)):
-                    drv.gate(GateTemplate(H, c + 1))
+                    drv.gate(_template(H, c + 1))
             drv.checkpoint("step2 hadamard swap")
             smith_x()
             continue
@@ -270,8 +308,7 @@ def synthesize(s: StabilizerMatrix, record_checkpoints: bool = True) -> Synthesi
                         f"Z entry ({i + 1},{c + 1}) = {e} is not divisible by "
                         f"gamma_{i + 1} = {gamma[i]}"
                     )
-                for exp in f.exponents():
-                    drv.gate(GateTemplate(CSIGN, i + 1, c + 1, exp))
+                drv.run(CSIGN, i, c, f)
                 if not drv.z[i][c].is_zero():
                     raise NonClearableError(
                         f"Z entry ({i + 1},{c + 1}) failed to clear"
@@ -304,7 +341,7 @@ def synthesize(s: StabilizerMatrix, record_checkpoints: bool = True) -> Synthesi
                     f"symmetric reduction failed at row {i + 1}: residue "
                     f"{drv.z[i][i]} against gamma {gamma[i]}"
                 )
-            drv.gate(GateTemplate(H, i + 1))
+            drv.gate(_template(H, i + 1))
         drv.checkpoint("step5 symmetric reduction")
         smith_x()
 
@@ -330,7 +367,7 @@ def synthesize(s: StabilizerMatrix, record_checkpoints: bool = True) -> Synthesi
     # step 6: move the diagonal into the Z side
     drv.phase = "step6"
     for i in range(r):
-        drv.gate(GateTemplate(H, i + 1))
+        drv.gate(_template(H, i + 1))
     drv.checkpoint("step6 hadamard")
 
     normal_form = drv.matrix()

@@ -129,6 +129,22 @@ class TestSynth:
         assert code == 4
         assert "span" in text
 
+    # full rank is certified on S(1), so validation no longer runs a Smith
+    # reduction of (X | Z) that could overflow first: these spans are the
+    # first overflow in synthesis (the full reduction stopped at span 7 on
+    # the first code), and the second code, whose full reduction stopped at
+    # span 5, synthesizes within the limit
+    SPAN_AFTER_CERTIFICATE = "n=3 r=2\nrow: 0, 0, D^-3+D^-2 | D^-5+D^-4+D^-3+D^-2+1, D^-2+D^-1, 0\nrow: 0, 0, D^-1+D^3 | D^-3+D^-1+D^3, 1, 0\n"
+    PASSES_AFTER_CERTIFICATE = "n=3 r=2\nrow: D^-4+1, D^-3+D^-2+D, 0 | 0, 0, 0\nrow: D^-2, D^-1+1, 0 | 0, 0, 0\n"
+
+    def test_max_span_overflow_is_the_first_in_synthesis(self, tmp_path):
+        path = write(tmp_path, "code.stab", self.SPAN_AFTER_CERTIFICATE)
+        assert run(["--max-span", "6", "synth", path]) == (4, "reduction failed: polynomial span 8 exceeds limit 6\n")
+        path = write(tmp_path, "passes.stab", self.PASSES_AFTER_CERTIFICATE)
+        code, text = run(["--max-span", "4", "synth", path])
+        assert code == 0
+        assert "gamma: diag(1, D^6)" in text
+
     @pytest.mark.parametrize("limit", ["0", "-3"])
     def test_nonpositive_max_span(self, tmp_path, limit):
         path = write(tmp_path, "code.stab", RATE_THIRD)
@@ -293,7 +309,13 @@ class TestGoldenTranscripts:
     worked example, and rate_third_cut.enc its encoder without the last
     template.  proper is a Z-only code with divisors of period 4 and 24,
     whose synthesis takes step-2 Hadamard swaps, the step-5 symmetric
-    reduction, PL gates and CNOT/CSIGN runs; proper.enc is its encoder."""
+    reduction, PL gates and CNOT/CSIGN runs; proper.enc is its encoder.
+    ladder8 is a gate-built n=8 code whose synthesis applies multi-term
+    CNOT and CSIGN runs as single polynomial updates and reuses Smith
+    pivots.  span_fallback, under --max-span 12, has a CSIGN run whose
+    update would span past the limit: the run replays template by template
+    and stops with the span of the first template to overflow (13; the
+    fused product would report 14)."""
 
     @pytest.mark.parametrize(
         "argv, golden, exit_code",
@@ -304,6 +326,8 @@ class TestGoldenTranscripts:
             (["verify", "--windows", "5,10,20", "rate_third.stab", "rate_third_cut.enc"], "verify_cut.txt", 5),
             (["synth", "--checkpoints", "proper.stab"], "proper_synth_checkpoints.txt", 0),
             (["verify", "--windows", "7,14,28", "proper.stab", "proper.enc"], "proper_verify.txt", 0),
+            (["synth", "--checkpoints", "ladder8.stab"], "ladder8_synth_checkpoints.txt", 0),
+            (["--max-span", "12", "synth", "span_fallback.stab"], "span_fallback_synth.txt", 4),
         ],
     )
     def test_transcript(self, argv, golden, exit_code):

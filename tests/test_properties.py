@@ -1,16 +1,19 @@
 """Property tests: the circuit text format round trip, the symmetric
-quotient against the y-basis reference, and Laurent arithmetic against its
-exponent-set reference."""
+quotient against the y-basis reference, Laurent arithmetic against its
+exponent-set reference, and the synthesis driver's fused template runs
+against their template-by-template replay."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import L, reference_symmetric_quotient
-from qconvenc.gates import CNOT, CSIGN, Circuit, GateTemplate, H, P, PL, format_circuit, parse_circuit
+from qconvenc.gates import CNOT, CSIGN, Circuit, GateTemplate, H, P, PL, act, format_circuit, parse_circuit
 from qconvenc.errors import ExponentOverflowError
+from qconvenc.matrix import thaw
 from qconvenc.poly import LaurentPoly, set_max_span
-from qconvenc.synthesis import _symmetric_quotient
+from qconvenc.stabilizer import StabilizerMatrix
+from qconvenc.synthesis import _Driver, _symmetric_quotient
 
 # reproducible runs that leave no example database behind
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=300)
@@ -140,3 +143,57 @@ def test_laurent_results_raise_exactly_above_a_lowered_limit(op, a, b, k, limit)
             assert run(a, b, k) == want
     finally:
         set_max_span(old)
+
+
+# -- fused template runs against their replay ----------------------------------
+
+
+@st.composite
+def template_runs(draw):
+    """Random (X | Z) rows and a CNOT or CSIGN run kind(i, j, f) on them,
+    f of at least two terms, columns 0-based."""
+    n = draw(st.integers(2, 4))
+    r = draw(st.integers(1, 3))
+    entries = st.builds(LaurentPoly, st.integers(-6, 6), st.integers(0, (1 << 8) - 1))
+    x, z = (draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=r, max_size=r)) for _ in "xz")
+    kind = draw(st.sampled_from((CNOT, CSIGN)))
+    i, j = draw(st.permutations(range(n)))[:2]
+    exps = draw(st.sets(st.integers(-5, 5), min_size=2, max_size=5))
+    return StabilizerMatrix.from_rows(n, x, z), kind, i, j, LaurentPoly.from_exponents(exps)
+
+
+def _fused_and_replayed(s, kind, i, j, f):
+    """Each path's outcome: its rows and templates, or its exception."""
+    drv = _Driver(s, record_checkpoints=False)
+    x, z = thaw(s.x), thaw(s.z)
+    run = [GateTemplate(kind, i + 1, j + 1, e) for e in f.exponents()]
+    outcomes = []
+    for step in (lambda: drv.run(kind, i, j, f), lambda: [act(x, z, g) for g in run]):
+        try:
+            step()
+        except ExponentOverflowError as exc:
+            outcomes.append(("raised", str(exc)))
+        else:
+            outcomes.append(None)
+    return outcomes, (drv.x, drv.z, drv.gates), (x, z, run)
+
+
+@PROPERTY
+@given(template_runs())
+def test_fused_run_leaves_the_rows_and_templates_of_its_replay(case):
+    outcomes, fused, replayed = _fused_and_replayed(*case)
+    assert outcomes == [None, None]
+    assert fused == replayed
+
+
+@PROPERTY
+@given(template_runs(), st.integers(1, 24))
+def test_fused_run_raises_exactly_as_its_replay_under_a_lowered_limit(case, limit):
+    old = set_max_span(limit)
+    try:
+        outcomes, fused, replayed = _fused_and_replayed(*case)
+    finally:
+        set_max_span(old)
+    assert outcomes[0] == outcomes[1]
+    if outcomes[0] is None:
+        assert fused == replayed

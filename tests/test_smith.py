@@ -1,11 +1,17 @@
+import importlib
 import random
 from functools import reduce
 from itertools import combinations
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import apply_col_ops, det, mat_mul, poly_gcd
-from qconvenc.matrix import freeze, identity, thaw
+from helpers import apply_col_ops, det, mat_mul, poly_gcd, random_circuit
+from qconvenc.errors import LoopLimitError, NonClearableError
+from qconvenc.gates import apply_circuit
+from qconvenc.matrix import freeze, identity, thaw, zeros
 from qconvenc.poly import (
     LaurentPoly,
     Poly,
@@ -21,6 +27,11 @@ from qconvenc.smith import (
     smith,
     smith_rank,
 )
+
+from qconvenc.stabilizer import StabilizerMatrix
+from qconvenc.synthesis import synthesize
+
+smith_module = importlib.import_module("qconvenc.smith")
 
 L = parse_laurent
 
@@ -246,3 +257,78 @@ class TestSmithProperties:
                 smith(lmat([["1+D^7", "D^6+D^7"], ["D^5", "1+D^3+D^7"]]))
         finally:
             set_max_span(old)
+
+
+class _CheckedReducer(smith_module._Reducer):
+    """Checks every selection that reduce_pivot kept track of against a
+    fresh scan, and counts them."""
+
+    reused = 0
+
+    def select_pivot(self, t, known=None):
+        fresh = super().select_pivot(t)
+        if known is not None:
+            assert known == fresh
+            type(self).reused += 1
+        return fresh
+
+
+class TestPivotReuse:
+    """reduce_pivot rescans only after the quotient loops; every selection
+    it carries over a row swap, a column swap or a leading-term
+    cancellation is the one a scan finds."""
+
+    def setup_method(self):
+        _CheckedReducer.reused = 0
+
+    @staticmethod
+    def synthesize_checked(codes):
+        with patch.object(smith_module, "_Reducer", _CheckedReducer):
+            for s in codes:
+                try:
+                    synthesize(s, record_checkpoints=False)
+                except (NonClearableError, LoopLimitError):
+                    pass
+
+    @staticmethod
+    def scrambled(rng, n, diag):
+        """(0 | diag 0) on n streams scrambled by random gates."""
+        r = len(diag)
+        z = [[diag[i] if c == i else LaurentPoly.zero() for c in range(n)] for i in range(r)]
+        base = StabilizerMatrix.from_rows(n, zeros(r, n), freeze(z))
+        return apply_circuit(base, random_circuit(rng, n, rng.randint(20, 60), max_off=3))
+
+    def test_gate_built_codes(self):
+        rng = random.Random(811)
+        codes = []
+        for _ in range(40):
+            n = rng.randint(3, 8)
+            codes.append(self.scrambled(rng, n, [L("1")] * rng.randint(1, n - 1)))
+        self.synthesize_checked(codes)
+        assert _CheckedReducer.reused > 100
+
+    def test_codes_with_proper_divisors(self):
+        rng = random.Random(812)
+        codes = []
+        for _ in range(40):
+            n = rng.randint(2, 4)
+            diag = [LaurentPoly(0, rng.getrandbits(5) | 33) for _ in range(rng.randint(1, n - 1))]
+            codes.append(self.scrambled(rng, n, diag))
+        self.synthesize_checked(codes)
+        assert _CheckedReducer.reused > 50
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda n: st.lists(
+                st.lists(st.builds(LaurentPoly, st.integers(-3, 3), st.integers(0, 63)), min_size=n, max_size=n),
+                min_size=1,
+                max_size=4,
+            )
+        )
+    )
+    def test_random_matrices(self, rows):
+        with patch.object(smith_module, "_Reducer", _CheckedReducer):
+            checked = smith(freeze(rows))
+        ref = smith(freeze(rows))
+        assert (checked.gamma, checked.col_ops, checked.row_ops) == (ref.gamma, ref.col_ops, ref.row_ops)

@@ -5,15 +5,21 @@ import pytest
 from helpers import (
     L,
     f4_self_orthogonal,
+    random_circuit,
     random_f4_rows,
+    random_laurent_matrix,
     rate_third_code,
     rate_third_f4_rows,
     reference_symplectic,
     stab,
     window_commutes,
+    z_only_identity_code,
 )
+from qconvenc import stabilizer
+from qconvenc.gates import apply_circuit
 from qconvenc.errors import ParseError, PreconditionError, WindowTooSmallError
 from qconvenc.poly import L_ZERO, LaurentPoly
+from qconvenc.smith import smith_rank
 from qconvenc.stabilizer import (
     F4Poly,
     StabilizerMatrix,
@@ -252,6 +258,68 @@ class TestValidation:
         )
         assert not check_symplectic(bad)
         assert not window_commutes(bad, params(bad).memory + 4)
+
+
+def _parity_rank(s: StabilizerMatrix) -> int:
+    """Rank over GF(2) of S(1), by elimination on 0/1 lists."""
+    rows = [[e.bits.bit_count() & 1 for e in list(s.x[i]) + list(s.z[i])] for i in range(s.r)]
+    rank = 0
+    for c in range(2 * s.n):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(len(rows)):
+            if i != rank and rows[i][c]:
+                rows[i] = [a ^ b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+class TestRankCertificate:
+    """full_rank takes rank r of S(1) over GF(2) as proof of full rank and
+    asks smith only when S(1) falls short."""
+
+    def test_agrees_with_smith_rank(self):
+        rng = random.Random(907)
+        seen = {"certified": 0, "singular at 1, full rank": 0, "deficient": 0}
+        for _ in range(300):
+            n = rng.randint(1, 4)
+            r = rng.randint(1, 3)
+            x, z = (random_laurent_matrix(rng, r, n, max_deg=2) for _ in "xz")
+            x, z = [list(row) for row in x], [list(row) for row in z]
+            if r > 1 and rng.random() < 0.3:
+                # a multiple of another row: rank deficient
+                f = LaurentPoly(rng.randint(-1, 1), rng.getrandbits(3) | 1)
+                x[-1], z[-1] = [f * e for e in x[0]], [f * e for e in z[0]]
+            s = StabilizerMatrix.from_rows(n, x, z)
+            want = smith_rank([x[i] + z[i] for i in range(r)]) == r
+            assert full_rank(s) == want
+            if _parity_rank(s) == r:
+                seen["certified"] += 1
+            else:
+                seen["singular at 1, full rank" if want else "deficient"] += 1
+        assert min(seen.values()) > 20, seen
+
+    def test_singular_at_one_falls_back_to_smith(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(stabilizer, "smith_rank", lambda m: calls.append(m) or smith_rank(m))
+        # S(1) is zero: every entry has an even number of terms
+        s = stab(2, [(["0", "0"], ["1+D", "0"])])
+        assert full_rank(s)
+        assert not full_rank(stab(2, [(["0", "0"], ["1+D", "D+D^2"]), (["0", "0"], ["1+D^2", "D+D^3"])]))
+        assert len(calls) == 2
+
+    def test_gate_built_code_validates_without_smith(self, monkeypatch):
+        def refuse(m):
+            raise AssertionError("smith_rank called")
+
+        monkeypatch.setattr(stabilizer, "smith_rank", refuse)
+        rng = random.Random(908)
+        for _ in range(20):
+            n = rng.randint(4, 8)
+            base = z_only_identity_code(n, rng.randint(1, n - 1))
+            validate_code(apply_circuit(base, random_circuit(rng, n, 60, max_off=3)))
 
 
 class TestFileFormat:

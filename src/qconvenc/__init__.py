@@ -19,9 +19,8 @@ from .stabilizer import (
     from_f4,
     params,
     parse_stabilizer,
-    unroll,
 )
-from .synthesis import SynthesisResult, classify, subcode_stabilizer, synthesize
+from .synthesis import SynthesisResult, classify, synthesize
 from .verify import conjugate, propagation_report, verify_encoder
 
 __all__ = [
@@ -47,10 +46,8 @@ __all__ = [
     "from_f4",
     "params",
     "parse_stabilizer",
-    "unroll",
     "SynthesisResult",
     "classify",
-    "subcode_stabilizer",
     "synthesize",
     "conjugate",
     "propagation_report",

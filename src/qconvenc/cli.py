@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -140,7 +141,10 @@ def cmd_info(args: argparse.Namespace, out) -> int:
     return EXIT_OK
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as it
+    was, so in-process callers reuse it."""
     parser = argparse.ArgumentParser(
         prog="qconvenc",
         description=(

@@ -154,7 +154,7 @@ class Circuit:
             if g.i > self.n or g.j > self.n:
                 raise ValueError(f"template {g} exceeds n={self.n}")
 
-    @property
+    @cached_property
     def memory(self) -> int:
         return max((g.reach for g in self.templates), default=0)
 
@@ -180,9 +180,10 @@ def _template(kind: str, i: int, j: int = 0, ell: int = 0) -> GateTemplate:
 
 def reverse(c: Circuit) -> Circuit:
     """The inverse circuit: same templates, reversed order.  c was checked
-    when it was built, so its reverse is not checked again."""
+    when it was built, so its reverse is not checked again, and it shares
+    c's cached memory."""
     inv = object.__new__(Circuit)
-    inv.__dict__.update(n=c.n, templates=c.templates[::-1])
+    inv.__dict__.update(n=c.n, templates=c.templates[::-1], memory=c.memory)
     return inv
 
 

@@ -71,18 +71,12 @@ def _mul_bits(a: int, b: int) -> int:
 def _divmod_bits(a: int, b: int) -> tuple[int, int]:
     if b == 0:
         raise ZeroDivisionError("division by zero polynomial")
-    dm = a.bit_length() - 1
+    # each step clears a's leading bit, jumping straight to the next one
     dn = b.bit_length() - 1
-    if dm < dn:
-        return 0, a
     q = 0
-    b <<= dm - dn
-    for i in range(dm - dn + 1):
-        q <<= 1
-        if (a >> (dm - i)) & 1:
-            a ^= b
-            q ^= 1
-        b >>= 1
+    while (shift := a.bit_length() - 1 - dn) >= 0:
+        a ^= b << shift
+        q |= 1 << shift
     return q, a
 
 

@@ -8,8 +8,9 @@ since left multiplication by an invertible matrix does not change the code.
 
 The reduction changes the matrix only through an `apply(kind, op)`
 callback: by default on a private copy, or the caller's own, which reduces
-the caller's rows in place.  A and B are derived from the transcripts when
-first read, so callers that need only Gamma or the rank never build them.
+the caller's rows in place.  The transformations A and B with
+A*Gamma*B == M are never built: the transcripts determine them, and the
+synthesis driver reads only Gamma and the transcripts.
 
 Pivot selection is deterministic: the nonzero entry of minimal span, ties
 broken by lowest row then lowest column.  When the pivot sits in the pivot
@@ -25,11 +26,11 @@ old one and column t's entries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 from .errors import LoopLimitError
-from .matrix import Matrix, freeze, identity, thaw
+from .matrix import Matrix, freeze, thaw
 from .poly import LaurentPoly, L_ONE, L_ZERO, laurent_divides, laurent_divmod
 
 
@@ -91,8 +92,8 @@ def _apply_op(rows: list[list[LaurentPoly]], kind: str, op) -> None:
 
 @dataclass(frozen=True)
 class SmithDecomposition:
-    """Gamma and its transcripts; A and B, built from them on first read,
-    satisfy A*Gamma*B == the input.
+    """Gamma and the transcripts that determine A and B, with
+    A*Gamma*B == the input.
 
     col_ops hold the reduction-order column operations; applying them to the
     input reproduces A*Gamma, and B is their reversed composition (each
@@ -104,24 +105,6 @@ class SmithDecomposition:
     gamma: Matrix
     col_ops: tuple[ElementaryColOp, ...]
     row_ops: tuple[RowOp, ...]
-
-    @cached_property
-    def a(self) -> Matrix:
-        # each row transform's inverse applied on the right, in order: a
-        # swap or add of rows i, j is the same column operation on A
-        a = thaw(identity(len(self.gamma)))
-        for op in self.row_ops:
-            if op.kind == "scale":
-                for row in a:
-                    row[op.i] = row[op.i].shifted(-op.power)
-            else:
-                apply_col_op(a, ElementaryColOp(op.kind, op.i, op.j, op.f))
-        return freeze(a)
-
-    @cached_property
-    def b(self) -> Matrix:
-        n = len(self.gamma[0]) if self.gamma else 0
-        return compose_col_ops(list(reversed(self.col_ops)), n)
 
     @property
     def divisors(self) -> tuple[LaurentPoly, ...]:
@@ -141,13 +124,6 @@ class SmithDecomposition:
     @property
     def rank(self) -> int:
         return len(self.divisors)
-
-
-def compose_col_ops(ops: Sequence[ElementaryColOp], n: int) -> Matrix:
-    work = thaw(identity(n))
-    for op in ops:
-        apply_col_op(work, op)
-    return freeze(work)
 
 
 class _Reducer:

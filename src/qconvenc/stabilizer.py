@@ -1,10 +1,12 @@
 """The stabilizer-matrix data model: construction, commutation validation,
-the GF(4) import, finite binary windows, and the stabilizer file format.
+the GF(4) import, generator placements in finite binary windows, and the
+stabilizer file format.
 
 A code on n qubit streams with r generator rows is S(D) = (X(D) | Z(D)),
-row i holding the polynomial pair of generator i.  Binary windows unroll the
-shift-invariant generators over N blocks in (x|z) bit layout, qubit position
-p = block*n + stream, x bits first.
+row i holding the polynomial pair of generator i.  A placement is one
+generator shifted by t blocks inside a window of N blocks, in (x|z) bit
+layout, qubit position p = block*n + stream, x bits first; coordinates
+outside the window are dropped.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .errors import ParseError, PreconditionError, WindowTooSmallError
+from .errors import ParseError, PreconditionError
 from .matrix import Matrix, freeze
 from .poly import LaurentPoly, L_ZERO, _check_span, parse_terms
 from .smith import smith_rank
@@ -233,80 +235,21 @@ def from_f4(g: Sequence[Sequence[F4Poly]]) -> StabilizerMatrix:
 # finite windows
 
 
-@dataclass(frozen=True)
-class UnrolledWindow:
-    """Binary truncation of the semi-infinite stabilizer over N blocks.
-
-    rows are ints in (x|z) layout of width 2*n*blocks; placements pair each
-    row with its (generator, shift) label.  origin_shift is the lowest shift
-    represented.
-    """
-
-    n: int
-    blocks: int
-    rows: tuple[int, ...]
-    placements: tuple[tuple[int, int], ...]
-    origin_shift: int
-
-
-def placement_bits(
-    s: StabilizerMatrix, blocks: int, gen: int, shift: int, truncate: bool = False
-) -> Optional[int]:
-    """Bits of generator `gen` shifted by `shift` inside the window.
-
-    Returns None when the support is not fully contained and truncate is
-    False; with truncate=True, out-of-window coordinates are dropped.
-    """
+def placement_bits(s: StabilizerMatrix, blocks: int, gen: int, shift: int) -> Optional[int]:
+    """Bits of generator `gen` shifted by `shift` in a window of `blocks`
+    blocks, out-of-window coordinates dropped; None when none is left."""
     pattern = s._row_patterns[gen]
     if pattern is None:
         return None
-    lo, hi, x, z = pattern
-    if not truncate and (shift + lo < 0 or shift + hi > blocks - 1):
-        return None
+    lo, _, x, z = pattern
     half = s.n * blocks
     at = (shift + lo) * s.n
     x, z = (x << at, z << at) if at >= 0 else (x >> -at, z >> -at)
-    if truncate:
-        window = (1 << half) - 1
-        x, z = x & window, z & window
-        if not x | z:
-            return None
+    window = (1 << half) - 1
+    x, z = x & window, z & window
+    if not x | z:
+        return None
     return x | z << half
-
-
-def unroll(s: StabilizerMatrix, blocks: int) -> UnrolledWindow:
-    """All fully-contained generator shifts inside a window of N blocks."""
-    m = params(s).memory
-    if blocks < m + 1:
-        raise WindowTooSmallError(f"window of {blocks} blocks < memory {m} + 1")
-    rows: list[int] = []
-    placements: list[tuple[int, int]] = []
-    for gen in range(s.r):
-        env = s.row_envelope(gen)
-        if env is None:
-            continue
-        lo, hi = env
-        for shift in range(-lo, blocks - hi):
-            bits = placement_bits(s, blocks, gen, shift)
-            assert bits is not None
-            rows.append(bits)
-            placements.append((gen, shift))
-    origin = min((t for _, t in placements), default=0)
-    return UnrolledWindow(
-        n=s.n,
-        blocks=blocks,
-        rows=tuple(rows),
-        placements=tuple(placements),
-        origin_shift=origin,
-    )
-
-
-def window_inner(u: int, v: int, half: int) -> int:
-    """Symplectic inner product of two (x|z) window rows."""
-    mask = (1 << half) - 1
-    ux, uz = u & mask, u >> half
-    vx, vz = v & mask, v >> half
-    return (int.bit_count(ux & vz) + int.bit_count(uz & vx)) & 1
 
 
 # ---------------------------------------------------------------------------

@@ -441,10 +441,6 @@ def subcode_for(n: int, r: int) -> StabilizerMatrix:
     )
 
 
-def subcode_stabilizer(result: SynthesisResult) -> StabilizerMatrix:
-    return result.s0
-
-
 def replay(s: StabilizerMatrix, result: SynthesisResult) -> StabilizerMatrix:
     """Re-apply a synthesis transcript to a matrix: the forward gates, then
     the row operations.  Gates act on columns and row operations on rows, so

@@ -1,6 +1,5 @@
 """Finite-window verification: Pauli conjugation through unrolled circuits,
-the error-propagation analyzer with its catastrophic negative control, and
-the encoder round-trip check.
+the error-propagation analyzer, and the encoder round-trip check.
 
 Windows hold N blocks of n qubits in (x|z) bit layout.  Every template is
 applied at every in-window block shift; gate instances that would reach
@@ -13,14 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Sequence
 
 from .errors import PreconditionError, WindowTooSmallError
-from .gates import CNOT, CSIGN, Circuit, GateTemplate, PL, act
+from .gates import CNOT, CSIGN, Circuit, PL, act
 from .matrix import identity, thaw, zeros
 from .poly import max_span
-from .stabilizer import StabilizerMatrix, placement_bits, window_inner
-from .synthesis import SynthesisResult
+from .stabilizer import StabilizerMatrix, placement_bits
 
 
 @dataclass(frozen=True)
@@ -48,30 +46,6 @@ class PauliVector:
         half = self.half
         mask = (1 << half) - 1
         return int.bit_count((self.bits & mask) | (self.bits >> half))
-
-
-def single_pauli(n: int, blocks: int, block: int, qubit: int, kind: str) -> PauliVector:
-    """X, Z or Y at one qubit position (qubit is 1-based within the block)."""
-    if not 0 <= block < blocks:
-        raise ValueError(f"block {block} outside the window")
-    if not 1 <= qubit <= n:
-        raise ValueError(f"qubit {qubit} outside 1..{n}")
-    pos = block * n + (qubit - 1)
-    half = n * blocks
-    bits = 0
-    if kind in ("X", "Y"):
-        bits |= 1 << pos
-    if kind in ("Z", "Y"):
-        bits |= 1 << (half + pos)
-    if kind not in ("X", "Y", "Z"):
-        raise ValueError(f"unknown Pauli kind {kind!r}")
-    return PauliVector(n, blocks, bits)
-
-
-def inner(p: PauliVector, q: PauliVector) -> int:
-    if (p.n, p.blocks) != (q.n, q.blocks):
-        raise ValueError("window mismatch")
-    return window_inner(p.bits, q.bits, p.half)
 
 
 # packed width of one side of a conjugation batch: lanes are added until it
@@ -244,57 +218,6 @@ def propagation_report(c: Circuit, sizes: Sequence[int]) -> PropagationReport:
     return PropagationReport(sizes, tuple(maxima), bound, verdict, margin)
 
 
-def _chain_verdict(maxima: Sequence[int], bound: int) -> str:
-    if maxima and maxima[-1] > bound:
-        return "growing"
-    if len(maxima) >= 2 and maxima[-1] != maxima[-2]:
-        return "growing"
-    return "bounded"
-
-
-def cnot_chain_conjugate(p: PauliVector) -> PauliVector:
-    """The sequential CNOT cascade over the whole window, one gate per
-    neighboring qubit pair in ascending order.
-
-    This is the catastrophic control: the cascade cannot be arranged as
-    shift-invariant templates of finite depth, so it is applied directly at
-    the window level.  An X spreads from its seed to the window edge.
-    """
-    half = p.half
-    bits = p.bits
-    for k in range(half - 1):
-        if (bits >> k) & 1:
-            bits ^= 1 << (k + 1)
-        if (bits >> (half + k + 1)) & 1:
-            bits ^= 1 << (half + k)
-    return PauliVector(p.n, p.blocks, bits)
-
-
-def chain_propagation_report(n: int, sizes: Sequence[int]) -> PropagationReport:
-    """Propagation analysis of the sequential CNOT chain (margin 1).
-
-    Seeds are X Paulis: the cascade's signature is the X that spreads from
-    its seed all the way to the window edge.
-    """
-    sizes = tuple(sizes)
-    margin = 1
-    maxima = []
-    for blocks in sizes:
-        best = 0
-        for block in range(margin, blocks - margin):
-            for qubit in range(1, n + 1):
-                img = cnot_chain_conjugate(single_pauli(n, blocks, block, qubit, "X"))
-                best = max(best, img.support_size)
-        maxima.append(best)
-    bound = 2 * 1 + 1  # the chain pretends to be depth-1 with unit memory
-    return PropagationReport(sizes, tuple(maxima), bound, _chain_verdict(maxima, bound), margin)
-
-
-def csign_cascade() -> Circuit:
-    """The offset-1 controlled-Z cascade: finite depth, support three."""
-    return Circuit(1, (GateTemplate(PL, 1, 0, 1),))
-
-
 # ---------------------------------------------------------------------------
 # encoder round-trip
 
@@ -346,15 +269,13 @@ def stabilizer_window_basis(s: StabilizerMatrix, blocks: int) -> dict[int, int]:
             continue
         lo, hi = env
         for shift in range(-hi, blocks - lo):
-            bits = placement_bits(s, blocks, gen, shift, truncate=True)
+            bits = placement_bits(s, blocks, gen, shift)
             if bits:
                 _gf2_insert(basis, bits)
     return basis
 
 
-def verify_encoder(
-    s: StabilizerMatrix, result: Union[SynthesisResult, Circuit], blocks: int
-) -> EncoderCheck:
+def verify_encoder(s: StabilizerMatrix, encoder: Circuit, blocks: int) -> EncoderCheck:
     """Conjugate the unrolled subcode generators by the unrolled encoder and
     check membership in the window row space of the input stabilizer
     (boundary-truncated placements joined).
@@ -363,7 +284,6 @@ def verify_encoder(
     circuit, so results within `interior_margin(encoder)` blocks of either
     edge are not meaningful.
     """
-    encoder = result.encoder if isinstance(result, SynthesisResult) else result
     if encoder.n != s.n:
         raise PreconditionError(
             f"dimension mismatch: circuit n={encoder.n}, stabilizer n={s.n}"

@@ -4,12 +4,22 @@ from __future__ import annotations
 
 import random
 
+from dataclasses import dataclass
+from typing import Iterable, Sequence
+
+from qconvenc.errors import WindowTooSmallError
 from qconvenc.gates import CNOT, CSIGN, Circuit, GateTemplate, H, P, PL, apply, apply_circuit
 from qconvenc.matrix import Matrix, freeze, identity, thaw, zeros
 from qconvenc.poly import L_ONE, L_ZERO, LaurentPoly, Poly, _divmod_bits, parse_laurent
-from qconvenc.smith import ElementaryColOp, apply_col_op
-from qconvenc.stabilizer import F4Poly, StabilizerMatrix, SymplecticCheck, unroll, window_inner
-from qconvenc.verify import PauliVector, conjugate, single_pauli
+from qconvenc.smith import ElementaryColOp, SmithDecomposition, apply_col_op
+from qconvenc.stabilizer import (
+    F4Poly,
+    StabilizerMatrix,
+    SymplecticCheck,
+    params,
+    placement_bits,
+)
+from qconvenc.verify import PauliVector, PropagationReport, conjugate
 
 L = parse_laurent
 
@@ -183,7 +193,7 @@ def det(m) -> LaurentPoly:
     return acc
 
 
-def apply_col_ops(m, ops: list[ElementaryColOp]) -> Matrix:
+def apply_col_ops(m, ops: Iterable[ElementaryColOp]) -> Matrix:
     """Apply column operations left to right; indices must be in bounds."""
     n = len(m[0]) if m else 0
     work = thaw(m)
@@ -192,6 +202,27 @@ def apply_col_ops(m, ops: list[ElementaryColOp]) -> Matrix:
             raise IndexError(f"column op index out of range: {op}")
         apply_col_op(work, op)
     return freeze(work)
+
+
+def smith_a(dec: SmithDecomposition) -> Matrix:
+    """A of A*Gamma*B == M, rebuilt from the row transcript: each row
+    transform's inverse applied on the right, in order.  A swap or add of
+    rows i, j is the same column operation on A."""
+    a = thaw(identity(len(dec.gamma)))
+    for op in dec.row_ops:
+        if op.kind == "scale":
+            for row in a:
+                row[op.i] = row[op.i].shifted(-op.power)
+        else:
+            apply_col_op(a, ElementaryColOp(op.kind, op.i, op.j, op.f))
+    return freeze(a)
+
+
+def smith_b(dec: SmithDecomposition) -> Matrix:
+    """B of A*Gamma*B == M: the column transcript composed in reverse, each
+    operation being self-inverse over GF(2)."""
+    n = len(dec.gamma[0]) if dec.gamma else 0
+    return apply_col_ops(identity(n), reversed(dec.col_ops))
 
 
 def apply_poly(
@@ -291,6 +322,57 @@ def reference_symplectic(s: StabilizerMatrix) -> SymplecticCheck:
     return SymplecticCheck(True)
 
 
+@dataclass(frozen=True)
+class UnrolledWindow:
+    """Binary truncation of the semi-infinite stabilizer over N blocks.
+
+    rows are ints in (x|z) layout of width 2*n*blocks; placements pair each
+    row with its (generator, shift) label.  origin_shift is the lowest shift
+    represented.
+    """
+
+    n: int
+    blocks: int
+    rows: tuple[int, ...]
+    placements: tuple[tuple[int, int], ...]
+    origin_shift: int
+
+
+def unroll(s: StabilizerMatrix, blocks: int) -> UnrolledWindow:
+    """All fully-contained generator shifts inside a window of N blocks."""
+    m = params(s).memory
+    if blocks < m + 1:
+        raise WindowTooSmallError(f"window of {blocks} blocks < memory {m} + 1")
+    rows: list[int] = []
+    placements: list[tuple[int, int]] = []
+    for gen in range(s.r):
+        env = s.row_envelope(gen)
+        if env is None:
+            continue
+        lo, hi = env
+        for shift in range(-lo, blocks - hi):
+            bits = placement_bits(s, blocks, gen, shift)
+            assert bits is not None
+            rows.append(bits)
+            placements.append((gen, shift))
+    origin = min((t for _, t in placements), default=0)
+    return UnrolledWindow(
+        n=s.n,
+        blocks=blocks,
+        rows=tuple(rows),
+        placements=tuple(placements),
+        origin_shift=origin,
+    )
+
+
+def window_inner(u: int, v: int, half: int) -> int:
+    """Symplectic inner product of two (x|z) window rows."""
+    mask = (1 << half) - 1
+    ux, uz = u & mask, u >> half
+    vx, vz = v & mask, v >> half
+    return (int.bit_count(ux & vz) + int.bit_count(uz & vx)) & 1
+
+
 def window_commutes(s: StabilizerMatrix, blocks: int) -> bool:
     """Brute-force pairwise commutation over the unrolled window."""
     w = unroll(s, blocks)
@@ -364,6 +446,30 @@ def mutate_one_entry(rng: random.Random, s: StabilizerMatrix) -> StabilizerMatri
 
 
 # -- window conjugation oracle ------------------------------------------------
+
+
+def single_pauli(n: int, blocks: int, block: int, qubit: int, kind: str) -> PauliVector:
+    """X, Z or Y at one qubit position (qubit is 1-based within the block)."""
+    if not 0 <= block < blocks:
+        raise ValueError(f"block {block} outside the window")
+    if not 1 <= qubit <= n:
+        raise ValueError(f"qubit {qubit} outside 1..{n}")
+    pos = block * n + (qubit - 1)
+    half = n * blocks
+    bits = 0
+    if kind in ("X", "Y"):
+        bits |= 1 << pos
+    if kind in ("Z", "Y"):
+        bits |= 1 << (half + pos)
+    if kind not in ("X", "Y", "Z"):
+        raise ValueError(f"unknown Pauli kind {kind!r}")
+    return PauliVector(n, blocks, bits)
+
+
+def inner(p: PauliVector, q: PauliVector) -> int:
+    if (p.n, p.blocks) != (q.n, q.blocks):
+        raise ValueError("window mismatch")
+    return window_inner(p.bits, q.bits, p.half)
 
 
 def reference_conjugate(c: Circuit, blocks: int, p: PauliVector) -> PauliVector:
@@ -443,6 +549,60 @@ def reference_image_reach(c: Circuit) -> tuple[int, int]:
                 back = max(back, center - blk)
                 fwd = max(fwd, blk - center)
     return back, fwd
+
+
+# -- catastrophic negative control ---------------------------------------------
+
+
+def _chain_verdict(maxima: Sequence[int], bound: int) -> str:
+    if maxima and maxima[-1] > bound:
+        return "growing"
+    if len(maxima) >= 2 and maxima[-1] != maxima[-2]:
+        return "growing"
+    return "bounded"
+
+
+def cnot_chain_conjugate(p: PauliVector) -> PauliVector:
+    """The sequential CNOT cascade over the whole window, one gate per
+    neighboring qubit pair in ascending order.
+
+    This is the catastrophic control: the cascade cannot be arranged as
+    shift-invariant templates of finite depth, so it is applied directly at
+    the window level.  An X spreads from its seed to the window edge.
+    """
+    half = p.half
+    bits = p.bits
+    for k in range(half - 1):
+        if (bits >> k) & 1:
+            bits ^= 1 << (k + 1)
+        if (bits >> (half + k + 1)) & 1:
+            bits ^= 1 << (half + k)
+    return PauliVector(p.n, p.blocks, bits)
+
+
+def chain_propagation_report(n: int, sizes: Sequence[int]) -> PropagationReport:
+    """Propagation analysis of the sequential CNOT chain (margin 1).
+
+    Seeds are X Paulis: the cascade's signature is the X that spreads from
+    its seed all the way to the window edge.
+    """
+    sizes = tuple(sizes)
+    margin = 1
+    maxima = []
+    for blocks in sizes:
+        best = 0
+        for block in range(margin, blocks - margin):
+            for qubit in range(1, n + 1):
+                img = cnot_chain_conjugate(single_pauli(n, blocks, block, qubit, "X"))
+                best = max(best, img.support_size)
+        maxima.append(best)
+    bound = 2 * 1 + 1  # the chain pretends to be depth-1 with unit memory
+    return PropagationReport(sizes, tuple(maxima), bound, _chain_verdict(maxima, bound), margin)
+
+
+def csign_cascade() -> Circuit:
+    """The offset-1 controlled-Z cascade: finite depth, support three."""
+    return Circuit(1, (GateTemplate(PL, 1, 0, 1),))
 
 
 # -- divisor classification oracle --------------------------------------------

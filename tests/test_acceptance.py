@@ -10,10 +10,14 @@ import pytest
 
 from helpers import (
     L,
+    chain_propagation_report,
+    csign_cascade,
     mat_mul,
     mutate_one_entry,
     random_valid_code,
     rate_third_code,
+    smith_a,
+    smith_b,
     stab,
     window_commutes,
 )
@@ -23,12 +27,7 @@ from qconvenc.poly import LaurentPoly, laurent_divides
 from qconvenc.smith import smith
 from qconvenc.stabilizer import check_symplectic, params
 from qconvenc.synthesis import build_report, synthesize
-from qconvenc.verify import (
-    chain_propagation_report,
-    csign_cascade,
-    propagation_report,
-    verify_encoder,
-)
+from qconvenc.verify import propagation_report, verify_encoder
 from test_smith import minor_gcd_bodies, random_poly_matrix
 from test_synthesis import reduction_displays, expected_normal_form
 
@@ -112,7 +111,7 @@ def test_criterion_4_smith_oracle_equivalence():
         n = rng.randint(1, 5)
         m = random_poly_matrix(rng, r, n, max_deg=4)
         dec = smith(m)
-        if mat_mul(mat_mul(dec.a, dec.gamma), dec.b) != freeze(m):
+        if mat_mul(mat_mul(smith_a(dec), dec.gamma), smith_b(dec)) != freeze(m):
             ok = False
             break
         divs = dec.divisors
@@ -131,7 +130,7 @@ def test_criterion_5_round_trip_verification(worked_example, random_code_suite):
     ok = True
     for code, res in [(s, result)] + random_code_suite:
         for blocks in (10, 20):
-            if not verify_encoder(code, res, blocks).ok:
+            if not verify_encoder(code, res.encoder, blocks).ok:
                 ok = False
         rep = propagation_report(res.encoder, [5, 10, 20])
         if rep.verdict != "bounded":

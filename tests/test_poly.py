@@ -251,14 +251,30 @@ class TestRingProperties:
 
     def test_divmod_round_trip(self):
         rng = random.Random(103)
-        for _ in range(300):
-            a = Poly(rng.getrandbits(9))
-            b = Poly(rng.getrandbits(7))
-            if b.is_zero():
+
+        def sparse(width: int) -> int:
+            """A leading bit at width - 1 and up to six random bits below."""
+            bits = 1 << width - 1
+            for _ in range(rng.randint(0, 6)):
+                bits |= 1 << rng.randrange(width)
+            return bits
+
+        pairs = [(rng.getrandbits(9), rng.getrandbits(7)) for _ in range(300)]
+        # wide, sparse dividends over divisors up to 64 bits, where the
+        # quotient's set bits lie far apart
+        pairs += [(sparse(rng.randint(190, 210)), sparse(rng.randint(1, 64))) for _ in range(200)]
+        short = [(sparse(rng.randint(1, 20)), sparse(rng.randint(21, 64))) for _ in range(20)]
+        short += [(0, sparse(rng.randint(1, 64))) for _ in range(5)]
+        for a_bits, b_bits in pairs + short:
+            if not b_bits:
                 continue
+            a, b = Poly(a_bits), Poly(b_bits)
             q, rem = divmod(a, b)
             assert q * b + rem == a
             assert rem.is_zero() or rem.degree < b.degree
+        # a below b, zero included: quotient 0, remainder a
+        for a_bits, b_bits in short:
+            assert divmod(Poly(a_bits), Poly(b_bits)) == (Poly.zero(), Poly(a_bits))
 
     def test_laurent_divmod_round_trip(self):
         rng = random.Random(104)

@@ -12,7 +12,9 @@ from helpers import (
     rate_third_f4_rows,
     reference_symplectic,
     stab,
+    unroll,
     window_commutes,
+    window_inner,
     z_only_identity_code,
 )
 from qconvenc import stabilizer
@@ -32,9 +34,7 @@ from qconvenc.stabilizer import (
     parse_stabilizer,
     placement_bits,
     systematic_selfdual_check,
-    unroll,
     validate_code,
-    window_inner,
 )
 
 
@@ -207,8 +207,7 @@ class TestUnroll:
 
     def test_truncated_placement(self):
         s = stab(1, [(["0"], ["1+D"])])
-        assert placement_bits(s, 3, 0, 2) is None
-        bits = placement_bits(s, 3, 0, 2, truncate=True)
+        bits = placement_bits(s, 3, 0, 2)
         assert to_sides(bits, 1, 3) == ("000", "001")
 
 

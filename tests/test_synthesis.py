@@ -31,7 +31,6 @@ from qconvenc.synthesis import (
     build_report,
     classify,
     replay,
-    subcode_stabilizer,
     synthesize,
 )
 
@@ -109,7 +108,7 @@ class TestWorkedExample:
 
     def test_subcode_rows(self):
         result = synthesize(rate_third_code())
-        s0 = subcode_stabilizer(result)
+        s0 = result.s0
         assert s0 == stab(3, [(["0", "0", "0"], ["1", "0", "0"]),
                               (["0", "0", "0"], ["0", "1", "0"])])
 

@@ -4,6 +4,10 @@ import tracemalloc
 import pytest
 
 from helpers import (
+    chain_propagation_report,
+    cnot_chain_conjugate,
+    csign_cascade,
+    inner,
     random_circuit,
     random_template,
     random_valid_code,
@@ -11,14 +15,16 @@ from helpers import (
     reference_conjugate,
     reference_image_reach,
     reference_interior_max,
+    single_pauli,
     stab,
+    unroll,
     z_only_identity_code,
 )
 from qconvenc import verify
 from qconvenc.errors import ExponentOverflowError, PreconditionError, WindowTooSmallError
 from qconvenc.gates import CNOT, CSIGN, Circuit, GateTemplate, H, P, PL, apply, apply_circuit
 from qconvenc.poly import set_max_span
-from qconvenc.stabilizer import params, placement_bits, unroll
+from qconvenc.stabilizer import params, placement_bits
 from qconvenc.synthesis import subcode_for, synthesize
 from qconvenc.verify import (
     PauliVector,
@@ -27,16 +33,11 @@ from qconvenc.verify import (
     _image_max,
     _interior_max,
     _lane_images,
-    chain_propagation_report,
-    cnot_chain_conjugate,
     conjugate,
-    csign_cascade,
     image_reach,
-    inner,
     propagation_report,
     render_encoder_check,
     render_propagation,
-    single_pauli,
     verify_encoder,
 )
 
@@ -234,7 +235,7 @@ class TestLaneKernel:
             for gen in range(s.r):
                 lo, hi = s.row_envelope(gen)
                 for shift in range(-hi, blocks - lo):
-                    bits = placement_bits(s, blocks, gen, shift, truncate=True)
+                    bits = placement_bits(s, blocks, gen, shift)
                     if bits:
                         space.add(bits)
             expected = []
@@ -387,7 +388,7 @@ class TestVerifyEncoder:
         s = rate_third_code()
         res = synthesize(s)
         for blocks in (10, 20):
-            chk = verify_encoder(s, res, blocks)
+            chk = verify_encoder(s, res.encoder, blocks)
             assert chk.ok
             assert len(chk.rows) > 0
 
@@ -413,7 +414,7 @@ class TestVerifyEncoder:
         s = rate_third_code()
         res = synthesize(s)
         with pytest.raises(WindowTooSmallError):
-            verify_encoder(s, res, 4)
+            verify_encoder(s, res.encoder, 4)
 
     def test_randomized_round_trips(self):
         rng = random.Random(804)
@@ -423,7 +424,7 @@ class TestVerifyEncoder:
             res = synthesize(s)
             if res.memory > 2:
                 continue
-            chk = verify_encoder(s, res, 12)
+            chk = verify_encoder(s, res.encoder, 12)
             assert chk.ok
             done += 1
 
@@ -442,5 +443,5 @@ class TestRendering:
     def test_encoder_check_format(self):
         s = rate_third_code()
         res = synthesize(s)
-        text = render_encoder_check(verify_encoder(s, res, 10))
+        text = render_encoder_check(verify_encoder(s, res.encoder, 10))
         assert "result: pass" in text

@@ -33,8 +33,8 @@ fields, through one format string per kind derived from the table, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Iterable, NamedTuple
 
 from .errors import ParseError
 from .matrix import thaw
@@ -82,35 +82,50 @@ _DIAGONAL = frozenset(
 )
 
 
-@dataclass(frozen=True)
 class GateTemplate:
-    kind: str
-    i: int
-    j: int = 0
-    ell: int = 0
+    """One template: kind(i, j, ell), replicated at every block shift.
 
-    def __post_init__(self):
-        if self.kind not in COLUMN_ACTIONS:
-            raise ValueError(f"unknown gate kind {self.kind!r}")
-        if min(self.qubits) < 1:
+    The constructor checks the fields and stores the canonical orientation.
+    Instances are immutable and compare, hash and print by their fields;
+    the instance dict also holds the cached `updates`."""
+
+    def __init__(self, kind: str, i: int, j: int = 0, ell: int = 0):
+        if kind not in COLUMN_ACTIONS:
+            raise ValueError(f"unknown gate kind {kind!r}")
+        if min((i, j) if kind in _TWO_QUBIT else (i,)) < 1:
             raise ValueError("qubit indices are 1-based")
-        if self.kind in (H, P, PL) and self.j != 0:
-            raise ValueError(f"{self.kind} takes a single qubit")
-        if self.kind in _TWO_QUBIT and self.i == self.j:
-            raise ValueError(f"{self.kind} needs two distinct qubit streams")
-        if self.kind == PL and self.ell == 0:
+        if kind in (H, P, PL) and j != 0:
+            raise ValueError(f"{kind} takes a single qubit")
+        if kind in _TWO_QUBIT and i == j:
+            raise ValueError(f"{kind} needs two distinct qubit streams")
+        if kind == PL and ell == 0:
             raise ValueError("PL requires a nonzero offset")
-        if self.kind in (H, P) and self.ell != 0:
-            raise ValueError(f"{self.kind} carries no offset")
+        if kind in (H, P) and ell != 0:
+            raise ValueError(f"{kind} carries no offset")
         # canonical orientations: PL(i, l) == PL(i, -l) and the CSIGN matrix
         # is symmetric under (i, j, l) -> (j, i, -l)
-        if self.kind == PL and self.ell < 0:
-            object.__setattr__(self, "ell", -self.ell)
-        if self.kind == CSIGN and self.j < self.i:
-            i, j = self.i, self.j
-            object.__setattr__(self, "i", j)
-            object.__setattr__(self, "j", i)
-            object.__setattr__(self, "ell", -self.ell)
+        if kind == CSIGN and j < i:
+            i, j, ell = j, i, -ell
+        elif kind == PL and ell < 0:
+            ell = -ell
+        self.__dict__.update(kind=kind, i=i, j=j, ell=ell)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("GateTemplate is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("GateTemplate is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.i, self.j, self.ell) == (other.kind, other.i, other.j, other.ell)
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.i, self.j, self.ell))
+
+    def __repr__(self) -> str:
+        return f"GateTemplate(kind={self.kind!r}, i={self.i!r}, j={self.j!r}, ell={self.ell!r})"
 
     @property
     def reach(self) -> int:
@@ -138,21 +153,38 @@ class GateTemplate:
         return _FORMATS[self.kind].format(self.i, self.j, self.ell)
 
 
-@dataclass(frozen=True)
 class Circuit:
-    """An ordered list of templates on n qubit streams, applied left to right."""
+    """An ordered list of templates on n qubit streams, applied left to right.
 
-    n: int
-    templates: tuple[GateTemplate, ...] = field(default_factory=tuple)
+    Immutable; compares, hashes and prints by (n, templates).  The instance
+    dict also holds the cached `memory`."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "templates", tuple(self.templates))
-        if self.n < 1:
-            raise ValueError(f"need at least one qubit stream, got n={self.n}")
-        for g in self.templates:
+    def __init__(self, n: int, templates: Iterable[GateTemplate] = ()):
+        templates = tuple(templates)
+        if n < 1:
+            raise ValueError(f"need at least one qubit stream, got n={n}")
+        for g in templates:
             # j is 0 on single-qubit kinds, so this is max(g.qubits) > n
-            if g.i > self.n or g.j > self.n:
-                raise ValueError(f"template {g} exceeds n={self.n}")
+            if g.i > n or g.j > n:
+                raise ValueError(f"template {g} exceeds n={n}")
+        self.__dict__.update(n=n, templates=templates)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Circuit is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("Circuit is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.templates) == (other.n, other.templates)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.templates))
+
+    def __repr__(self) -> str:
+        return f"Circuit(n={self.n!r}, templates={self.templates!r})"
 
     @cached_property
     def memory(self) -> int:
@@ -167,7 +199,7 @@ class Circuit:
 
 def _template(kind: str, i: int, j: int = 0, ell: int = 0) -> GateTemplate:
     """A template from fields known to be valid, such as the synthesis
-    driver's: the canonical orientation of `__post_init__`, without its
+    driver's: the canonical orientation of the constructor, without its
     checks."""
     if kind == CSIGN and j < i:
         i, j, ell = j, i, -ell
@@ -229,8 +261,7 @@ def swap_templates(i: int, j: int) -> list[GateTemplate]:
 # scheduling
 
 
-@dataclass(frozen=True)
-class Schedule:
+class Schedule(NamedTuple):
     """A finite-depth arrangement: diagonal gates merge into single layers,
     parallel single-qubit layers group, and every CNOT template runs as its
     own layer (each instance repeated in its shifted version before the next

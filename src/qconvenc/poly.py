@@ -19,8 +19,7 @@ Whitespace is ignored and duplicate terms cancel (XOR).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .errors import ExponentOverflowError, ParseError
 
@@ -393,8 +392,7 @@ def laurent_divides(a: LaurentPoly, b: LaurentPoly) -> bool:
     return _divmod_bits(b.bits, a.bits)[1] == 0
 
 
-@dataclass(frozen=True)
-class SymmetryCheck:
+class SymmetryCheck(NamedTuple):
     """Result of the palindrome test: reciprocal(a) == a.
 
     constant_free reports whether the constant term is absent, the strict

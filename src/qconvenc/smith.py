@@ -25,35 +25,47 @@ old one and column t's entries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import LoopLimitError
 from .matrix import Matrix, freeze, thaw
 from .poly import LaurentPoly, L_ONE, L_ZERO, laurent_divides, laurent_divmod
 
 
-@dataclass(frozen=True)
 class ElementaryColOp:
-    """A column operation: add (col_j += f*col_i) or swap (col_i <-> col_j)."""
+    """A column operation: add (col_j += f*col_i) or swap (col_i <-> col_j).
 
-    kind: str  # "add" | "swap"
-    i: int
-    j: int
-    f: Optional[LaurentPoly] = None
+    Immutable; compares, hashes and prints by (kind, i, j, f)."""
 
-    def __post_init__(self):
-        if self.kind not in ("add", "swap"):
-            raise ValueError(f"unknown column op kind {self.kind!r}")
-        if self.i == self.j:
+    def __init__(self, kind: str, i: int, j: int, f: Optional[LaurentPoly] = None):
+        if kind not in ("add", "swap"):
+            raise ValueError(f"unknown column op kind {kind!r}")
+        if i == j:
             raise ValueError("column op needs two distinct columns")
-        if self.kind == "add" and (self.f is None or self.f.is_zero()):
+        if kind == "add" and (f is None or f.is_zero()):
             raise ValueError("column add needs a nonzero coefficient")
+        self.__dict__.update(kind=kind, i=i, j=j, f=f)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ElementaryColOp is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("ElementaryColOp is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.i, self.j, self.f) == (other.kind, other.i, other.j, other.f)
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.i, self.j, self.f))
+
+    def __repr__(self) -> str:
+        return f"ElementaryColOp(kind={self.kind!r}, i={self.i!r}, j={self.j!r}, f={self.f!r})"
 
 
-@dataclass(frozen=True)
-class RowOp:
+class RowOp(NamedTuple):
     """A row operation: add (row_i += f*row_j), swap, or scale (row_i *= D^k)."""
 
     kind: str  # "add" | "swap" | "scale"
@@ -90,8 +102,7 @@ def _apply_op(rows: list[list[LaurentPoly]], kind: str, op) -> None:
     (apply_col_op if kind == "col" else apply_row_op)(rows, op)
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
+class SmithDecomposition(NamedTuple):
     """Gamma and the transcripts that determine A and B, with
     A*Gamma*B == the input.
 

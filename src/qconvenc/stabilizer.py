@@ -11,9 +11,8 @@ outside the window are dropped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import ParseError, PreconditionError
 from .matrix import Matrix, freeze
@@ -21,19 +20,36 @@ from .poly import LaurentPoly, L_ZERO, _check_span, parse_terms
 from .smith import smith_rank
 
 
-@dataclass(frozen=True)
 class StabilizerMatrix:
-    n: int
-    r: int
-    x: Matrix
-    z: Matrix
+    """S(D) = (X(D) | Z(D)): r rows of n Laurent polynomials on each side.
 
-    def __post_init__(self):
-        if self.n < 1 or self.r < 1:
+    Immutable; compares, hashes and prints by (n, r, x, z).  The instance
+    dict also holds the cached `_row_patterns`."""
+
+    def __init__(self, n: int, r: int, x: Matrix, z: Matrix):
+        if n < 1 or r < 1:
             raise ValueError("need at least one qubit stream and one generator")
-        for part in (self.x, self.z):
-            if len(part) != self.r or any(len(row) != self.n for row in part):
+        for part in (x, z):
+            if len(part) != r or any(len(row) != n for row in part):
                 raise ValueError("X and Z parts must both be r x n")
+        self.__dict__.update(n=n, r=r, x=x, z=z)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("StabilizerMatrix is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("StabilizerMatrix is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.r, self.x, self.z) == (other.n, other.r, other.x, other.z)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.r, self.x, self.z))
+
+    def __repr__(self) -> str:
+        return f"StabilizerMatrix(n={self.n!r}, r={self.r!r}, x={self.x!r}, z={self.z!r})"
 
     @classmethod
     def from_rows(
@@ -84,8 +100,7 @@ class StabilizerMatrix:
         return format_stabilizer(self)
 
 
-@dataclass(frozen=True)
-class CodeParams:
+class CodeParams(NamedTuple):
     n: int
     k: int
     r: int
@@ -99,8 +114,7 @@ def params(s: StabilizerMatrix) -> CodeParams:
     return CodeParams(n=s.n, k=s.n - s.r, r=s.r, memory=memory)
 
 
-@dataclass(frozen=True)
-class SymplecticCheck:
+class SymplecticCheck(NamedTuple):
     ok: bool
     row_i: int = -1
     row_j: int = -1
@@ -193,8 +207,7 @@ def systematic_selfdual_check(s: StabilizerMatrix) -> Optional[bool]:
 # GF(4) import
 
 
-@dataclass(frozen=True)
-class F4Poly:
+class F4Poly(NamedTuple):
     """A GF(4) polynomial written as a + w*b with binary Laurent parts."""
 
     a: LaurentPoly

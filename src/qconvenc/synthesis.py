@@ -24,8 +24,7 @@ The reduction phases:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import LoopLimitError, NonClearableError, PreconditionError
 from .gates import (
@@ -49,8 +48,7 @@ from .smith import ElementaryColOp, RowOp, apply_row_op, row_divisibility_check,
 from .stabilizer import StabilizerMatrix, format_sides, params, validate_code
 
 
-@dataclass(frozen=True)
-class GammaClass:
+class GammaClass(NamedTuple):
     """Classification of one elementary divisor.
 
     unit:   the qubit stream is constrained to the zero state.
@@ -81,8 +79,7 @@ class GammaClass:
         )
 
 
-@dataclass(frozen=True)
-class SynthesisResult:
+class SynthesisResult(NamedTuple):
     forward: Circuit
     encoder: Circuit
     gamma: tuple[LaurentPoly, ...]

@@ -9,10 +9,9 @@ starts at block 0).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import PreconditionError, WindowTooSmallError
 from .gates import CNOT, CSIGN, Circuit, PL, act
@@ -21,8 +20,7 @@ from .poly import max_span
 from .stabilizer import StabilizerMatrix, placement_bits
 
 
-@dataclass(frozen=True)
-class PauliVector:
+class PauliVector(NamedTuple):
     """A Pauli operator on a finite window, (x|z) bits of width 2*n*blocks."""
 
     n: int
@@ -118,8 +116,7 @@ def conjugate(c: Circuit, blocks: int, p: PauliVector) -> PauliVector:
 # propagation analysis
 
 
-@dataclass(frozen=True)
-class PropagationReport:
+class PropagationReport(NamedTuple):
     """Max output support over single-qubit interior inputs, per window size.
 
     The verdict is bounded exactly when every single-qubit seed's polynomial
@@ -222,15 +219,13 @@ def propagation_report(c: Circuit, sizes: Sequence[int]) -> PropagationReport:
 # encoder round-trip
 
 
-@dataclass(frozen=True)
-class RowCheck:
+class RowCheck(NamedTuple):
     gen: int
     shift: int
     ok: bool
 
 
-@dataclass(frozen=True)
-class EncoderCheck:
+class EncoderCheck(NamedTuple):
     blocks: int
     margin: int
     rows: tuple[RowCheck, ...]
@@ -263,11 +258,11 @@ def stabilizer_window_basis(s: StabilizerMatrix, blocks: int) -> dict[int, int]:
     """GF(2) basis of all generator placements over the window, including the
     boundary-truncated ones."""
     basis: dict[int, int] = {}
-    for gen in range(s.r):
-        env = s.row_envelope(gen)
-        if env is None:
+    # each row's envelope is read off its packed pattern, span-checked once
+    for gen, pattern in enumerate(s._row_patterns):
+        if pattern is None:
             continue
-        lo, hi = env
+        lo, hi = pattern[:2]
         for shift in range(-hi, blocks - lo):
             bits = placement_bits(s, blocks, gen, shift)
             if bits:

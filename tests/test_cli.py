@@ -1,4 +1,7 @@
 import io
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -335,3 +338,23 @@ class TestGoldenTranscripts:
         code, text = run(argv)
         assert code == exit_code
         assert text.encode("utf-8") == (DATA / golden).read_bytes()
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    """Start-up: `import qconvenc.cli` adds no `dataclasses` (whose import
+    pulls in `inspect`, `ast`, `dis` and `tokenize`, and whose decorator
+    generates code per class) and no `inspect` to the modules a bare
+    interpreter, started the same way, already holds."""
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": "src"}
+
+    def loaded(statement: str) -> set[str]:
+        proc = subprocess.run(
+            [sys.executable, "-c", f"import sys; {statement}; print(*sys.modules)"],
+            cwd=root, env=env, capture_output=True, text=True, check=True,
+        )
+        return set(proc.stdout.split())
+
+    added = loaded("import qconvenc.cli") - loaded("pass")
+    assert "qconvenc.cli" in added
+    assert not {"dataclasses", "inspect"} & added

@@ -1,7 +1,8 @@
 """Property tests: the circuit text format round trip, the symmetric
 quotient against the y-basis reference, Laurent arithmetic against its
-exponent-set reference, and the synthesis driver's fused template runs
-against their template-by-template replay."""
+exponent-set reference, the synthesis driver's fused template runs
+against their template-by-template replay, and the polynomial seed images
+of `gates.act` against the window kernel."""
 
 import pytest
 from hypothesis import given, settings
@@ -10,10 +11,11 @@ from hypothesis import strategies as st
 from helpers import L, reference_symmetric_quotient
 from qconvenc.gates import CNOT, CSIGN, Circuit, GateTemplate, H, P, PL, act, format_circuit, parse_circuit
 from qconvenc.errors import ExponentOverflowError
-from qconvenc.matrix import thaw
+from qconvenc.matrix import identity, thaw, zeros
 from qconvenc.poly import LaurentPoly, set_max_span
 from qconvenc.stabilizer import StabilizerMatrix
 from qconvenc.synthesis import _Driver, _symmetric_quotient
+from qconvenc.verify import _lane_images
 
 # reproducible runs that leave no example database behind
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=300)
@@ -197,3 +199,32 @@ def test_fused_run_raises_exactly_as_its_replay_under_a_lowered_limit(case, limi
     assert outcomes[0] == outcomes[1]
     if outcomes[0] is None:
         assert fused == replayed
+
+
+# -- polynomial seed images against the window kernel --------------------------
+
+
+@PROPERTY
+@given(circuits())
+def test_act_seed_images_match_the_window_kernel(c):
+    """The X and Z unit seeds pushed through `act` (rows of the (X|Z)
+    identity) against the same seeds conjugated by `_lane_images` at the
+    centre of a window with R = the summed template reach blocks on either
+    side: an image grows by at most one template's reach per template, so
+    no gate instance that meets it is dropped and no image is clipped."""
+    n, reach = c.n, sum(g.reach for g in c.templates)
+    x = thaw(identity(n) + zeros(n, n))
+    z = thaw(zeros(n, n) + identity(n))
+    for g in c.templates:
+        act(x, z, g)
+    # block offset e of column q lands at window position (R + e) * n + q
+    want = [
+        tuple(
+            sum(1 << (reach + e) * n + q for q, entry in enumerate(side[row]) for e in entry.exponents())
+            for side in (x, z)
+        )
+        for row in range(2 * n)
+    ]
+    centre = reach * n
+    seeds = [(1 << centre + q, 0) for q in range(n)] + [(0, 1 << centre + q) for q in range(n)]
+    assert list(_lane_images(c, 2 * reach + 1, seeds)) == want

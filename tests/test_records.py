@@ -1,0 +1,130 @@
+"""Value semantics of the package's records.
+
+Thirteen plain result records are NamedTuples; the four types that check
+their fields or cache derived values (GateTemplate, Circuit,
+StabilizerMatrix, ElementaryColOp) are hand-written immutable classes.
+Either way a record cannot be assigned to, and records with equal fields
+are equal and hash alike."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import L, rate_third_code
+from qconvenc.gates import CNOT, CSIGN, Circuit, GateTemplate, H, P, PL, _template, depth_schedule, reverse
+from qconvenc.poly import is_symmetric
+from qconvenc.smith import ElementaryColOp, smith
+from qconvenc.stabilizer import F4Poly, StabilizerMatrix, check_symplectic, params
+from qconvenc.synthesis import synthesize
+from qconvenc.verify import PauliVector, _seed_walk, image_reach, propagation_report, verify_encoder
+
+# the fields of the hand-written classes, in constructor order
+CLASS_FIELDS = {
+    GateTemplate: ("kind", "i", "j", "ell"),
+    Circuit: ("n", "templates"),
+    StabilizerMatrix: ("n", "r", "x", "z"),
+    ElementaryColOp: ("kind", "i", "j", "f"),
+}
+
+
+def fields(record) -> tuple[str, ...]:
+    return CLASS_FIELDS.get(type(record)) or record._fields
+
+
+def worked_records() -> list:
+    """One record of each of the 17 types, from the worked example."""
+    s = rate_third_code()
+    result = synthesize(s)
+    encoder = result.encoder
+    col_op = next(op for op in smith(s.x).col_ops if op.kind == "add")
+    records = [
+        encoder.templates[0],
+        encoder,
+        s,
+        col_op,
+        depth_schedule(encoder),
+        is_symmetric(L("D^-1+D")),
+        smith(s.x),
+        result.row_ops[0],
+        params(s),
+        check_symplectic(s),
+        F4Poly(L("1+D"), L("D")),
+        result.classes[1],
+        result,
+        PauliVector(s.n, 5, 0b1011),
+        propagation_report(encoder, [5, 10]),
+        verify_encoder(s, encoder, 8),
+    ]
+    records.append(records[-1].rows[0])
+    return records
+
+
+RECORDS = worked_records()
+
+
+def test_every_record_type_is_covered():
+    assert len({type(r) for r in RECORDS}) == 17
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+def test_assigning_a_field_raises(record):
+    for name in fields(record):
+        before = getattr(record, name)
+        with pytest.raises(AttributeError):
+            setattr(record, name, before)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+        assert getattr(record, name) is before
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+def test_equal_fields_equal_records(record):
+    twin = type(record)(*(getattr(record, name) for name in fields(record)))
+    assert twin is not record
+    assert twin == record and not twin != record
+    assert hash(twin) == hash(record)
+    assert repr(twin) == repr(record)
+
+
+@st.composite
+def valid_fields(draw) -> tuple[str, int, int, int]:
+    """Valid template fields, CSIGN in either qubit order and PL offsets of
+    either sign."""
+    kind = draw(st.sampled_from((H, P, PL, CNOT, CSIGN)))
+    i = draw(st.integers(1, 6))
+    if kind in (CNOT, CSIGN):
+        return kind, i, draw(st.integers(1, 6).filter(lambda j: j != i)), draw(st.integers(-9, 9))
+    if kind == PL:
+        return kind, i, 0, draw(st.integers(-9, 9).filter(bool))
+    return kind, i, 0, 0
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(valid_fields())
+def test_unchecked_template_equals_checked(f):
+    checked, unchecked = GateTemplate(*f), _template(*f)
+    assert checked == unchecked and hash(checked) == hash(unchecked)
+    assert checked.updates == unchecked.updates
+    if f[0] == CSIGN:
+        assert GateTemplate(CSIGN, f[2], f[1], -f[3]) == checked
+    if f[0] == PL:
+        assert GateTemplate(PL, f[1], 0, -f[3]) == checked
+
+
+def test_reverse_equals_the_reversed_circuit_and_carries_memory():
+    c = synthesize(rate_third_code()).forward
+    inv = reverse(c)
+    assert inv == Circuit(c.n, c.templates[::-1])
+    assert hash(inv) == hash(Circuit(c.n, c.templates[::-1]))
+    # the memory is stored, not walked again
+    assert vars(inv)["memory"] == c.memory == Circuit(c.n, c.templates[::-1]).memory
+
+
+def test_equal_circuits_share_the_seed_walk_memo():
+    c = synthesize(rate_third_code()).encoder
+    twin = Circuit(c.n, list(c.templates))
+    assert twin is not c and twin == c
+    _seed_walk.cache_clear()
+    assert image_reach(c) == image_reach(twin)
+    info = _seed_walk.cache_info()
+    assert (info.hits, info.misses) == (1, 1)

@@ -32,6 +32,7 @@ from .stabilizer import (
 )
 from .synthesis import build_report, format_checkpoints, synthesize
 from .verify import (
+    check_pair,
     propagation_report,
     render_encoder_check,
     render_propagation,
@@ -95,10 +96,7 @@ def cmd_verify(args: argparse.Namespace, out) -> int:
         )
     s = parse_stabilizer(_read(args.stabilizer))
     circuit = parse_circuit(_read(args.circuit))
-    if circuit.n != s.n:
-        raise PreconditionError(
-            f"dimension mismatch: circuit n={circuit.n}, stabilizer n={s.n}"
-        )
+    check_pair(s, circuit)
     memory = circuit.memory
     sizes = [n for n in args.window_sizes if n >= memory + 1]
     if not sizes:

@@ -37,7 +37,7 @@ from functools import cached_property
 from typing import Iterable, NamedTuple
 
 from .errors import ParseError
-from .matrix import thaw
+from .matrix import Record, thaw, unchecked
 from .poly import LaurentPoly
 from .stabilizer import StabilizerMatrix, _strip_comments
 
@@ -82,14 +82,16 @@ _DIAGONAL = frozenset(
 )
 
 
-class GateTemplate:
+class GateTemplate(Record):
     """One template: kind(i, j, ell), replicated at every block shift.
 
-    The constructor checks the fields and stores the canonical orientation.
-    Instances are immutable and compare, hash and print by their fields;
-    the instance dict also holds the cached `updates`."""
+    The constructor checks the fields, then builds through `_template`,
+    which stores the canonical orientation.  The instance dict also holds
+    the cached `updates`."""
 
-    def __init__(self, kind: str, i: int, j: int = 0, ell: int = 0):
+    _fields = ("kind", "i", "j", "ell")
+
+    def __new__(cls, kind: str, i: int, j: int = 0, ell: int = 0) -> GateTemplate:
         if kind not in COLUMN_ACTIONS:
             raise ValueError(f"unknown gate kind {kind!r}")
         if min((i, j) if kind in _TWO_QUBIT else (i,)) < 1:
@@ -102,30 +104,7 @@ class GateTemplate:
             raise ValueError("PL requires a nonzero offset")
         if kind in (H, P) and ell != 0:
             raise ValueError(f"{kind} carries no offset")
-        # canonical orientations: PL(i, l) == PL(i, -l) and the CSIGN matrix
-        # is symmetric under (i, j, l) -> (j, i, -l)
-        if kind == CSIGN and j < i:
-            i, j, ell = j, i, -ell
-        elif kind == PL and ell < 0:
-            ell = -ell
-        self.__dict__.update(kind=kind, i=i, j=j, ell=ell)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GateTemplate is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("GateTemplate is immutable")
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.kind, self.i, self.j, self.ell) == (other.kind, other.i, other.j, other.ell)
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.i, self.j, self.ell))
-
-    def __repr__(self) -> str:
-        return f"GateTemplate(kind={self.kind!r}, i={self.i!r}, j={self.j!r}, ell={self.ell!r})"
+        return _template(kind, i, j, ell)
 
     @property
     def reach(self) -> int:
@@ -153,13 +132,14 @@ class GateTemplate:
         return _FORMATS[self.kind].format(self.i, self.j, self.ell)
 
 
-class Circuit:
+class Circuit(Record):
     """An ordered list of templates on n qubit streams, applied left to right.
 
-    Immutable; compares, hashes and prints by (n, templates).  The instance
-    dict also holds the cached `memory`."""
+    The instance dict also holds the cached `memory`."""
 
-    def __init__(self, n: int, templates: Iterable[GateTemplate] = ()):
+    _fields = ("n", "templates")
+
+    def __new__(cls, n: int, templates: Iterable[GateTemplate] = ()) -> Circuit:
         templates = tuple(templates)
         if n < 1:
             raise ValueError(f"need at least one qubit stream, got n={n}")
@@ -167,24 +147,7 @@ class Circuit:
             # j is 0 on single-qubit kinds, so this is max(g.qubits) > n
             if g.i > n or g.j > n:
                 raise ValueError(f"template {g} exceeds n={n}")
-        self.__dict__.update(n=n, templates=templates)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Circuit is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("Circuit is immutable")
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.n, self.templates) == (other.n, other.templates)
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.templates))
-
-    def __repr__(self) -> str:
-        return f"Circuit(n={self.n!r}, templates={self.templates!r})"
+        return unchecked(cls, {"n": n, "templates": templates})
 
     @cached_property
     def memory(self) -> int:
@@ -199,24 +162,21 @@ class Circuit:
 
 def _template(kind: str, i: int, j: int = 0, ell: int = 0) -> GateTemplate:
     """A template from fields known to be valid, such as the synthesis
-    driver's: the canonical orientation of the constructor, without its
-    checks."""
+    driver's, without the constructor's checks.  It stores the canonical
+    orientation: PL(i, l) == PL(i, -l), and the CSIGN matrix is symmetric
+    under (i, j, l) -> (j, i, -l)."""
     if kind == CSIGN and j < i:
         i, j, ell = j, i, -ell
     elif kind == PL and ell < 0:
         ell = -ell
-    g = object.__new__(GateTemplate)
-    g.__dict__.update(kind=kind, i=i, j=j, ell=ell)
-    return g
+    return unchecked(GateTemplate, {"kind": kind, "i": i, "j": j, "ell": ell})
 
 
 def reverse(c: Circuit) -> Circuit:
     """The inverse circuit: same templates, reversed order.  c was checked
     when it was built, so its reverse is not checked again, and it shares
     c's cached memory."""
-    inv = object.__new__(Circuit)
-    inv.__dict__.update(n=c.n, templates=c.templates[::-1], memory=c.memory)
-    return inv
+    return unchecked(Circuit, {"n": c.n, "templates": c.templates[::-1], "memory": c.memory})
 
 
 def act(x: list[list[LaurentPoly]], z: list[list[LaurentPoly]], g: GateTemplate) -> None:

@@ -29,40 +29,23 @@ from functools import partial
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import LoopLimitError
-from .matrix import Matrix, freeze, thaw
+from .matrix import Matrix, Record, freeze, thaw, unchecked
 from .poly import LaurentPoly, L_ONE, L_ZERO, laurent_divides, laurent_divmod
 
 
-class ElementaryColOp:
-    """A column operation: add (col_j += f*col_i) or swap (col_i <-> col_j).
+class ElementaryColOp(Record):
+    """A column operation: add (col_j += f*col_i) or swap (col_i <-> col_j)."""
 
-    Immutable; compares, hashes and prints by (kind, i, j, f)."""
+    _fields = ("kind", "i", "j", "f")
 
-    def __init__(self, kind: str, i: int, j: int, f: Optional[LaurentPoly] = None):
+    def __new__(cls, kind: str, i: int, j: int, f: Optional[LaurentPoly] = None) -> ElementaryColOp:
         if kind not in ("add", "swap"):
             raise ValueError(f"unknown column op kind {kind!r}")
         if i == j:
             raise ValueError("column op needs two distinct columns")
         if kind == "add" and (f is None or f.is_zero()):
             raise ValueError("column add needs a nonzero coefficient")
-        self.__dict__.update(kind=kind, i=i, j=j, f=f)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ElementaryColOp is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("ElementaryColOp is immutable")
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.kind, self.i, self.j, self.f) == (other.kind, other.i, other.j, other.f)
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.i, self.j, self.f))
-
-    def __repr__(self) -> str:
-        return f"ElementaryColOp(kind={self.kind!r}, i={self.i!r}, j={self.j!r}, f={self.f!r})"
+        return unchecked(cls, {"kind": kind, "i": i, "j": j, "f": f})
 
 
 class RowOp(NamedTuple):

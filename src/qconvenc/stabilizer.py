@@ -15,41 +15,25 @@ from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import ParseError, PreconditionError
-from .matrix import Matrix, freeze
+from .matrix import Matrix, Record, freeze, unchecked
 from .poly import LaurentPoly, L_ZERO, _check_span, parse_terms
 from .smith import smith_rank
 
 
-class StabilizerMatrix:
+class StabilizerMatrix(Record):
     """S(D) = (X(D) | Z(D)): r rows of n Laurent polynomials on each side.
 
-    Immutable; compares, hashes and prints by (n, r, x, z).  The instance
-    dict also holds the cached `_row_patterns`."""
+    The instance dict also holds the cached `_row_patterns`."""
 
-    def __init__(self, n: int, r: int, x: Matrix, z: Matrix):
+    _fields = ("n", "r", "x", "z")
+
+    def __new__(cls, n: int, r: int, x: Matrix, z: Matrix) -> StabilizerMatrix:
         if n < 1 or r < 1:
             raise ValueError("need at least one qubit stream and one generator")
         for part in (x, z):
             if len(part) != r or any(len(row) != n for row in part):
                 raise ValueError("X and Z parts must both be r x n")
-        self.__dict__.update(n=n, r=r, x=x, z=z)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("StabilizerMatrix is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("StabilizerMatrix is immutable")
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.n, self.r, self.x, self.z) == (other.n, other.r, other.x, other.z)
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.r, self.x, self.z))
-
-    def __repr__(self) -> str:
-        return f"StabilizerMatrix(n={self.n!r}, r={self.r!r}, x={self.x!r}, z={self.z!r})"
+        return unchecked(cls, {"n": n, "r": r, "x": x, "z": z})
 
     @classmethod
     def from_rows(
@@ -180,7 +164,9 @@ def validate_code(s: StabilizerMatrix) -> None:
 
 
 def is_systematic(s: StabilizerMatrix) -> bool:
-    """X part equal to (I | 0)."""
+    """X part equal to (I | 0); never when r > n, which leaves no room for I."""
+    if s.r > s.n:
+        return False
     for i in range(s.r):
         for c in range(s.n):
             want = LaurentPoly.one() if i == c else L_ZERO

@@ -270,6 +270,18 @@ def stabilizer_window_basis(s: StabilizerMatrix, blocks: int) -> dict[int, int]:
     return basis
 
 
+def check_pair(s: StabilizerMatrix, encoder: Circuit) -> None:
+    """Raise PreconditionError unless `encoder` can be checked against `s`:
+    both on the same n streams, and no more generators than streams, since
+    the subcode (0 | I 0) places generator i as a Z on stream i."""
+    if encoder.n != s.n:
+        raise PreconditionError(
+            f"dimension mismatch: circuit n={encoder.n}, stabilizer n={s.n}"
+        )
+    if s.r > s.n:
+        raise PreconditionError(f"more generators than qubit streams: r={s.r}, n={s.n}")
+
+
 def verify_encoder(s: StabilizerMatrix, encoder: Circuit, blocks: int) -> EncoderCheck:
     """Conjugate the unrolled subcode generators by the unrolled encoder and
     check membership in the window row space of the input stabilizer
@@ -279,10 +291,7 @@ def verify_encoder(s: StabilizerMatrix, encoder: Circuit, blocks: int) -> Encode
     circuit, so results within `interior_margin(encoder)` blocks of either
     edge are not meaningful.
     """
-    if encoder.n != s.n:
-        raise PreconditionError(
-            f"dimension mismatch: circuit n={encoder.n}, stabilizer n={s.n}"
-        )
+    check_pair(s, encoder)
     memory = encoder.memory
     if blocks < 2 * (memory + 1):
         raise WindowTooSmallError(

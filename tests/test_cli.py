@@ -307,6 +307,34 @@ class TestVerify:
         assert len(calls) == len(parse_circuit(enc_path.read_text(encoding="utf-8")))
 
 
+class TestMoreGeneratorsThanStreams:
+    """Codes with r > n.  wide_f4.stab is `f4 n=1` with the row 1, whose
+    binary image has r = 2 generators on n = 1 stream, and a symplectic
+    violation; SQUARE_FIRST commutes and its first n rows are systematic.
+    verify exits 3 before the table, instead of passing on generator 2's
+    placements outside the window or overflowing on wide windows; info
+    reports them in its exit-3 path instead of raising IndexError."""
+
+    SQUARE_FIRST = "n=1 r=2\nrow: 1 | 0\nrow: 0 | 0\n"
+    REJECTED = "precondition failed: more generators than qubit streams: r=2, n=1\n"
+
+    @pytest.mark.parametrize("windows", ["5,10,20", "5,10,40"])
+    def test_verify(self, tmp_path, windows):
+        for stab_path in (str(DATA / "wide_f4.stab"), write(tmp_path, "square.stab", self.SQUARE_FIRST)):
+            argv = ["verify", "--windows", windows, stab_path, str(DATA / "one_stream.enc")]
+            assert run(argv) == (3, self.REJECTED)
+
+    def test_info(self, tmp_path):
+        assert run(["info", str(DATA / "wide_f4.stab")]) == (
+            3,
+            "n=1 k=-1 r=2 m=0 symplectic=violated\nviolation witness at (1,2): 1\n",
+        )
+        assert run(["info", write(tmp_path, "square.stab", self.SQUARE_FIRST)]) == (
+            3,
+            "n=1 k=-1 r=2 m=0 symplectic=ok\nrejected: r < n violated (r=2, n=1)\n",
+        )
+
+
 class TestGoldenTranscripts:
     """Output byte for byte as committed in tests/data.  rate_third is the
     worked example, and rate_third_cut.enc its encoder without the last

@@ -2,33 +2,30 @@
 
 Thirteen plain result records are NamedTuples; the four types that check
 their fields or cache derived values (GateTemplate, Circuit,
-StabilizerMatrix, ElementaryColOp) are hand-written immutable classes.
-Either way a record cannot be assigned to, and records with equal fields
-are equal and hash alike."""
+StabilizerMatrix, ElementaryColOp) derive from `qconvenc.matrix.Record`,
+which writes their immutability, equality, cached hash and repr once from
+each class's `_fields`.  Either way a record cannot be assigned to, and
+records with equal fields are equal and hash alike."""
+
+import copy
+import importlib
+import inspect
+import pickle
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qconvenc
 from helpers import L, rate_third_code
 from qconvenc.gates import CNOT, CSIGN, Circuit, GateTemplate, H, P, PL, _template, depth_schedule, reverse
-from qconvenc.poly import is_symmetric
+from qconvenc.matrix import Record
+from qconvenc.poly import LaurentPoly, Poly, is_symmetric
 from qconvenc.smith import ElementaryColOp, smith
 from qconvenc.stabilizer import F4Poly, StabilizerMatrix, check_symplectic, params
 from qconvenc.synthesis import synthesize
 from qconvenc.verify import PauliVector, _seed_walk, image_reach, propagation_report, verify_encoder
-
-# the fields of the hand-written classes, in constructor order
-CLASS_FIELDS = {
-    GateTemplate: ("kind", "i", "j", "ell"),
-    Circuit: ("n", "templates"),
-    StabilizerMatrix: ("n", "r", "x", "z"),
-    ElementaryColOp: ("kind", "i", "j", "f"),
-}
-
-
-def fields(record) -> tuple[str, ...]:
-    return CLASS_FIELDS.get(type(record)) or record._fields
 
 
 def worked_records() -> list:
@@ -60,6 +57,7 @@ def worked_records() -> list:
 
 
 RECORDS = worked_records()
+CHECKED = [r for r in RECORDS if isinstance(r, Record)]
 
 
 def test_every_record_type_is_covered():
@@ -68,7 +66,7 @@ def test_every_record_type_is_covered():
 
 @pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
 def test_assigning_a_field_raises(record):
-    for name in fields(record):
+    for name in record._fields:
         before = getattr(record, name)
         with pytest.raises(AttributeError):
             setattr(record, name, before)
@@ -79,7 +77,7 @@ def test_assigning_a_field_raises(record):
 
 @pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
 def test_equal_fields_equal_records(record):
-    twin = type(record)(*(getattr(record, name) for name in fields(record)))
+    twin = type(record)(*(getattr(record, name) for name in record._fields))
     assert twin is not record
     assert twin == record and not twin != record
     assert hash(twin) == hash(record)
@@ -128,3 +126,49 @@ def test_equal_circuits_share_the_seed_walk_memo():
     assert image_reach(c) == image_reach(twin)
     info = _seed_walk.cache_info()
     assert (info.hits, info.misses) == (1, 1)
+
+
+def test_only_the_base_and_the_polynomials_define_setattr():
+    names = {p.stem for p in Path(qconvenc.__file__).parent.glob("*.py")} - {"__init__", "__main__"}
+    classes = {
+        cls
+        for name in names
+        for _, cls in inspect.getmembers(importlib.import_module(f"qconvenc.{name}"), inspect.isclass)
+        if cls.__module__.startswith("qconvenc.")
+    }
+    assert {cls for cls in classes if "__setattr__" in vars(cls)} == {Record, Poly, LaurentPoly}
+
+
+@pytest.mark.parametrize("record", [*CHECKED, GateTemplate(H, 1)], ids=lambda r: type(r).__name__)
+def test_a_record_never_equals_a_tuple_of_its_fields(record):
+    values = tuple(getattr(record, name) for name in record._fields)
+    assert record != values and not record == values
+
+
+@pytest.mark.parametrize("record", CHECKED, ids=lambda r: type(r).__name__)
+def test_copies_rebuild_from_the_fields(record):
+    hash(record)
+    twins = [copy.copy(record)]
+    if isinstance(record, (GateTemplate, Circuit)):
+        # LaurentPoly entries do not pickle, so only these two records do
+        twins.append(pickle.loads(pickle.dumps(record)))
+    for twin in twins:
+        # string hashes differ between processes: the cached hash stays home
+        assert "_hash" not in vars(twin)
+        assert twin == record and hash(twin) == hash(record) and repr(twin) == repr(record)
+
+
+def test_the_hash_is_kept_after_the_first_call(monkeypatch):
+    c = Circuit(4, [_template(CNOT, 1 + k % 3, 4, k) for k in range(1000)])
+    calls = []
+    record_hash = Record.__hash__
+
+    def counting(g):
+        calls.append(g)
+        return record_hash(g)
+
+    monkeypatch.setattr(GateTemplate, "__hash__", counting)
+    first = hash(c)
+    assert len(calls) == 1000 and vars(c)["_hash"] == first
+    calls.clear()
+    assert hash(c) == first and calls == []

@@ -410,6 +410,13 @@ class TestVerifyEncoder:
         with pytest.raises(PreconditionError):
             verify_encoder(s, Circuit(2), 10)
 
+    def test_more_generators_than_streams(self):
+        # the subcode (0 | I 0) has no stream for generator 2: its seeds
+        # would land in the next block, or past the window
+        s = stab(1, [(["1"], ["0"]), (["0"], ["1"])])
+        with pytest.raises(PreconditionError, match="r=2, n=1"):
+            verify_encoder(s, Circuit(1), 40)
+
     def test_window_too_small(self):
         s = rate_third_code()
         res = synthesize(s)

@@ -104,6 +104,11 @@ class Poly:
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
+    def __reduce__(self):
+        # copies and pickles rebuild through the constructor, not by setting
+        # the slot, which __setattr__ forbids
+        return Poly, (self.bits,)
+
     @classmethod
     def zero(cls) -> "Poly":
         return cls(0)
@@ -199,6 +204,9 @@ class LaurentPoly:
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
+
+    def __reduce__(self):
+        return LaurentPoly, (self.offset, self.bits)
 
     # -- constructors ------------------------------------------------------
 

@@ -43,9 +43,13 @@ from .gates import (
     swap_templates,
 )
 from .matrix import freeze, identity, thaw, zeros
-from .poly import LaurentPoly, Poly, laurent_div, max_span, symmetric_decompose
+from .poly import LaurentPoly, Poly, _mul_bits, laurent_div, max_span, symmetric_decompose
 from .smith import ElementaryColOp, RowOp, apply_row_op, row_divisibility_check, smith
 from .stabilizer import StabilizerMatrix, format_sides, params, validate_code
+
+# ASCII digits "0" and "1" to series bits, and back
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
+_ASCII_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 class GammaClass(NamedTuple):
@@ -55,7 +59,7 @@ class GammaClass(NamedTuple):
     shift:  gamma = D^l leaves the first l blocks unconstrained.
     proper: a true subcode row; the ignored periodic states are reported as
             the power-series head of 1/gamma over one period, the order of D
-            modulo gamma's body, found by the long division that emits it.
+            modulo gamma's body, read off the series itself.
     """
 
     value: LaurentPoly
@@ -72,10 +76,12 @@ class GammaClass(NamedTuple):
                 f"shift l={self.shift}: first {self.shift} block(s) free, "
                 "input constrained to |0> thereafter"
             )
-        head = ",".join(str(b) for b in self.series)
+        # the digits go into every other byte of a comma-filled buffer
+        head = bytearray(b",") * (2 * self.period - 1)
+        head[::2] = bytes(self.series).translate(_ASCII_DIGITS)
         return (
             f"proper: subcode row; ignored periodic states 1/({self.value}) = "
-            f"{head},... (period {self.period})"
+            f"{head.decode()},... (period {self.period})"
         )
 
 
@@ -411,23 +417,31 @@ def classify(gamma: Sequence[LaurentPoly]) -> tuple[GammaClass, ...]:
 
 
 def _period_series(body: int) -> tuple[int, tuple[int, ...]]:
-    """The period of the power series of 1/body and its bits over one period.
+    """The period of the power series of 1/body and its bits over one period,
+    for a body of degree >= 1.
 
-    Each long-division step emits the state's constant bit and multiplies the
-    state by D^-1 modulo body, a permutation of the residues when body has
-    constant term 1: the state, started at 1, comes back to 1 after exactly
-    the multiplicative order of D, the period of the series."""
+    The series is built by doubling: if s is 1/body mod D^k, then
+    body*s = 1 + D^k*rem, and the next k bits are rem*s mod D^k.  Body has
+    constant term 1, so the series is purely periodic and its bits obey the
+    recurrence of body: any deg(body) consecutive bits fix all that follow.
+    The period, the multiplicative order of D modulo body and never below
+    deg(body), is therefore the first offset >= 1 where the leading
+    deg(body) bits recur."""
     if not body & 1:
         raise ZeroDivisionError(f"1/({Poly(body)}) is not a power series")
-    state, out = 1, []
+    d = body.bit_length() - 1
+    s, k = 1, 1
     while True:
-        c = state & 1
-        if c:
-            state ^= body
-        state >>= 1
-        out.append(c)
-        if state == 1:
-            return len(out), tuple(out)
+        rem = _mul_bits(body, s) >> k
+        s |= (_mul_bits(rem, s) & ((1 << k) - 1)) << k
+        k <<= 1
+        # a match needs period + d bits, and the period is at least d
+        if k >= 2 * d:
+            # text[i] is the bit of D^i; the bit set at D^k keeps the high zeros
+            text = format(s | 1 << k, "b")[:0:-1]
+            period = text.find(text[:d], 1)
+            if period > 0:
+                return period, tuple(text[:period].encode().translate(_BITS))
 
 
 def subcode_for(n: int, r: int) -> StabilizerMatrix:

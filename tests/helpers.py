@@ -620,6 +620,27 @@ def reference_order_of_d(body: Poly) -> int:
     raise AssertionError(f"no multiplicative order found for {body}")
 
 
+def reference_period_series(body: int) -> tuple[int, tuple[int, ...]]:
+    """The period of the power series of 1/body and its bits over one period,
+    by long division one bit at a time.
+
+    Each step emits the state's constant bit and multiplies the state by
+    D^-1 modulo body, a permutation of the residues when body has constant
+    term 1: the state, started at 1, comes back to 1 after exactly the
+    multiplicative order of D, the period of the series."""
+    if not body & 1:
+        raise ZeroDivisionError(f"1/({Poly(body)}) is not a power series")
+    state, out = 1, []
+    while True:
+        c = state & 1
+        if c:
+            state ^= body
+        state >>= 1
+        out.append(c)
+        if state == 1:
+            return len(out), tuple(out)
+
+
 def divisor_bodies(seed: int = 4004) -> list[Poly]:
     """Every polynomial of degree 1 to 8 with constant term 1, then 100 seeded
     ones of degree 9 to 14: half drawn at random, half products f^e * g with

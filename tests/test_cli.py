@@ -346,7 +346,9 @@ class TestGoldenTranscripts:
     pivots.  span_fallback, under --max-span 12, has a CSIGN run whose
     update would span past the limit: the run replays template by template
     and stops with the span of the first template to overflow (13; the
-    fused product would report 14)."""
+    fused product would report 14).  primitive13 has one primitive divisor of
+    degree 13, whose ignored periodic states are printed over the full
+    period of 8191 bits."""
 
     @pytest.mark.parametrize(
         "argv, golden, exit_code",
@@ -359,6 +361,7 @@ class TestGoldenTranscripts:
             (["verify", "--windows", "7,14,28", "proper.stab", "proper.enc"], "proper_verify.txt", 0),
             (["synth", "--checkpoints", "ladder8.stab"], "ladder8_synth_checkpoints.txt", 0),
             (["--max-span", "12", "synth", "span_fallback.stab"], "span_fallback_synth.txt", 4),
+            (["synth", "primitive13.stab"], "primitive13_synth.txt", 0),
         ],
     )
     def test_transcript(self, argv, golden, exit_code):

@@ -23,9 +23,11 @@ from qconvenc.gates import CNOT, CSIGN, Circuit, GateTemplate, H, P, PL, _templa
 from qconvenc.matrix import Record
 from qconvenc.poly import LaurentPoly, Poly, is_symmetric
 from qconvenc.smith import ElementaryColOp, smith
-from qconvenc.stabilizer import F4Poly, StabilizerMatrix, check_symplectic, params
+from qconvenc.stabilizer import F4Poly, StabilizerMatrix, check_symplectic, params, parse_stabilizer
 from qconvenc.synthesis import synthesize
 from qconvenc.verify import PauliVector, _seed_walk, image_reach, propagation_report, verify_encoder
+
+DATA = Path(__file__).parent / "data"
 
 
 def worked_records() -> list:
@@ -148,14 +150,26 @@ def test_a_record_never_equals_a_tuple_of_its_fields(record):
 @pytest.mark.parametrize("record", CHECKED, ids=lambda r: type(r).__name__)
 def test_copies_rebuild_from_the_fields(record):
     hash(record)
-    twins = [copy.copy(record)]
-    if isinstance(record, (GateTemplate, Circuit)):
-        # LaurentPoly entries do not pickle, so only these two records do
-        twins.append(pickle.loads(pickle.dumps(record)))
+    twins = [copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))]
     for twin in twins:
         # string hashes differ between processes: the cached hash stays home
         assert "_hash" not in vars(twin)
         assert twin == record and hash(twin) == hash(record) and repr(twin) == repr(record)
+
+
+def parsed_values() -> list:
+    """A Poly, a LaurentPoly, and two records whose fields hold Laurent
+    polynomials: a parsed StabilizerMatrix and a column-add ElementaryColOp."""
+    s = parse_stabilizer((DATA / "proper.stab").read_text())
+    col_op = next(op for op in smith(s.z).col_ops if op.kind == "add")
+    return [Poly(0b1011), L("D^-3+1+D^5"), s, col_op]
+
+
+@pytest.mark.parametrize("value", parsed_values(), ids=lambda v: type(v).__name__)
+def test_polynomial_values_copy_and_pickle(value):
+    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(twin) is type(value)
+        assert twin == value and hash(twin) == hash(value) and repr(twin) == repr(value)
 
 
 def test_the_hash_is_kept_after_the_first_call(monkeypatch):

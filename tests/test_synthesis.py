@@ -2,6 +2,8 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     L,
@@ -10,6 +12,7 @@ from helpers import (
     rate_third_code,
     RationalFn,
     reference_order_of_d,
+    reference_period_series,
     series_head,
     stab,
     z_only_identity_code,
@@ -28,6 +31,7 @@ from qconvenc.poly import LaurentPoly, Poly
 from qconvenc.smith import RowOp
 from qconvenc.stabilizer import check_symplectic, params
 from qconvenc.synthesis import (
+    _period_series,
     build_report,
     classify,
     replay,
@@ -272,3 +276,55 @@ class TestClassify:
     def test_zero_divisor_raises(self):
         with pytest.raises(ZeroDivisionError):
             classify([LaurentPoly.zero()])
+
+
+def repeated_factor_bodies() -> list[int]:
+    """(1+D)^k for k <= 9, 1 + D^d for d <= 16, and products of factors of
+    different orders, some repeated."""
+    one_plus_d = Poly(0b11)
+    bodies, acc = [], Poly.one()
+    for _ in range(9):
+        acc = acc * one_plus_d
+        bodies.append(acc.bits)
+    bodies += [(1 << d) | 1 for d in range(1, 17)]
+    # orders 1, 3, 7, 5 and 15 (1+D+D^4 is primitive)
+    factors = [Poly(b) for b in (0b11, 0b111, 0b1011, 0b11111, 0b10011)]
+    for i, f in enumerate(factors):
+        for g in factors[i + 1:]:
+            bodies += [(f * g).bits, (f * f * g).bits, (f * g * g * g).bits]
+    return bodies
+
+
+def odd_bodies(max_degree: int):
+    """Polynomial bodies of degree 1 to max_degree with constant term 1."""
+    return st.integers(1, max_degree).flatmap(
+        lambda d: st.builds(lambda mid: (1 << d) | (mid << 1) | 1, st.integers(0, (1 << (d - 1)) - 1))
+    )
+
+
+class TestPeriodSeries:
+    """`_period_series` against the bit-by-bit long division it replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(odd_bodies(16))
+    def test_matches_the_long_division(self, body):
+        assert _period_series(body) == reference_period_series(body)
+
+    @pytest.mark.parametrize("body", repeated_factor_bodies(), ids=lambda b: str(Poly(b)))
+    def test_repeated_factors(self, body):
+        assert _period_series(body) == reference_period_series(body)
+
+    @pytest.mark.parametrize("body", [0, 0b10, 0b110, 0b1011 << 3])
+    def test_even_body_raises(self, body):
+        with pytest.raises(ZeroDivisionError):
+            _period_series(body)
+
+    @settings(max_examples=100, deadline=None)
+    @given(odd_bodies(12), st.integers(-3, 3))
+    def test_describe_joins_the_series(self, body, offset):
+        (cls,) = classify([LaurentPoly(offset, body)])
+        head = ",".join(map(str, cls.series))
+        assert cls.describe() == (
+            f"proper: subcode row; ignored periodic states 1/({cls.value}) = "
+            f"{head},... (period {cls.period})"
+        )

@@ -50,6 +50,10 @@ from .stabilizer import StabilizerMatrix, format_sides, params, validate_code
 # ASCII digits "0" and "1" to series bits, and back
 _BITS = bytes.maketrans(b"01", b"\x00\x01")
 _ASCII_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+# series bits that `_period_series` finds one at a time before it doubles:
+# a period this short ends the walk, which costs less than the doubling
+# rounds and string searches it replaces
+_WALK_BITS = 64
 
 
 class GammaClass(NamedTuple):
@@ -420,19 +424,32 @@ def _period_series(body: int) -> tuple[int, tuple[int, ...]]:
     """The period of the power series of 1/body and its bits over one period,
     for a body of degree >= 1.
 
-    The series is built by doubling: if s is 1/body mod D^k, then
-    body*s = 1 + D^k*rem, and the next k bits are rem*s mod D^k.  Body has
-    constant term 1, so the series is purely periodic and its bits obey the
-    recurrence of body: any deg(body) consecutive bits fix all that follow.
-    The period, the multiplicative order of D modulo body and never below
-    deg(body), is therefore the first offset >= 1 where the leading
-    deg(body) bits recur."""
+    The first `_WALK_BITS` bits come from the long division one bit at a
+    time: each step emits the state's constant bit and multiplies the state
+    by D^-1 modulo body, a permutation of the residues when body has
+    constant term 1, so the state, started at 1, is 1 again after exactly
+    the period.  A shorter period ends there.  Otherwise the series is
+    extended by doubling: if s is 1/body mod D^k, then body*s = 1 + D^k*rem
+    (rem is the walk's state), and the next k bits are rem*s mod D^k.  The
+    series is purely periodic and its bits obey the recurrence of body: any
+    deg(body) consecutive bits fix all that follow.  The period, the
+    multiplicative order of D modulo body and never below deg(body), is
+    therefore the first offset >= 1 where the leading deg(body) bits
+    recur."""
     if not body & 1:
         raise ZeroDivisionError(f"1/({Poly(body)}) is not a power series")
     d = body.bit_length() - 1
-    s, k = 1, 1
+    rem, s = 1, 0
+    for k in range(_WALK_BITS):
+        if rem & 1:
+            s |= 1 << k
+            rem ^= body
+        rem >>= 1
+        if rem == 1:
+            # the bit set above the head keeps its high zeros
+            return k + 1, tuple(format(s | 2 << k, "b")[:0:-1].encode().translate(_BITS))
+    k = _WALK_BITS
     while True:
-        rem = _mul_bits(body, s) >> k
         s |= (_mul_bits(rem, s) & ((1 << k) - 1)) << k
         k <<= 1
         # a match needs period + d bits, and the period is at least d
@@ -442,6 +459,9 @@ def _period_series(body: int) -> tuple[int, tuple[int, ...]]:
             period = text.find(text[:d], 1)
             if period > 0:
                 return period, tuple(text[:period].encode().translate(_BITS))
+        # only the top d bits of s reach past D^k in body*s
+        top = max(k - d, 0)
+        rem = _mul_bits(body, s >> top) >> k - top
 
 
 def subcode_for(n: int, r: int) -> StabilizerMatrix:

@@ -10,7 +10,7 @@ starts at block 0).
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import islice
+from itertools import islice, repeat
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import PreconditionError, WindowTooSmallError
@@ -51,58 +51,132 @@ class PauliVector(NamedTuple):
 _BATCH_BITS = 1 << 20
 
 
+def _lane_bytes(c: Circuit, blocks: int) -> int:
+    """Bytes per lane: the window's n*blocks bits followed by a guard of at
+    least n*memory bits, padded to whole bytes."""
+    return (c.n * (blocks + c.memory) + 7) // 8
+
+
+def _batch_lanes(lane_bytes: int) -> int:
+    """Lanes in a full batch."""
+    return max(1, _BATCH_BITS // (8 * lane_bytes))
+
+
+def _conjugate_lanes(c: Circuit, blocks: int, lanes: int, x: int, z: int) -> tuple[int, int]:
+    """Conjugate one packed batch of window seeds: `lanes` lanes of
+    `_lane_bytes` each, lane j at bit 8*lane_bytes*j of one X int and one Z
+    int.  Returns the images packed the same way.
+
+    Each column update of a template moves all its in-window instances in
+    every lane at once: the source column's bits are masked out of one
+    side, shifted by k blocks onto the destination column and XORed in.  No
+    update shifts by more than memory blocks, so a bit that leaves its
+    window lands in a guard (its own lane's, or the lane below's).  Source
+    masks never read a guard, and guards are cleared before the images are
+    returned, so what lands there is dropped: the open boundary.  Templates
+    apply in list order; the instances of one template commute, so their
+    order is immaterial.  The map is GF(2)-linear, boundary included.
+    """
+    n = c.n
+    columns, windows = _lane_masks(n, blocks, _lane_bytes(c, blocks), lanes)
+    sides = [x, z]
+    for g in c.templates:
+        for dst_side, dst, src_side, src, k in g.updates:
+            moved = sides[src_side] & columns[src]
+            step = k * n + dst - src
+            sides[dst_side] ^= moved << step if step >= 0 else moved >> -step
+    return sides[0] & windows, sides[1] & windows
+
+
+@lru_cache(maxsize=1)
+def _lane_masks(n: int, blocks: int, lane_bytes: int, lanes: int) -> tuple[tuple[int, ...], int]:
+    """Column masks and the window mask over `lanes` lanes; kept for the
+    next batch of the same width, at most n + 1 batch widths of bits."""
+    window = (1 << n * blocks) - 1
+    # column q of every lane is the first column's mask shifted by q
+    first_column = int.from_bytes(
+        (window // ((1 << n) - 1)).to_bytes(lane_bytes, "little") * lanes, "little"
+    )
+    windows = int.from_bytes(window.to_bytes(lane_bytes, "little") * lanes, "little")
+    return tuple(first_column << q for q in range(n)), windows
+
+
+def _pack(seeds: Sequence[tuple[int, int]], lane_bytes: int) -> tuple[int, int]:
+    """(x, z) seed pairs packed one lane each, in order."""
+    x, z = (
+        int.from_bytes(b"".join(bits.to_bytes(lane_bytes, "little") for bits in part), "little")
+        for part in zip(*seeds)
+    )
+    return x, z
+
+
+def _slices(packed: bytes, lane_bytes: int, every: int = 1) -> Iterator[bytes]:
+    """Every `every`-th lane of a packed side's bytes, from lane 0 on; the
+    loop runs in C."""
+    stride = every * lane_bytes
+    starts = range(0, len(packed), stride)
+    stops = range(lane_bytes, len(packed) + lane_bytes, stride)
+    return map(packed.__getitem__, map(slice, starts, stops))
+
+
+def _lanes(side: int, lanes: int, lane_bytes: int) -> Iterator[int]:
+    """The lanes of one packed side, in order."""
+    packed = side.to_bytes(lanes * lane_bytes, "little")
+    return map(int.from_bytes, _slices(packed, lane_bytes), repeat("little"))
+
+
 def _lane_images(
     c: Circuit, blocks: int, seeds: Iterable[tuple[int, int]]
 ) -> Iterator[tuple[int, int]]:
     """Conjugate a stream of window seeds, each an (x, z) pair of n*blocks
-    bits, yielding each image in order as the same kind of pair.
-
-    A batch of seeds is packed into one X int and one Z int, one lane per
-    seed.  A lane is the window's n*blocks bits followed by a guard of at
-    least n*memory bits, padded to whole bytes.  Each column update of a
-    template then moves all its in-window instances in every lane at once:
-    the source column's bits are masked out of one side, shifted by k blocks
-    onto the destination column and XORed in.  No update shifts by more
-    than memory blocks, so a bit that leaves its window lands in a guard
-    (its own lane's, or the lane below's).  Source masks never read a
-    guard, and guards are cleared before unpacking, so what lands there is
-    dropped: the open boundary.  Templates apply in list order; the
-    instances of one template commute, so their order is immaterial.  The
-    map is GF(2)-linear, boundary included.
-    """
-    n = c.n
-    lane_bytes = (n * (blocks + c.memory) + 7) // 8
-    lanes = max(1, _BATCH_BITS // (8 * lane_bytes))
-    window = (1 << n * blocks) - 1
-    first_column = window // ((1 << n) - 1)
-    lane_window = window.to_bytes(lane_bytes, "little")
-    lane_columns = [(first_column << q).to_bytes(lane_bytes, "little") for q in range(n)]
-    columns: list[int] = []
+    bits, yielding each image in order as the same kind of pair: the seeds
+    are packed one lane each, a batch at a time, for `_conjugate_lanes`."""
+    lane_bytes = _lane_bytes(c, blocks)
     seeds = iter(seeds)
-    while batch := list(islice(seeds, lanes)):
-        if not columns:
-            # masks sized by the first batch, the widest
-            windows = int.from_bytes(lane_window * len(batch), "little")
-            columns = [int.from_bytes(col * len(batch), "little") for col in lane_columns]
-        sides = [
-            int.from_bytes(b"".join(bits.to_bytes(lane_bytes, "little") for bits in part), "little")
-            for part in zip(*batch)
-        ]
-        for g in c.templates:
-            for dst_side, dst, src_side, src, k in g.updates:
-                moved = sides[src_side] & columns[src]
-                step = k * n + dst - src
-                sides[dst_side] ^= moved << step if step >= 0 else moved >> -step
-        size = len(batch) * lane_bytes
-        xs, zs = (memoryview((side & windows).to_bytes(size, "little")) for side in sides)
-        for at in range(0, size, lane_bytes):
-            lane = slice(at, at + lane_bytes)
-            yield int.from_bytes(xs[lane], "little"), int.from_bytes(zs[lane], "little")
+    while batch := list(islice(seeds, _batch_lanes(lane_bytes))):
+        x, z = _conjugate_lanes(c, blocks, len(batch), *_pack(batch, lane_bytes))
+        yield from zip(_lanes(x, len(batch), lane_bytes), _lanes(z, len(batch), lane_bytes))
+
+
+def _series(unit: int, count: int, step: int) -> int:
+    """`count` copies of `unit`, `step` bits apart, for a unit narrower than
+    step: unit * ((1 << count*step) - 1) // ((1 << step) - 1), built by
+    doubling from the top bit of count down, since the long division costs
+    the product of the two widths."""
+    bits, terms = unit, 1
+    for digit in bin(count)[3:]:
+        bits |= bits << terms * step
+        terms <<= 1
+        if digit == "1":
+            bits = bits << step | unit
+            terms += 1
+    return bits
+
+
+def _unit_seeds(lane_bytes: int, first: int, count: int) -> tuple[int, int]:
+    """The X and Z unit seeds of window qubits first .. first + count - 1,
+    packed as `_pack` packs them in the order X, Z of each qubit: lane 2k
+    holds the X seed of qubit first + k at bit (2*lane_bits + 1)*k + first,
+    and lane 2k + 1 its Z seed, one lane higher."""
+    lane_bits = 8 * lane_bytes
+    x = _series(1, count, 2 * lane_bits + 1) << first
+    return x, x << lane_bits
+
+
+def _subcode_seeds(n: int, r: int, lane_bytes: int, first: int, count: int) -> tuple[int, int]:
+    """The Z seeds of the subcode (0 | I 0) placements (gen, t), generator
+    gen at shift t a single Z on window qubit t*n + gen, for the shifts
+    first .. first + count - 1, packed as `_pack` packs them in the order
+    of t, then gen: the r seeds of shift `first` repeated every r lanes and
+    n qubits, so r interleaved series."""
+    lane_bits = 8 * lane_bytes
+    unit = sum(1 << gen * (lane_bits + 1) for gen in range(r))
+    return 0, _series(unit, count, r * lane_bits + n) << first * n
 
 
 def conjugate(c: Circuit, blocks: int, p: PauliVector) -> PauliVector:
     """Propagate a Pauli through every in-window instance of every template:
-    the lane kernel `_lane_images` on one lane."""
+    the lane kernel `_conjugate_lanes` on one lane, packed by `_lane_images`."""
     if p.n != c.n or p.blocks != blocks:
         raise ValueError("Pauli vector does not match the window")
     if blocks < c.memory + 1:
@@ -131,25 +205,37 @@ class PropagationReport(NamedTuple):
     margin: int
 
 
-def _seed_max(images: Iterator[tuple[int, int]]) -> int:
-    """Max support over consecutive (X image, Z image) pairs of one seed
-    position and their XOR, the Y image: conjugation is linear."""
-    best = 0
-    for (xx, xz), (zx, zz) in zip(images, images):
-        y = (xx ^ zx) | (xz ^ zz)
-        best = max(best, int.bit_count(xx | xz), int.bit_count(zx | zz), int.bit_count(y))
-    return best
+def _pair_max(x: int, z: int, lane_bytes: int, pairs: int) -> int:
+    """Max X, Z or Y support over packed seed pairs, guards cleared: lane 2k
+    holds the image of an X seed and lane 2k + 1 that of the Z seed on the
+    same qubit.  The Y image is their XOR (conjugation is linear), so one
+    fold of every lane onto the lane below gives all Y images at once, in
+    the even lanes."""
+    lane_bits = 8 * lane_bytes
+    size = 2 * pairs * lane_bytes
+    either = (x | z).to_bytes(size, "little")
+    y = ((x ^ x >> lane_bits) | (z ^ z >> lane_bits)).to_bytes(size, "little")
+    # a lane's support is its bit count, in either byte order
+    counts = (
+        map(int.bit_count, map(int.from_bytes, lanes, repeat("big")))
+        for lanes in (_slices(either, lane_bytes), _slices(y, lane_bytes, 2))
+    )
+    return max(max(side, default=0) for side in counts)
 
 
 def _interior_max(c: Circuit, blocks: int, margin: int) -> int:
     """Max image support over the X, Z and Y seeds of the interior qubits;
-    only the X and Z seeds are conjugated."""
-    seeds = (
-        seed
-        for pos in range(margin * c.n, (blocks - margin) * c.n)
-        for seed in ((1 << pos, 0), (0, 1 << pos))
-    )
-    return _seed_max(_lane_images(c, blocks, seeds))
+    only the X and Z seeds are conjugated, packed by `_unit_seeds`."""
+    lane_bytes = _lane_bytes(c, blocks)
+    # the X and Z seeds of one qubit share a batch
+    per_batch = max(1, _batch_lanes(lane_bytes) // 2)
+    stop = (blocks - margin) * c.n
+    best = 0
+    for first in range(margin * c.n, stop, per_batch):
+        count = min(per_batch, stop - first)
+        x, z = _conjugate_lanes(c, blocks, 2 * count, *_unit_seeds(lane_bytes, first, count))
+        best = max(best, _pair_max(x, z, lane_bytes, count))
+    return best
 
 
 @lru_cache(maxsize=1)
@@ -159,8 +245,9 @@ def _seed_walk(c: Circuit, limit: int) -> tuple[int, int, int]:
     unit seeds, pushed once through the exact polynomial action.  Each row
     is the image of one seed that no boundary clips (exponent e is block
     offset e); it packs into one int per side, column q at q times the
-    images' common width.  `limit` is the span limit the push runs under,
-    so a lowered limit misses the memo and raises again."""
+    images' common width, and the rows pack into lanes as `_pair_max` reads
+    them.  `limit` is the span limit the push runs under, so a lowered
+    limit misses the memo and raises again."""
     x = thaw(identity(c.n) + zeros(c.n, c.n))
     z = thaw(zeros(c.n, c.n) + identity(c.n))
     for g in c.templates:
@@ -173,8 +260,9 @@ def _seed_walk(c: Circuit, limit: int) -> tuple[int, int, int]:
         [sum(e.bits << e.offset - lo + q * width for q, e in enumerate(row) if e) for row in side]
         for side in (x, z)
     )
-    best = _seed_max((xs[j], zs[j]) for q in range(c.n) for j in (q, c.n + q))
-    return max(0, -lo), max(0, hi), best
+    lane_bytes = (c.n * width + 7) // 8
+    rows = _pack([(xs[j], zs[j]) for q in range(c.n) for j in (q, c.n + q)], lane_bytes)
+    return max(0, -lo), max(0, hi), _pair_max(*rows, lane_bytes, c.n)
 
 
 def image_reach(c: Circuit) -> tuple[int, int]:
@@ -303,13 +391,27 @@ def verify_encoder(s: StabilizerMatrix, encoder: Circuit, blocks: int) -> Encode
             f"window {blocks} leaves no interior at margin {margin}"
         )
     basis = stabilizer_window_basis(s, blocks)
-    # the subcode (0 | I 0) places generator gen at shift as a single Z
-    placements = [(gen, t) for gen in range(s.r) for t in range(margin, blocks - margin)]
-    images = _lane_images(encoder, blocks, ((0, 1 << t * s.n + gen) for gen, t in placements))
+    lane_bytes = _lane_bytes(encoder, blocks)
+    # the r placements of one shift share a batch
+    per_batch = max(1, _batch_lanes(lane_bytes) // s.r)
     half = s.n * blocks
+    stop = blocks - margin
+    # lane (t - first)*r + gen of a batch holds placement (gen, t); the
+    # rows list generator by generator
+    spans: list[list[bool]] = [[] for _ in range(s.r)]
+    for first in range(margin, stop, per_batch):
+        count = min(per_batch, stop - first)
+        lanes = s.r * count
+        seeds = _subcode_seeds(s.n, s.r, lane_bytes, first, count)
+        x, z = _conjugate_lanes(encoder, blocks, lanes, *seeds)
+        images = zip(_lanes(x, lanes, lane_bytes), _lanes(z, lanes, lane_bytes))
+        found = [_gf2_in_span(basis, xl | zl << half) for xl, zl in images]
+        for gen, span in enumerate(spans):
+            span += found[gen :: s.r]
     rows = tuple(
-        RowCheck(gen, shift, _gf2_in_span(basis, x | z << half))
-        for (gen, shift), (x, z) in zip(placements, images)
+        RowCheck(gen, shift, ok)
+        for gen in range(s.r)
+        for shift, ok in zip(range(margin, stop), spans[gen])
     )
     return EncoderCheck(blocks, margin, rows)
 

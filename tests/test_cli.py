@@ -248,18 +248,19 @@ class TestVerify:
     def test_windows_are_only_the_given_sizes(self, tmp_path, monkeypatch):
         # the verdict reads polynomial images: verify builds no window of its own
         seen = []
-        kernel = verify._lane_images
+        kernel = verify._conjugate_lanes
 
-        def recording(c, blocks, seeds):
+        def recording(c, blocks, lanes, x, z):
             seen.append(blocks)
-            return kernel(c, blocks, seeds)
+            return kernel(c, blocks, lanes, x, z)
 
-        monkeypatch.setattr(verify, "_lane_images", recording)
+        monkeypatch.setattr(verify, "_conjugate_lanes", recording)
         stab_path = str(DATA / "rate_third.stab")
         assert run(["verify", "--windows", "5,10,20", stab_path, str(DATA / "rate_third.enc")])[0] == 0
         circ_path = write(tmp_path, "c.circ", "n=3\n" + "CNOT c=1 t=2 off=7\n" * 40)
         assert run(["verify", "--windows", "8,16", stab_path, circ_path])[0] == 5
-        assert set(seen) == {5, 10, 20, 8, 16}
+        # at memory 7 the 8-block window has no interior: no seed to conjugate
+        assert set(seen) == {5, 10, 20, 16}
 
     @pytest.mark.parametrize(
         "options, stabilizer, circuit, windows, message",
@@ -343,7 +344,10 @@ class TestGoldenTranscripts:
     reduction, PL gates and CNOT/CSIGN runs; proper.enc is its encoder.
     ladder8 is a gate-built n=8 code whose synthesis applies multi-term
     CNOT and CSIGN runs as single polynomial updates and reuses Smith
-    pivots.  span_fallback, under --max-span 12, has a CSIGN run whose
+    pivots; ladder8.enc is its encoder (76 templates, memory 10), verified
+    at windows 11, 22 and 44 with a round-trip margin of 10, so the table's
+    first row has no interior and the round trip checks all six
+    generators on two windows.  span_fallback, under --max-span 12, has a CSIGN run whose
     update would span past the limit: the run replays template by template
     and stops with the span of the first template to overflow (13; the
     fused product would report 14).  primitive13 has one primitive divisor of
@@ -362,6 +366,7 @@ class TestGoldenTranscripts:
             (["synth", "--checkpoints", "ladder8.stab"], "ladder8_synth_checkpoints.txt", 0),
             (["--max-span", "12", "synth", "span_fallback.stab"], "span_fallback_synth.txt", 4),
             (["synth", "primitive13.stab"], "primitive13_synth.txt", 0),
+            (["verify", "--windows", "11,22,44", "ladder8.stab", "ladder8.enc"], "ladder8_verify.txt", 0),
         ],
     )
     def test_transcript(self, argv, golden, exit_code):

@@ -1,8 +1,11 @@
 """Property tests: the circuit text format round trip, the symmetric
 quotient against the y-basis reference, Laurent arithmetic against its
 exponent-set reference, the synthesis driver's fused template runs
-against their template-by-template replay, and the polynomial seed images
-of `gates.act` against the window kernel."""
+against their template-by-template replay, the polynomial seed images
+of `gates.act` against the window kernel, and the window kernel's packed
+unit and subcode seeds against its per-seed packing."""
+
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +18,7 @@ from qconvenc.matrix import identity, thaw, zeros
 from qconvenc.poly import LaurentPoly, set_max_span
 from qconvenc.stabilizer import StabilizerMatrix
 from qconvenc.synthesis import _Driver, _symmetric_quotient
-from qconvenc.verify import _lane_images
+from qconvenc.verify import _lane_bytes, _lane_images, _pack, _subcode_seeds, _unit_seeds
 
 # reproducible runs that leave no example database behind
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=300)
@@ -228,3 +231,74 @@ def test_act_seed_images_match_the_window_kernel(c):
     centre = reach * n
     seeds = [(1 << centre + q, 0) for q in range(n)] + [(0, 1 << centre + q) for q in range(n)]
     assert list(_lane_images(c, 2 * reach + 1, seeds)) == want
+
+
+# -- packed seeds against the per-seed packing ---------------------------------
+
+
+@st.composite
+def seed_runs(draw) -> tuple[int, int, int, int]:
+    """(n, lane_bytes, blocks, margin): a window, its lane width and an
+    interior margin that leaves at least one block.  Memory-0 windows of a
+    whole number of bytes have lanes with no guard."""
+    n = draw(st.integers(1, 6))
+    memory = draw(st.integers(0, 3))
+    if memory == 0 and draw(st.booleans()):
+        blocks = 8 // gcd(n, 8) * draw(st.integers(1, 3))
+    else:
+        blocks = draw(st.integers(memory + 1, memory + 12))
+    c = Circuit(n, (GateTemplate(PL, 1, 0, memory),) if memory else ())
+    margin = draw(st.integers(0, min(memory, (blocks - 1) // 2)))
+    return n, _lane_bytes(c, blocks), blocks, margin
+
+
+def _run(draw, lo: int, hi: int) -> tuple[int, int]:
+    """(first, count): a run of positions in [lo, hi), often a single one or
+    one that starts at lo or ends at hi."""
+    count = draw(st.one_of(st.just(1), st.integers(1, hi - lo)))
+    first = draw(st.one_of(st.just(lo), st.just(hi - count), st.integers(lo, hi - count)))
+    return first, count
+
+
+@PROPERTY
+@given(seed_runs(), st.data())
+def test_unit_seeds_pack_as_the_per_seed_lanes(window, data):
+    """Lane 2k holds the X seed of qubit first + k and lane 2k + 1 its Z
+    seed, bit for bit as `_pack` lays out the seeds one by one."""
+    n, lane_bytes, blocks, margin = window
+    first, count = _run(data.draw, margin * n, (blocks - margin) * n)
+    seeds = [seed for q in range(first, first + count) for seed in ((1 << q, 0), (0, 1 << q))]
+    assert _unit_seeds(lane_bytes, first, count) == _pack(seeds, lane_bytes)
+
+
+@PROPERTY
+@given(seed_runs(), st.data())
+def test_subcode_seeds_pack_as_the_per_placement_lanes(window, data):
+    """Lane (t - first)*r + gen holds the subcode placement (gen, t), a
+    single Z on qubit t*n + gen, bit for bit as `_pack` lays them out."""
+    n, lane_bytes, blocks, margin = window
+    r = data.draw(st.integers(1, n))
+    first, count = _run(data.draw, margin, blocks - margin)
+    seeds = [(0, 1 << t * n + gen) for t in range(first, first + count) for gen in range(r)]
+    assert _subcode_seeds(n, r, lane_bytes, first, count) == _pack(seeds, lane_bytes)
+
+
+@pytest.mark.parametrize(
+    "n, blocks, memory",
+    [(8, 3, 0), (4, 2, 0), (1, 8, 0), (3, 7, 2), (1, 1, 0)],
+    ids=["n8-no-guard", "n4-no-guard", "n1-no-guard", "guarded", "one-qubit-window"],
+)
+def test_packed_seeds_at_the_interior_edges(n, blocks, memory):
+    """Single-position runs at the first and last interior position, and the
+    whole interior, on lanes with and without a guard."""
+    c = Circuit(n, (GateTemplate(PL, 1, 0, memory),) if memory else ())
+    lane_bytes = _lane_bytes(c, blocks)
+    assert (8 * lane_bytes == n * blocks) == (memory == 0 and n * blocks % 8 == 0)
+    lo, hi = memory * n, (blocks - memory) * n
+    for first, count in ((lo, 1), (hi - 1, 1), (lo, hi - lo)):
+        seeds = [seed for q in range(first, first + count) for seed in ((1 << q, 0), (0, 1 << q))]
+        assert _unit_seeds(lane_bytes, first, count) == _pack(seeds, lane_bytes)
+    for r in range(1, n + 1):
+        for first, count in ((memory, 1), (blocks - memory - 1, 1), (memory, blocks - 2 * memory)):
+            seeds = [(0, 1 << t * n + gen) for t in range(first, first + count) for gen in range(r)]
+            assert _subcode_seeds(n, r, lane_bytes, first, count) == _pack(seeds, lane_bytes)

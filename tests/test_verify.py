@@ -231,24 +231,54 @@ class TestLaneKernel:
             if blocks - 2 * margin < 1:
                 continue
             chk = verify_encoder(s, encoder, blocks)
-            space = set()
-            for gen in range(s.r):
-                lo, hi = s.row_envelope(gen)
-                for shift in range(-hi, blocks - lo):
-                    bits = placement_bits(s, blocks, gen, shift)
-                    if bits:
-                        space.add(bits)
-            expected = []
-            s0 = subcode_for(s.n, s.r)
-            for gen in range(s0.r):
-                for shift in range(margin, blocks - margin):
-                    bits = placement_bits(s0, blocks, gen, shift)
-                    if bits is None:
-                        continue
-                    img = reference_conjugate(encoder, blocks, PauliVector(s.n, blocks, bits))
-                    expected.append(RowCheck(gen, shift, _in_span(space, img.bits)))
             assert chk.margin == margin
-            assert chk.rows == tuple(expected)
+            assert chk.rows == _reference_rows(s, encoder, blocks, margin)
+            done += 1
+
+    def test_batches_of_one_to_three_lanes(self, monkeypatch):
+        # a batch narrower than a seed pair, or than the r placements of one
+        # shift, still takes them whole: the table's Y images fold each Z
+        # lane onto the X lane below, and the round trip reads generator
+        # gen off lane t*r + gen
+        calls = []
+        kernel = verify._conjugate_lanes
+
+        def recording(c, blocks, lanes, x, z):
+            calls.append(lanes)
+            return kernel(c, blocks, lanes, x, z)
+
+        monkeypatch.setattr(verify, "_conjugate_lanes", recording)
+        rng = random.Random(814)
+        for _ in range(40):
+            c = random_circuit(rng, rng.randint(1, 4), rng.randint(0, 8), max_off=2)
+            blocks = c.memory + 1 + rng.randint(0, 6)
+            margin = rng.randint(0, c.memory + 1)
+            lanes = rng.randint(1, 3)
+            monkeypatch.setattr(verify, "_BATCH_BITS", 8 * verify._lane_bytes(c, blocks) * lanes)
+            calls.clear()
+            assert _interior_max(c, blocks, margin) == reference_interior_max(c, blocks, margin)
+            assert calls == [2] * max(0, (blocks - 2 * margin) * c.n)
+        done = 0
+        while done < 12:
+            s = random_valid_code(rng, max_gates=8)
+            encoder = synthesize(s).encoder
+            if encoder.memory > 2 or s.r < 2:
+                continue
+            if done % 2 and encoder.templates:
+                encoder = Circuit(s.n, encoder.templates[:-1])
+            blocks = 2 * (encoder.memory + 1) + rng.randint(2, 8)
+            margin = max(encoder.memory, *reference_image_reach(encoder))
+            if blocks - 2 * margin < 1:
+                continue
+            lanes = rng.randint(1, 3)
+            monkeypatch.setattr(verify, "_BATCH_BITS", 8 * verify._lane_bytes(encoder, blocks) * lanes)
+            calls.clear()
+            chk = verify_encoder(s, encoder, blocks)
+            assert chk.rows == _reference_rows(s, encoder, blocks, margin)
+            per_batch = s.r * max(1, lanes // s.r)
+            shifts = blocks - 2 * margin
+            assert calls[:-1] == [per_batch] * (len(calls) - 1)
+            assert calls[-1] % s.r == 0 and sum(calls) == s.r * shifts
             done += 1
 
     def test_wide_window_memory_is_bounded(self):
@@ -271,6 +301,28 @@ class TestLaneKernel:
         assert chk.ok and len(chk.rows) > 1900
         assert interior_peak < 4_000_000
         assert round_trip_peak < 10_000_000
+
+
+def _reference_rows(s, encoder: Circuit, blocks: int, margin: int) -> tuple[RowCheck, ...]:
+    """Round-trip rows with each subcode placement conjugated gate by gate on
+    its own and tested against the span of every generator placement."""
+    space = set()
+    for gen in range(s.r):
+        lo, hi = s.row_envelope(gen)
+        for shift in range(-hi, blocks - lo):
+            bits = placement_bits(s, blocks, gen, shift)
+            if bits:
+                space.add(bits)
+    expected = []
+    s0 = subcode_for(s.n, s.r)
+    for gen in range(s0.r):
+        for shift in range(margin, blocks - margin):
+            bits = placement_bits(s0, blocks, gen, shift)
+            if bits is None:
+                continue
+            img = reference_conjugate(encoder, blocks, PauliVector(s.n, blocks, bits))
+            expected.append(RowCheck(gen, shift, _in_span(space, img.bits)))
+    return tuple(expected)
 
 
 def _support_within(p: PauliVector, lo_blk: int, hi_blk: int) -> bool:

@@ -15,9 +15,9 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import PreconditionError, WindowTooSmallError
 from .gates import CNOT, CSIGN, Circuit, PL, act
-from .matrix import identity, thaw, zeros
-from .poly import max_span
-from .stabilizer import StabilizerMatrix, placement_bits
+from .poly import L_ONE, L_ZERO, max_span
+# verify.placement_bits stays importable, though the basis inlines it
+from .stabilizer import StabilizerMatrix, placement_bits  # noqa: F401
 
 
 class PauliVector(NamedTuple):
@@ -110,12 +110,13 @@ def _pack(seeds: Sequence[tuple[int, int]], lane_bytes: int) -> tuple[int, int]:
     return x, z
 
 
-def _slices(packed: bytes, lane_bytes: int, every: int = 1) -> Iterator[bytes]:
-    """Every `every`-th lane of a packed side's bytes, from lane 0 on; the
-    loop runs in C."""
+def _slices(packed: bytes, lane_bytes: int, every: int = 1, first: int = 0) -> Iterator[bytes]:
+    """Every `every`-th lane of a packed side's bytes, from lane `first` on;
+    the loop runs in C."""
     stride = every * lane_bytes
-    starts = range(0, len(packed), stride)
-    stops = range(lane_bytes, len(packed) + lane_bytes, stride)
+    start = first * lane_bytes
+    starts = range(start, len(packed), stride)
+    stops = range(start + lane_bytes, len(packed) + lane_bytes, stride)
     return map(packed.__getitem__, map(slice, starts, stops))
 
 
@@ -223,17 +224,35 @@ def _pair_max(x: int, z: int, lane_bytes: int, pairs: int) -> int:
     return max(max(side, default=0) for side in counts)
 
 
+# the table's images of the windows whose interior seeds fit in one batch,
+# oldest first, for the round trip on the same window: (c, blocks) ->
+# (_BATCH_BITS when kept, margin, x, z), at most _KEPT_BATCHES of them
+_KEPT_BATCHES = 4
+_table_batches: dict[tuple[Circuit, int], tuple[int, int, int, int]] = {}
+
+
+def _keep_batch(c: Circuit, blocks: int, margin: int, x: int, z: int) -> None:
+    key = (c, blocks)
+    _table_batches.pop(key, None)
+    _table_batches[key] = (_BATCH_BITS, margin, x, z)
+    if len(_table_batches) > _KEPT_BATCHES:
+        del _table_batches[next(iter(_table_batches))]
+
+
 def _interior_max(c: Circuit, blocks: int, margin: int) -> int:
     """Max image support over the X, Z and Y seeds of the interior qubits;
-    only the X and Z seeds are conjugated, packed by `_unit_seeds`."""
+    only the X and Z seeds are conjugated, packed by `_unit_seeds`.  A
+    window conjugated in one batch keeps it in `_table_batches`."""
     lane_bytes = _lane_bytes(c, blocks)
     # the X and Z seeds of one qubit share a batch
     per_batch = max(1, _batch_lanes(lane_bytes) // 2)
-    stop = (blocks - margin) * c.n
+    start, stop = margin * c.n, (blocks - margin) * c.n
     best = 0
-    for first in range(margin * c.n, stop, per_batch):
+    for first in range(start, stop, per_batch):
         count = min(per_batch, stop - first)
         x, z = _conjugate_lanes(c, blocks, 2 * count, *_unit_seeds(lane_bytes, first, count))
+        if count == stop - start:
+            _keep_batch(c, blocks, margin, x, z)
         best = max(best, _pair_max(x, z, lane_bytes, count))
     return best
 
@@ -248,21 +267,32 @@ def _seed_walk(c: Circuit, limit: int) -> tuple[int, int, int]:
     images' common width, and the rows pack into lanes as `_pair_max` reads
     them.  `limit` is the span limit the push runs under, so a lowered
     limit misses the memo and raises again."""
-    x = thaw(identity(c.n) + zeros(c.n, c.n))
-    z = thaw(zeros(c.n, c.n) + identity(c.n))
+    n = c.n
+    units = [[L_ONE if q == j else L_ZERO for q in range(n)] for j in range(n)]
+    x = units + [[L_ZERO] * n for _ in range(n)]
+    z = [[L_ZERO] * n for _ in range(n)] + [row.copy() for row in units]
     for g in c.templates:
         act(x, z, g)
-    entries = [e for row in x + z for e in row if e]
-    lo = min((e.min_exp for e in entries), default=0)
-    hi = max((e.max_exp for e in entries), default=0)
+    entries = [e for row in x + z for e in row if e.bits]
+    lo = min([e.offset for e in entries], default=0)
+    hi = max([e.offset + e.bits.bit_length() for e in entries], default=1) - 1
     width = hi + 1 - lo
-    xs, zs = (
-        [sum(e.bits << e.offset - lo + q * width for q, e in enumerate(row) if e) for row in side]
-        for side in (x, z)
-    )
-    lane_bytes = (c.n * width + 7) // 8
-    rows = _pack([(xs[j], zs[j]) for q in range(c.n) for j in (q, c.n + q)], lane_bytes)
-    return max(0, -lo), max(0, hi), _pair_max(*rows, lane_bytes, c.n)
+    lane_bytes = (n * width + 7) // 8
+    # lane 2q holds row q, the image of the X seed of qubit q, and lane
+    # 2q + 1 row n + q, that of its Z seed
+    order = [j for q in range(n) for j in (q, n + q)]
+    packed = []
+    for side in (x, z):
+        lanes = []
+        for j in order:
+            bits, at = 0, -lo
+            for e in side[j]:
+                if e.bits:
+                    bits |= e.bits << e.offset + at
+                at += width
+            lanes.append(bits.to_bytes(lane_bytes, "little"))
+        packed.append(int.from_bytes(b"".join(lanes), "little"))
+    return max(0, -lo), max(0, hi), _pair_max(*packed, lane_bytes, n)
 
 
 def image_reach(c: Circuit) -> tuple[int, int]:
@@ -323,16 +353,6 @@ class EncoderCheck(NamedTuple):
         return all(rc.ok for rc in self.rows)
 
 
-def _gf2_insert(basis: dict[int, int], vec: int) -> None:
-    while vec:
-        top = vec.bit_length() - 1
-        if top in basis:
-            vec ^= basis[top]
-        else:
-            basis[top] = vec
-            return
-
-
 def _gf2_in_span(basis: dict[int, int], vec: int) -> bool:
     while vec:
         top = vec.bit_length() - 1
@@ -344,17 +364,36 @@ def _gf2_in_span(basis: dict[int, int], vec: int) -> bool:
 
 def stabilizer_window_basis(s: StabilizerMatrix, blocks: int) -> dict[int, int]:
     """GF(2) basis of all generator placements over the window, including the
-    boundary-truncated ones."""
+    boundary-truncated ones, keyed by top bit.  Placement (gen, shift) is
+    `placement_bits` inline: the row's packed pattern (span-checked once)
+    moved by (shift + lo)*n bits and masked to the window on both sides,
+    since a pattern can be wider than the window."""
+    half = s.n * blocks
+    window = (1 << half) - 1
     basis: dict[int, int] = {}
-    # each row's envelope is read off its packed pattern, span-checked once
-    for gen, pattern in enumerate(s._row_patterns):
+    pivot = basis.get
+    for pattern in s._row_patterns:
         if pattern is None:
             continue
-        lo, hi = pattern[:2]
-        for shift in range(-hi, blocks - lo):
-            bits = placement_bits(s, blocks, gen, shift)
-            if bits:
-                _gf2_insert(basis, bits)
+        lo, hi, x, z = pattern
+        whole = x | z << half
+        # shifts -hi .. blocks - lo - 1 each leave some bit in the window;
+        # from 0 to `inner` the pattern fits, so no mask is needed
+        inner = half - (hi - lo + 1) * s.n
+        for at in range((lo - hi) * s.n, half, s.n):
+            if 0 <= at <= inner:
+                vec = whole << at
+            elif at >= 0:
+                vec = x << at & window | (z << at & window) << half
+            else:
+                vec = x >> -at & window | (z >> -at & window) << half
+            while vec:
+                top = vec.bit_length() - 1
+                row = pivot(top)
+                if row is None:
+                    basis[top] = vec
+                    break
+                vec ^= row
     return basis
 
 
@@ -392,28 +431,56 @@ def verify_encoder(s: StabilizerMatrix, encoder: Circuit, blocks: int) -> Encode
         )
     basis = stabilizer_window_basis(s, blocks)
     lane_bytes = _lane_bytes(encoder, blocks)
-    # the r placements of one shift share a batch
-    per_batch = max(1, _batch_lanes(lane_bytes) // s.r)
     half = s.n * blocks
-    stop = blocks - margin
-    # lane (t - first)*r + gen of a batch holds placement (gen, t); the
-    # rows list generator by generator
+    # the rows list generator by generator
     spans: list[list[bool]] = [[] for _ in range(s.r)]
-    for first in range(margin, stop, per_batch):
-        count = min(per_batch, stop - first)
-        lanes = s.r * count
-        seeds = _subcode_seeds(s.n, s.r, lane_bytes, first, count)
-        x, z = _conjugate_lanes(encoder, blocks, lanes, *seeds)
-        images = zip(_lanes(x, lanes, lane_bytes), _lanes(z, lanes, lane_bytes))
-        found = [_gf2_in_span(basis, xl | zl << half) for xl, zl in images]
+    for packed, per_gen, per_shift in _subcode_images(encoder, s.r, blocks, margin):
         for gen, span in enumerate(spans):
-            span += found[gen :: s.r]
+            lanes = [_slices(side, lane_bytes, per_shift, gen * per_gen) for side in packed]
+            xs, zs = (map(int.from_bytes, side, repeat("little")) for side in lanes)
+            span += [_gf2_in_span(basis, xl | zl << half) for xl, zl in zip(xs, zs)]
     rows = tuple(
         RowCheck(gen, shift, ok)
         for gen in range(s.r)
-        for shift, ok in zip(range(margin, stop), spans[gen])
+        for shift, ok in zip(range(margin, blocks - margin), spans[gen])
     )
     return EncoderCheck(blocks, margin, rows)
+
+
+def _subcode_images(
+    encoder: Circuit, r: int, blocks: int, margin: int
+) -> Iterator[tuple[tuple[bytes, bytes], int, int]]:
+    """The images of the subcode Z seeds (gen, t), a single Z on window qubit
+    t*n + gen, for the shifts t = margin .. blocks - margin - 1, in packed
+    batches: ((x, z) bytes, lanes per generator, lanes per shift), lane 0
+    holding (0, the batch's first shift).
+
+    They are read off the table's batch of the window when `_interior_max`
+    kept one under the current cap, at a margin no wider than this one;
+    there the Z seed of qubit q is lane 2*(q - table margin*n) + 1.
+    Otherwise they are conjugated r lanes a shift, which costs r/2n of
+    reading them from a table conjugated in several batches."""
+    n = encoder.n
+    lane_bytes = _lane_bytes(encoder, blocks)
+    kept = _table_batches.get((encoder, blocks))
+    if kept is not None and kept[0] == _BATCH_BITS and kept[1] <= margin:
+        _, table_margin, x, z = kept
+        size = 2 * n * (blocks - 2 * table_margin) * lane_bytes
+        # from the lane of (0, margin) to that of (r - 1, blocks - margin - 1)
+        first = 2 * n * (margin - table_margin) + 1
+        last = first + 2 * n * (blocks - 2 * margin - 1) + 2 * (r - 1)
+        cut = slice(first * lane_bytes, (last + 1) * lane_bytes)
+        yield (x.to_bytes(size, "little")[cut], z.to_bytes(size, "little")[cut]), 2, 2 * n
+        return
+    # the r placements of one shift share a batch
+    per_batch = max(1, _batch_lanes(lane_bytes) // r)
+    stop = blocks - margin
+    for first in range(margin, stop, per_batch):
+        count = min(per_batch, stop - first)
+        seeds = _subcode_seeds(n, r, lane_bytes, first, count)
+        x, z = _conjugate_lanes(encoder, blocks, r * count, *seeds)
+        size = r * count * lane_bytes
+        yield (x.to_bytes(size, "little"), z.to_bytes(size, "little")), 1, r
 
 
 # ---------------------------------------------------------------------------

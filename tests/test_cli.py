@@ -352,7 +352,10 @@ class TestGoldenTranscripts:
     and stops with the span of the first template to overflow (13; the
     fused product would report 14).  primitive13 has one primitive divisor of
     degree 13, whose ignored periodic states are printed over the full
-    period of 8191 bits."""
+    period of 8191 bits.  deep0111 is an n=6 ladder code (the 112th draw of
+    `bench/corpus.ladder_code` on the second rung from `random.Random(2101)`)
+    whose fourth row spans nine blocks, D^-3 .. D^5: on the 6-block window
+    the round-trip basis holds placements truncated at both edges at once."""
 
     @pytest.mark.parametrize(
         "argv, golden, exit_code",
@@ -367,6 +370,7 @@ class TestGoldenTranscripts:
             (["--max-span", "12", "synth", "span_fallback.stab"], "span_fallback_synth.txt", 4),
             (["synth", "primitive13.stab"], "primitive13_synth.txt", 0),
             (["verify", "--windows", "11,22,44", "ladder8.stab", "ladder8.enc"], "ladder8_verify.txt", 0),
+            (["verify", "--windows", "3,6,12", "deep0111.stab", "deep0111.enc"], "deep0111_verify.txt", 0),
         ],
     )
     def test_transcript(self, argv, golden, exit_code):

@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -22,9 +23,20 @@ from helpers import (
 )
 from qconvenc import verify
 from qconvenc.errors import ExponentOverflowError, PreconditionError, WindowTooSmallError
-from qconvenc.gates import CNOT, CSIGN, Circuit, GateTemplate, H, P, PL, apply, apply_circuit
-from qconvenc.poly import set_max_span
-from qconvenc.stabilizer import params, placement_bits
+from qconvenc.gates import (
+    CNOT,
+    CSIGN,
+    Circuit,
+    GateTemplate,
+    H,
+    P,
+    PL,
+    apply,
+    apply_circuit,
+    parse_circuit,
+)
+from qconvenc.poly import LaurentPoly, set_max_span
+from qconvenc.stabilizer import StabilizerMatrix, params, parse_stabilizer, placement_bits
 from qconvenc.synthesis import subcode_for, synthesize
 from qconvenc.verify import (
     PauliVector,
@@ -40,6 +52,8 @@ from qconvenc.verify import (
     render_propagation,
     verify_encoder,
 )
+
+DATA = Path(__file__).parent / "data"
 
 
 class TestConjugate:
@@ -301,6 +315,218 @@ class TestLaneKernel:
         assert chk.ok and len(chk.rows) > 1900
         assert interior_peak < 4_000_000
         assert round_trip_peak < 10_000_000
+
+
+class TestWindowBasis:
+    """`stabilizer_window_basis` moves each row's packed pattern to every
+    placement itself; its span must be that of the `placement_bits` set."""
+
+    @staticmethod
+    def _echelon(vectors) -> dict[int, int]:
+        basis: dict[int, int] = {}
+        for v in vectors:
+            while v:
+                top = v.bit_length() - 1
+                if top not in basis:
+                    basis[top] = v
+                    break
+                v ^= basis[top]
+        return basis
+
+    @staticmethod
+    def _random_row(rng: random.Random, n: int) -> tuple[list[LaurentPoly], list[LaurentPoly]]:
+        # exponents -4 .. 4: up to 9 blocks, wider than most windows below
+        def entry():
+            if rng.random() < 0.4:
+                return LaurentPoly.zero()
+            return LaurentPoly.from_exponents(rng.sample(range(-4, 5), rng.randint(1, 3)))
+
+        return [entry() for _ in range(n)], [entry() for _ in range(n)]
+
+    def _code(self, rng: random.Random, n: int, r: int, shared_top: bool) -> StabilizerMatrix:
+        rows = [self._random_row(rng, n) for _ in range(r)]
+        if shared_top:
+            # generator 1 is generator 0 plus terms below generator 0's top
+            # bit, so at every untruncated shift the two placements share it
+            # (a Z bit is above every X bit of a placement)
+            top = max(
+                (
+                    (side, e * n + q)
+                    for side, part in enumerate(rows[0])
+                    for q, poly in enumerate(part)
+                    for e in poly.exponents()
+                ),
+                default=None,
+            )
+            below = [
+                [
+                    LaurentPoly.from_exponents(
+                        e for e in poly.exponents() if top and (side, e * n + q) < top
+                    )
+                    for q, poly in enumerate(part)
+                ]
+                for side, part in enumerate(rows[1])
+            ]
+            rows[1] = tuple([a + b for a, b in zip(p0, p1)] for p0, p1 in zip(rows[0], below))
+        return StabilizerMatrix.from_rows(n, [x for x, _ in rows], [z for _, z in rows])
+
+    def test_spans_every_placement(self):
+        rng = random.Random(815)
+        shared = wider = 0
+        for trial in range(200):
+            n, r = rng.randint(1, 4), rng.randint(1, 3)
+            shared_top = r >= 2 and trial % 2 == 0
+            s = self._code(rng, n, r, shared_top)
+            blocks = rng.randint(1, 6)
+            placements = []
+            for gen, pattern in enumerate(s._row_patterns):
+                if pattern is None:
+                    continue
+                lo, hi = s.row_envelope(gen)
+                wider += hi - lo + 1 > blocks
+                # shifts -hi .. blocks - lo - 1 are all that reach the window
+                assert placement_bits(s, blocks, gen, -hi - 1) is None
+                assert placement_bits(s, blocks, gen, blocks - lo) is None
+                for shift in range(-hi, blocks - lo):
+                    bits = placement_bits(s, blocks, gen, shift)
+                    if bits:
+                        placements.append(bits)
+            basis = verify.stabilizer_window_basis(s, blocks)
+            assert all(top == vec.bit_length() - 1 for top, vec in basis.items())
+            reference = self._echelon(placements)
+            assert len(basis) == len(reference)
+            assert all(verify._gf2_in_span(reference, v) for v in basis.values())
+            assert all(verify._gf2_in_span(basis, v) for v in placements)
+            if shared_top and s._row_patterns[0] is not None:
+                tops: list[set[int]] = [set(), set()]
+                for gen, found in enumerate(tops):
+                    for shift in range(-8, blocks + 8):
+                        bits = placement_bits(s, blocks, gen, shift)
+                        if bits:
+                            found.add(bits.bit_length() - 1)
+                shared += bool(tops[0] & tops[1])
+        assert wider > 100 and shared > 40
+
+    def test_deep_0111_window_narrower_than_a_row(self):
+        # row 4 spans D^-3 .. D^5, nine blocks, against a window of six: a
+        # basis that leaves the mask off negative shifts lets bits past the
+        # window's X half into its Z half, and generator 4 fails at shift 2
+        s = parse_stabilizer((DATA / "deep0111.stab").read_text(encoding="utf-8"))
+        encoder = parse_circuit((DATA / "deep0111.enc").read_text(encoding="utf-8"))
+        assert s.row_envelope(3) == (-3, 5)
+        for blocks in (6, 12):
+            margin = max(encoder.memory, *reference_image_reach(encoder))
+            chk = verify_encoder(s, encoder, blocks)
+            assert chk.ok and chk.rows == _reference_rows(s, encoder, blocks, margin)
+
+
+class TestRoundTripReuse:
+    """The round trip reads its subcode images off the batch in which the
+    propagation table conjugated the same window, when there was one, and
+    otherwise conjugates r lanes a shift itself; the rows are the same."""
+
+    @staticmethod
+    def _cases(rng: random.Random, count: int):
+        done = 0
+        while done < count:
+            s = random_valid_code(rng, max_gates=8)
+            encoder = synthesize(s).encoder
+            if encoder.memory > 2:
+                continue
+            if done % 2 and encoder.templates:
+                encoder = Circuit(s.n, encoder.templates[:-1])
+            blocks = 2 * (encoder.memory + 1) + rng.randint(2, 8)
+            margin = max(encoder.memory, *reference_image_reach(encoder))
+            if blocks - 2 * margin < 1:
+                continue
+            done += 1
+            yield s, encoder, blocks, margin
+
+    @staticmethod
+    def _recording(monkeypatch) -> list[int]:
+        calls = []
+        kernel = verify._conjugate_lanes
+
+        def recording(c, blocks, lanes, x, z):
+            calls.append(lanes)
+            return kernel(c, blocks, lanes, x, z)
+
+        monkeypatch.setattr(verify, "_conjugate_lanes", recording)
+        return calls
+
+    def test_after_the_table_reads_its_batch(self, monkeypatch):
+        calls = self._recording(monkeypatch)
+        for s, encoder, blocks, margin in self._cases(random.Random(816), 16):
+            verify._table_batches.clear()
+            calls.clear()
+            propagation_report(encoder, [blocks])
+            assert calls == [2 * s.n * (blocks - 2 * encoder.memory)]
+            calls.clear()
+            chk = verify_encoder(s, encoder, blocks)
+            assert calls == []
+            assert chk.rows == _reference_rows(s, encoder, blocks, margin)
+
+    def test_alone_conjugates_the_subcode(self, monkeypatch):
+        calls = self._recording(monkeypatch)
+        for s, encoder, blocks, margin in self._cases(random.Random(817), 16):
+            verify._table_batches.clear()
+            calls.clear()
+            chk = verify_encoder(s, encoder, blocks)
+            assert calls == [s.r * (blocks - 2 * margin)]
+            assert chk.rows == _reference_rows(s, encoder, blocks, margin)
+
+    def test_batches_of_one_to_three_lanes(self, monkeypatch):
+        # the table takes several batches, so it keeps none and the round
+        # trip conjugates its own; a batch kept under another cap is stale
+        calls = self._recording(monkeypatch)
+        rng = random.Random(818)
+        several = 0
+        for s, encoder, blocks, margin in self._cases(rng, 16):
+            verify._table_batches.clear()
+            propagation_report(encoder, [blocks])
+            lanes = rng.randint(1, 3)
+            lane_bits = 8 * verify._lane_bytes(encoder, blocks)
+            monkeypatch.setattr(verify, "_BATCH_BITS", lane_bits * lanes)
+            calls.clear()
+            chk = verify_encoder(s, encoder, blocks)
+            assert sum(calls) == s.r * (blocks - 2 * margin)
+            assert chk.rows == _reference_rows(s, encoder, blocks, margin)
+            if s.n * (blocks - 2 * encoder.memory) > max(1, lanes // 2):
+                # under this cap the table takes several batches itself
+                verify._table_batches.clear()
+                propagation_report(encoder, [blocks])
+                assert not verify._table_batches
+                several += 1
+                calls.clear()
+                assert verify_encoder(s, encoder, blocks) == chk
+                assert sum(calls) == s.r * (blocks - 2 * margin)
+            monkeypatch.setattr(verify, "_BATCH_BITS", 1 << 20)
+        assert several > 10
+
+    def test_a_batch_is_only_read_for_its_circuit_and_window(self, monkeypatch):
+        calls = self._recording(monkeypatch)
+        cases = list(self._cases(random.Random(819), 12))
+        for (s, encoder, blocks, margin), (s2, other, blocks2, margin2) in zip(cases, cases[1:]):
+            verify._table_batches.clear()
+            propagation_report(encoder, [blocks])
+            for s_, c_, b_, m_ in ((s2, other, blocks2, margin2), (s, encoder, blocks + 1, margin)):
+                calls.clear()
+                chk = verify_encoder(s_, c_, b_)
+                assert calls == [s_.r * (b_ - 2 * m_)]
+                assert chk.rows == _reference_rows(s_, c_, b_, m_)
+
+    def test_only_the_newest_windows_are_kept(self, monkeypatch):
+        calls = self._recording(monkeypatch)
+        for s, encoder, blocks, margin in self._cases(random.Random(820), 6):
+            verify._table_batches.clear()
+            sizes = range(blocks, blocks + verify._KEPT_BATCHES + 2)
+            propagation_report(encoder, sizes)
+            assert list(verify._table_batches) == [(encoder, b) for b in sizes[2:]]
+            for b in sizes:
+                calls.clear()
+                chk = verify_encoder(s, encoder, b)
+                assert calls == ([] if b in sizes[2:] else [s.r * (b - 2 * margin)])
+                assert chk.rows == _reference_rows(s, encoder, b, margin)
 
 
 def _reference_rows(s, encoder: Circuit, blocks: int, margin: int) -> tuple[RowCheck, ...]:

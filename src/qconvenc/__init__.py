@@ -11,7 +11,7 @@ from .errors import (
     WindowTooSmallError,
 )
 from .gates import Circuit, GateTemplate, apply, apply_circuit, depth_schedule, reverse
-from .poly import LaurentPoly, Poly, parse_laurent
+from .poly import LaurentPoly, Poly
 from .smith import SmithDecomposition, smith
 from .stabilizer import (
     StabilizerMatrix,
@@ -38,7 +38,6 @@ __all__ = [
     "reverse",
     "LaurentPoly",
     "Poly",
-    "parse_laurent",
     "SmithDecomposition",
     "smith",
     "StabilizerMatrix",

@@ -19,7 +19,7 @@ Whitespace is ignored and duplicate terms cancel (XOR).
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, Iterator, Optional
 
 from .errors import ExponentOverflowError, ParseError
 
@@ -247,11 +247,6 @@ class LaurentPoly:
         return self.bits != 0
 
     @property
-    def body(self) -> Poly:
-        """The offset-stripped polynomial part (constant term 1 unless zero)."""
-        return Poly(self.bits)
-
-    @property
     def min_exp(self) -> int:
         if self.bits == 0:
             raise ValueError("zero Laurent polynomial has no exponents")
@@ -400,31 +395,12 @@ def laurent_divides(a: LaurentPoly, b: LaurentPoly) -> bool:
     return _divmod_bits(b.bits, a.bits)[1] == 0
 
 
-class SymmetryCheck(NamedTuple):
-    """Result of the palindrome test: reciprocal(a) == a.
-
-    constant_free reports whether the constant term is absent, the strict
-    sum-of-(D^-l + D^l) shape over GF(2).
-    """
-
-    symmetric: bool
-    constant_free: bool
-
-    def __bool__(self) -> bool:
-        return self.symmetric
-
-
-def is_symmetric(a: LaurentPoly) -> SymmetryCheck:
-    sym = a.reciprocal() == a
-    return SymmetryCheck(sym, a.coeff(0) == 0)
-
-
 def symmetric_decompose(a: LaurentPoly) -> Optional[tuple[bool, tuple[int, ...]]]:
     """Decompose a symmetric Laurent polynomial as c0 + sum of (D^-l + D^l).
 
     Returns (c0, positive exponents) or None when a is not symmetric.
     """
-    if not is_symmetric(a):
+    if a.reciprocal() != a:
         return None
     return a.coeff(0) == 1, tuple(e for e in a.exponents() if e > 0)
 
@@ -454,10 +430,6 @@ def parse_terms(text: str) -> list[int]:
         else:
             raise ParseError(f"bad polynomial term {term!r}")
     return exps
-
-
-def parse_laurent(text: str) -> LaurentPoly:
-    return LaurentPoly.from_exponents(parse_terms(text))
 
 
 def format_terms(terms: Iterable[tuple[int, int]]) -> str:

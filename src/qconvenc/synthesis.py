@@ -43,7 +43,15 @@ from .gates import (
     swap_templates,
 )
 from .matrix import freeze, identity, thaw, zeros
-from .poly import LaurentPoly, Poly, _mul_bits, laurent_div, max_span, symmetric_decompose
+from .poly import (
+    LaurentPoly,
+    _exponents,
+    _mul_bits,
+    format_terms,
+    laurent_div,
+    max_span,
+    symmetric_decompose,
+)
 from .smith import ElementaryColOp, RowOp, apply_row_op, row_divisibility_check, smith
 from .stabilizer import StabilizerMatrix, format_sides, params, validate_code
 
@@ -437,7 +445,8 @@ def _period_series(body: int) -> tuple[int, tuple[int, ...]]:
     therefore the first offset >= 1 where the leading deg(body) bits
     recur."""
     if not body & 1:
-        raise ZeroDivisionError(f"1/({Poly(body)}) is not a power series")
+        terms = format_terms((e, 1) for e in _exponents(body, 0))
+        raise ZeroDivisionError(f"1/({terms}) is not a power series")
     d = body.bit_length() - 1
     rem, s = 1, 0
     for k in range(_WALK_BITS):

@@ -10,8 +10,8 @@ starts at block 0).
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import islice, repeat
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from itertools import repeat
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import PreconditionError, WindowTooSmallError
 from .gates import CNOT, CSIGN, Circuit, PL, act
@@ -101,15 +101,6 @@ def _lane_masks(n: int, blocks: int, lane_bytes: int, lanes: int) -> tuple[tuple
     return tuple(first_column << q for q in range(n)), windows
 
 
-def _pack(seeds: Sequence[tuple[int, int]], lane_bytes: int) -> tuple[int, int]:
-    """(x, z) seed pairs packed one lane each, in order."""
-    x, z = (
-        int.from_bytes(b"".join(bits.to_bytes(lane_bytes, "little") for bits in part), "little")
-        for part in zip(*seeds)
-    )
-    return x, z
-
-
 def _slices(packed: bytes, lane_bytes: int, every: int = 1, first: int = 0) -> Iterator[bytes]:
     """Every `every`-th lane of a packed side's bytes, from lane `first` on;
     the loop runs in C."""
@@ -118,25 +109,6 @@ def _slices(packed: bytes, lane_bytes: int, every: int = 1, first: int = 0) -> I
     starts = range(start, len(packed), stride)
     stops = range(start + lane_bytes, len(packed) + lane_bytes, stride)
     return map(packed.__getitem__, map(slice, starts, stops))
-
-
-def _lanes(side: int, lanes: int, lane_bytes: int) -> Iterator[int]:
-    """The lanes of one packed side, in order."""
-    packed = side.to_bytes(lanes * lane_bytes, "little")
-    return map(int.from_bytes, _slices(packed, lane_bytes), repeat("little"))
-
-
-def _lane_images(
-    c: Circuit, blocks: int, seeds: Iterable[tuple[int, int]]
-) -> Iterator[tuple[int, int]]:
-    """Conjugate a stream of window seeds, each an (x, z) pair of n*blocks
-    bits, yielding each image in order as the same kind of pair: the seeds
-    are packed one lane each, a batch at a time, for `_conjugate_lanes`."""
-    lane_bytes = _lane_bytes(c, blocks)
-    seeds = iter(seeds)
-    while batch := list(islice(seeds, _batch_lanes(lane_bytes))):
-        x, z = _conjugate_lanes(c, blocks, len(batch), *_pack(batch, lane_bytes))
-        yield from zip(_lanes(x, len(batch), lane_bytes), _lanes(z, len(batch), lane_bytes))
 
 
 def _series(unit: int, count: int, step: int) -> int:
@@ -156,9 +128,9 @@ def _series(unit: int, count: int, step: int) -> int:
 
 def _unit_seeds(lane_bytes: int, first: int, count: int) -> tuple[int, int]:
     """The X and Z unit seeds of window qubits first .. first + count - 1,
-    packed as `_pack` packs them in the order X, Z of each qubit: lane 2k
-    holds the X seed of qubit first + k at bit (2*lane_bits + 1)*k + first,
-    and lane 2k + 1 its Z seed, one lane higher."""
+    packed one lane each in the order X, Z of each qubit: lane 2k holds the
+    X seed of qubit first + k at bit (2*lane_bits + 1)*k + first, and lane
+    2k + 1 its Z seed, one lane higher."""
     lane_bits = 8 * lane_bytes
     x = _series(1, count, 2 * lane_bits + 1) << first
     return x, x << lane_bits
@@ -167,8 +139,8 @@ def _unit_seeds(lane_bytes: int, first: int, count: int) -> tuple[int, int]:
 def _subcode_seeds(n: int, r: int, lane_bytes: int, first: int, count: int) -> tuple[int, int]:
     """The Z seeds of the subcode (0 | I 0) placements (gen, t), generator
     gen at shift t a single Z on window qubit t*n + gen, for the shifts
-    first .. first + count - 1, packed as `_pack` packs them in the order
-    of t, then gen: the r seeds of shift `first` repeated every r lanes and
+    first .. first + count - 1, packed one lane each in the order of t,
+    then gen: the r seeds of shift `first` repeated every r lanes and
     n qubits, so r interleaved series."""
     lane_bits = 8 * lane_bytes
     unit = sum(1 << gen * (lane_bits + 1) for gen in range(r))
@@ -177,13 +149,13 @@ def _subcode_seeds(n: int, r: int, lane_bytes: int, first: int, count: int) -> t
 
 def conjugate(c: Circuit, blocks: int, p: PauliVector) -> PauliVector:
     """Propagate a Pauli through every in-window instance of every template:
-    the lane kernel `_conjugate_lanes` on one lane, packed by `_lane_images`."""
-    if p.n != c.n or p.blocks != blocks:
+    the lane kernel `_conjugate_lanes` on a batch of one lane, the seed."""
+    half = p.half
+    if p.n != c.n or p.blocks != blocks or not 0 <= p.bits < 1 << 2 * half:
         raise ValueError("Pauli vector does not match the window")
     if blocks < c.memory + 1:
         raise WindowTooSmallError(f"window {blocks} < circuit memory {c.memory} + 1")
-    half = p.half
-    ((x, z),) = _lane_images(c, blocks, [(p.bits & ((1 << half) - 1), p.bits >> half)])
+    x, z = _conjugate_lanes(c, blocks, 1, p.bits & ((1 << half) - 1), p.bits >> half)
     return PauliVector(c.n, blocks, x | z << half)
 
 
@@ -225,34 +197,35 @@ def _pair_max(x: int, z: int, lane_bytes: int, pairs: int) -> int:
 
 
 # the table's images of the windows whose interior seeds fit in one batch,
-# oldest first, for the round trip on the same window: (c, blocks) ->
-# (_BATCH_BITS when kept, margin, x, z), at most _KEPT_BATCHES of them
+# oldest first, for the round trip on the same window: (c, blocks) -> (x, z),
+# at most _KEPT_BATCHES of them
 _KEPT_BATCHES = 4
-_table_batches: dict[tuple[Circuit, int], tuple[int, int, int, int]] = {}
+_table_batches: dict[tuple[Circuit, int], tuple[int, int]] = {}
 
 
-def _keep_batch(c: Circuit, blocks: int, margin: int, x: int, z: int) -> None:
+def _keep_batch(c: Circuit, blocks: int, x: int, z: int) -> None:
     key = (c, blocks)
     _table_batches.pop(key, None)
-    _table_batches[key] = (_BATCH_BITS, margin, x, z)
+    _table_batches[key] = (x, z)
     if len(_table_batches) > _KEPT_BATCHES:
         del _table_batches[next(iter(_table_batches))]
 
 
-def _interior_max(c: Circuit, blocks: int, margin: int) -> int:
-    """Max image support over the X, Z and Y seeds of the interior qubits;
-    only the X and Z seeds are conjugated, packed by `_unit_seeds`.  A
-    window conjugated in one batch keeps it in `_table_batches`."""
+def _interior_max(c: Circuit, blocks: int) -> int:
+    """Max image support over the X, Z and Y seeds of the qubits at least
+    memory blocks from either edge; only the X and Z seeds are conjugated,
+    packed by `_unit_seeds`.  A window conjugated in one batch keeps it in
+    `_table_batches`."""
     lane_bytes = _lane_bytes(c, blocks)
     # the X and Z seeds of one qubit share a batch
     per_batch = max(1, _batch_lanes(lane_bytes) // 2)
-    start, stop = margin * c.n, (blocks - margin) * c.n
+    start, stop = c.memory * c.n, (blocks - c.memory) * c.n
     best = 0
     for first in range(start, stop, per_batch):
         count = min(per_batch, stop - first)
         x, z = _conjugate_lanes(c, blocks, 2 * count, *_unit_seeds(lane_bytes, first, count))
         if count == stop - start:
-            _keep_batch(c, blocks, margin, x, z)
+            _keep_batch(c, blocks, x, z)
         best = max(best, _pair_max(x, z, lane_bytes, count))
     return best
 
@@ -326,7 +299,7 @@ def propagation_report(c: Circuit, sizes: Sequence[int]) -> PropagationReport:
             raise WindowTooSmallError(
                 f"window {blocks} < circuit memory {c.memory} + 1"
             )
-        maxima.append(_interior_max(c, blocks, margin))
+        maxima.append(_interior_max(c, blocks))
     couplers = sum(1 for g in c.templates if g.kind in (CNOT, CSIGN, PL))
     bound = (couplers + 1) * (2 * c.memory + 1)
     verdict = "bounded" if _image_max(c) <= bound else "growing"
@@ -456,18 +429,18 @@ def _subcode_images(
     holding (0, the batch's first shift).
 
     They are read off the table's batch of the window when `_interior_max`
-    kept one under the current cap, at a margin no wider than this one;
-    there the Z seed of qubit q is lane 2*(q - table margin*n) + 1.
-    Otherwise they are conjugated r lanes a shift, which costs r/2n of
-    reading them from a table conjugated in several batches."""
-    n = encoder.n
+    kept one: its seeds start memory blocks in, never further than margin,
+    so the Z seed of qubit q is lane 2*(q - memory*n) + 1.  Otherwise they
+    are conjugated r lanes a shift, which costs r/2n of reading them from a
+    table conjugated in several batches."""
+    n, memory = encoder.n, encoder.memory
     lane_bytes = _lane_bytes(encoder, blocks)
     kept = _table_batches.get((encoder, blocks))
-    if kept is not None and kept[0] == _BATCH_BITS and kept[1] <= margin:
-        _, table_margin, x, z = kept
-        size = 2 * n * (blocks - 2 * table_margin) * lane_bytes
+    if kept is not None:
+        x, z = kept
+        size = 2 * n * (blocks - 2 * memory) * lane_bytes
         # from the lane of (0, margin) to that of (r - 1, blocks - margin - 1)
-        first = 2 * n * (margin - table_margin) + 1
+        first = 2 * n * (margin - memory) + 1
         last = first + 2 * n * (blocks - 2 * margin - 1) + 2 * (r - 1)
         cut = slice(first * lane_bytes, (last + 1) * lane_bytes)
         yield (x.to_bytes(size, "little")[cut], z.to_bytes(size, "little")[cut]), 2, 2 * n

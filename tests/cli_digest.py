@@ -4,7 +4,9 @@ change leaves every output byte-identical.
     PYTHONPATH=src python tests/cli_digest.py
 
 Run it once on each of two checkouts (pointing PYTHONPATH at each one's
-`src/`) and compare the digests.  pytest does not collect this file.
+`src/`) and compare the digests, or diff its output against the committed
+`tests/data/cli_digest.txt`, as CI does.  pytest does not collect this
+file.
 
 The corpus is 75 ladder codes (`bench/corpus.ladder_code`, 25 on each of
 the first three rungs, seed 31) and 40 proper codes (`corpus.proper_code`,

@@ -5,12 +5,13 @@ from __future__ import annotations
 import random
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import islice, repeat
+from typing import Iterable, Iterator, Sequence
 
 from qconvenc.errors import WindowTooSmallError
 from qconvenc.gates import CNOT, CSIGN, Circuit, GateTemplate, H, P, PL, apply, apply_circuit
 from qconvenc.matrix import Matrix, freeze, identity, thaw, zeros
-from qconvenc.poly import L_ONE, L_ZERO, LaurentPoly, Poly, _divmod_bits, parse_laurent
+from qconvenc.poly import L_ONE, L_ZERO, LaurentPoly, Poly, _divmod_bits, parse_terms
 from qconvenc.smith import ElementaryColOp, SmithDecomposition, apply_col_op
 from qconvenc.stabilizer import (
     F4Poly,
@@ -19,9 +20,27 @@ from qconvenc.stabilizer import (
     params,
     placement_bits,
 )
-from qconvenc.verify import PauliVector, PropagationReport, conjugate
+from qconvenc.verify import (
+    PauliVector,
+    PropagationReport,
+    _batch_lanes,
+    _conjugate_lanes,
+    _lane_bytes,
+    _slices,
+    conjugate,
+)
+
+
+def parse_laurent(text: str) -> LaurentPoly:
+    return LaurentPoly.from_exponents(parse_terms(text))
+
 
 L = parse_laurent
+
+
+def body_of(p: LaurentPoly) -> Poly:
+    """The offset-stripped polynomial part (constant term 1 unless zero)."""
+    return Poly(p.bits)
 
 
 def lrow(*texts: str) -> list[LaurentPoly]:
@@ -443,6 +462,38 @@ def mutate_one_entry(rng: random.Random, s: StabilizerMatrix) -> StabilizerMatri
     else:
         z[i][c] = z[i][c] + flip
     return StabilizerMatrix.from_rows(s.n, x, z)
+
+
+# -- per-seed lane packing -----------------------------------------------------
+
+
+def _pack(seeds: Sequence[tuple[int, int]], lane_bytes: int) -> tuple[int, int]:
+    """(x, z) seed pairs packed one lane each, in order."""
+    x, z = (
+        int.from_bytes(b"".join(bits.to_bytes(lane_bytes, "little") for bits in part), "little")
+        for part in zip(*seeds)
+    )
+    return x, z
+
+
+def _lanes(side: int, lanes: int, lane_bytes: int) -> Iterator[int]:
+    """The lanes of one packed side, in order."""
+    packed = side.to_bytes(lanes * lane_bytes, "little")
+    return map(int.from_bytes, _slices(packed, lane_bytes), repeat("little"))
+
+
+def _lane_images(
+    c: Circuit, blocks: int, seeds: Iterable[tuple[int, int]]
+) -> Iterator[tuple[int, int]]:
+    """Conjugate a stream of window seeds, each an (x, z) pair of n*blocks
+    bits, yielding each image in order as the same kind of pair: the seeds
+    are packed one lane each, a batch at a time, for the lane kernel
+    `verify._conjugate_lanes`."""
+    lane_bytes = _lane_bytes(c, blocks)
+    seeds = iter(seeds)
+    while batch := list(islice(seeds, _batch_lanes(lane_bytes))):
+        x, z = _conjugate_lanes(c, blocks, len(batch), *_pack(batch, lane_bytes))
+        yield from zip(_lanes(x, len(batch), lane_bytes), _lanes(z, len(batch), lane_bytes))
 
 
 # -- window conjugation oracle ------------------------------------------------

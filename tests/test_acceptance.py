@@ -10,6 +10,7 @@ import pytest
 
 from helpers import (
     L,
+    body_of,
     chain_propagation_report,
     csign_cascade,
     mat_mul,
@@ -118,7 +119,7 @@ def test_criterion_4_smith_oracle_equivalence():
         if any(not laurent_divides(a, b) for a, b in zip(divs, divs[1:])):
             ok = False
             break
-        if [g.body for g in divs] != minor_gcd_bodies(m):
+        if [body_of(g) for g in divs] != minor_gcd_bodies(m):
             ok = False
             break
     _report(4, "smith divisors match minor-gcd oracle", ok)

@@ -3,22 +3,18 @@ import tracemalloc
 
 import pytest
 
-from helpers import RationalFn, divides, series_head, xgcd
+from helpers import L, RationalFn, divides, parse_laurent, series_head, xgcd
 from qconvenc.errors import ExponentOverflowError, ParseError
 from qconvenc.poly import (
     LaurentPoly,
     Poly,
-    is_symmetric,
     laurent_divides,
     laurent_divmod,
     laurent_div,
-    parse_laurent,
     set_max_span,
     symmetric_decompose,
 )
 from qconvenc.stabilizer import parse_stabilizer
-
-L = parse_laurent
 
 
 def poly(s: str) -> Poly:
@@ -164,15 +160,14 @@ class TestLaurentDegree:
 
 class TestIsSymmetric:
     def test_constant_free_pair(self):
-        chk = is_symmetric(L("D^-1+D"))
-        assert chk and chk.constant_free
+        assert symmetric_decompose(L("D^-1+D")) == (False, (1,))
 
     def test_palindrome_with_center(self):
-        chk = is_symmetric(L("1+D^-1+D"))
-        assert chk and not chk.constant_free
+        assert symmetric_decompose(L("1+D^-1+D")) == (True, (1,))
 
     def test_asymmetric(self):
-        assert not is_symmetric(L("D"))
+        assert symmetric_decompose(L("1+D")) is None
+        assert symmetric_decompose(L("D^-1+1+D^2")) is None
 
     def test_decompose(self):
         assert symmetric_decompose(L("1+D^-1+D")) == (True, (1,))

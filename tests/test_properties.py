@@ -11,14 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import L, reference_symmetric_quotient
+from helpers import L, _lane_images, _pack, reference_symmetric_quotient
 from qconvenc.gates import CNOT, CSIGN, Circuit, GateTemplate, H, P, PL, act, format_circuit, parse_circuit
 from qconvenc.errors import ExponentOverflowError
 from qconvenc.matrix import identity, thaw, zeros
 from qconvenc.poly import LaurentPoly, set_max_span
 from qconvenc.stabilizer import StabilizerMatrix
 from qconvenc.synthesis import _Driver, _symmetric_quotient
-from qconvenc.verify import _lane_bytes, _lane_images, _pack, _subcode_seeds, _unit_seeds
+from qconvenc.verify import _lane_bytes, _subcode_seeds, _unit_seeds
 
 # reproducible runs that leave no example database behind
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=300)

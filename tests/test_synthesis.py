@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     L,
+    body_of,
     divisor_bodies,
     random_valid_code,
     rate_third_code,
@@ -251,7 +252,7 @@ class TestClassify:
         def divides_d_power_plus_one(g, m):
             return gf_pow_mod([ZZ(1), ZZ(0)], m, g, 2, ZZ) == [ZZ(1)]
 
-        bodies = divisor_bodies() + [L("1 + D + D^3 + D^12 + D^16").body]
+        bodies = divisor_bodies() + [body_of(L("1 + D + D^3 + D^12 + D^16"))]
         for body in bodies:
             (cls,) = classify([LaurentPoly(0, body.bits)])
             n = cls.period

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from helpers import (
+    _lane_images,
     chain_propagation_report,
     cnot_chain_conjugate,
     csign_cascade,
@@ -44,7 +45,6 @@ from qconvenc.verify import (
     RowCheck,
     _image_max,
     _interior_max,
-    _lane_images,
     conjugate,
     image_reach,
     propagation_report,
@@ -78,6 +78,16 @@ class TestConjugate:
         c = Circuit(1, (GateTemplate(PL, 1, 0, 3),))
         with pytest.raises(WindowTooSmallError):
             conjugate(c, 3, single_pauli(1, 3, 0, 1, "X"))
+
+    def test_bits_outside_the_window_rejected(self):
+        # n=2 on 3 blocks holds 12 bits: a bit above them, or a negative
+        # int, is a ValueError rather than an image of the masked seed
+        c = Circuit(2, (GateTemplate(CNOT, 1, 2, 1),))
+        for bits in (1 << 12, (1 << 13) - 1, 1 << 40, -1, -(1 << 40)):
+            with pytest.raises(ValueError, match="does not match the window"):
+                conjugate(c, 3, PauliVector(2, 3, bits))
+        full = PauliVector(2, 3, (1 << 12) - 1)
+        assert conjugate(c, 3, full) == reference_conjugate(c, 3, full)
 
     def test_matches_gate_by_gate_reference(self):
         # random full-window Paulis and single-qubit seeds in the first and
@@ -226,8 +236,7 @@ class TestLaneKernel:
         for _ in range(120):
             c = random_circuit(rng, rng.randint(1, 4), rng.randint(0, 8), max_off=2)
             blocks = c.memory + 1 + rng.randint(0, 8)
-            margin = rng.randint(0, c.memory + 1)
-            assert _interior_max(c, blocks, margin) == reference_interior_max(c, blocks, margin)
+            assert _interior_max(c, blocks) == reference_interior_max(c, blocks, c.memory)
 
     def test_round_trip_rows_match_per_placement_reference(self):
         rng = random.Random(813)
@@ -266,12 +275,11 @@ class TestLaneKernel:
         for _ in range(40):
             c = random_circuit(rng, rng.randint(1, 4), rng.randint(0, 8), max_off=2)
             blocks = c.memory + 1 + rng.randint(0, 6)
-            margin = rng.randint(0, c.memory + 1)
             lanes = rng.randint(1, 3)
             monkeypatch.setattr(verify, "_BATCH_BITS", 8 * verify._lane_bytes(c, blocks) * lanes)
             calls.clear()
-            assert _interior_max(c, blocks, margin) == reference_interior_max(c, blocks, margin)
-            assert calls == [2] * max(0, (blocks - 2 * margin) * c.n)
+            assert _interior_max(c, blocks) == reference_interior_max(c, blocks, c.memory)
+            assert calls == [2] * max(0, (blocks - 2 * c.memory) * c.n)
         done = 0
         while done < 12:
             s = random_valid_code(rng, max_gates=8)
@@ -305,7 +313,7 @@ class TestLaneKernel:
         blocks = 2000
         tracemalloc.start()
         try:
-            _interior_max(c, blocks, c.memory)
+            _interior_max(c, blocks)
             interior_peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
             chk = verify_encoder(s, c, blocks)
@@ -476,8 +484,10 @@ class TestRoundTripReuse:
             assert chk.rows == _reference_rows(s, encoder, blocks, margin)
 
     def test_batches_of_one_to_three_lanes(self, monkeypatch):
-        # the table takes several batches, so it keeps none and the round
-        # trip conjugates its own; a batch kept under another cap is stale
+        # a batch kept under the default cap is still read under a smaller
+        # one, since the images do not depend on the cap; when the table
+        # takes several batches it keeps none, and the round trip
+        # conjugates its own
         calls = self._recording(monkeypatch)
         rng = random.Random(818)
         several = 0
@@ -489,7 +499,7 @@ class TestRoundTripReuse:
             monkeypatch.setattr(verify, "_BATCH_BITS", lane_bits * lanes)
             calls.clear()
             chk = verify_encoder(s, encoder, blocks)
-            assert sum(calls) == s.r * (blocks - 2 * margin)
+            assert calls == []
             assert chk.rows == _reference_rows(s, encoder, blocks, margin)
             if s.n * (blocks - 2 * encoder.memory) > max(1, lanes // 2):
                 # under this cap the table takes several batches itself

@@ -38,7 +38,7 @@ from typing import Iterable, NamedTuple
 
 from .errors import ParseError
 from .matrix import Record, thaw, unchecked
-from .poly import LaurentPoly
+from .poly import LaurentPoly, add_shifted
 from .stabilizer import StabilizerMatrix, _strip_comments
 
 H = "H"
@@ -172,6 +172,14 @@ def _template(kind: str, i: int, j: int = 0, ell: int = 0) -> GateTemplate:
     return unchecked(GateTemplate, {"kind": kind, "i": i, "j": j, "ell": ell})
 
 
+def _run_templates(kind: str, i: int, j: int, ells: Iterable[int]) -> list[GateTemplate]:
+    """The CNOT or CSIGN templates `_template(kind, i, j, ell)`, one per ell,
+    oriented once for the whole run."""
+    if kind == CSIGN and j < i:
+        i, j, ells = j, i, [-ell for ell in ells]
+    return [unchecked(GateTemplate, {"kind": kind, "i": i, "j": j, "ell": ell}) for ell in ells]
+
+
 def reverse(c: Circuit) -> Circuit:
     """The inverse circuit: same templates, reversed order.  c was checked
     when it was built, so its reverse is not checked again, and it shares
@@ -192,7 +200,7 @@ def act(x: list[list[LaurentPoly]], z: list[list[LaurentPoly]], g: GateTemplate)
         for row, from_row in zip(sides[dst_side], sides[src_side]):
             e = from_row[src_col]
             if e.bits:
-                row[dst_col] = row[dst_col] + e.shifted(k)
+                row[dst_col] = add_shifted(row[dst_col], e, k)
 
 
 def apply(s: StabilizerMatrix, g: GateTemplate) -> StabilizerMatrix:

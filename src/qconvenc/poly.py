@@ -7,7 +7,9 @@ This makes equality a plain structural comparison and keeps every operation
 exact.  The public constructor LaurentPoly(offset, bits) normalizes its
 input and checks the span; sums, products, shifts and reciprocals are
 normalized by construction and span-checked before they are built, so they
-bypass the constructor.
+bypass the constructor.  The fused updates d + e*D^k (`add_shifted`) and
+d + g*e (`add_product`) build only their result, through the same sum as
+`+`, and raise where the two operators would.
 
 The textual grammar shared by all file formats:
 
@@ -281,24 +283,9 @@ class LaurentPoly:
             return other
         if other.bits == 0:
             return self
-        low, high = (self, other) if self.offset <= other.offset else (other, self)
-        gap = high.offset - low.offset
-        if gap > _max_span:
-            # unless the tops meet too, no end cancels and the nominal span
-            # is the sum's: check it before building bits that wide
-            tops = (low.bits.bit_length(), gap + high.bits.bit_length())
-            if tops[0] != tops[1]:
-                _check_span(max(tops) - 1)
-        bits = low.bits ^ (high.bits << gap)
-        shift = 0
-        if gap == 0:
-            # equal offsets cancel the constant terms
-            if bits == 0:
-                return L_ZERO
-            shift = (bits & -bits).bit_length() - 1
-            bits >>= shift
-        _check_span(bits.bit_length() - 1)
-        return _make(low.offset + shift, bits)
+        if self.offset <= other.offset:
+            return _sum(self.offset, self.bits, other.offset, other.bits)
+        return _sum(other.offset, other.bits, self.offset, self.bits)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         if self.bits == 0 or other.bits == 0:
@@ -354,6 +341,58 @@ def _make(offset: int, bits: int) -> LaurentPoly:
     _set_offset(p, offset)
     _set_bits(p, bits)
     return p
+
+
+def _sum(lo: int, low: int, hi: int, high: int) -> LaurentPoly:
+    """D^lo * low + D^hi * high for nonzero bodies and lo <= hi, normalized
+    and span-checked: the one sum that `LaurentPoly.__add__` and the fused
+    updates build."""
+    gap = hi - lo
+    if gap > _max_span:
+        # unless the tops meet too, no end cancels and the nominal span
+        # is the sum's: check it before building bits that wide
+        tops = (low.bit_length(), gap + high.bit_length())
+        if tops[0] != tops[1]:
+            _check_span(max(tops) - 1)
+    bits = low ^ (high << gap)
+    if gap == 0:
+        # equal offsets cancel the constant terms
+        if bits == 0:
+            return L_ZERO
+        shift = (bits & -bits).bit_length() - 1
+        bits >>= shift
+        lo += shift
+    _check_span(bits.bit_length() - 1)
+    return _make(lo, bits)
+
+
+def add_shifted(d: LaurentPoly, e: LaurentPoly, k: int) -> LaurentPoly:
+    """d + e.shifted(k), with the same span checks in the same order and no
+    intermediate value."""
+    if e.bits == 0:
+        return d
+    if k:
+        _check_span(e.bits.bit_length() - 1)
+    offset = e.offset + k
+    if d.bits == 0:
+        return _make(offset, e.bits) if k else e
+    if d.offset <= offset:
+        return _sum(d.offset, d.bits, offset, e.bits)
+    return _sum(offset, e.bits, d.offset, d.bits)
+
+
+def add_product(d: LaurentPoly, g: LaurentPoly, e: LaurentPoly) -> LaurentPoly:
+    """d + g * e, with the same span checks in the same order and no
+    intermediate value."""
+    if g.bits == 0 or e.bits == 0:
+        return d
+    _check_span(g.bits.bit_length() + e.bits.bit_length() - 2)
+    offset, bits = g.offset + e.offset, _mul_bits(g.bits, e.bits)
+    if d.bits == 0:
+        return _make(offset, bits)
+    if d.offset <= offset:
+        return _sum(d.offset, d.bits, offset, bits)
+    return _sum(offset, bits, d.offset, d.bits)
 
 
 L_ZERO = _make(0, 0)

@@ -30,7 +30,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import LoopLimitError
 from .matrix import Matrix, Record, freeze, thaw, unchecked
-from .poly import LaurentPoly, L_ONE, L_ZERO, laurent_divides, laurent_divmod
+from .poly import LaurentPoly, L_ONE, L_ZERO, add_product, laurent_divides, laurent_divmod
 
 
 class ElementaryColOp(Record):
@@ -69,14 +69,15 @@ def apply_col_op(rows: list[list[LaurentPoly]], op: ElementaryColOp) -> None:
             row[op.i], row[op.j] = row[op.j], row[op.i]
     else:
         for row in rows:
-            row[op.j] = row[op.j] + op.f * row[op.i]
+            row[op.j] = add_product(row[op.j], op.f, row[op.i])
 
 
 def apply_row_op(rows: list[list[LaurentPoly]], op: RowOp) -> None:
     if op.kind == "swap":
         rows[op.i], rows[op.j] = rows[op.j], rows[op.i]
     elif op.kind == "add":
-        rows[op.i] = [a + op.f * b for a, b in zip(rows[op.i], rows[op.j])]
+        f = op.f
+        rows[op.i] = [add_product(a, f, b) if b.bits else a for a, b in zip(rows[op.i], rows[op.j])]
     else:
         rows[op.i] = [e.shifted(op.power) for e in rows[op.i]]
 
@@ -160,17 +161,18 @@ class _Reducer:
         """The active submatrix's pivot: `known` if the last step kept it."""
         if known is not None:
             return known
-        best_key = None
-        best = None
+        # row-major scan: only a strictly shorter body displaces the best,
+        # so ties go to the lowest row, then the lowest column, and the
+        # first monomial ends the scan
+        best, best_length = None, 0
         for i in range(t, self.r):
+            row = self.work[i]
             for j in range(t, self.n):
-                e = self.work[i][j]
-                if e.is_zero():
-                    continue
-                key = (e.degree, i, j)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best = (i, j)
+                length = row[j].bits.bit_length()
+                if length and (best is None or length < best_length):
+                    if length == 1:
+                        return i, j
+                    best, best_length = (i, j), length
         return best
 
     def reduce_pivot(self, t: int) -> bool:

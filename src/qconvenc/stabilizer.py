@@ -93,8 +93,11 @@ class CodeParams(NamedTuple):
 
 def params(s: StabilizerMatrix) -> CodeParams:
     """Code parameters; memory is the joint exponent span of all entries."""
-    envelopes = [env for env in map(s.row_envelope, range(s.r)) if env is not None]
-    memory = max(hi for _, hi in envelopes) - min(lo for lo, _ in envelopes) if envelopes else 0
+    entries = [e for part in (s.x, s.z) for row in part for e in row if e.bits]
+    memory = 0
+    if entries:
+        top = max(e.offset + e.bits.bit_length() for e in entries)
+        memory = top - 1 - min(e.offset for e in entries)
     return CodeParams(n=s.n, k=s.n - s.r, r=s.r, memory=memory)
 
 
@@ -128,23 +131,30 @@ def check_symplectic(s: StabilizerMatrix) -> SymplecticCheck:
     return SymplecticCheck(True)
 
 
-def full_rank(s: StabilizerMatrix) -> bool:
-    """Full rank over the rational function field.  Rank r over GF(2) of
-    S(1), each entry the parity of its terms, proves it: an r x r minor that
-    is 1 at D = 1 is a nonzero Laurent polynomial.  Otherwise smith decides."""
-    combined = [list(s.x[i]) + list(s.z[i]) for i in range(s.r)]
+def rank_at_one(s: StabilizerMatrix) -> int:
+    """Rank over GF(2) of S(1), each entry the parity of its terms: a lower
+    bound on the rank over the rational function field, since an r x r
+    minor that is 1 at D = 1 is a nonzero Laurent polynomial."""
     # each basis vector lacks the leading bits of those before it, so one
     # pass in order clears them all from a vector of their span
     basis: list[int] = []
-    for row in combined:
+    for row_x, row_z in zip(s.x, s.z):
         v = 0
-        for c, e in enumerate(row):
+        for c, e in enumerate((*row_x, *row_z)):
             v |= (e.bits.bit_count() & 1) << c
         for b in basis:
             v = min(v, v ^ b)
         if v:
             basis.append(v)
-    return len(basis) == s.r or smith_rank(combined) == s.r
+    return len(basis)
+
+
+def full_rank(s: StabilizerMatrix) -> bool:
+    """Full rank over the rational function field.  Rank r at D = 1 proves
+    it (`rank_at_one`); otherwise smith decides."""
+    if rank_at_one(s) == s.r:
+        return True
+    return smith_rank([list(s.x[i]) + list(s.z[i]) for i in range(s.r)]) == s.r
 
 
 def validate_code(s: StabilizerMatrix) -> None:

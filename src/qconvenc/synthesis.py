@@ -36,24 +36,26 @@ from .gates import (
     H,
     P,
     PL,
+    _run_templates,
     _template,
     act,
     apply,
     reverse,
     swap_templates,
 )
-from .matrix import freeze, identity, thaw, zeros
+from .matrix import freeze, identity, thaw, unchecked, zeros
 from .poly import (
     LaurentPoly,
     _exponents,
     _mul_bits,
+    add_product,
     format_terms,
     laurent_div,
     max_span,
     symmetric_decompose,
 )
 from .smith import ElementaryColOp, RowOp, apply_row_op, row_divisibility_check, smith
-from .stabilizer import StabilizerMatrix, format_sides, params, validate_code
+from .stabilizer import StabilizerMatrix, format_sides, params, rank_at_one, validate_code
 
 # ASCII digits "0" and "1" to series bits, and back
 _BITS = bytes.maketrans(b"01", b"\x00\x01")
@@ -145,33 +147,42 @@ class _Driver:
         template-by-template path lies in the hull of the old entry and
         g * src; if a hull spans past the limit, the run replays through
         `act` instead and raises as the templates do."""
-        run = [_template(kind, i + 1, j + 1, e) for e in f.exponents()]
-        limit, new = max_span(), None
-        if len(run) > 1 and f.degree <= limit:
-            sides, cols = (self.x, self.z), (i, j)
-            coeff, new = {1: f, -1: f.reciprocal()}, []
-            updates = (
-                (row, cols[dst], from_row[cols[src]], coeff[sign])
-                for dst_side, dst, src_side, src, sign in COLUMN_ACTIONS[kind]
-                for row, from_row in zip(sides[dst_side], sides[src_side])
-            )
-            for row, col, e, g in updates:
-                if e.bits:
-                    d = row[col]
-                    lo, hi = g.offset + e.offset, g.max_exp + e.max_exp
-                    if d.bits:
-                        lo, hi = min(lo, d.offset), max(hi, d.max_exp)
-                    if hi - lo > limit:
-                        new = None
-                        break
-                    new.append((row, col, d + g * e))
+        run = _run_templates(kind, i + 1, j + 1, f.exponents())
+        new = self._fused(kind, i, j, f) if len(run) > 1 else None
         if new is None:
             for template in run:
                 act(self.x, self.z, template)
-        for row, col, value in new or ():
-            row[col] = value
+        else:
+            for row, col, value in new:
+                row[col] = value
         self.gates.extend(run)
         self._dirty = True
+
+    def _fused(
+        self, kind: str, i: int, j: int, f: LaurentPoly
+    ) -> Optional[list[tuple[list[LaurentPoly], int, LaurentPoly]]]:
+        """The (row, column, new entry) updates of `run`, or None when a
+        hull spans past the limit."""
+        limit = max_span()
+        if f.degree > limit:
+            return None
+        sides, cols = (self.x, self.z), (i, j)
+        coeff, new = {1: f, -1: f.reciprocal()}, []
+        for dst_side, dst, src_side, src, sign in COLUMN_ACTIONS[kind]:
+            g, col, src_col = coeff[sign], cols[dst], cols[src]
+            g_offset, g_span = g.offset, g.bits.bit_length() - 1
+            for row, from_row in zip(sides[dst_side], sides[src_side]):
+                e = from_row[src_col]
+                if e.bits:
+                    d = row[col]
+                    lo = g_offset + e.offset
+                    hi = lo + g_span + e.bits.bit_length() - 1
+                    if d.bits:
+                        lo, hi = min(lo, d.offset), max(hi, d.offset + d.bits.bit_length() - 1)
+                    if hi - lo > limit:
+                        return None
+                    new.append((row, col, add_product(d, g, e)))
+        return new
 
     def row(self, op: RowOp) -> None:
         _row_op(self.x, self.z, op)
@@ -248,12 +259,38 @@ def synthesize(s: StabilizerMatrix, record_checkpoints: bool = True) -> Synthesi
     """Transform S(D) into (0 0 | Gamma 0), recording the full transcript.
 
     Preconditions: r < n, the commutation condition holds, and the matrix has
-    full rank over the rational function field.  Raises NonClearableError
-    when a required quotient is not a Laurent polynomial or a diagonal
-    residue is not of the symmetric shape, and LoopLimitError when the
-    degree-reduction loop overruns its budget.
+    full rank over the rational function field; `validate_code` raises
+    PreconditionError when one fails.  Raises NonClearableError when a
+    required quotient is not a Laurent polynomial or a diagonal residue is
+    not of the symmetric shape, and LoopLimitError when the degree-reduction
+    loop overruns its budget.
+
+    A completed reduction is itself the certificate of the last two
+    preconditions: every template is symplectic and every row operation
+    unimodular, so S commutes and has rank r exactly when (0 0 | Gamma 0)
+    does, and the reduction ends by checking that normal form.  So
+    `validate_code` runs first only when r >= n, when 2 * memory exceeds
+    the span limit (its commutation products could then overflow where the
+    reduction does not), or when S(1) has rank below r (rank is then
+    decided by Smith form).  Otherwise the reduction runs first, and only
+    if it raises does `validate_code` run: its PreconditionError wins, and
+    if the code is valid, the reduction's own error is raised.  So the
+    result, or the error, is the same as when validation runs first.
     """
+    if s.r >= s.n or 2 * params(s).memory > max_span() or rank_at_one(s) < s.r:
+        validate_code(s)
+        return _reduce(s, record_checkpoints)
+    try:
+        return _reduce(s, record_checkpoints)
+    except Exception as exc:
+        # any failure on input not yet validated defers to validation
+        failure = exc
     validate_code(s)
+    raise failure
+
+
+def _reduce(s: StabilizerMatrix, record_checkpoints: bool) -> SynthesisResult:
+    """The reduction behind `synthesize`, on a code with r < n."""
     n, r = s.n, s.r
     drv = _Driver(s, record_checkpoints)
     rank, gamma, measure, budget = 0, [], 0, 0
@@ -394,7 +431,9 @@ def synthesize(s: StabilizerMatrix, record_checkpoints: bool = True) -> Synthesi
             if normal_form.z[i][c] != want:
                 raise AssertionError("normal form Z part is not diag(gamma)")
 
-    forward = Circuit(n, tuple(drv.gates))
+    templates = tuple(drv.gates)
+    memory = max([abs(g.ell) for g in templates], default=0)
+    forward = unchecked(Circuit, {"n": n, "templates": templates, "memory": memory})
     encoder = reverse(forward)
     return SynthesisResult(
         forward=forward,
@@ -404,7 +443,7 @@ def synthesize(s: StabilizerMatrix, record_checkpoints: bool = True) -> Synthesi
         s0=subcode_for(n, r),
         normal_form=normal_form,
         rate=(n - r, n),
-        memory=forward.memory,
+        memory=memory,
         checkpoints=tuple(drv.checkpoints),
         row_ops=tuple(drv.row_ops),
         step2_log=tuple(step2_log),

@@ -446,6 +446,56 @@ def random_valid_code(
     return apply_circuit(base, random_circuit(rng, n, rng.randint(0, max_gates), max_off))
 
 
+def random_proper_code(rng: random.Random, n: int = 3, r: int = 2, max_gates: int = 12) -> StabilizerMatrix:
+    """A commuting full-rank Z-only code (0 | diag(g_1..g_r) 0), each g_i of
+    degree 2-4 with constant term 1, scrambled by random gates."""
+    diag = [LaurentPoly(0, 1 << rng.randint(2, 4) | rng.getrandbits(3) << 1 | 1) for _ in range(r)]
+    base = StabilizerMatrix.from_rows(
+        n, zeros(r, n), [[diag[i] if c == i else L_ZERO for c in range(n)] for i in range(r)]
+    )
+    return apply_circuit(base, random_circuit(rng, n, rng.randint(0, max_gates)))
+
+
+def invalid_mutants(rng: random.Random, s: StabilizerMatrix) -> dict[str, StabilizerMatrix]:
+    """Four invalid variants of a valid code with r >= 2: "term", one term
+    added to an entry, which breaks commutation; "multiple", a row replaced
+    by D^k or D^k + D^(k+1) times another, which breaks rank; "both", the
+    multiple and then the term; and "wide", multiples of rows appended until
+    r = n."""
+
+    def multiple(i: int) -> tuple[list[LaurentPoly], list[LaurentPoly]]:
+        k = rng.randint(-2, 2)
+        f = LaurentPoly.d(k) if rng.random() < 0.5 else LaurentPoly.from_exponents((k, k + 1))
+        return [f * e for e in s.x[i]], [f * e for e in s.z[i]]
+
+    out = {}
+    for kind in ("term", "multiple", "both", "wide"):
+        x, z = thaw(s.x), thaw(s.z)
+        if kind in ("multiple", "both"):
+            i, j = rng.sample(range(s.r), 2)
+            x[i], z[i] = multiple(j)
+        if kind in ("term", "both"):
+            # a term on X[i][c] (Z[i][c]) breaks commutation with row j when
+            # Z[j][c] (X[j][c]) is nonzero
+            spots = [
+                (side, i, c)
+                for side, other in ((x, z), (z, x))
+                for i in range(s.r)
+                for c in range(s.n)
+                if any(other[j][c] for j in range(s.r) if j != i)
+            ]
+            side, i, c = rng.choice(spots)
+            lo, hi = StabilizerMatrix.from_rows(s.n, x, z).row_envelope(i) or (0, 0)
+            side[i][c] = side[i][c] + LaurentPoly.d(rng.randint(lo, hi))
+        if kind == "wide":
+            for _ in range(s.n - s.r):
+                row_x, row_z = multiple(rng.randrange(s.r))
+                x.append(row_x)
+                z.append(row_z)
+        out[kind] = StabilizerMatrix.from_rows(s.n, x, z)
+    return out
+
+
 def mutate_one_entry(rng: random.Random, s: StabilizerMatrix) -> StabilizerMatrix:
     """Flip one coefficient of one entry, inside the row's exponent envelope."""
     i = rng.randrange(s.r)

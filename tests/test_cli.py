@@ -355,7 +355,11 @@ class TestGoldenTranscripts:
     period of 8191 bits.  deep0111 is an n=6 ladder code (the 112th draw of
     `bench/corpus.ladder_code` on the second rung from `random.Random(2101)`)
     whose fourth row spans nine blocks, D^-3 .. D^5: on the 6-block window
-    the round-trip basis holds placements truncated at both edges at once."""
+    the round-trip basis holds placements truncated at both edges at once.
+    noncommuting is the worked example with one term added, which breaks
+    commutation: synth reduces it first, and validation reports the
+    failure; rank_deficient has one row a multiple of the other, so S(1)
+    has rank 1 and synth validates it before reducing it."""
 
     @pytest.mark.parametrize(
         "argv, golden, exit_code",
@@ -371,6 +375,8 @@ class TestGoldenTranscripts:
             (["synth", "primitive13.stab"], "primitive13_synth.txt", 0),
             (["verify", "--windows", "11,22,44", "ladder8.stab", "ladder8.enc"], "ladder8_verify.txt", 0),
             (["verify", "--windows", "3,6,12", "deep0111.stab", "deep0111.enc"], "deep0111_verify.txt", 0),
+            (["synth", "noncommuting.stab"], "noncommuting_synth.txt", 3),
+            (["synth", "rank_deficient.stab"], "rank_deficient_synth.txt", 3),
         ],
     )
     def test_transcript(self, argv, golden, exit_code):

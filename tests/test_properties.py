@@ -1,10 +1,12 @@
 """Property tests: the circuit text format round trip, the symmetric
 quotient against the y-basis reference, Laurent arithmetic against its
-exponent-set reference, the synthesis driver's fused template runs
+exponent-set reference, the fused entry updates against the operators
+they stand for, the synthesis driver's fused template runs
 against their template-by-template replay, the polynomial seed images
 of `gates.act` against the window kernel, and the window kernel's packed
 unit and subcode seeds against its per-seed packing."""
 
+import tracemalloc
 from math import gcd
 
 import pytest
@@ -15,7 +17,7 @@ from helpers import L, _lane_images, _pack, reference_symmetric_quotient
 from qconvenc.gates import CNOT, CSIGN, Circuit, GateTemplate, H, P, PL, act, format_circuit, parse_circuit
 from qconvenc.errors import ExponentOverflowError
 from qconvenc.matrix import identity, thaw, zeros
-from qconvenc.poly import LaurentPoly, set_max_span
+from qconvenc.poly import LaurentPoly, add_product, add_shifted, max_span, set_max_span
 from qconvenc.stabilizer import StabilizerMatrix
 from qconvenc.synthesis import _Driver, _symmetric_quotient
 from qconvenc.verify import _lane_bytes, _subcode_seeds, _unit_seeds
@@ -148,6 +150,97 @@ def test_laurent_results_raise_exactly_above_a_lowered_limit(op, a, b, k, limit)
             assert run(a, b, k) == want
     finally:
         set_max_span(old)
+
+
+# -- fused entry updates against the operators ---------------------------------
+
+
+@st.composite
+def fused_operands(draw) -> tuple[LaurentPoly, LaurentPoly, LaurentPoly, int]:
+    """(d, g, e, k) for d + e*D^k and d + g*e.  Each operand may be zero,
+    offsets run negative, and d may be aligned with the update so that
+    their constant terms cancel, or equal to it so that the sum is zero."""
+    operand = st.one_of(st.just(LaurentPoly.zero()), laurents())
+    d, g, e = draw(operand), draw(operand), draw(operand)
+    k = draw(st.integers(-20, 20))
+    align = draw(st.sampled_from(("none", "shift", "product", "shift-equal", "product-equal")))
+    if align == "shift" and e:
+        d = LaurentPoly(e.offset + k, d.bits | 1)
+    elif align == "product" and g and e:
+        d = LaurentPoly(g.offset + e.offset, d.bits | 1)
+    elif align == "shift-equal":
+        d = e.shifted(k)
+    elif align == "product-equal":
+        d = g * e
+    return d, g, e, k
+
+
+# update name -> (the fused update, the same update through the operators,
+# its reference on exponent sets)
+FUSED_UPDATES = {
+    "add_shifted": (
+        lambda d, g, e, k: add_shifted(d, e, k),
+        lambda d, g, e, k: d + e.shifted(k),
+        lambda d, g, e, k: _reference(d.exponents() + tuple(x + k for x in e.exponents())),
+    ),
+    "add_product": (
+        lambda d, g, e, k: add_product(d, g, e),
+        lambda d, g, e, k: d + g * e,
+        lambda d, g, e, k: _reference(d.exponents() + tuple(a + b for a in g.exponents() for b in e.exponents())),
+    ),
+}
+
+
+def _outcome(update, case):
+    try:
+        return update(*case)
+    except ExponentOverflowError as exc:
+        return "raised", str(exc)
+
+
+@pytest.mark.parametrize("update", sorted(FUSED_UPDATES))
+@PROPERTY
+@given(case=fused_operands(), limit=st.one_of(st.none(), st.integers(1, 30)))
+def test_fused_updates_match_the_operators(update, case, limit):
+    """Same value, or the same ExponentOverflowError text, at the default
+    limit and under a lowered one; a value is the exponent-set sum, and one
+    built anew, not an operand passed through, is within the limit."""
+    fused, operators, reference = FUSED_UPDATES[update]
+    value = reference(*case)
+    old = None if limit is None else set_max_span(limit)
+    try:
+        got, want = _outcome(fused, case), _outcome(operators, case)
+        current = max_span()
+    finally:
+        if old is not None:
+            set_max_span(old)
+    assert got == want
+    if isinstance(got, LaurentPoly):
+        assert got == value
+        assert _normalized(got)
+        if got.bits and all(got is not operand for operand in case[:3]):
+            assert got.degree <= current
+
+
+@pytest.mark.parametrize("update", ["add", *sorted(FUSED_UPDATES)])
+def test_a_sum_wider_than_the_limit_raises_before_it_is_built(update):
+    """Offsets 2^23 apart: the sum's nominal span is checked before a body
+    of 2^23 bits (1 MiB) is allocated."""
+    far = LaurentPoly.d(1 << 23)
+    near = LaurentPoly.one()
+    run = {
+        "add": lambda: near + far,
+        "add_shifted": lambda: add_shifted(near, near, 1 << 23),
+        "add_product": lambda: add_product(near, far, near),
+    }[update]
+    tracemalloc.start()
+    try:
+        with pytest.raises(ExponentOverflowError, match=f"span {1 << 23} exceeds"):
+            run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
 
 
 # -- fused template runs against their replay ----------------------------------

@@ -9,6 +9,8 @@ from helpers import (
     L,
     body_of,
     divisor_bodies,
+    invalid_mutants,
+    random_proper_code,
     random_valid_code,
     rate_third_code,
     RationalFn,
@@ -28,11 +30,14 @@ from qconvenc.gates import (
     apply_circuit,
     depth_schedule,
 )
-from qconvenc.poly import LaurentPoly, Poly
+from qconvenc import stabilizer
+from qconvenc.poly import LaurentPoly, Poly, set_max_span
 from qconvenc.smith import RowOp
-from qconvenc.stabilizer import check_symplectic, params
+from qconvenc.stabilizer import StabilizerMatrix, check_symplectic, params, validate_code
 from qconvenc.synthesis import (
+    SynthesisResult,
     _period_series,
+    _reduce,
     build_report,
     classify,
     replay,
@@ -185,6 +190,81 @@ class TestPreconditions:
                      (["0", "0", "0"], ["D+D^2", "0", "0"])])
         with pytest.raises(PreconditionError):
             synthesize(s)
+
+
+def _validated_first(s: StabilizerMatrix) -> SynthesisResult:
+    """synthesize with every code validated before it is reduced."""
+    validate_code(s)
+    return _reduce(s, True)
+
+
+def _outcome(synth, s: StabilizerMatrix):
+    """The result's transcript, or the raised error's class, text and
+    witness."""
+    try:
+        result = synth(s)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "witness", None)
+    return result.forward, result.gamma, result.row_ops, result.checkpoints
+
+
+def _codes_and_mutants() -> list[tuple[str, StabilizerMatrix]]:
+    """20 ladder (unit-divisor) and 20 proper codes, all with r >= 2, each
+    followed by its four invalid mutants."""
+    rng = random.Random(1801)
+    codes: list[StabilizerMatrix] = []
+    while len(codes) < 20:
+        s = random_valid_code(rng, max_n=6, max_r=4, max_gates=30, max_off=3)
+        if s.r >= 2:
+            codes.append(s)
+    codes += [random_proper_code(rng) for _ in range(20)]
+    out = []
+    for k, s in enumerate(codes):
+        out.append((f"{k}-valid", s))
+        out += [(f"{k}-{kind}", mutant) for kind, mutant in invalid_mutants(rng, s).items()]
+    return out
+
+
+class TestValidationOrder:
+    """The reduction runs before `validate_code` on codes with r < n, S(1)
+    of rank r and 2 * memory within the span limit; every other code is
+    validated first.  Either way a code fails as it would if it were
+    validated first."""
+
+    @pytest.mark.parametrize("lowered", [False, True], ids=["default-limit", "limit-below-2m"])
+    def test_codes_and_mutants_end_as_when_validated_first(self, lowered):
+        """Below 2 * memory, a valid code whose commutation products pass the
+        limit fails validation even where its reduction fits."""
+        compared = 0
+        for name, s in _codes_and_mutants():
+            memory = params(s).memory
+            if lowered and memory == 0:
+                continue
+            old = set_max_span(2 * memory - 1) if lowered else None
+            try:
+                want = _outcome(_validated_first, s)
+                got = _outcome(synthesize, s)
+            finally:
+                if old is not None:
+                    set_max_span(old)
+            assert got == want, name
+            compared += 1
+        assert compared >= 180
+
+    def test_mutants_are_invalid(self):
+        for name, s in _codes_and_mutants():
+            if not name.endswith("-valid"):
+                with pytest.raises(PreconditionError):
+                    validate_code(s)
+
+    def test_valid_ladder_code_skips_the_commutation_check(self, monkeypatch):
+        def refuse(s):
+            raise AssertionError("check_symplectic called")
+
+        s = random_valid_code(random.Random(1802), max_n=6, max_r=4, max_gates=30, max_off=3)
+        monkeypatch.setattr(stabilizer, "check_symplectic", refuse)
+        result = synthesize(s)
+        assert replay(s, result) == result.normal_form
 
 
 class TestRandomizedRuns:

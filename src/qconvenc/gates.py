@@ -14,7 +14,8 @@ S(D) = (X(D) | Z(D)):
     CNOT(i,j,l)   x_j += D^l x_i ;  z_i += D^-l z_j
     CSIGN(i,j,l)  z_j += D^l x_i ;  z_i += D^-l x_j
 
-Two interpreters read the table template by template: `act` updates
+Two interpreters read it template by template, with the columns and shift
+of each update taken from the template's (i, j, ell): `act` updates
 mutable polynomial rows in place, skipping rows whose source entry is zero
 (`apply` wraps it for frozen matrices), and the window kernel behind
 `verify.conjugate` runs each update as one masked shift-and-XOR over a
@@ -26,14 +27,14 @@ replaying its templates in reversed order.
 
 _FIELDS is the single statement of the circuit text format: each kind's
 field names for (i, j, ell), None where the kind carries no such field.
-`GateTemplate.__str__` writes a template as its kind followed by the named
-fields, through one format string per kind derived from the table, and
-`parse_circuit` reads them back in the same order.
+`format_circuit` writes a template as its kind followed by the named
+fields, through one format string per kind derived from the table
+(`GateTemplate.__str__` uses the same one), and `parse_circuit` reads them
+back in the same order.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Iterable, NamedTuple
 
 from .errors import ParseError
@@ -86,24 +87,28 @@ class GateTemplate(Record):
     """One template: kind(i, j, ell), replicated at every block shift.
 
     The constructor checks the fields, then builds through `_template`,
-    which stores the canonical orientation.  The instance dict also holds
-    the cached `updates`."""
+    which stores the canonical orientation.  The instance dict holds the
+    fields and nothing derived from them."""
 
     _fields = ("kind", "i", "j", "ell")
 
     def __new__(cls, kind: str, i: int, j: int = 0, ell: int = 0) -> GateTemplate:
-        if kind not in COLUMN_ACTIONS:
+        if kind in _TWO_QUBIT:
+            if i < 1 or j < 1:
+                raise ValueError("qubit indices are 1-based")
+            if i == j:
+                raise ValueError(f"{kind} needs two distinct qubit streams")
+        elif kind in (H, P, PL):
+            if i < 1:
+                raise ValueError("qubit indices are 1-based")
+            if j != 0:
+                raise ValueError(f"{kind} takes a single qubit")
+            if kind == PL and ell == 0:
+                raise ValueError("PL requires a nonzero offset")
+            if kind != PL and ell != 0:
+                raise ValueError(f"{kind} carries no offset")
+        else:
             raise ValueError(f"unknown gate kind {kind!r}")
-        if min((i, j) if kind in _TWO_QUBIT else (i,)) < 1:
-            raise ValueError("qubit indices are 1-based")
-        if kind in (H, P, PL) and j != 0:
-            raise ValueError(f"{kind} takes a single qubit")
-        if kind in _TWO_QUBIT and i == j:
-            raise ValueError(f"{kind} needs two distinct qubit streams")
-        if kind == PL and ell == 0:
-            raise ValueError("PL requires a nonzero offset")
-        if kind in (H, P) and ell != 0:
-            raise ValueError(f"{kind} carries no offset")
         return _template(kind, i, j, ell)
 
     @property
@@ -114,20 +119,6 @@ class GateTemplate(Record):
     def qubits(self) -> tuple[int, ...]:
         return (self.i, self.j) if self.kind in _TWO_QUBIT else (self.i,)
 
-    @cached_property
-    def updates(self) -> tuple[tuple[int, int, int, int, int], ...]:
-        """Column updates (dst side, dst column, src side, src column, k):
-        column dst += D^k * column src, columns 0-based."""
-        cols = (self.i - 1, self.j - 1)
-        return tuple(
-            (dst_side, cols[dst], src_side, cols[src], sign * self.ell)
-            for dst_side, dst, src_side, src, sign in COLUMN_ACTIONS[self.kind]
-        )
-
-    def is_diagonal(self) -> bool:
-        """Diagonal in the Z basis: no update writes an X column."""
-        return self.kind in _DIAGONAL
-
     def __str__(self) -> str:
         return _FORMATS[self.kind].format(self.i, self.j, self.ell)
 
@@ -135,7 +126,7 @@ class GateTemplate(Record):
 class Circuit(Record):
     """An ordered list of templates on n qubit streams, applied left to right.
 
-    The instance dict also holds the cached `memory`."""
+    The instance dict also holds `memory`, the largest template reach."""
 
     _fields = ("n", "templates")
 
@@ -143,15 +134,14 @@ class Circuit(Record):
         templates = tuple(templates)
         if n < 1:
             raise ValueError(f"need at least one qubit stream, got n={n}")
+        memory = 0
         for g in templates:
             # j is 0 on single-qubit kinds, so this is max(g.qubits) > n
             if g.i > n or g.j > n:
                 raise ValueError(f"template {g} exceeds n={n}")
-        return unchecked(cls, {"n": n, "templates": templates})
-
-    @cached_property
-    def memory(self) -> int:
-        return max((g.reach for g in self.templates), default=0)
+            if abs(g.ell) > memory:
+                memory = abs(g.ell)
+        return unchecked(cls, {"n": n, "templates": templates, "memory": memory})
 
     def __len__(self) -> int:
         return len(self.templates)
@@ -183,7 +173,7 @@ def _run_templates(kind: str, i: int, j: int, ells: Iterable[int]) -> list[GateT
 def reverse(c: Circuit) -> Circuit:
     """The inverse circuit: same templates, reversed order.  c was checked
     when it was built, so its reverse is not checked again, and it shares
-    c's cached memory."""
+    c's memory."""
     return unchecked(Circuit, {"n": c.n, "templates": c.templates[::-1], "memory": c.memory})
 
 
@@ -248,7 +238,7 @@ def depth_schedule(c: Circuit) -> Schedule:
     mode = None  # "diag" | "h" | None
     used: set[int] = set()
     for g in c.templates:
-        if g.is_diagonal():
+        if g.kind in _DIAGONAL:
             if mode == "diag":
                 layers[-1].append(g)
             else:
@@ -274,17 +264,8 @@ def depth_schedule(c: Circuit) -> Schedule:
 
 def format_circuit(c: Circuit) -> str:
     lines = [f"n={c.n}"]
-    lines.extend(str(g) for g in c.templates)
+    lines.extend(_FORMATS[g.kind].format(g.i, g.j, g.ell) for g in c.templates)
     return "\n".join(lines) + "\n"
-
-
-def _take_int(fields: dict[str, str], key: str, line: str) -> int:
-    if key not in fields:
-        raise ParseError(f"missing {key}= in {line!r}")
-    try:
-        return int(fields.pop(key))
-    except ValueError:
-        raise ParseError(f"bad integer for {key}= in {line!r}") from None
 
 
 def parse_circuit(text: str) -> Circuit:
@@ -297,20 +278,31 @@ def parse_circuit(text: str) -> Circuit:
         raise ParseError(f"bad circuit header {lines[0]!r}") from None
     templates = []
     for line in lines[1:]:
-        parts = line.split()
-        kind = parts[0]
+        kind, *parts = line.split()
         fields = {}
-        for part in parts[1:]:
-            if "=" not in part:
+        for part in parts:
+            key, eq, val = part.partition("=")
+            if not eq:
                 raise ParseError(f"bad field {part!r} in {line!r}")
-            key, val = part.split("=", 1)
             if key in fields:
                 raise ParseError(f"duplicate field {key}= in {line!r}")
             fields[key] = val
+        # the template's own errors, ParseErrors too, report a bad template
         try:
             if kind not in _FIELDS:
                 raise ParseError(f"unknown gate {kind!r}")
-            values = (_take_int(fields, key, line) if key else 0 for key in _FIELDS[kind])
+            values = []
+            for key in _FIELDS[kind]:
+                if key is None:
+                    values.append(0)
+                    continue
+                val = fields.pop(key, None)
+                if val is None:
+                    raise ParseError(f"missing {key}= in {line!r}")
+                try:
+                    values.append(int(val))
+                except ValueError:
+                    raise ParseError(f"bad integer for {key}= in {line!r}") from None
             g = GateTemplate(kind, *values)
         except ValueError as exc:
             raise ParseError(f"bad template {line!r}: {exc}") from None
@@ -318,6 +310,6 @@ def parse_circuit(text: str) -> Circuit:
             raise ParseError(f"unexpected fields {sorted(fields)} in {line!r}")
         templates.append(g)
     try:
-        return Circuit(n, tuple(templates))
+        return Circuit(n, templates)
     except ValueError as exc:
         raise ParseError(str(exc)) from None

@@ -448,27 +448,43 @@ def symmetric_decompose(a: LaurentPoly) -> Optional[tuple[bool, tuple[int, ...]]
 # textual grammar
 
 
-def parse_terms(text: str) -> list[int]:
-    """Parse the polynomial grammar into a list of exponents (with repeats)."""
+_TERMS = {"0": None, "1": 0, "D": 1}
+
+
+def _exponent(term: str) -> Optional[int]:
+    """The exponent of one whitespace-free term; None for "0"."""
+    if term in _TERMS:
+        return _TERMS[term]
+    if not term.startswith("D^"):
+        raise ParseError(f"bad polynomial term {term!r}")
+    try:
+        return int(term[2:])
+    except ValueError:
+        raise ParseError(f"bad exponent in term {term!r}") from None
+
+
+def parse_poly(text: str) -> LaurentPoly:
+    """The polynomial grammar read into a LaurentPoly: "0" is zero, a term
+    its monomial.  A sum reads every term first, so a bad term raises before
+    any span check; it is built at once when its lowest term survives the
+    cancellation, else by `LaurentPoly.from_exponents`."""
     squeezed = "".join(text.split())
-    if not squeezed:
-        raise ParseError("empty polynomial")
-    exps: list[int] = []
-    for term in squeezed.split("+"):
-        if term == "0":
-            continue
-        if term == "1":
-            exps.append(0)
-        elif term == "D":
-            exps.append(1)
-        elif term.startswith("D^"):
-            try:
-                exps.append(int(term[2:]))
-            except ValueError:
-                raise ParseError(f"bad exponent in term {term!r}") from None
-        else:
-            raise ParseError(f"bad polynomial term {term!r}")
-    return exps
+    if "+" not in squeezed:
+        if squeezed == "0":
+            return L_ZERO
+        if not squeezed:
+            raise ParseError("empty polynomial")
+        return _make(_exponent(squeezed), 1)
+    exps = [e for e in map(_exponent, squeezed.split("+")) if e is not None]
+    if exps:
+        lo = min(exps)
+        if max(exps) - lo <= _max_span:
+            bits = 0
+            for e in exps:
+                bits ^= 1 << e - lo
+            if bits & 1:
+                return _make(lo, bits)
+    return LaurentPoly.from_exponents(exps)
 
 
 def format_terms(terms: Iterable[tuple[int, int]]) -> str:

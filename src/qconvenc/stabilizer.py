@@ -16,7 +16,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .errors import ParseError, PreconditionError
 from .matrix import Matrix, Record, freeze, unchecked
-from .poly import LaurentPoly, L_ZERO, _check_span, parse_terms
+from .poly import LaurentPoly, L_ZERO, _check_span, parse_poly
 from .smith import smith_rank
 
 
@@ -44,38 +44,32 @@ class StabilizerMatrix(Record):
     ) -> "StabilizerMatrix":
         return cls(n=n, r=len(x_rows), x=freeze(x_rows), z=freeze(z_rows))
 
-    def row_envelope(self, i: int) -> Optional[tuple[int, int]]:
-        """Lowest and highest exponent appearing in row i, or None if empty."""
-        lo = hi = None
-        for part in (self.x, self.z):
-            for e in part[i]:
-                if e.is_zero():
-                    continue
-                lo = e.min_exp if lo is None else min(lo, e.min_exp)
-                hi = e.max_exp if hi is None else max(hi, e.max_exp)
-        if lo is None:
-            return None
-        return lo, hi
-
     @cached_property
     def _row_patterns(self) -> tuple[Optional[tuple[int, int, int, int]], ...]:
         """Per row: (lo, hi, x, z) with the row's x and z bits laid out from
         block lo upward, qubit position (e - lo)*n + column; None if empty.
         A row's envelope must pass the span limit before it is packed."""
+        n = self.n
         patterns = []
-        for i in range(self.r):
-            env = self.row_envelope(i)
-            if env is None:
+        for row_x, row_z in zip(self.x, self.z):
+            entries = [e for e in (*row_x, *row_z) if e.bits]
+            if not entries:
                 patterns.append(None)
                 continue
-            lo, hi = env
+            lo = min([e.offset for e in entries])
+            hi = max([e.offset + e.bits.bit_length() for e in entries]) - 1
             _check_span(hi - lo)
             sides = []
-            for part in (self.x, self.z):
+            for row in (row_x, row_z):
                 bits = 0
-                for c, e in enumerate(part[i]):
-                    for exp in e.exponents():
-                        bits |= 1 << ((exp - lo) * self.n + c)
+                for c, e in enumerate(row):
+                    body = e.bits
+                    if body:
+                        at = (e.offset - lo) * n + c
+                        while body:
+                            low = body & -body
+                            bits |= 1 << at + (low.bit_length() - 1) * n
+                            body ^= low
                 sides.append(bits)
             patterns.append((lo, hi, *sides))
         return tuple(patterns)
@@ -266,12 +260,7 @@ def placement_bits(s: StabilizerMatrix, blocks: int, gen: int, shift: int) -> Op
 
 
 def _strip_comments(text: str) -> list[str]:
-    lines = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            lines.append(line)
-    return lines
+    return [line for raw in text.splitlines() if (line := raw.partition("#")[0].strip())]
 
 
 def _parse_header(line: str, keys: tuple[str, ...]) -> dict[str, int]:
@@ -356,16 +345,17 @@ def parse_stabilizer(text: str) -> StabilizerMatrix:
         x_rows = []
         z_rows = []
         for line in lines[1:]:
-            body = _split_row(line)
-            halves = body.split("|")
+            # whitespace is ignored, so the row drops it once for its entries
+            halves = "".join(_split_row(line).split()).split("|")
             if len(halves) != 2:
                 raise ParseError(f"row needs one '|' separator: {line!r}")
             xs = halves[0].split(",")
             zs = halves[1].split(",")
             if len(xs) != n or len(zs) != n:
                 raise ParseError(f"expected {n} polynomials per side: {line!r}")
-            x_rows.append([LaurentPoly.from_exponents(parse_terms(p)) for p in xs])
-            z_rows.append([LaurentPoly.from_exponents(parse_terms(p)) for p in zs])
+            # most entries are zero
+            x_rows.append(tuple([L_ZERO if p == "0" else parse_poly(p) for p in xs]))
+            z_rows.append(tuple([L_ZERO if p == "0" else parse_poly(p) for p in zs]))
         return StabilizerMatrix.from_rows(n, x_rows, z_rows)
     except ParseError:
         raise

@@ -14,7 +14,7 @@ from itertools import repeat
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import PreconditionError, WindowTooSmallError
-from .gates import CNOT, CSIGN, Circuit, PL, act
+from .gates import CNOT, COLUMN_ACTIONS, CSIGN, Circuit, PL, act
 from .poly import L_ONE, L_ZERO, max_span
 # verify.placement_bits stays importable, though the basis inlines it
 from .stabilizer import StabilizerMatrix, placement_bits  # noqa: F401
@@ -81,9 +81,11 @@ def _conjugate_lanes(c: Circuit, blocks: int, lanes: int, x: int, z: int) -> tup
     columns, windows = _lane_masks(n, blocks, _lane_bytes(c, blocks), lanes)
     sides = [x, z]
     for g in c.templates:
-        for dst_side, dst, src_side, src, k in g.updates:
-            moved = sides[src_side] & columns[src]
-            step = k * n + dst - src
+        # columns are 0-based; a shift of k blocks moves a bit k*n places
+        cols, shift = (g.i - 1, g.j - 1), g.ell * n
+        for dst_side, dst, src_side, src, sign in COLUMN_ACTIONS[g.kind]:
+            moved = sides[src_side] & columns[cols[src]]
+            step = sign * shift + cols[dst] - cols[src]
             sides[dst_side] ^= moved << step if step >= 0 else moved >> -step
     return sides[0] & windows, sides[1] & windows
 

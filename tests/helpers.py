@@ -6,17 +6,34 @@ import random
 
 from dataclasses import dataclass
 from itertools import islice, repeat
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
-from qconvenc.errors import WindowTooSmallError
-from qconvenc.gates import CNOT, CSIGN, Circuit, GateTemplate, H, P, PL, apply, apply_circuit
+from qconvenc.errors import ParseError, WindowTooSmallError
+from qconvenc.gates import (
+    _FIELDS,
+    CNOT,
+    COLUMN_ACTIONS,
+    CSIGN,
+    Circuit,
+    GateTemplate,
+    H,
+    P,
+    PL,
+    _template,
+    apply,
+    apply_circuit,
+)
 from qconvenc.matrix import Matrix, freeze, identity, thaw, zeros
-from qconvenc.poly import L_ONE, L_ZERO, LaurentPoly, Poly, _divmod_bits, parse_terms
+from qconvenc.poly import L_ONE, L_ZERO, LaurentPoly, Poly, _check_span, _divmod_bits
 from qconvenc.smith import ElementaryColOp, SmithDecomposition, apply_col_op
 from qconvenc.stabilizer import (
     F4Poly,
     StabilizerMatrix,
     SymplecticCheck,
+    _parse_f4_entry,
+    _parse_header,
+    _split_row,
+    from_f4,
     params,
     placement_bits,
 )
@@ -31,7 +48,32 @@ from qconvenc.verify import (
 )
 
 
+def parse_terms(text: str) -> list[int]:
+    """Parse the polynomial grammar into a list of exponents (with repeats)."""
+    squeezed = "".join(text.split())
+    if not squeezed:
+        raise ParseError("empty polynomial")
+    exps: list[int] = []
+    for term in squeezed.split("+"):
+        if term == "0":
+            continue
+        if term == "1":
+            exps.append(0)
+        elif term == "D":
+            exps.append(1)
+        elif term.startswith("D^"):
+            try:
+                exps.append(int(term[2:]))
+            except ValueError:
+                raise ParseError(f"bad exponent in term {term!r}") from None
+        else:
+            raise ParseError(f"bad polynomial term {term!r}")
+    return exps
+
+
 def parse_laurent(text: str) -> LaurentPoly:
+    """The reference reading of one polynomial: its exponents, then
+    `LaurentPoly.from_exponents`."""
     return LaurentPoly.from_exponents(parse_terms(text))
 
 
@@ -324,6 +366,177 @@ def random_laurent_matrix(rng: random.Random, r: int, n: int, max_deg: int = 3):
     )
 
 
+# -- reference parsers and gate data ---------------------------------------------
+#
+# Direct readings that build every value the long way: a dict of fields per
+# circuit line and the template checks in one fixed order; every stabilizer
+# entry through `parse_laurent`; every row pattern from each term's
+# exponent.  The package's one-pass parsers must agree with them, value or
+# exception type and message.
+
+
+def template_updates(g: GateTemplate) -> tuple[tuple[int, int, int, int, int], ...]:
+    """Column updates (dst side, dst column, src side, src column, k) of a
+    template: column dst += D^k * column src, columns 0-based."""
+    cols = (g.i - 1, g.j - 1)
+    return tuple(
+        (dst_side, cols[dst], src_side, cols[src], sign * g.ell)
+        for dst_side, dst, src_side, src, sign in COLUMN_ACTIONS[g.kind]
+    )
+
+
+def reference_template(kind: str, i: int, j: int = 0, ell: int = 0) -> GateTemplate:
+    """A template after the constructor's checks, made one after another
+    for every kind."""
+    if kind not in COLUMN_ACTIONS:
+        raise ValueError(f"unknown gate kind {kind!r}")
+    if min((i, j) if kind in (CNOT, CSIGN) else (i,)) < 1:
+        raise ValueError("qubit indices are 1-based")
+    if kind in (H, P, PL) and j != 0:
+        raise ValueError(f"{kind} takes a single qubit")
+    if kind in (CNOT, CSIGN) and i == j:
+        raise ValueError(f"{kind} needs two distinct qubit streams")
+    if kind == PL and ell == 0:
+        raise ValueError("PL requires a nonzero offset")
+    if kind in (H, P) and ell != 0:
+        raise ValueError(f"{kind} carries no offset")
+    return _template(kind, i, j, ell)
+
+
+def _reference_lines(text: str) -> list[str]:
+    """Non-empty lines with comments and surrounding whitespace removed."""
+    lines = []
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            lines.append(line)
+    return lines
+
+
+def _take_int(fields: dict[str, str], key: str, line: str) -> int:
+    if key not in fields:
+        raise ParseError(f"missing {key}= in {line!r}")
+    try:
+        return int(fields.pop(key))
+    except ValueError:
+        raise ParseError(f"bad integer for {key}= in {line!r}") from None
+
+
+def reference_parse_circuit(text: str) -> Circuit:
+    lines = _reference_lines(text)
+    if not lines or not lines[0].startswith("n="):
+        raise ParseError("circuit file must start with n=<int>")
+    try:
+        n = int(lines[0][2:])
+    except ValueError:
+        raise ParseError(f"bad circuit header {lines[0]!r}") from None
+    templates = []
+    for line in lines[1:]:
+        parts = line.split()
+        kind = parts[0]
+        fields = {}
+        for part in parts[1:]:
+            if "=" not in part:
+                raise ParseError(f"bad field {part!r} in {line!r}")
+            key, val = part.split("=", 1)
+            if key in fields:
+                raise ParseError(f"duplicate field {key}= in {line!r}")
+            fields[key] = val
+        try:
+            if kind not in _FIELDS:
+                raise ParseError(f"unknown gate {kind!r}")
+            values = (_take_int(fields, key, line) if key else 0 for key in _FIELDS[kind])
+            g = reference_template(kind, *values)
+        except ValueError as exc:
+            raise ParseError(f"bad template {line!r}: {exc}") from None
+        if fields:
+            raise ParseError(f"unexpected fields {sorted(fields)} in {line!r}")
+        templates.append(g)
+    try:
+        return Circuit(n, tuple(templates))
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
+
+
+def reference_parse_stabilizer(text: str) -> StabilizerMatrix:
+    lines = _reference_lines(text)
+    if not lines:
+        raise ParseError("empty stabilizer file")
+    header = lines[0]
+    try:
+        if header.startswith("f4"):
+            info = _parse_header(header[2:].strip(), ("n",))
+            n = info["n"]
+            rows = []
+            for line in lines[1:]:
+                entries = _split_row(line).split(",")
+                if len(entries) != n:
+                    raise ParseError(f"expected {n} GF(4) entries, got {len(entries)}")
+                rows.append([_parse_f4_entry(e) for e in entries])
+            if not rows:
+                raise ParseError("f4 block has no rows")
+            return from_f4(rows)
+        info = _parse_header(header, ("n", "r"))
+        n, r = info["n"], info["r"]
+        if len(lines) - 1 != r:
+            raise ParseError(f"expected {r} rows, found {len(lines) - 1}")
+        x_rows = []
+        z_rows = []
+        for line in lines[1:]:
+            body = _split_row(line)
+            halves = body.split("|")
+            if len(halves) != 2:
+                raise ParseError(f"row needs one '|' separator: {line!r}")
+            xs = halves[0].split(",")
+            zs = halves[1].split(",")
+            if len(xs) != n or len(zs) != n:
+                raise ParseError(f"expected {n} polynomials per side: {line!r}")
+            x_rows.append([parse_laurent(p) for p in xs])
+            z_rows.append([parse_laurent(p) for p in zs])
+        return StabilizerMatrix.from_rows(n, x_rows, z_rows)
+    except ParseError:
+        raise
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
+
+
+def row_envelope(s: StabilizerMatrix, i: int) -> Optional[tuple[int, int]]:
+    """Lowest and highest exponent appearing in row i, or None if empty."""
+    lo = hi = None
+    for part in (s.x, s.z):
+        for e in part[i]:
+            if e.is_zero():
+                continue
+            lo = e.min_exp if lo is None else min(lo, e.min_exp)
+            hi = e.max_exp if hi is None else max(hi, e.max_exp)
+    if lo is None:
+        return None
+    return lo, hi
+
+
+def reference_row_patterns(s: StabilizerMatrix) -> tuple:
+    """Per row (lo, hi, x, z), x and z bits laid out from block lo upward at
+    qubit position (e - lo)*n + column, or None for an empty row; the
+    envelope is span-checked before any row is packed."""
+    patterns = []
+    for i in range(s.r):
+        env = row_envelope(s, i)
+        if env is None:
+            patterns.append(None)
+            continue
+        lo, hi = env
+        _check_span(hi - lo)
+        sides = []
+        for part in (s.x, s.z):
+            bits = 0
+            for c, e in enumerate(part[i]):
+                for exp in e.exponents():
+                    bits |= 1 << ((exp - lo) * s.n + c)
+            sides.append(bits)
+        patterns.append((lo, hi, *sides))
+    return tuple(patterns)
+
+
 # -- commutation oracles -------------------------------------------------------
 
 
@@ -365,7 +578,7 @@ def unroll(s: StabilizerMatrix, blocks: int) -> UnrolledWindow:
     rows: list[int] = []
     placements: list[tuple[int, int]] = []
     for gen in range(s.r):
-        env = s.row_envelope(gen)
+        env = row_envelope(s, gen)
         if env is None:
             continue
         lo, hi = env
@@ -485,7 +698,7 @@ def invalid_mutants(rng: random.Random, s: StabilizerMatrix) -> dict[str, Stabil
                 if any(other[j][c] for j in range(s.r) if j != i)
             ]
             side, i, c = rng.choice(spots)
-            lo, hi = StabilizerMatrix.from_rows(s.n, x, z).row_envelope(i) or (0, 0)
+            lo, hi = row_envelope(StabilizerMatrix.from_rows(s.n, x, z), i) or (0, 0)
             side[i][c] = side[i][c] + LaurentPoly.d(rng.randint(lo, hi))
         if kind == "wide":
             for _ in range(s.n - s.r):
@@ -501,7 +714,7 @@ def mutate_one_entry(rng: random.Random, s: StabilizerMatrix) -> StabilizerMatri
     i = rng.randrange(s.r)
     side = rng.choice(("x", "z"))
     c = rng.randrange(s.n)
-    env = s.row_envelope(i)
+    env = row_envelope(s, i)
     lo, hi = env if env is not None else (0, 0)
     e = rng.randint(lo, hi)
     flip = LaurentPoly.d(e)

@@ -359,7 +359,10 @@ class TestGoldenTranscripts:
     noncommuting is the worked example with one term added, which breaks
     commutation: synth reduces it first, and validation reports the
     failure; rank_deficient has one row a multiple of the other, so S(1)
-    has rank 1 and synth validates it before reducing it."""
+    has rank 1 and synth validates it before reducing it.  duplicate_field.enc
+    has a line with a bad integer and, after it, a repeated field: the
+    repeat is reported.  bad_term.stab has spaces inside terms and then a
+    bad term in its second row."""
 
     @pytest.mark.parametrize(
         "argv, golden, exit_code",
@@ -377,6 +380,8 @@ class TestGoldenTranscripts:
             (["verify", "--windows", "3,6,12", "deep0111.stab", "deep0111.enc"], "deep0111_verify.txt", 0),
             (["synth", "noncommuting.stab"], "noncommuting_synth.txt", 3),
             (["synth", "rank_deficient.stab"], "rank_deficient_synth.txt", 3),
+            (["verify", "rate_third.stab", "duplicate_field.enc"], "duplicate_field_verify.txt", 2),
+            (["verify", "bad_term.stab", "rate_third.enc"], "bad_term_verify.txt", 2),
         ],
     )
     def test_transcript(self, argv, golden, exit_code):

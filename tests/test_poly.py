@@ -11,6 +11,7 @@ from qconvenc.poly import (
     laurent_divides,
     laurent_divmod,
     laurent_div,
+    parse_poly,
     set_max_span,
     symmetric_decompose,
 )
@@ -354,6 +355,7 @@ class TestSpanLimit:
             "f4 n=1\nrow: 1 + D^50000000\n",
             # the w-image adds 1 and D^50000000, two terms each of span 0
             "f4 n=1\nrow: 1 + wD^50000000\n",
+            "n=2 r=1\nrow: 1+D^50000000, 0 | 0, 0\n",
         ],
     )
     def test_parser_checks_span_before_allocating(self, text):
@@ -362,7 +364,7 @@ class TestSpanLimit:
         tracemalloc.start()
         try:
             with pytest.raises(ExponentOverflowError, match="span 50000000 exceeds limit 16"):
-                if text.startswith("f4"):
+                if text.startswith(("f4", "n=")):
                     parse_stabilizer(text)
                 else:
                     parse_laurent(text)
@@ -371,3 +373,14 @@ class TestSpanLimit:
             tracemalloc.stop()
             set_max_span(old)
         assert peak < 1 << 20
+
+    def test_cancelled_terms_do_not_count_toward_the_span(self):
+        # the repeated term cancels before the span is checked
+        old = set_max_span(16)
+        try:
+            text = "D^50000000+D^50000000+1"
+            assert parse_poly(text) == parse_laurent(text) == L("1")
+            s = parse_stabilizer(f"n=2 r=1\nrow: {text}, 0 | 0, 0\n")
+            assert s.x[0][0] == L("1")
+        finally:
+            set_max_span(old)

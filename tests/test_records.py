@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qconvenc
-from helpers import L, rate_third_code
+from helpers import L, rate_third_code, template_updates
 from qconvenc.gates import CNOT, CSIGN, Circuit, GateTemplate, H, P, PL, _template, depth_schedule, reverse
 from qconvenc.matrix import Record
 from qconvenc.poly import LaurentPoly, Poly
@@ -103,7 +103,7 @@ def valid_fields(draw) -> tuple[str, int, int, int]:
 def test_unchecked_template_equals_checked(f):
     checked, unchecked = GateTemplate(*f), _template(*f)
     assert checked == unchecked and hash(checked) == hash(unchecked)
-    assert checked.updates == unchecked.updates
+    assert template_updates(checked) == template_updates(unchecked)
     if f[0] == CSIGN:
         assert GateTemplate(CSIGN, f[2], f[1], -f[3]) == checked
     if f[0] == PL:

@@ -17,6 +17,7 @@ from helpers import (
     reference_conjugate,
     reference_image_reach,
     reference_interior_max,
+    row_envelope,
     single_pauli,
     stab,
     unroll,
@@ -390,7 +391,7 @@ class TestWindowBasis:
             for gen, pattern in enumerate(s._row_patterns):
                 if pattern is None:
                     continue
-                lo, hi = s.row_envelope(gen)
+                lo, hi = row_envelope(s, gen)
                 wider += hi - lo + 1 > blocks
                 # shifts -hi .. blocks - lo - 1 are all that reach the window
                 assert placement_bits(s, blocks, gen, -hi - 1) is None
@@ -421,7 +422,7 @@ class TestWindowBasis:
         # window's X half into its Z half, and generator 4 fails at shift 2
         s = parse_stabilizer((DATA / "deep0111.stab").read_text(encoding="utf-8"))
         encoder = parse_circuit((DATA / "deep0111.enc").read_text(encoding="utf-8"))
-        assert s.row_envelope(3) == (-3, 5)
+        assert row_envelope(s, 3) == (-3, 5)
         for blocks in (6, 12):
             margin = max(encoder.memory, *reference_image_reach(encoder))
             chk = verify_encoder(s, encoder, blocks)
@@ -544,7 +545,7 @@ def _reference_rows(s, encoder: Circuit, blocks: int, margin: int) -> tuple[RowC
     its own and tested against the span of every generator placement."""
     space = set()
     for gen in range(s.r):
-        lo, hi = s.row_envelope(gen)
+        lo, hi = row_envelope(s, gen)
         for shift in range(-hi, blocks - lo):
             bits = placement_bits(s, blocks, gen, shift)
             if bits:

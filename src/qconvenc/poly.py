@@ -399,24 +399,38 @@ L_ZERO = _make(0, 0)
 L_ONE = LaurentPoly.one()
 
 
+def _normal(offset: int, bits: int) -> LaurentPoly:
+    """LaurentPoly(offset, bits) for bits >= 0, with the constructor's
+    normalization and span check but not the constructor."""
+    if bits == 0:
+        return L_ZERO
+    shift = (bits & -bits).bit_length() - 1
+    bits >>= shift
+    _check_span(bits.bit_length() - 1)
+    return _make(offset + shift, bits)
+
+
 def laurent_divmod(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
     """Euclidean division in GF(2)[D, D^-1] with the span as degree.
 
     Returns (q, rem) with a = q*b + rem and span(rem) < span(b), or rem = 0.
-    Units (monomials) divide everything exactly.
+    Units (monomials) divide everything exactly: the quotient is a shifted,
+    span-checked as the general path checks it, and the remainder is zero.
     """
     if b.bits == 0:
         raise ZeroDivisionError("division by zero Laurent polynomial")
     if a.bits == 0:
         return L_ZERO, L_ZERO
+    if b.bits == 1:
+        _check_span(a.bits.bit_length() - 1)
+        return _make(a.offset - b.offset, a.bits), L_ZERO
     q_bits, r_bits = _divmod_bits(a.bits, b.bits)
-    q = LaurentPoly(a.offset - b.offset, q_bits)
-    rem = LaurentPoly(a.offset, r_bits)
-    return q, rem
+    return _normal(a.offset - b.offset, q_bits), _normal(a.offset, r_bits)
 
 
 def laurent_div(a: LaurentPoly, b: LaurentPoly) -> Optional[LaurentPoly]:
-    """Exact quotient a/b over the Laurent ring, or None if b does not divide a."""
+    """Exact quotient a/b over the Laurent ring, or None if b does not divide
+    a; a monomial b takes `laurent_divmod`'s path for units."""
     if b.bits == 0:
         return None
     if a.bits == 0:
@@ -429,7 +443,7 @@ def laurent_divides(a: LaurentPoly, b: LaurentPoly) -> bool:
     """Divisibility over the Laurent ring: tested on bodies, units stripped."""
     if a.bits == 0:
         return b.bits == 0
-    if b.bits == 0:
+    if b.bits == 0 or a.bits == 1:
         return True
     return _divmod_bits(b.bits, a.bits)[1] == 0
 

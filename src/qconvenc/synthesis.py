@@ -47,7 +47,6 @@ from .matrix import freeze, identity, thaw, unchecked, zeros
 from .poly import (
     LaurentPoly,
     _exponents,
-    _mul_bits,
     add_product,
     format_terms,
     laurent_div,
@@ -57,13 +56,10 @@ from .poly import (
 from .smith import ElementaryColOp, RowOp, apply_row_op, row_divisibility_check, smith
 from .stabilizer import StabilizerMatrix, format_sides, params, rank_at_one, validate_code
 
-# ASCII digits "0" and "1" to series bits, and back
-_BITS = bytes.maketrans(b"01", b"\x00\x01")
-_ASCII_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
-# series bits that `_period_series` finds one at a time before it doubles:
-# a period this short ends the walk, which costs less than the doubling
-# rounds and string searches it replaces
-_WALK_BITS = 64
+# series digits printed for a proper divisor: the long division that emits
+# them ends early when the period is this short, and no longer period is
+# walked
+_HEAD_BITS = 128
 
 
 class GammaClass(NamedTuple):
@@ -72,15 +68,19 @@ class GammaClass(NamedTuple):
     unit:   the qubit stream is constrained to the zero state.
     shift:  gamma = D^l leaves the first l blocks unconstrained.
     proper: a true subcode row; the ignored periodic states are reported as
-            the power-series head of 1/gamma over one period, the order of D
-            modulo gamma's body, read off the series itself.
+            the power series of 1/gamma, whose period is the order of D
+            modulo gamma's body.  `series` holds its digits over the period
+            or the first `_HEAD_BITS`, whichever is shorter.  `period` is
+            exact, or, when `exact` is false, a proven multiple of the
+            period, or 0 when none was found within the work budget.
     """
 
     value: LaurentPoly
     kind: str  # "unit" | "shift" | "proper"
     shift: int = 0
     period: int = 0
-    series: tuple[int, ...] = ()
+    series: str = ""
+    exact: bool = True
 
     def describe(self) -> str:
         if self.kind == "unit":
@@ -90,12 +90,15 @@ class GammaClass(NamedTuple):
                 f"shift l={self.shift}: first {self.shift} block(s) free, "
                 "input constrained to |0> thereafter"
             )
-        # the digits go into every other byte of a comma-filled buffer
-        head = bytearray(b",") * (2 * self.period - 1)
-        head[::2] = bytes(self.series).translate(_ASCII_DIGITS)
+        if self.exact:
+            period = f"period {self.period}"
+        elif self.period:
+            period = f"period divides {self.period}"
+        else:
+            period = f"period above {len(self.series)}"
         return (
             f"proper: subcode row; ignored periodic states 1/({self.value}) = "
-            f"{head.decode()},... (period {self.period})"
+            f"{','.join(self.series)},... ({period})"
         )
 
 
@@ -452,8 +455,9 @@ def _reduce(s: StabilizerMatrix, record_checkpoints: bool) -> SynthesisResult:
 
 
 def classify(gamma: Sequence[LaurentPoly]) -> tuple[GammaClass, ...]:
-    """Per-divisor report: unit, shift D^l, or proper with the periodic head,
-    whose period and bits come from one pass of `_period_series`."""
+    """Per-divisor report: unit, shift D^l, or proper with the series head
+    from `_series_head` and, when the head is shorter than the period, the
+    period from `order.order_of_d`."""
     out = []
     for g in gamma:
         if g.bits == 1:
@@ -462,54 +466,40 @@ def classify(gamma: Sequence[LaurentPoly]) -> tuple[GammaClass, ...]:
             else:
                 out.append(GammaClass(g, "shift", shift=g.offset))
         else:
-            period, series = _period_series(g.bits)
-            out.append(GammaClass(g, "proper", period=period, series=series))
+            period, head = _series_head(g.bits)
+            exact = True
+            if not period:
+                # loaded only for a period past the head, which commands
+                # on other codes never reach
+                from .order import order_of_d
+
+                period, exact = order_of_d(g.bits)
+            out.append(GammaClass(g, "proper", period=period, series=head, exact=exact))
     return tuple(out)
 
 
-def _period_series(body: int) -> tuple[int, tuple[int, ...]]:
-    """The period of the power series of 1/body and its bits over one period,
-    for a body of degree >= 1.
+def _series_head(body: int) -> tuple[int, str]:
+    """The series of 1/body by long division one bit at a time, for a body
+    of degree >= 1: its period if that is at most `_HEAD_BITS`, else 0, and
+    its digits, low order first, over the shorter of the two.
 
-    The first `_WALK_BITS` bits come from the long division one bit at a
-    time: each step emits the state's constant bit and multiplies the state
-    by D^-1 modulo body, a permutation of the residues when body has
-    constant term 1, so the state, started at 1, is 1 again after exactly
-    the period.  A shorter period ends there.  Otherwise the series is
-    extended by doubling: if s is 1/body mod D^k, then body*s = 1 + D^k*rem
-    (rem is the walk's state), and the next k bits are rem*s mod D^k.  The
-    series is purely periodic and its bits obey the recurrence of body: any
-    deg(body) consecutive bits fix all that follow.  The period, the
-    multiplicative order of D modulo body and never below deg(body), is
-    therefore the first offset >= 1 where the leading deg(body) bits
-    recur."""
+    Each step emits the state's constant bit and multiplies the state by
+    D^-1 modulo body, a permutation of the residues when body has constant
+    term 1, so the state, started at 1, is 1 again after exactly the
+    period, the multiplicative order of D modulo body."""
     if not body & 1:
         terms = format_terms((e, 1) for e in _exponents(body, 0))
         raise ZeroDivisionError(f"1/({terms}) is not a power series")
-    d = body.bit_length() - 1
     rem, s = 1, 0
-    for k in range(_WALK_BITS):
+    for k in range(_HEAD_BITS):
         if rem & 1:
             s |= 1 << k
             rem ^= body
         rem >>= 1
         if rem == 1:
             # the bit set above the head keeps its high zeros
-            return k + 1, tuple(format(s | 2 << k, "b")[:0:-1].encode().translate(_BITS))
-    k = _WALK_BITS
-    while True:
-        s |= (_mul_bits(rem, s) & ((1 << k) - 1)) << k
-        k <<= 1
-        # a match needs period + d bits, and the period is at least d
-        if k >= 2 * d:
-            # text[i] is the bit of D^i; the bit set at D^k keeps the high zeros
-            text = format(s | 1 << k, "b")[:0:-1]
-            period = text.find(text[:d], 1)
-            if period > 0:
-                return period, tuple(text[:period].encode().translate(_BITS))
-        # only the top d bits of s reach past D^k in body*s
-        top = max(k - d, 0)
-        rem = _mul_bits(body, s >> top) >> k - top
+            return k + 1, format(s | 2 << k, "b")[:0:-1]
+    return 0, format(s | 1 << _HEAD_BITS, "b")[:0:-1]
 
 
 def subcode_for(n: int, r: int) -> StabilizerMatrix:

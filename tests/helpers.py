@@ -122,6 +122,26 @@ def rate_third_f4_rows() -> list[list[F4Poly]]:
 # -- arithmetic used only by the tests ------------------------------------------
 
 
+def outcome(f, *args):
+    """("ok", value) or (exception type, message)."""
+    try:
+        return "ok", f(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def reference_laurent_divmod(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
+    """Euclidean division of Laurent polynomials, every divisor alike: both
+    parts come from the body division and go through the constructor,
+    quotient first."""
+    if b.bits == 0:
+        raise ZeroDivisionError("division by zero Laurent polynomial")
+    if a.bits == 0:
+        return L_ZERO, L_ZERO
+    q_bits, r_bits = _divmod_bits(a.bits, b.bits)
+    return LaurentPoly(a.offset - b.offset, q_bits), LaurentPoly(a.offset, r_bits)
+
+
 def divides(a: Poly, b: Poly) -> bool:
     """Does a divide b in GF(2)[D]?"""
     if a.is_zero():
@@ -917,6 +937,29 @@ def chain_propagation_report(n: int, sizes: Sequence[int]) -> PropagationReport:
 def csign_cascade() -> Circuit:
     """The offset-1 controlled-Z cascade: finite depth, support three."""
     return Circuit(1, (GateTemplate(PL, 1, 0, 1),))
+
+
+# -- mutated goldens -----------------------------------------------------------
+
+# characters the grammar and the file formats give a meaning to, and a few
+# they do not
+ALPHABET = "0123456789D^+-,|=:# \t\nwWxqctlofabnr"
+
+
+def mutations(text: str, seed: int, count: int) -> Iterator[str]:
+    """`count` texts, each `text` with one character replaced, deleted or
+    inserted."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        at = rng.randrange(len(text) + 1)
+        op = rng.randrange(3)
+        c = rng.choice(ALPHABET)
+        if op == 0 and at < len(text):
+            yield text[:at] + c + text[at + 1 :]
+        elif op == 1:
+            yield text[:at] + text[at + 1 :]
+        else:
+            yield text[:at] + c + text[at:]
 
 
 # -- divisor classification oracle --------------------------------------------

@@ -1,5 +1,6 @@
 import io
 import os
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import mutations
 from qconvenc import verify
 from qconvenc.cli import main
 from qconvenc.gates import parse_circuit
@@ -351,10 +353,11 @@ class TestGoldenTranscripts:
     update would span past the limit: the run replays template by template
     and stops with the span of the first template to overflow (13; the
     fused product would report 14).  primitive13 has one primitive divisor of
-    degree 13, whose ignored periodic states are printed over the full
-    period of 8191 bits.  deep0111 is an n=6 ladder code (the 112th draw of
-    `bench/corpus.ladder_code` on the second rung from `random.Random(2101)`)
-    whose fourth row spans nine blocks, D^-3 .. D^5: on the 6-block window
+    degree 13: its period of 8191 is found without walking it, and its
+    ignored periodic states are printed as a head of 128 digits.  deep0111
+    is an n=6 ladder code (the 112th draw of `bench/corpus.ladder_code` on
+    the second rung from `random.Random(2101)`) whose fourth row spans
+    nine blocks, D^-3 .. D^5: on the 6-block window
     the round-trip basis holds placements truncated at both edges at once.
     noncommuting is the worked example with one term added, which breaks
     commutation: synth reduces it first, and validation reports the
@@ -389,6 +392,57 @@ class TestGoldenTranscripts:
         code, text = run(argv)
         assert code == exit_code
         assert text.encode("utf-8") == (DATA / golden).read_bytes()
+
+
+class CallTimedOut(Exception):
+    """A command ran past its time bound."""
+
+
+def run_bounded(argv, seconds: float):
+    """`run(argv)`, stopped by a real-time alarm after `seconds`."""
+
+    def expire(signum, frame):
+        raise CallTimedOut(f"{argv} ran past {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return run(argv)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs POSIX interval timers")
+@pytest.mark.parametrize("name", sorted(p.name for p in DATA.glob("*.stab")))
+def test_mutated_goldens_exit_with_documented_codes(tmp_path, name):
+    """Seeded one-character mutations of every golden stabilizer file, and
+    for primitive13 the exponent 13 read as 113 (a divisor of degree 113
+    whose period no walk could reach): `synth` and `info`
+    each return within 5 s, with exit code 0, 2, 3 or 4 (`cli`'s docstring)
+    and no uncaught exception."""
+    text = (DATA / name).read_text(encoding="utf-8")
+    mutants = list(mutations(text, 2000 + len(name), 150))
+    if name == "primitive13.stab":
+        mutants.append(text.replace("D^13", "D^113"))
+    for k, mutant in enumerate(mutants):
+        path = write(tmp_path, f"mutant{k}.stab", mutant)
+        for command in ("synth", "info"):
+            code, out = run_bounded([command, path], 5.0)
+            assert code in (0, 2, 3, 4), (command, mutant, out)
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs POSIX interval timers")
+def test_divisor_near_the_span_limit_prints_the_budget_text(tmp_path):
+    """A proper divisor of degree 65,535, just inside the default span
+    limit: the order's work budget runs out, and `synth` prints the
+    128-digit head with what the head proves, within 5 s (about 0.5 s on
+    2 shared vCPUs) and in under 1 KB."""
+    path = write(tmp_path, "wide.stab", "n=2 r=1\nrow: 0, 0 | 1+D^5+D^7+D^65535, 0\n")
+    code, out = run_bounded(["synth", path], 5.0)
+    assert code == 0
+    assert ",... (period above 128)\n" in out
+    assert len(out) < 1024
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():

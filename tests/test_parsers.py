@@ -6,7 +6,6 @@ empty rows, bad terms and fields) and seeded one-character mutations of
 every golden stabilizer and circuit file in tests/data.  Every comparison
 requires an equal value, or an exception of the same type and message."""
 
-import random
 from pathlib import Path
 
 import pytest
@@ -14,6 +13,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    mutations,
+    outcome,
     parse_laurent,
     reference_parse_circuit,
     reference_parse_stabilizer,
@@ -29,14 +30,6 @@ DATA = Path(__file__).parent / "data"
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=300)
 # whole files take many draws each
 FILES = settings(PROPERTY, max_examples=150)
-
-
-def outcome(f, *args):
-    """("ok", value) or (exception type, message)."""
-    try:
-        return "ok", f(*args)
-    except Exception as exc:
-        return type(exc), str(exc)
 
 
 def same_polynomial(text: str) -> None:
@@ -169,27 +162,6 @@ def test_template_checks_match_reference(kind, i, j, ell):
 
 
 # -- mutated goldens -------------------------------------------------------------
-
-# characters the grammar and the file formats give a meaning to, and a few
-# they do not
-ALPHABET = "0123456789D^+-,|=:# \t\nwWxqctlofabnr"
-
-
-def mutations(text: str, seed: int, count: int):
-    """`count` texts, each `text` with one character replaced, deleted or
-    inserted."""
-    rng = random.Random(seed)
-    for _ in range(count):
-        at = rng.randrange(len(text) + 1)
-        op = rng.randrange(3)
-        c = rng.choice(ALPHABET)
-        if op == 0 and at < len(text):
-            yield text[:at] + c + text[at + 1 :]
-        elif op == 1:
-            yield text[:at] + text[at + 1 :]
-        else:
-            yield text[:at] + c + text[at:]
-
 
 GOLDEN_STABILIZERS = sorted(p.name for p in DATA.glob("*.stab"))
 GOLDEN_CIRCUITS = sorted(p.name for p in DATA.glob("*.enc"))

@@ -2,12 +2,24 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import L, RationalFn, divides, parse_laurent, series_head, xgcd
+from helpers import (
+    L,
+    RationalFn,
+    divides,
+    outcome,
+    parse_laurent,
+    reference_laurent_divmod,
+    series_head,
+    xgcd,
+)
 from qconvenc.errors import ExponentOverflowError, ParseError
 from qconvenc.poly import (
     LaurentPoly,
     Poly,
+    _divmod_bits,
     laurent_divides,
     laurent_divmod,
     laurent_div,
@@ -313,6 +325,33 @@ class TestLaurentDivision:
         assert laurent_divides(L("D"), L("D^3+D^2+D"))
         assert laurent_divides(L("D^2+D"), L("D^4+D^2"))  # 1+D divides 1+D^2
         assert not laurent_divides(L("D^2+D"), L("D"))
+
+
+laurents = st.builds(LaurentPoly, st.integers(-40, 40), st.integers(0, (1 << 40) - 1))
+monomials = st.builds(LaurentPoly.d, st.integers(-40, 40))
+
+
+class TestUnitDivision:
+    """The monomial fast paths give what every divisor's path gives,
+    errors included: the same values, and the same span checks in the same
+    order under a limit lowered below the dividend's span."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(laurents, st.one_of(monomials, laurents), st.sampled_from([None, 4, 16, 39]))
+    def test_matches_the_general_path(self, a, b, limit):
+        old = set_max_span(limit) if limit else None
+        try:
+            want = outcome(reference_laurent_divmod, a, b)
+            assert outcome(laurent_divmod, a, b) == want
+            if a.bits and b.bits:
+                if want[0] == "ok":
+                    q, rem = want[1]
+                    want = "ok", q if rem.is_zero() else None
+                assert outcome(laurent_div, a, b) == want
+                assert laurent_divides(b, a) == (_divmod_bits(a.bits, b.bits)[1] == 0)
+        finally:
+            if old is not None:
+                set_max_span(old)
 
 
 class TestGrammar:

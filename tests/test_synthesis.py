@@ -20,6 +20,7 @@ from helpers import (
     stab,
     z_only_identity_code,
 )
+from qconvenc import order
 from qconvenc.errors import PreconditionError
 from qconvenc.gates import (
     CNOT,
@@ -35,9 +36,10 @@ from qconvenc.poly import LaurentPoly, Poly, set_max_span
 from qconvenc.smith import RowOp
 from qconvenc.stabilizer import StabilizerMatrix, check_symplectic, params, validate_code
 from qconvenc.synthesis import (
+    _HEAD_BITS,
     SynthesisResult,
-    _period_series,
     _reduce,
+    _series_head,
     build_report,
     classify,
     replay,
@@ -153,7 +155,7 @@ class TestTrivialShapes:
         assert result.gamma == (L("1+D"),)
         cls = result.classes[0]
         assert cls.kind == "proper"
-        assert cls.period == 1 and cls.series == (1,)
+        assert cls.period == 1 and cls.series == "1"
 
     def test_checkpoint_recording_optional(self):
         s = rate_third_code()
@@ -312,16 +314,17 @@ class TestClassify:
         (cls,) = classify([L("1+D+D^2")])
         assert cls.kind == "proper"
         assert cls.period == 3
-        assert cls.series == (1, 1, 0)
+        assert cls.series == "110"
 
     def test_proper_matches_order_search_oracle(self):
         for k, body in enumerate(divisor_bodies()):
             (cls,) = classify([LaurentPoly(k % 5 - 2, body.bits)])
             period = reference_order_of_d(body)
             assert cls.kind == "proper"
-            assert (cls.period, cls.series) == (
+            assert (cls.period, cls.exact, cls.series) == (
                 period,
-                series_head(RationalFn(Poly.one(), body), period),
+                True,
+                digits(series_head(RationalFn(Poly.one(), body), min(period, _HEAD_BITS))),
             ), body
 
     def test_proper_matches_sympy_gf2(self):
@@ -335,6 +338,7 @@ class TestClassify:
         bodies = divisor_bodies() + [body_of(L("1 + D + D^3 + D^12 + D^16"))]
         for body in bodies:
             (cls,) = classify([LaurentPoly(0, body.bits)])
+            assert cls.exact, body
             n = cls.period
             g = [ZZ(body.coeff(e)) for e in range(body.degree, -1, -1)]
             assert divides_d_power_plus_one(g, n), body
@@ -344,15 +348,33 @@ class TestClassify:
             quotient, rest = gf_div(d_n_plus_one, g, 2, ZZ)
             assert rest == []
             low_to_high = [int(c) for c in reversed(quotient)]
-            assert list(cls.series) == low_to_high + [0] * (n - len(low_to_high)), body
+            head = (low_to_high + [0] * (n - len(low_to_high)))[:_HEAD_BITS]
+            assert cls.series == digits(head), body
 
     def test_primitive_degree_twenty_within_budget(self):
         start = time.perf_counter()
         (cls,) = classify([L("1 + D^3 + D^20")])
         elapsed = time.perf_counter() - start
-        assert cls.period == (1 << 20) - 1
-        assert len(cls.series) == cls.period
+        assert (cls.period, cls.exact) == ((1 << 20) - 1, True)
+        assert len(cls.series) == _HEAD_BITS
         assert elapsed < 2.0
+
+    @pytest.mark.parametrize("text, period", [
+        ("1+D+D^22", (1 << 22) - 1),
+        ("1+D^3+D^25", (1 << 25) - 1),
+        ("1+D^3+D^28", (1 << 28) - 1),
+        ("1+D+D^127", (1 << 127) - 1),
+    ])
+    def test_primitive_trinomials_print_a_bounded_line(self, text, period):
+        """Primitive divisors whose period a walk could not reach: the
+        period is exact and the printed line stays under 1 KB."""
+        start = time.perf_counter()
+        (cls,) = classify([L(text)])
+        elapsed = time.perf_counter() - start
+        assert (cls.period, cls.exact) == (period, True)
+        assert cls.series == digits(series_head(RationalFn(Poly.one(), body_of(L(text))), _HEAD_BITS))
+        assert len(cls.describe()) < 1024
+        assert elapsed < 0.5
 
     def test_zero_divisor_raises(self):
         with pytest.raises(ZeroDivisionError):
@@ -383,29 +405,82 @@ def odd_bodies(max_degree: int):
     )
 
 
+def digits(bits) -> str:
+    return "".join(map(str, bits))
+
+
+def head_and_order(body: int) -> tuple[tuple[int, str], tuple[int, bool]]:
+    return _series_head(body), order.order_of_d(body)
+
+
+def walked(body: int) -> tuple[tuple[int, str], tuple[int, bool]]:
+    """What `head_and_order` must return, from the bit-by-bit long division."""
+    period, series = reference_period_series(body)
+    return (period if period <= _HEAD_BITS else 0, digits(series[:_HEAD_BITS])), (period, True)
+
+
 class TestPeriodSeries:
-    """`_period_series` against the bit-by-bit long division it replaced."""
+    """The series head and the order of D against the bit-by-bit long
+    division, which walks the whole period."""
 
     @settings(max_examples=200, deadline=None)
-    @given(odd_bodies(16))
+    @given(odd_bodies(20))
     def test_matches_the_long_division(self, body):
-        assert _period_series(body) == reference_period_series(body)
+        assert head_and_order(body) == walked(body)
+
+    def test_every_body_up_to_degree_twelve(self):
+        for body in range(3, 1 << 13, 2):
+            assert head_and_order(body) == walked(body), Poly(body)
 
     @pytest.mark.parametrize("body", repeated_factor_bodies(), ids=lambda b: str(Poly(b)))
     def test_repeated_factors(self, body):
-        assert _period_series(body) == reference_period_series(body)
+        assert head_and_order(body) == walked(body)
 
     @pytest.mark.parametrize("body", [0, 0b10, 0b110, 0b1011 << 3])
     def test_even_body_raises(self, body):
         with pytest.raises(ZeroDivisionError):
-            _period_series(body)
+            _series_head(body)
 
     @settings(max_examples=100, deadline=None)
     @given(odd_bodies(12), st.integers(-3, 3))
     def test_describe_joins_the_series(self, body, offset):
         (cls,) = classify([LaurentPoly(offset, body)])
-        head = ",".join(map(str, cls.series))
+        head = ",".join(cls.series)
         assert cls.describe() == (
             f"proper: subcode row; ignored periodic states 1/({cls.value}) = "
             f"{head},... (period {cls.period})"
         )
+
+
+@pytest.fixture
+def no_factor_budget(monkeypatch):
+    """Factoring 2^j - 1 stops at once; the cache of factorizations is
+    emptied on both sides, so none made under the default budget is read."""
+    monkeypatch.setattr(order, "_FACTOR_BUDGET", 0)
+    order._mersenne_factors.cache_clear()
+    yield
+    order._mersenne_factors.cache_clear()
+
+
+class TestOrderBudget:
+    """What is printed when a work budget runs out: what is proven."""
+
+    def test_factor_budget_leaves_a_multiple(self, no_factor_budget):
+        # 1 + D^2 + D^11 is primitive, and 2^11 - 1 = 23 * 89 needs a split
+        (cls,) = classify([L("1+D^2+D^11")])
+        assert (cls.period, cls.exact) == (2047, False)
+        assert cls.describe().endswith(",1,... (period divides 2047)")
+
+    def test_factor_budget_proves_only_a_multiple(self, no_factor_budget):
+        # the Golay code's generator: degree 11, period 23, which divides
+        # the unsplit 2^11 - 1
+        body = body_of(L("1+D+D^5+D^6+D^7+D^9+D^11")).bits
+        assert order.order_of_d(body) == (2047, False)
+        assert reference_period_series(body)[0] == 23
+
+    def test_step_budget_leaves_the_head(self, monkeypatch):
+        monkeypatch.setattr(order, "_STEP_BUDGET", 10)
+        (cls,) = classify([L("1+D^3+D^20")])
+        assert (cls.period, cls.exact) == (0, False)
+        assert len(cls.series) == _HEAD_BITS
+        assert cls.describe().endswith(",... (period above 128)")

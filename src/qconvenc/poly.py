@@ -5,7 +5,8 @@ polynomial is a polynomial body plus an integer offset (its lowest exponent),
 so every nonzero value is D^offset * body with body having constant term 1.
 This makes equality a plain structural comparison and keeps every operation
 exact.  The public constructor LaurentPoly(offset, bits) normalizes its
-input and checks the span; sums, products, shifts and reciprocals are
+input and checks the span through `_normal`, as a division's quotient and
+remainder do; sums, products, shifts and reciprocals are
 normalized by construction and span-checked before they are built, so they
 bypass the constructor.  The fused updates d + e*D^k (`add_shifted`) and
 d + g*e (`add_product`) build only their result, through the same sum as
@@ -174,12 +175,11 @@ class Poly:
 
 
 def _exponents(bits: int, offset: int) -> Iterator[int]:
-    e = offset
+    # jump from one set bit to the next: one step per term, not per bit
     while bits:
-        if bits & 1:
-            yield e
-        bits >>= 1
-        e += 1
+        low = bits & -bits
+        yield offset + low.bit_length() - 1
+        bits ^= low
 
 
 class LaurentPoly:
@@ -191,18 +191,10 @@ class LaurentPoly:
 
     __slots__ = ("offset", "bits")
 
-    def __init__(self, offset: int, bits: int):
+    def __new__(cls, offset: int, bits: int) -> "LaurentPoly":
         if bits < 0:
             raise ValueError("body bits must be non-negative")
-        if bits == 0:
-            offset = 0
-        else:
-            shift = (bits & -bits).bit_length() - 1
-            bits >>= shift
-            offset += shift
-        _check_span(bits.bit_length() - 1)
-        object.__setattr__(self, "offset", offset)
-        object.__setattr__(self, "bits", bits)
+        return _normal(offset, bits)
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
@@ -218,7 +210,7 @@ class LaurentPoly:
 
     @classmethod
     def one(cls) -> "LaurentPoly":
-        return cls(0, 1)
+        return L_ONE
 
     @classmethod
     def d(cls, exponent: int = 1) -> "LaurentPoly":
@@ -396,12 +388,12 @@ def add_product(d: LaurentPoly, g: LaurentPoly, e: LaurentPoly) -> LaurentPoly:
 
 
 L_ZERO = _make(0, 0)
-L_ONE = LaurentPoly.one()
+L_ONE = _make(0, 1)
 
 
 def _normal(offset: int, bits: int) -> LaurentPoly:
-    """LaurentPoly(offset, bits) for bits >= 0, with the constructor's
-    normalization and span check but not the constructor."""
+    """D^offset * bits for bits >= 0: its trailing zeros moved into the
+    offset, span-checked.  The public constructor builds through it."""
     if bits == 0:
         return L_ZERO
     shift = (bits & -bits).bit_length() - 1

@@ -54,7 +54,7 @@ from .poly import (
     symmetric_decompose,
 )
 from .smith import ElementaryColOp, RowOp, apply_row_op, row_divisibility_check, smith
-from .stabilizer import StabilizerMatrix, format_sides, params, rank_at_one, validate_code
+from .stabilizer import StabilizerMatrix, format_sides, params, validate_code
 
 # series digits printed for a proper divisor: the long division that emits
 # them ends early when the period is this short, and no longer period is
@@ -271,18 +271,17 @@ def synthesize(s: StabilizerMatrix, record_checkpoints: bool = True) -> Synthesi
     A completed reduction is itself the certificate of the last two
     preconditions: every template is symplectic and every row operation
     unimodular, so S commutes and has rank r exactly when (0 0 | Gamma 0)
-    does, and the reduction ends by checking that normal form.  So
-    `validate_code` runs first only when r >= n, when 2 * memory exceeds
-    the span limit (its commutation products could then overflow where the
-    reduction does not), or when S(1) has rank below r (rank is then
-    decided by Smith form).  Otherwise the reduction runs first, and only
-    if it raises does `validate_code` run: its PreconditionError wins, and
-    if the code is valid, the reduction's own error is raised.  So the
-    result, or the error, is the same as when validation runs first.
+    does, and the reduction ends by checking that normal form.  So a code
+    with r < n is reduced first, and only if the reduction raises does
+    `validate_code` run: its error wins, and on a valid code the
+    reduction's own error is raised.  A code with r >= n fails validation
+    at once.  A failure is thus the one that validation first would give,
+    and an invalid code pays its reduction before validation rejects it.
+    A result differs only where validation's own products would pass the
+    span limit that the reduction keeps.
     """
-    if s.r >= s.n or 2 * params(s).memory > max_span() or rank_at_one(s) < s.r:
+    if s.r >= s.n:
         validate_code(s)
-        return _reduce(s, record_checkpoints)
     try:
         return _reduce(s, record_checkpoints)
     except Exception as exc:

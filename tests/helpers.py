@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import signal
 
 from dataclasses import dataclass
 from itertools import islice, repeat
@@ -30,7 +31,6 @@ from qconvenc.stabilizer import (
     F4Poly,
     StabilizerMatrix,
     SymplecticCheck,
-    _parse_f4_entry,
     _parse_header,
     _split_row,
     from_f4,
@@ -106,6 +106,13 @@ def rate_third_code() -> StabilizerMatrix:
     )
 
 
+# the rate-1/3 code's GF(4) row, with spaces inside its terms
+RATE_THIRD_F4 = """\
+f4 n=3
+row: 1 + D, 1 + w D, 1 + W D
+"""
+
+
 def rate_third_f4_rows() -> list[list[F4Poly]]:
     one = L("1")
     d = L("D")
@@ -128,6 +135,27 @@ def outcome(f, *args):
         return "ok", f(*args)
     except Exception as exc:
         return type(exc), str(exc)
+
+
+class CallTimedOut(BaseException):
+    """A call ran past its time bound.  Not an `Exception`, so no handler
+    for a failure of the call (synthesis defers those to validation) can
+    take it for one."""
+
+
+def bounded(seconds: float, f, *args):
+    """`f(*args)`, stopped by a real-time alarm after `seconds`."""
+
+    def expire(signum, frame):
+        raise CallTimedOut(f"{getattr(f, '__name__', f)}{args} ran past {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return f(*args)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def reference_laurent_divmod(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
@@ -478,6 +506,38 @@ def reference_parse_circuit(text: str) -> Circuit:
         raise ParseError(str(exc)) from None
 
 
+F4_COEFFICIENTS = {"": (1, 0), "1": (1, 0), "w": (0, 1), "W": (1, 1)}
+
+
+def reference_f4_entry(text: str) -> F4Poly:
+    """One GF(4) entry a + w*b, term by term: "0", or an optional
+    coefficient 1, w or W (1 when absent) followed by "", D or D^k.  Each
+    part's exponents then go through `LaurentPoly.from_exponents`, a's
+    first."""
+    squeezed = "".join(text.split())
+    if not squeezed:
+        raise ParseError("empty GF(4) entry")
+    parts: tuple[list[int], list[int]] = ([], [])
+    for term in squeezed.split("+"):
+        if term == "0":
+            continue
+        coefficient = term[:1] if term[:1] in F4_COEFFICIENTS else ""
+        monomial = term[len(coefficient):]
+        if monomial in ("", "D"):
+            exponent = len(monomial)
+        elif monomial.startswith("D^"):
+            try:
+                exponent = int(monomial[2:])
+            except ValueError:
+                raise ParseError(f"bad exponent in GF(4) term {term!r}") from None
+        else:
+            raise ParseError(f"bad GF(4) term {term!r}")
+        for part, bit in zip(parts, F4_COEFFICIENTS[coefficient]):
+            if bit:
+                part.append(exponent)
+    return F4Poly(*map(LaurentPoly.from_exponents, parts))
+
+
 def reference_parse_stabilizer(text: str) -> StabilizerMatrix:
     lines = _reference_lines(text)
     if not lines:
@@ -492,7 +552,7 @@ def reference_parse_stabilizer(text: str) -> StabilizerMatrix:
                 entries = _split_row(line).split(",")
                 if len(entries) != n:
                     raise ParseError(f"expected {n} GF(4) entries, got {len(entries)}")
-                rows.append([_parse_f4_entry(e) for e in entries])
+                rows.append([reference_f4_entry(e) for e in entries])
             if not rows:
                 raise ParseError("f4 block has no rows")
             return from_f4(rows)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import mutations
+from helpers import RATE_THIRD_F4, bounded, mutations
 from qconvenc import verify
 from qconvenc.cli import main
 from qconvenc.gates import parse_circuit
@@ -19,11 +19,6 @@ RATE_THIRD = """\
 n=3 r=2
 row: 1+D, 1, 1+D | 0, D, D
 row: 0, D, D | 1+D, 1+D, 1
-"""
-
-RATE_THIRD_F4 = """\
-f4 n=3
-row: 1 + D, 1 + w D, 1 + W D
 """
 
 BROKEN = """\
@@ -134,11 +129,11 @@ class TestSynth:
         assert code == 4
         assert "span" in text
 
-    # full rank is certified on S(1), so validation no longer runs a Smith
-    # reduction of (X | Z) that could overflow first: these spans are the
-    # first overflow in synthesis (the full reduction stopped at span 7 on
-    # the first code), and the second code, whose full reduction stopped at
-    # span 5, synthesizes within the limit
+    # validation runs only after the reduction raises, so neither its
+    # commutation products nor a Smith reduction of (X | Z) can overflow
+    # first: these spans are the first overflow in synthesis (the full
+    # reduction stopped at span 7 on the first code), and the second code,
+    # whose full reduction stopped at span 5, synthesizes within the limit
     SPAN_AFTER_CERTIFICATE = "n=3 r=2\nrow: 0, 0, D^-3+D^-2 | D^-5+D^-4+D^-3+D^-2+1, D^-2+D^-1, 0\nrow: 0, 0, D^-1+D^3 | D^-3+D^-1+D^3, 1, 0\n"
     PASSES_AFTER_CERTIFICATE = "n=3 r=2\nrow: D^-4+1, D^-3+D^-2+D, 0 | 0, 0, 0\nrow: D^-2, D^-1+1, 0 | 0, 0, 0\n"
 
@@ -360,9 +355,11 @@ class TestGoldenTranscripts:
     nine blocks, D^-3 .. D^5: on the 6-block window
     the round-trip basis holds placements truncated at both edges at once.
     noncommuting is the worked example with one term added, which breaks
-    commutation: synth reduces it first, and validation reports the
-    failure; rank_deficient has one row a multiple of the other, so S(1)
-    has rank 1 and synth validates it before reducing it.  duplicate_field.enc
+    commutation, and rank_deficient has one row a multiple of the other:
+    synth reduces each first, and validation reports the failure.
+    low_span (memory 7), under --max-span 8, synthesizes with its
+    default-limit transcript: the reduction fits the limit, where
+    validation's commutation products would span 10.  duplicate_field.enc
     has a line with a bad integer and, after it, a repeated field: the
     repeat is reported.  bad_term.stab has spaces inside terms and then a
     bad term in its second row."""
@@ -385,6 +382,7 @@ class TestGoldenTranscripts:
             (["synth", "rank_deficient.stab"], "rank_deficient_synth.txt", 3),
             (["verify", "rate_third.stab", "duplicate_field.enc"], "duplicate_field_verify.txt", 2),
             (["verify", "bad_term.stab", "rate_third.enc"], "bad_term_verify.txt", 2),
+            (["--max-span", "8", "synth", "low_span.stab"], "low_span_synth.txt", 0),
         ],
     )
     def test_transcript(self, argv, golden, exit_code):
@@ -394,23 +392,9 @@ class TestGoldenTranscripts:
         assert text.encode("utf-8") == (DATA / golden).read_bytes()
 
 
-class CallTimedOut(Exception):
-    """A command ran past its time bound."""
-
-
 def run_bounded(argv, seconds: float):
     """`run(argv)`, stopped by a real-time alarm after `seconds`."""
-
-    def expire(signum, frame):
-        raise CallTimedOut(f"{argv} ran past {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        return run(argv)
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
+    return bounded(seconds, run, argv)
 
 
 @pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs POSIX interval timers")

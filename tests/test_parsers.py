@@ -1,10 +1,12 @@
 """Oracle tests for the one-pass parsers: `parse_poly`, `parse_stabilizer`
-with its row patterns, `parse_circuit` and the template checks, each
-against the term-by-term reference in `helpers`.  Inputs are drawn texts
-(whitespace inside terms, `0` terms, repeated and negative exponents,
-empty rows, bad terms and fields) and seeded one-character mutations of
-every golden stabilizer and circuit file in tests/data.  Every comparison
-requires an equal value, or an exception of the same type and message."""
+with its row patterns (binary rows and GF(4) blocks), `parse_circuit` and
+the template checks, each against the term-by-term reference in `helpers`.
+Inputs are drawn texts (whitespace inside terms, `0` terms, repeated and
+negative exponents, GF(4) coefficients, empty rows, bad terms and fields)
+and seeded one-character mutations of every golden stabilizer and circuit
+file in tests/data and of the rate-1/3 code's GF(4) text.  Every
+comparison requires an equal value, or an exception of the same type and
+message."""
 
 from pathlib import Path
 
@@ -13,9 +15,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    RATE_THIRD_F4,
     mutations,
     outcome,
     parse_laurent,
+    reference_f4_entry,
     reference_parse_circuit,
     reference_parse_stabilizer,
     reference_row_patterns,
@@ -23,7 +27,7 @@ from helpers import (
 )
 from qconvenc.gates import GateTemplate, parse_circuit
 from qconvenc.poly import parse_poly, set_max_span
-from qconvenc.stabilizer import parse_stabilizer
+from qconvenc.stabilizer import _parse_f4_entry, parse_stabilizer
 
 DATA = Path(__file__).parent / "data"
 
@@ -66,18 +70,20 @@ def under_limit(limit, check, *args) -> None:
 spaces = st.sampled_from(("", "", "", " ", "  ", "\t"))
 
 
+def spaced(draw, term: str) -> str:
+    """`term` with whitespace drawn around it and at one place inside."""
+    at = draw(st.integers(0, len(term)))
+    return draw(spaces) + term[:at] + draw(spaces) + term[at:]
+
+
+exponent_terms = st.integers(-6, 6).map(lambda e: f"D^{e}")
+bad_terms = st.sampled_from(("D^50000000", "D^-50000000", "D^1_0", "x", "d", "2", "D^", "D^+", "D**2", ""))
+
+
 @st.composite
 def terms(draw) -> str:
     """One term, with whitespace anywhere inside it; mostly good ones."""
-    term = draw(
-        st.one_of(
-            st.sampled_from(("0", "1", "D")),
-            st.integers(-6, 6).map(lambda e: f"D^{e}"),
-            st.sampled_from(("D^50000000", "D^-50000000", "D^1_0", "x", "d", "2", "D^", "D^+", "D**2", "")),
-        )
-    )
-    at = draw(st.integers(0, len(term)))
-    return draw(spaces) + term[:at] + draw(spaces) + term[at:]
+    return spaced(draw, draw(st.one_of(st.sampled_from(("0", "1", "D")), exponent_terms, bad_terms)))
 
 
 @st.composite
@@ -96,6 +102,31 @@ def stabilizer_texts(draw) -> str:
             for _ in range(2)
         ]
         lines.append(f"row: {sides[0]} | {sides[1]}")
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def f4_terms(draw) -> str:
+    """One GF(4) term: a coefficient 1, w or W (or none, or a bad one)
+    before "0", "", D or D^k, or a bad term, with whitespace anywhere
+    inside it."""
+    coefficient = draw(st.sampled_from(("", "", "1", "w", "W", "x")))
+    monomial = draw(st.one_of(st.sampled_from(("0", "", "D")), exponent_terms, bad_terms))
+    return spaced(draw, coefficient + monomial)
+
+
+@st.composite
+def f4_entries(draw) -> str:
+    return "+".join(draw(st.lists(f4_terms(), min_size=1, max_size=4)))
+
+
+@st.composite
+def f4_texts(draw) -> str:
+    n = draw(st.integers(1, 3))
+    lines = [f"f4 n={n}"]
+    for _ in range(draw(st.sampled_from((1, 1, 2, 0)))):
+        count = n + draw(st.sampled_from((0, 0, 0, 1)))
+        lines.append("row: " + ", ".join(draw(f4_entries()) for _ in range(count)))
     return "\n".join(lines) + "\n"
 
 
@@ -142,6 +173,28 @@ def test_stabilizer_matches_reference(text, limit):
     under_limit(limit, same_stabilizer, text)
 
 
+def same_f4_entry(text: str) -> None:
+    assert outcome(_parse_f4_entry, text) == outcome(reference_f4_entry, text)
+
+
+@PROPERTY
+@given(text=f4_entries(), limit=limits)
+@example(text="w + W + 1", limit=None)
+@example(text="+wD^-2", limit=None)
+@example(text="wD^50000000 + W", limit=16)
+@example(text="1w", limit=None)
+def test_f4_entry_matches_reference(text, limit):
+    under_limit(limit, same_f4_entry, text)
+
+
+@FILES
+@given(text=f4_texts(), limit=limits)
+@example(text=RATE_THIRD_F4, limit=None)
+@example(text="f4 n=2\nrow: 0, 0\n", limit=None)
+def test_f4_stabilizer_matches_reference(text, limit):
+    under_limit(limit, same_stabilizer, text)
+
+
 @FILES
 @given(circuit_texts())
 @example("n=3\nCNOT c=2x t=3 t=1 off=0\n")
@@ -172,6 +225,20 @@ def test_mutated_golden_stabilizers_match_reference(name):
     text = (DATA / name).read_text(encoding="utf-8")
     same_stabilizer(text)
     for k, mutant in enumerate(mutations(text, 1900 + len(name), 300)):
+        under_limit((None, 8)[k % 2], same_stabilizer, mutant)
+
+
+F4_TEXTS = {
+    "rate_third_f4": RATE_THIRD_F4,
+    "wide_f4.stab": (DATA / "wide_f4.stab").read_text(encoding="utf-8"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(F4_TEXTS))
+def test_mutated_f4_texts_match_reference(name):
+    text = F4_TEXTS[name]
+    same_stabilizer(text)
+    for k, mutant in enumerate(mutations(text, 2100 + len(name), 600)):
         under_limit((None, 8)[k % 2], same_stabilizer, mutant)
 
 

@@ -1,4 +1,5 @@
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -11,6 +12,7 @@ from helpers import (
     divides,
     outcome,
     parse_laurent,
+    parse_terms,
     reference_laurent_divmod,
     series_head,
     xgcd,
@@ -375,6 +377,26 @@ class TestGrammar:
     def test_printing(self):
         assert str(LaurentPoly.zero()) == "0"
         assert str(L("D^-1+1+D^3")) == "D^-1+1+D^3"
+
+
+class TestExponents:
+    def test_sparse_wide_body_lists_its_terms_in_linear_time(self):
+        """Three terms 65,535 apart: listing them jumps from one set bit to
+        the next rather than shifting the body once per exponent (which
+        took about 68 ms a call)."""
+        p = LaurentPoly(0, 1 | 2 | 1 << 65535)
+        want = tuple(parse_terms("1+D+D^65535"))
+        start = time.perf_counter()
+        lists = [p.exponents() for _ in range(50)]
+        assert time.perf_counter() - start < 0.5
+        assert all(exps == want for exps in lists)
+
+    @settings(derandomize=True, database=None, max_examples=300)
+    @given(offset=st.integers(-70, 70), bits=st.integers(0, 1 << 140))
+    def test_exponents_are_the_set_bits(self, offset, bits):
+        p = LaurentPoly(offset, bits)
+        want = tuple(offset + k for k in range(bits.bit_length()) if bits >> k & 1)
+        assert p.exponents() == want
 
 
 class TestSpanLimit:

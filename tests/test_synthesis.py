@@ -1,4 +1,5 @@
 import random
+import signal
 import time
 
 import pytest
@@ -8,8 +9,10 @@ from hypothesis import strategies as st
 from helpers import (
     L,
     body_of,
+    bounded,
     divisor_bodies,
     invalid_mutants,
+    random_circuit,
     random_proper_code,
     random_valid_code,
     rate_third_code,
@@ -21,10 +24,11 @@ from helpers import (
     z_only_identity_code,
 )
 from qconvenc import order
-from qconvenc.errors import PreconditionError
+from qconvenc.errors import ExponentOverflowError, PreconditionError
 from qconvenc.gates import (
     CNOT,
     CSIGN,
+    Circuit,
     GateTemplate,
     H,
     P,
@@ -34,7 +38,13 @@ from qconvenc.gates import (
 from qconvenc import stabilizer
 from qconvenc.poly import LaurentPoly, Poly, set_max_span
 from qconvenc.smith import RowOp
-from qconvenc.stabilizer import StabilizerMatrix, check_symplectic, params, validate_code
+from qconvenc.stabilizer import (
+    StabilizerMatrix,
+    check_symplectic,
+    params,
+    rank_at_one,
+    validate_code,
+)
 from qconvenc.synthesis import (
     _HEAD_BITS,
     SynthesisResult,
@@ -207,6 +217,10 @@ def _outcome(synth, s: StabilizerMatrix):
         result = synth(s)
     except Exception as exc:
         return type(exc), str(exc), getattr(exc, "witness", None)
+    return _transcript(result)
+
+
+def _transcript(result: SynthesisResult):
     return result.forward, result.gamma, result.row_ops, result.checkpoints
 
 
@@ -227,17 +241,26 @@ def _codes_and_mutants() -> list[tuple[str, StabilizerMatrix]]:
     return out
 
 
+def _refuse(name: str):
+    def refuse(s):
+        raise AssertionError(f"{name} called")
+
+    return refuse
+
+
 class TestValidationOrder:
-    """The reduction runs before `validate_code` on codes with r < n, S(1)
-    of rank r and 2 * memory within the span limit; every other code is
-    validated first.  Either way a code fails as it would if it were
-    validated first."""
+    """A code with r < n is reduced before `validate_code`, which runs only
+    when the reduction raises; a code with r >= n is validated first.  So a
+    code fails as it would if it were validated first.  A result differs
+    only where validation's own commutation products pass a lowered span
+    limit that the reduction keeps: the code then synthesizes, with the
+    transcript it has at the default limit."""
 
     @pytest.mark.parametrize("lowered", [False, True], ids=["default-limit", "limit-below-2m"])
     def test_codes_and_mutants_end_as_when_validated_first(self, lowered):
-        """Below 2 * memory, a valid code whose commutation products pass the
-        limit fails validation even where its reduction fits."""
-        compared = 0
+        """Below 2 * memory, validation overflows on some valid codes whose
+        reduction fits the limit; every other outcome is validated-first's."""
+        compared = certified = 0
         for name, s in _codes_and_mutants():
             memory = params(s).memory
             if lowered and memory == 0:
@@ -249,9 +272,17 @@ class TestValidationOrder:
             finally:
                 if old is not None:
                     set_max_span(old)
-            assert got == want, name
+            if want[0] is ExponentOverflowError and isinstance(got[0], Circuit):
+                # validation overflowed where the reduction fits
+                result = synthesize(s)
+                assert got == _transcript(result), name
+                assert replay(s, result) == result.normal_form, name
+                certified += 1
+            else:
+                assert got == want, name
             compared += 1
         assert compared >= 180
+        assert (certified > 0) == lowered
 
     def test_mutants_are_invalid(self):
         for name, s in _codes_and_mutants():
@@ -260,13 +291,41 @@ class TestValidationOrder:
                     validate_code(s)
 
     def test_valid_ladder_code_skips_the_commutation_check(self, monkeypatch):
-        def refuse(s):
-            raise AssertionError("check_symplectic called")
-
         s = random_valid_code(random.Random(1802), max_n=6, max_r=4, max_gates=30, max_off=3)
-        monkeypatch.setattr(stabilizer, "check_symplectic", refuse)
+        monkeypatch.setattr(stabilizer, "check_symplectic", _refuse("check_symplectic"))
         result = synthesize(s)
         assert replay(s, result) == result.normal_form
+
+    def test_valid_code_with_s_at_one_below_rank_skips_validation(self, monkeypatch):
+        """Both divisors of degree 5; 1+D+D^2+D^5 vanishes at D = 1, so S(1)
+        has rank 1 of 2 and only a Smith reduction could certify full rank
+        before the reduction."""
+        base = stab(3, [(["0", "0", "0"], ["1+D+D^2+D^5", "0", "0"]),
+                        (["0", "0", "0"], ["0", "1+D^2+D^5", "0"])])
+        s = apply_circuit(base, random_circuit(random.Random(1804), 3, 12))
+        assert rank_at_one(s) == 1
+        monkeypatch.setattr(stabilizer, "check_symplectic", _refuse("check_symplectic"))
+        monkeypatch.setattr(stabilizer, "full_rank", _refuse("full_rank"))
+        result = synthesize(s)
+        assert replay(s, result) == result.normal_form
+        assert any(g.bits != 1 for g in result.gamma)
+
+    @pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs POSIX interval timers")
+    @pytest.mark.parametrize("rung", [(8, 6, 60, 3), (12, 8, 120, 4)], ids=["n8", "n12"])
+    def test_broken_ladder_mutants_fail_as_when_validated_first(self, rung):
+        """Commutation-broken ("term") and rank-broken ("multiple") mutants of
+        gate-built codes on the benchmark's n=8 and n=12 ladder rungs pay
+        their reduction before validation rejects them, each within 2 s."""
+        n, r, count, max_off = rung
+        rng = random.Random(1805 + n)
+        for k in range(5):
+            s = apply_circuit(z_only_identity_code(n, r), random_circuit(rng, n, count, max_off))
+            mutants = invalid_mutants(rng, s)
+            for kind in ("term", "multiple"):
+                want = _outcome(_validated_first, mutants[kind])
+                got = bounded(2.0, _outcome, synthesize, mutants[kind])
+                assert want[0] is PreconditionError, (k, kind)
+                assert got == want, (k, kind)
 
 
 class TestRandomizedRuns:

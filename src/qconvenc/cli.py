@@ -23,13 +23,8 @@ from .errors import (
     PreconditionError,
 )
 from .gates import format_circuit, parse_circuit
-from .poly import max_span, set_max_span
-from .stabilizer import (
-    check_symplectic,
-    params,
-    parse_stabilizer,
-    systematic_selfdual_check,
-)
+from .poly import max_span, parse_int, set_max_span
+from .stabilizer import check_symplectic, is_systematic, params, parse_stabilizer
 from .synthesis import build_report, format_checkpoints, synthesize
 from .verify import (
     check_pair,
@@ -62,12 +57,19 @@ def _write(path: str, text: str) -> None:
 
 def _windows(text: str) -> list[int]:
     try:
-        sizes = [int(v) for v in text.split(",") if v.strip() != ""]
+        sizes = [parse_int(v) for v in text.split(",") if v.strip() != ""]
     except ValueError:
         raise ParseError(f"bad window list {text!r}") from None
     if not sizes or any(a >= b for a, b in zip(sizes, sizes[1:])):
         raise ParseError("window sizes must be ascending and non-empty")
     return sizes
+
+
+def _span_limit(text: str) -> int:
+    try:
+        return parse_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
 def cmd_synth(args: argparse.Namespace, out) -> int:
@@ -124,9 +126,10 @@ def cmd_info(args: argparse.Namespace, out) -> int:
     chk = check_symplectic(s)
     fields = [f"n={p.n}", f"k={p.k}", f"r={p.r}", f"m={p.memory}"]
     fields.append("symplectic=ok" if chk else "symplectic=violated")
-    selfdual = systematic_selfdual_check(s)
-    if selfdual is not None:
-        fields.append(f"selfdual={'ok' if selfdual else 'violated'}")
+    if is_systematic(s):
+        # for X = (I | 0) entry (i, j) of the commutation matrix is
+        # Z_ij + Z_ji(1/D): Z's leading block is self-dual iff S commutes
+        fields.append("selfdual=ok" if chk else "selfdual=violated")
     out.write(" ".join(fields) + "\n")
     if not chk:
         out.write(
@@ -153,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--max-span",
-        type=int,
+        type=_span_limit,
         default=None,
         metavar="INT",
         help="exponent span limit for polynomial arithmetic",

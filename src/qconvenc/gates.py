@@ -41,7 +41,7 @@ from typing import Iterable, NamedTuple
 
 from .errors import ParseError
 from .matrix import Record, thaw, unchecked
-from .poly import LaurentPoly, add_shifted
+from .poly import LaurentPoly, add_shifted, parse_int
 from .stabilizer import StabilizerMatrix, _strip_comments
 
 H = "H"
@@ -275,7 +275,7 @@ def parse_circuit(text: str) -> Circuit:
     if not lines or not lines[0].startswith("n="):
         raise ParseError("circuit file must start with n=<int>")
     try:
-        n = int(lines[0][2:])
+        n = parse_int(lines[0][2:])
     except ValueError:
         raise ParseError(f"bad circuit header {lines[0]!r}") from None
     templates = []
@@ -302,7 +302,7 @@ def parse_circuit(text: str) -> Circuit:
                 if val is None:
                     raise ParseError(f"missing {key}= in {line!r}")
                 try:
-                    values.append(int(val))
+                    values.append(parse_int(val))
                 except ValueError:
                     raise ParseError(f"bad integer for {key}= in {line!r}") from None
             g = GateTemplate(kind, *values)

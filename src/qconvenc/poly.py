@@ -17,7 +17,10 @@ The textual grammar shared by all file formats:
     term       := "0" | "1" | "D" | "D^" integer     (integer may be negative)
     polynomial := term ("+" term)*
 
-Whitespace is ignored and duplicate terms cancel (XOR).
+Whitespace is ignored and duplicate terms cancel (XOR).  An integer is
+ASCII: an optional sign and digits, no digit separators (`parse_int`).
+GF(4) entries put an optional coefficient in front of each term and read
+the rest here.
 """
 
 from __future__ import annotations
@@ -164,7 +167,7 @@ class Poly:
         return divmod(self, other)[1]
 
     def __str__(self) -> str:
-        return format_terms(((e, 1) for e in _exponents(self.bits, 0)))
+        return format_terms(_exponents(self.bits, 0))
 
     def __repr__(self) -> str:
         return f"Poly({self})"
@@ -219,18 +222,27 @@ class LaurentPoly:
 
     @classmethod
     def from_exponents(cls, exps: Iterable[int]) -> "LaurentPoly":
-        seen: set[int] = set()
-        for e in exps:
-            seen.symmetric_difference_update({e})
-        if not seen:
-            return cls.zero()
-        lo = min(seen)
-        # check before building the bits, which take memory of the span
-        _check_span(max(seen) - lo)
+        """The sum of D^e over `exps`, repeated terms cancelling, built in
+        one step: exponents within the span limit are XORed into one body;
+        wider ones cancel through a set first, and the survivors' span is
+        checked before any bits are built."""
+        exps = list(exps)
+        if not exps:
+            return L_ZERO
+        lo = min(exps)
+        if max(exps) - lo > _max_span:
+            survivors: set[int] = set()
+            for e in exps:
+                survivors ^= {e}
+            if not survivors:
+                return L_ZERO
+            lo = min(survivors)
+            _check_span(max(survivors) - lo)
+            exps = list(survivors)
         bits = 0
-        for e in seen:
-            bits |= 1 << (e - lo)
-        return cls(lo, bits)
+        for e in exps:
+            bits ^= 1 << e - lo
+        return _normal(lo, bits)
 
     # -- structure ---------------------------------------------------------
 
@@ -315,7 +327,7 @@ class LaurentPoly:
         return hash(("LaurentPoly", self.offset, self.bits))
 
     def __str__(self) -> str:
-        return format_terms(((e, 1) for e in self.exponents()))
+        return format_terms(_exponents(self.bits, self.offset))
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self})"
@@ -455,25 +467,36 @@ def symmetric_decompose(a: LaurentPoly) -> Optional[tuple[bool, tuple[int, ...]]
 
 
 _TERMS = {"0": None, "1": 0, "D": 1}
+# the messages for a bad term and for a bad exponent, given the whole term
+_TERM_ERRORS = ("bad polynomial term {!r}", "bad exponent in term {!r}")
 
 
-def _exponent(term: str) -> Optional[int]:
-    """The exponent of one whitespace-free term; None for "0"."""
+def parse_int(text: str) -> int:
+    """A decimal integer as every file format and option writes it: ASCII
+    text without digit separators, read by `int`; ValueError otherwise."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"bad integer {text!r}")
+    return int(text)
+
+
+def _exponent(term: str, whole: str = "", errors: tuple[str, str] = _TERM_ERRORS) -> Optional[int]:
+    """The exponent of one whitespace-free term; None for "0".  Errors name
+    `whole` (the term itself when empty) in the `errors` messages: a GF(4)
+    term reads its monomial here and names itself with its coefficient."""
     if term in _TERMS:
         return _TERMS[term]
     if not term.startswith("D^"):
-        raise ParseError(f"bad polynomial term {term!r}")
+        raise ParseError(errors[0].format(whole or term))
     try:
-        return int(term[2:])
+        return parse_int(term[2:])
     except ValueError:
-        raise ParseError(f"bad exponent in term {term!r}") from None
+        raise ParseError(errors[1].format(whole or term)) from None
 
 
 def parse_poly(text: str) -> LaurentPoly:
     """The polynomial grammar read into a LaurentPoly: "0" is zero, a term
     its monomial.  A sum reads every term first, so a bad term raises before
-    any span check; it is built at once when its lowest term survives the
-    cancellation, else by `LaurentPoly.from_exponents`."""
+    any span check, and is built by `LaurentPoly.from_exponents`."""
     squeezed = "".join(text.split())
     if "+" not in squeezed:
         if squeezed == "0":
@@ -482,23 +505,13 @@ def parse_poly(text: str) -> LaurentPoly:
             raise ParseError("empty polynomial")
         return _make(_exponent(squeezed), 1)
     exps = [e for e in map(_exponent, squeezed.split("+")) if e is not None]
-    if exps:
-        lo = min(exps)
-        if max(exps) - lo <= _max_span:
-            bits = 0
-            for e in exps:
-                bits ^= 1 << e - lo
-            if bits & 1:
-                return _make(lo, bits)
     return LaurentPoly.from_exponents(exps)
 
 
-def format_terms(terms: Iterable[tuple[int, int]]) -> str:
-    """Canonical printing: ascending exponents, '+'-joined."""
+def format_terms(exps: Iterable[int]) -> str:
+    """Canonical printing of ascending exponents, '+'-joined."""
     parts = []
-    for e, c in terms:
-        if not c:
-            continue
+    for e in exps:
         if e == 0:
             parts.append("1")
         elif e == 1:

@@ -16,7 +16,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .errors import ParseError, PreconditionError
 from .matrix import Matrix, Record, freeze, unchecked
-from .poly import LaurentPoly, L_ZERO, _check_span, parse_poly
+from .poly import LaurentPoly, L_ZERO, _check_span, _exponent, parse_int, parse_poly
 from .smith import smith_rank
 
 
@@ -179,20 +179,6 @@ def is_systematic(s: StabilizerMatrix) -> bool:
     return True
 
 
-def systematic_selfdual_check(s: StabilizerMatrix) -> Optional[bool]:
-    """For X = (I | 0): does the leading Z block satisfy Z(1/D) = Z^t?
-
-    Returns None when the matrix is not in systematic form.
-    """
-    if not is_systematic(s):
-        return None
-    for i in range(s.r):
-        for j in range(s.r):
-            if s.z[i][j].reciprocal() != s.z[j][i]:
-                return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # GF(4) import
 
@@ -272,7 +258,7 @@ def _parse_header(line: str, keys: tuple[str, ...]) -> dict[str, int]:
         if not field.startswith(key + "="):
             raise ParseError(f"expected {key}=<int> in header, got {field!r}")
         try:
-            out[key] = int(field[len(key) + 1 :])
+            out[key] = parse_int(field[len(key) + 1 :])
         except ValueError:
             raise ParseError(f"bad integer in header field {field!r}") from None
     return out
@@ -285,38 +271,29 @@ def _split_row(line: str) -> str:
 
 
 _F4_COEFFS = {"1": (1, 0), "w": (0, 1), "W": (1, 1)}
+_F4_ERRORS = ("bad GF(4) term {!r}", "bad exponent in GF(4) term {!r}")
 
 
 def _parse_f4_entry(text: str) -> F4Poly:
+    """One GF(4) entry a + w*b: "0", or terms of the polynomial grammar, each
+    after an optional coefficient 1, w or W.  A coefficient alone stands
+    for itself times D^0; after one, only D and D^k are read."""
     squeezed = "".join(text.split())
     if not squeezed:
         raise ParseError("empty GF(4) entry")
-    a_exps: list[int] = []
-    b_exps: list[int] = []
+    parts: tuple[list[int], list[int]] = ([], [])
     for term in squeezed.split("+"):
         if term == "0":
             continue
-        coeff = (1, 0)
-        rest = term
-        if rest and rest[0] in _F4_COEFFS:
-            coeff = _F4_COEFFS[rest[0]]
-            rest = rest[1:]
-        if rest == "":
-            exp = 0
-        elif rest == "D":
-            exp = 1
-        elif rest.startswith("D^"):
-            try:
-                exp = int(rest[2:])
-            except ValueError:
-                raise ParseError(f"bad exponent in GF(4) term {term!r}") from None
-        else:
-            raise ParseError(f"bad GF(4) term {term!r}")
-        if coeff[0]:
-            a_exps.append(exp)
-        if coeff[1]:
-            b_exps.append(exp)
-    return F4Poly(LaurentPoly.from_exponents(a_exps), LaurentPoly.from_exponents(b_exps))
+        coeff = _F4_COEFFS.get(term[:1])
+        monomial = term[1:] if coeff else term
+        if monomial in ("0", "1") or not (coeff or monomial):
+            raise ParseError(_F4_ERRORS[0].format(term))
+        exp = _exponent(monomial or "1", term, _F4_ERRORS)
+        for part, bit in zip(parts, coeff or (1, 0)):
+            if bit:
+                part.append(exp)
+    return F4Poly(*map(LaurentPoly.from_exponents, parts))
 
 
 def parse_stabilizer(text: str) -> StabilizerMatrix:

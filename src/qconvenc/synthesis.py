@@ -487,7 +487,7 @@ def _series_head(body: int) -> tuple[int, str]:
     term 1, so the state, started at 1, is 1 again after exactly the
     period, the multiplicative order of D modulo body."""
     if not body & 1:
-        terms = format_terms((e, 1) for e in _exponents(body, 0))
+        terms = format_terms(_exponents(body, 0))
         raise ZeroDivisionError(f"1/({terms}) is not a power series")
     rem, s = 1, 0
     for k in range(_HEAD_BITS):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 import signal
 
 from dataclasses import dataclass
@@ -48,6 +49,33 @@ from qconvenc.verify import (
 )
 
 
+_INTEGER = re.compile(r"\s*[+-]?[0-9]+\s*", re.ASCII)
+
+
+def reference_int(text: str) -> int:
+    """A decimal integer as every reader takes it: an optional sign and
+    ASCII digits, ASCII whitespace around them allowed (as `int` allows
+    it), no digit separators; ValueError otherwise."""
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
+def exponent_sum(exps: Iterable[int]) -> LaurentPoly:
+    """The sum of D^e over `exps`, built without `LaurentPoly.from_exponents`:
+    repeated exponents cancel in a set, the survivors' span is checked,
+    and their bits go through the public constructor."""
+    survivors: set[int] = set()
+    for e in exps:
+        survivors.symmetric_difference_update({e})
+    if not survivors:
+        return LaurentPoly.zero()
+    lo = min(survivors)
+    # check before building the bits, which take memory of the span
+    _check_span(max(survivors) - lo)
+    return LaurentPoly(lo, sum(1 << e - lo for e in survivors))
+
+
 def parse_terms(text: str) -> list[int]:
     """Parse the polynomial grammar into a list of exponents (with repeats)."""
     squeezed = "".join(text.split())
@@ -63,7 +91,7 @@ def parse_terms(text: str) -> list[int]:
             exps.append(1)
         elif term.startswith("D^"):
             try:
-                exps.append(int(term[2:]))
+                exps.append(reference_int(term[2:]))
             except ValueError:
                 raise ParseError(f"bad exponent in term {term!r}") from None
         else:
@@ -73,8 +101,8 @@ def parse_terms(text: str) -> list[int]:
 
 def parse_laurent(text: str) -> LaurentPoly:
     """The reference reading of one polynomial: its exponents, then
-    `LaurentPoly.from_exponents`."""
-    return LaurentPoly.from_exponents(parse_terms(text))
+    `exponent_sum`."""
+    return exponent_sum(parse_terms(text))
 
 
 L = parse_laurent
@@ -465,7 +493,7 @@ def _take_int(fields: dict[str, str], key: str, line: str) -> int:
     if key not in fields:
         raise ParseError(f"missing {key}= in {line!r}")
     try:
-        return int(fields.pop(key))
+        return reference_int(fields.pop(key))
     except ValueError:
         raise ParseError(f"bad integer for {key}= in {line!r}") from None
 
@@ -475,7 +503,7 @@ def reference_parse_circuit(text: str) -> Circuit:
     if not lines or not lines[0].startswith("n="):
         raise ParseError("circuit file must start with n=<int>")
     try:
-        n = int(lines[0][2:])
+        n = reference_int(lines[0][2:])
     except ValueError:
         raise ParseError(f"bad circuit header {lines[0]!r}") from None
     templates = []
@@ -511,9 +539,9 @@ F4_COEFFICIENTS = {"": (1, 0), "1": (1, 0), "w": (0, 1), "W": (1, 1)}
 
 def reference_f4_entry(text: str) -> F4Poly:
     """One GF(4) entry a + w*b, term by term: "0", or an optional
-    coefficient 1, w or W (1 when absent) followed by "", D or D^k.  Each
-    part's exponents then go through `LaurentPoly.from_exponents`, a's
-    first."""
+    coefficient 1, w or W (1 when absent) followed by D or D^k, or a
+    coefficient alone, which stands for itself times D^0; an empty term is
+    bad.  Each part's exponents then go through `exponent_sum`, a's first."""
     squeezed = "".join(text.split())
     if not squeezed:
         raise ParseError("empty GF(4) entry")
@@ -523,11 +551,11 @@ def reference_f4_entry(text: str) -> F4Poly:
             continue
         coefficient = term[:1] if term[:1] in F4_COEFFICIENTS else ""
         monomial = term[len(coefficient):]
-        if monomial in ("", "D"):
+        if monomial == "D" or monomial == "" and coefficient:
             exponent = len(monomial)
         elif monomial.startswith("D^"):
             try:
-                exponent = int(monomial[2:])
+                exponent = reference_int(monomial[2:])
             except ValueError:
                 raise ParseError(f"bad exponent in GF(4) term {term!r}") from None
         else:
@@ -535,7 +563,7 @@ def reference_f4_entry(text: str) -> F4Poly:
         for part, bit in zip(parts, F4_COEFFICIENTS[coefficient]):
             if bit:
                 part.append(exponent)
-    return F4Poly(*map(LaurentPoly.from_exponents, parts))
+    return F4Poly(*map(exponent_sum, parts))
 
 
 def reference_parse_stabilizer(text: str) -> StabilizerMatrix:

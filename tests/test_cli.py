@@ -333,6 +333,68 @@ class TestMoreGeneratorsThanStreams:
         )
 
 
+# an integer with a digit separator, one in non-ASCII digits, and one that
+# was never read: each reader rejects all three with the same message
+BAD_INTEGERS = ("1_0", "\u0663", "1x")
+
+
+class TestIntegerRule:
+    """Every integer the CLI reads is ASCII text without digit separators
+    (`poly.parse_int`), and a bad one exits 2 with its reader's message."""
+
+    @pytest.mark.parametrize("value", BAD_INTEGERS)
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("n=2 r=1\nrow: 0, 0 | 1+D^{}, 0\n", "bad exponent in term 'D^{}'"),
+            ("f4 n=2\nrow: wD^{}, 1\n", "bad exponent in GF(4) term 'wD^{}'"),
+        ],
+        ids=["binary", "f4"],
+    )
+    def test_exponent(self, tmp_path, text, message, value):
+        path = write(tmp_path, "code.stab", text.format(value))
+        assert run(["info", path]) == (2, f"parse error: {message.format(value)}\n")
+
+    @pytest.mark.parametrize("value", BAD_INTEGERS)
+    @pytest.mark.parametrize(
+        "text, field",
+        [("n={} r=1\nrow: 0, 0 | 1, 0\n", "n={}"), ("n=2 r={}\nrow: 0, 0 | 1, 0\n", "r={}"), ("f4 n={}\nrow: 1\n", "n={}")],
+        ids=["n", "r", "f4"],
+    )
+    def test_stabilizer_header(self, tmp_path, text, field, value):
+        path = write(tmp_path, "code.stab", text.format(value))
+        expected = f"parse error: bad integer in header field {field.format(value)!r}\n"
+        assert run(["info", path]) == (2, expected)
+
+    @pytest.mark.parametrize("value", BAD_INTEGERS)
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("n={}", "bad circuit header 'n={}'"),
+            ("n=3\nCNOT c=1 t=2 off={}", "bad template 'CNOT c=1 t=2 off={0}': bad integer for off= in 'CNOT c=1 t=2 off={0}'"),
+            ("n=3\nH q={}", "bad template 'H q={0}': bad integer for q= in 'H q={0}'"),
+        ],
+        ids=["header", "off", "q"],
+    )
+    def test_circuit(self, tmp_path, line, message, value):
+        path = write(tmp_path, "code.enc", line.format(value) + "\n")
+        argv = ["verify", str(DATA / "rate_third.stab"), path]
+        assert run(argv) == (2, f"parse error: {message.format(value)}\n")
+
+    @pytest.mark.parametrize("value", BAD_INTEGERS)
+    def test_windows(self, value):
+        windows = f"5,{value},20"
+        argv = ["verify", "--windows", windows, str(DATA / "rate_third.stab"), str(DATA / "rate_third.enc")]
+        assert run(argv) == (2, f"error: bad window list {windows!r}\n")
+
+    @pytest.mark.parametrize("value", BAD_INTEGERS)
+    def test_max_span(self, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            run(["--max-span", value, "info", str(DATA / "rate_third.stab")])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f"error: argument --max-span: invalid int value: {value!r}\n")
+
+
 class TestGoldenTranscripts:
     """Output byte for byte as committed in tests/data.  rate_third is the
     worked example, and rate_third_cut.enc its encoder without the last
@@ -362,7 +424,9 @@ class TestGoldenTranscripts:
     validation's commutation products would span 10.  duplicate_field.enc
     has a line with a bad integer and, after it, a repeated field: the
     repeat is reported.  bad_term.stab has spaces inside terms and then a
-    bad term in its second row."""
+    bad term in its second row.  bad_f4_term.stab is the worked example's
+    GF(4) form with an empty last term in its first entry, which every
+    command reports as a bad GF(4) term."""
 
     @pytest.mark.parametrize(
         "argv, golden, exit_code",
@@ -382,6 +446,9 @@ class TestGoldenTranscripts:
             (["synth", "rank_deficient.stab"], "rank_deficient_synth.txt", 3),
             (["verify", "rate_third.stab", "duplicate_field.enc"], "duplicate_field_verify.txt", 2),
             (["verify", "bad_term.stab", "rate_third.enc"], "bad_term_verify.txt", 2),
+            (["info", "bad_f4_term.stab"], "bad_f4_term.txt", 2),
+            (["synth", "bad_f4_term.stab"], "bad_f4_term.txt", 2),
+            (["verify", "bad_f4_term.stab", "rate_third.enc"], "bad_f4_term.txt", 2),
             (["--max-span", "8", "synth", "low_span.stab"], "low_span_synth.txt", 0),
         ],
     )

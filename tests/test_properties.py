@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import L, _lane_images, _pack, reference_symmetric_quotient
+from helpers import L, _lane_images, _pack, exponent_sum, outcome, reference_symmetric_quotient
 from qconvenc.gates import CNOT, CSIGN, Circuit, GateTemplate, H, P, PL, act, format_circuit, parse_circuit
 from qconvenc.errors import ExponentOverflowError
 from qconvenc.matrix import identity, thaw, zeros
@@ -102,7 +102,7 @@ def laurents(draw) -> LaurentPoly:
     return LaurentPoly(draw(st.integers(-12, 12)), draw(st.integers(0, (1 << 14) - 1)))
 
 
-_reference = LaurentPoly.from_exponents
+_reference = exponent_sum
 
 # operation name -> (the operation, its reference on exponent sets)
 LAURENT_OPS = {
@@ -150,6 +150,29 @@ def test_laurent_results_raise_exactly_above_a_lowered_limit(op, a, b, k, limit)
             assert run(a, b, k) == want
     finally:
         set_max_span(old)
+
+
+@st.composite
+def exponent_lists(draw) -> list[int]:
+    """Exponents with repeats, so that some cancel, in drawn order."""
+    exps = draw(st.lists(st.integers(-40, 40), max_size=6))
+    if exps:
+        exps += draw(st.lists(st.sampled_from(exps), max_size=4))
+    return draw(st.permutations(exps))
+
+
+@PROPERTY
+@given(exps=exponent_lists(), limit=st.sampled_from((None, 2, 8, 30)))
+def test_from_exponents_matches_exponent_sets(exps, limit):
+    """The one builder against the set reference: the same value, or the
+    same overflow message, whether the exponents fit the limit (one body)
+    or cancel through a set first."""
+    old = None if limit is None else set_max_span(limit)
+    try:
+        assert outcome(LaurentPoly.from_exponents, exps) == outcome(exponent_sum, exps)
+    finally:
+        if old is not None:
+            set_max_span(old)
 
 
 # -- fused entry updates against the operators ---------------------------------

@@ -1,3 +1,4 @@
+import io
 import random
 
 import pytest
@@ -18,6 +19,7 @@ from helpers import (
     z_only_identity_code,
 )
 from qconvenc import stabilizer
+from qconvenc.cli import main
 from qconvenc.gates import apply_circuit
 from qconvenc.errors import ParseError, PreconditionError, WindowTooSmallError
 from qconvenc.poly import L_ZERO, LaurentPoly
@@ -33,7 +35,6 @@ from qconvenc.stabilizer import (
     params,
     parse_stabilizer,
     placement_bits,
-    systematic_selfdual_check,
     validate_code,
 )
 
@@ -235,12 +236,48 @@ class TestValidation:
         with pytest.raises(PreconditionError, match="rank"):
             validate_code(s)
 
-    def test_systematic_selfdual(self):
-        s = stab(2, [(["1", "0"], ["1+D^-1+D", "D"]),
-                     (["0", "1"], ["D^-1", "0"])])
-        assert is_systematic(s)
-        assert systematic_selfdual_check(s) is True
-        assert systematic_selfdual_check(rate_third_code()) is None
+    def test_info_reports_selfduality_as_commutation(self, tmp_path):
+        """`info` on seeded systematic codes, X = (I | 0), half of them with a
+        mirrored leading Z block (Z_ji = Z_ij(1/D)): selfdual=ok exactly
+        when that block is mirrored, exactly when symplectic=ok.  A code
+        not in systematic form gets no selfdual field."""
+        rng = random.Random(2207)
+
+        def entry() -> LaurentPoly:
+            return LaurentPoly(rng.randint(-2, 1), rng.getrandbits(3))
+
+        seen = set()
+        for k in range(60):
+            n = rng.randint(2, 4)
+            r = rng.randint(1, n)
+            x = [[LaurentPoly.one() if c == i else L_ZERO for c in range(n)] for i in range(r)]
+            z = [[entry() for _ in range(n)] for _ in range(r)]
+            if k % 2 == 0:
+                for i in range(r):
+                    f = entry()
+                    z[i][i] = f + f.reciprocal() + LaurentPoly(0, rng.getrandbits(1))
+                    for j in range(i):
+                        z[i][j] = z[j][i].reciprocal()
+            s = StabilizerMatrix.from_rows(n, x, z)
+            assert is_systematic(s)
+            mirrored = all(z[i][j].reciprocal() == z[j][i] for i in range(r) for j in range(r))
+            path = tmp_path / f"code{k}.stab"
+            path.write_text(format_stabilizer(s), encoding="utf-8")
+            out = io.StringIO()
+            main(["info", str(path)], out=out)
+            fields = out.getvalue().splitlines()[0].split()
+            selfdual = [f for f in fields if f.startswith("selfdual=")]
+            assert selfdual == ["selfdual=ok" if mirrored else "selfdual=violated"]
+            assert ("symplectic=ok" in fields) == mirrored
+            seen.add(mirrored)
+        assert seen == {True, False}
+
+        assert not is_systematic(rate_third_code())
+        path = tmp_path / "rate_third.stab"
+        path.write_text(format_stabilizer(rate_third_code()), encoding="utf-8")
+        out = io.StringIO()
+        assert main(["info", str(path)], out=out) == 0
+        assert "selfdual=" not in out.getvalue()
 
     def test_symplectic_iff_window_commutes(self):
         # cross-validation of the polynomial and binary semantics

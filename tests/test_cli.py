@@ -446,10 +446,10 @@ class TestGoldenTranscripts:
             (["synth", "rank_deficient.stab"], "rank_deficient_synth.txt", 3),
             (["verify", "rate_third.stab", "duplicate_field.enc"], "duplicate_field_verify.txt", 2),
             (["verify", "bad_term.stab", "rate_third.enc"], "bad_term_verify.txt", 2),
+            (["--max-span", "8", "synth", "low_span.stab"], "low_span_synth.txt", 0),
             (["info", "bad_f4_term.stab"], "bad_f4_term.txt", 2),
             (["synth", "bad_f4_term.stab"], "bad_f4_term.txt", 2),
             (["verify", "bad_f4_term.stab", "rate_third.enc"], "bad_f4_term.txt", 2),
-            (["--max-span", "8", "synth", "low_span.stab"], "low_span_synth.txt", 0),
         ],
     )
     def test_transcript(self, argv, golden, exit_code):

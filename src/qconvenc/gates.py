@@ -19,10 +19,10 @@ of each update taken from the template's (i, j, ell): `act` updates
 mutable polynomial rows in place, skipping rows whose source entry is zero
 (`apply` wraps it for frozen matrices), and the window kernel
 `verify._conjugate_lanes` runs each update as one masked shift-and-XOR over
-a batch of unrolled windows packed side by side, for the propagation
-table (`_interior_max`), the round trip (`_subcode_images`) and the
-one-lane `conjugate`.  The synthesis driver reads
-it for whole commuting CNOT and CSIGN runs, one update per column.
+a batch of unrolled windows packed side by side, for the one pass per
+window that serves the propagation table and the round trip
+(`_window_pass`) and for the one-lane `conjugate`.  The synthesis driver
+reads it for whole commuting CNOT and CSIGN runs, one update per column.
 
 All of them square to the identity over GF(2), so a circuit is undone by
 replaying its templates in reversed order.

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import repeat
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
-from .errors import PreconditionError, WindowTooSmallError
+from .errors import ExponentOverflowError, PreconditionError, WindowTooSmallError
 from .gates import CNOT, COLUMN_ACTIONS, CSIGN, Circuit, PL, act
-from .poly import L_ONE, L_ZERO, max_span
+from .poly import L_ONE, L_ZERO
 # verify.placement_bits stays importable, though the basis inlines it
 from .stabilizer import StabilizerMatrix, placement_bits  # noqa: F401
 
@@ -138,17 +138,6 @@ def _unit_seeds(lane_bytes: int, first: int, count: int) -> tuple[int, int]:
     return x, x << lane_bits
 
 
-def _subcode_seeds(n: int, r: int, lane_bytes: int, first: int, count: int) -> tuple[int, int]:
-    """The Z seeds of the subcode (0 | I 0) placements (gen, t), generator
-    gen at shift t a single Z on window qubit t*n + gen, for the shifts
-    first .. first + count - 1, packed one lane each in the order of t,
-    then gen: the r seeds of shift `first` repeated every r lanes and
-    n qubits, so r interleaved series."""
-    lane_bits = 8 * lane_bytes
-    unit = sum(1 << gen * (lane_bits + 1) for gen in range(r))
-    return 0, _series(unit, count, r * lane_bits + n) << first * n
-
-
 def conjugate(c: Circuit, blocks: int, p: PauliVector) -> PauliVector:
     """Propagate a Pauli through every in-window instance of every template:
     the lane kernel `_conjugate_lanes` on a batch of one lane, the seed."""
@@ -198,50 +187,15 @@ def _pair_max(x: int, z: int, lane_bytes: int, pairs: int) -> int:
     return max(max(side, default=0) for side in counts)
 
 
-# the table's images of the windows whose interior seeds fit in one batch,
-# oldest first, for the round trip on the same window: (c, blocks) -> (x, z),
-# at most _KEPT_BATCHES of them
-_KEPT_BATCHES = 4
-_table_batches: dict[tuple[Circuit, int], tuple[int, int]] = {}
-
-
-def _keep_batch(c: Circuit, blocks: int, x: int, z: int) -> None:
-    key = (c, blocks)
-    _table_batches.pop(key, None)
-    _table_batches[key] = (x, z)
-    if len(_table_batches) > _KEPT_BATCHES:
-        del _table_batches[next(iter(_table_batches))]
-
-
-def _interior_max(c: Circuit, blocks: int) -> int:
-    """Max image support over the X, Z and Y seeds of the qubits at least
-    memory blocks from either edge; only the X and Z seeds are conjugated,
-    packed by `_unit_seeds`.  A window conjugated in one batch keeps it in
-    `_table_batches`."""
-    lane_bytes = _lane_bytes(c, blocks)
-    # the X and Z seeds of one qubit share a batch
-    per_batch = max(1, _batch_lanes(lane_bytes) // 2)
-    start, stop = c.memory * c.n, (blocks - c.memory) * c.n
-    best = 0
-    for first in range(start, stop, per_batch):
-        count = min(per_batch, stop - first)
-        x, z = _conjugate_lanes(c, blocks, 2 * count, *_unit_seeds(lane_bytes, first, count))
-        if count == stop - start:
-            _keep_batch(c, blocks, x, z)
-        best = max(best, _pair_max(x, z, lane_bytes, count))
-    return best
-
-
-@lru_cache(maxsize=1)
-def _seed_walk(c: Circuit, limit: int) -> tuple[int, int, int]:
+def _seed_walk(c: Circuit) -> tuple[int, int, int]:
     """Backward reach, forward reach and max X, Z or Y support of the
     single-qubit seed images: the rows of the (X|Z) identity, the X and Z
     unit seeds, pushed once through the exact polynomial action.  Each row
     is the image of one seed that no boundary clips (exponent e is block
     offset e); it packs into one int per side, column q at q times the
     images' common width, and the rows pack into lanes as `_pair_max` reads
-    them.  `limit` is the span limit the push runs under, so a lowered
-    limit misses the memo and raises again."""
+    them.  Nothing is kept between calls: each walk runs under the span
+    limit of its own call."""
     n = c.n
     units = [[L_ONE if q == j else L_ZERO for q in range(n)] for j in range(n)]
     x = units + [[L_ZERO] * n for _ in range(n)]
@@ -274,38 +228,12 @@ def image_reach(c: Circuit) -> tuple[int, int]:
     """Backward and forward block reach of single-qubit seed images, for
     every interior seed on any window.  A Y image is the sum of two seed
     rows, so its support lies in their union."""
-    return _seed_walk(c, max_span())[:2]
-
-
-def _image_max(c: Circuit) -> int:
-    """Max support over the X, Z and Y seed images: the interior maximum of
-    any window on which no seed image is clipped."""
-    return _seed_walk(c, max_span())[2]
-
-
-def interior_margin(c: Circuit) -> int:
-    """Blocks at either window edge whose seeds may have clipped images: the
-    measured image reach, which may exceed the template memory through
-    composition."""
-    return max(c.memory, *image_reach(c))
+    return _seed_walk(c)[:2]
 
 
 def propagation_report(c: Circuit, sizes: Sequence[int]) -> PropagationReport:
-    sizes = tuple(sizes)
-    if any(a >= b for a, b in zip(sizes, sizes[1:])):
-        raise ValueError("window sizes must be sorted ascending")
-    margin = c.memory
-    maxima = []
-    for blocks in sizes:
-        if blocks < c.memory + 1:
-            raise WindowTooSmallError(
-                f"window {blocks} < circuit memory {c.memory} + 1"
-            )
-        maxima.append(_interior_max(c, blocks))
-    couplers = sum(1 for g in c.templates if g.kind in (CNOT, CSIGN, PL))
-    bound = (couplers + 1) * (2 * c.memory + 1)
-    verdict = "bounded" if _image_max(c) <= bound else "growing"
-    return PropagationReport(sizes, tuple(maxima), bound, verdict, margin)
+    """The propagation table alone: `verify_windows` without a code."""
+    return verify_windows(c, sizes)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -387,11 +315,12 @@ def check_pair(s: StabilizerMatrix, encoder: Circuit) -> None:
 def verify_encoder(s: StabilizerMatrix, encoder: Circuit, blocks: int) -> EncoderCheck:
     """Conjugate the unrolled subcode generators by the unrolled encoder and
     check membership in the window row space of the input stabilizer
-    (boundary-truncated placements joined).
+    (boundary-truncated placements joined): `verify_windows` on one window,
+    its round-trip error raised.
 
     Only interior shifts are tested: the open boundary truncates the
-    circuit, so results within `interior_margin(encoder)` blocks of either
-    edge are not meaningful.
+    circuit, so results within the larger of the memory and the seeds'
+    image reach (`image_reach`) of either edge are not meaningful.
     """
     check_pair(s, encoder)
     memory = encoder.memory
@@ -399,63 +328,106 @@ def verify_encoder(s: StabilizerMatrix, encoder: Circuit, blocks: int) -> Encode
         raise WindowTooSmallError(
             f"window {blocks} < 2*(memory+1) = {2 * (memory + 1)}"
         )
-    margin = interior_margin(encoder)
-    if blocks - 2 * margin < 1:
-        raise WindowTooSmallError(
-            f"window {blocks} leaves no interior at margin {margin}"
-        )
-    basis = stabilizer_window_basis(s, blocks)
-    lane_bytes = _lane_bytes(encoder, blocks)
-    half = s.n * blocks
-    # the rows list generator by generator
-    spans: list[list[bool]] = [[] for _ in range(s.r)]
-    for packed, per_gen, per_shift in _subcode_images(encoder, s.r, blocks, margin):
+    _, checks, error = verify_windows(encoder, [blocks], s)
+    if error is not None:
+        raise error
+    return checks[0]
+
+
+# ---------------------------------------------------------------------------
+# one pass per window
+
+
+def verify_windows(
+    c: Circuit, sizes: Sequence[int], s: Optional[StabilizerMatrix] = None
+) -> tuple[PropagationReport, list[EncoderCheck], Optional[Exception]]:
+    """The propagation table on every window in `sizes` and, given a code
+    `s` that `check_pair` accepts, the encoder round trip on every window
+    of at least 2(memory+1) blocks, from one conjugation of each window.
+
+    Returns the report, the round-trip checks in window order, and the
+    error that stopped the round trip, or None: the margin leaves a window
+    no interior (`WindowTooSmallError`), or a row of `s` spans past the
+    limit (`ExponentOverflowError`).  The error is returned, not raised, so
+    that a caller can print the table first; later windows get no check.
+    """
+    sizes = tuple(sizes)
+    if any(a >= b for a, b in zip(sizes, sizes[1:])):
+        raise ValueError("window sizes must be sorted ascending")
+    memory = c.memory
+    for blocks in sizes:
+        if blocks < memory + 1:
+            raise WindowTooSmallError(
+                f"window {blocks} < circuit memory {memory} + 1"
+            )
+    back, forward, image_max = _seed_walk(c)
+    # the round trip's margin: seeds nearer an edge may have clipped images
+    margin = max(memory, back, forward)
+    maxima, checks, error = [], [], None
+    for blocks in sizes:
+        basis = None
+        if s is not None and error is None and blocks >= 2 * (memory + 1):
+            if blocks - 2 * margin < 1:
+                error = WindowTooSmallError(
+                    f"window {blocks} leaves no interior at margin {margin}"
+                )
+            else:
+                try:
+                    basis = stabilizer_window_basis(s, blocks)
+                except ExponentOverflowError as exc:
+                    error = exc
+        generators = 0 if basis is None else s.r
+        best, spans = _window_pass(c, blocks, margin, basis, generators)
+        maxima.append(best)
+        if basis is not None:
+            shifts = range(margin, blocks - margin)
+            rows = tuple(
+                RowCheck(gen, shift, ok)
+                for gen, span in enumerate(spans)
+                for shift, ok in zip(shifts, span)
+            )
+            checks.append(EncoderCheck(blocks, margin, rows))
+    couplers = sum(1 for g in c.templates if g.kind in (CNOT, CSIGN, PL))
+    bound = (couplers + 1) * (2 * memory + 1)
+    verdict = "bounded" if image_max <= bound else "growing"
+    return PropagationReport(sizes, tuple(maxima), bound, verdict, memory), checks, error
+
+
+def _window_pass(
+    c: Circuit, blocks: int, margin: int, basis: Optional[dict[int, int]], generators: int
+) -> tuple[int, list[list[bool]]]:
+    """Conjugate the X and Z unit seeds of a window's qubits at least memory
+    blocks from either edge, batch by batch as `_unit_seeds` packs them.
+    Returns the table's max X, Z or Y image support and, for each of the
+    first `generators` generators, whether the image of each of its
+    placements at least `margin` blocks in lies in the span of `basis`,
+    tested as its batch goes by.  Placement (gen, t) of the subcode
+    (0 | I 0), a single Z on qubit q = t*n + gen, is the Z seed in lane
+    2(q - first) + 1 of the batch that starts at qubit `first`."""
+    n = c.n
+    lane_bytes = _lane_bytes(c, blocks)
+    # the X and Z seeds of one qubit share a batch
+    per_batch = max(1, _batch_lanes(lane_bytes) // 2)
+    half = n * blocks
+    start, stop = c.memory * n, (blocks - c.memory) * n
+    best, spans = 0, [[] for _ in range(generators)]
+    for first in range(start, stop, per_batch):
+        count = min(per_batch, stop - first)
+        x, z = _conjugate_lanes(c, blocks, 2 * count, *_unit_seeds(lane_bytes, first, count))
+        best = max(best, _pair_max(x, z, lane_bytes, count))
+        # the batch's qubits from a up to b hold placements
+        a, b = max(first, margin * n), min(first + count, (blocks - margin) * n)
+        if not spans or a >= b:
+            continue
+        size = 2 * count * lane_bytes
+        cut = slice(2 * (a - first) * lane_bytes, 2 * (b - first) * lane_bytes)
+        sides = [side.to_bytes(size, "little")[cut] for side in (x, z)]
         for gen, span in enumerate(spans):
-            lanes = [_slices(side, lane_bytes, per_shift, gen * per_gen) for side in packed]
+            # the Z seed of qubit a + k is lane 2k + 1 of the cut
+            lanes = [_slices(side, lane_bytes, 2 * n, 2 * ((gen - a) % n) + 1) for side in sides]
             xs, zs = (map(int.from_bytes, side, repeat("little")) for side in lanes)
             span += [_gf2_in_span(basis, xl | zl << half) for xl, zl in zip(xs, zs)]
-    rows = tuple(
-        RowCheck(gen, shift, ok)
-        for gen in range(s.r)
-        for shift, ok in zip(range(margin, blocks - margin), spans[gen])
-    )
-    return EncoderCheck(blocks, margin, rows)
-
-
-def _subcode_images(
-    encoder: Circuit, r: int, blocks: int, margin: int
-) -> Iterator[tuple[tuple[bytes, bytes], int, int]]:
-    """The images of the subcode Z seeds (gen, t), a single Z on window qubit
-    t*n + gen, for the shifts t = margin .. blocks - margin - 1, in packed
-    batches: ((x, z) bytes, lanes per generator, lanes per shift), lane 0
-    holding (0, the batch's first shift).
-
-    They are read off the table's batch of the window when `_interior_max`
-    kept one: its seeds start memory blocks in, never further than margin,
-    so the Z seed of qubit q is lane 2*(q - memory*n) + 1.  Otherwise they
-    are conjugated r lanes a shift, which costs r/2n of reading them from a
-    table conjugated in several batches."""
-    n, memory = encoder.n, encoder.memory
-    lane_bytes = _lane_bytes(encoder, blocks)
-    kept = _table_batches.get((encoder, blocks))
-    if kept is not None:
-        x, z = kept
-        size = 2 * n * (blocks - 2 * memory) * lane_bytes
-        # from the lane of (0, margin) to that of (r - 1, blocks - margin - 1)
-        first = 2 * n * (margin - memory) + 1
-        last = first + 2 * n * (blocks - 2 * margin - 1) + 2 * (r - 1)
-        cut = slice(first * lane_bytes, (last + 1) * lane_bytes)
-        yield (x.to_bytes(size, "little")[cut], z.to_bytes(size, "little")[cut]), 2, 2 * n
-        return
-    # the r placements of one shift share a batch
-    per_batch = max(1, _batch_lanes(lane_bytes) // r)
-    stop = blocks - margin
-    for first in range(margin, stop, per_batch):
-        count = min(per_batch, stop - first)
-        seeds = _subcode_seeds(n, r, lane_bytes, first, count)
-        x, z = _conjugate_lanes(encoder, blocks, r * count, *seeds)
-        size = r * count * lane_bytes
-        yield (x.to_bytes(size, "little"), z.to_bytes(size, "little")), 1, r
+    return best, spans
 
 
 # ---------------------------------------------------------------------------

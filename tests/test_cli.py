@@ -11,6 +11,7 @@ import pytest
 from helpers import RATE_THIRD_F4, bounded, mutations
 from qconvenc import verify
 from qconvenc.cli import main
+from qconvenc.errors import WindowTooSmallError
 from qconvenc.gates import parse_circuit
 from qconvenc.poly import max_span
 
@@ -288,9 +289,8 @@ class TestVerify:
         assert text.endswith("verdict bounded\nreduction failed: polynomial span 200000 exceeds limit 65536\n")
 
     def test_one_seed_push_per_command(self, monkeypatch):
-        # the verdict and the round-trip margin read one push of the seeds;
-        # an equal circuit pushed earlier would hit the memo, so clear it
-        verify._seed_walk.cache_clear()
+        # the verdict and the round-trip margin read one push of the seeds,
+        # and nothing is kept for the next command on an equal circuit
         calls = []
         act = verify.act
 
@@ -300,9 +300,29 @@ class TestVerify:
 
         monkeypatch.setattr(verify, "act", counting)
         enc_path = DATA / "rate_third.enc"
+        templates = len(parse_circuit(enc_path.read_text(encoding="utf-8")))
         argv = ["verify", "--windows", "5,10,20", str(DATA / "rate_third.stab"), str(enc_path)]
-        assert run(argv)[0] == 0
-        assert len(calls) == len(parse_circuit(enc_path.read_text(encoding="utf-8")))
+        for _ in range(2):
+            calls.clear()
+            assert run(argv)[0] == 0
+            assert len(calls) == templates
+
+    def test_lowered_span_limit_after_a_default_verify(self):
+        # a push that passed under the default limit does not carry over:
+        # at --max-span m+1 the same encoder's seed images overflow again
+        argv = ["verify", "--windows", "3", str(DATA / "rate_third.stab"), str(DATA / "rate_third.enc")]
+        assert run(argv[:2] + ["5,10,20"] + argv[3:])[0] == 0
+        assert run(["--max-span", "3", *argv]) == (4, "reduction failed: polynomial span 4 exceeds limit 3\n")
+
+    def test_no_interior_raises_after_the_table(self, tmp_path):
+        # memory 1 but image reach 6: window 4 reaches 2*(memory+1) and
+        # leaves no interior, so the round trip stops after the whole table
+        stab_path = write(tmp_path, "code.stab", "n=2 r=1\nrow: 0, 0 | 1, 0\n")
+        circ_path = write(tmp_path, "c.circ", "n=2\n" + "CNOT c=1 t=2 off=1\nCNOT c=2 t=1 off=1\n" * 3)
+        out = io.StringIO()
+        with pytest.raises(WindowTooSmallError, match="^window 4 leaves no interior at margin 6$"):
+            main(["verify", "--windows", "2,4,13", stab_path, circ_path], out=out)
+        assert out.getvalue() == "N   max-interior-support\n2   0\n4   4\n13  9\nbound 21  margin 1  verdict bounded\n"
 
 
 class TestMoreGeneratorsThanStreams:
@@ -389,10 +409,11 @@ class TestIntegerRule:
 
     @pytest.mark.parametrize("value", BAD_INTEGERS)
     def test_max_span(self, capsys, value):
-        with pytest.raises(SystemExit) as exc:
-            run(["--max-span", value, "info", str(DATA / "rate_third.stab")])
-        assert exc.value.code == 2
-        assert capsys.readouterr().err.endswith(f"error: argument --max-span: invalid int value: {value!r}\n")
+        assert run(["--max-span", value, "info", str(DATA / "rate_third.stab")]) == (
+            2,
+            f"error: bad span limit {value!r}\n",
+        )
+        assert capsys.readouterr() == ("", "")
 
 
 class TestGoldenTranscripts:

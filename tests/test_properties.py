@@ -20,7 +20,7 @@ from qconvenc.matrix import identity, thaw, zeros
 from qconvenc.poly import LaurentPoly, add_product, add_shifted, max_span, set_max_span
 from qconvenc.stabilizer import StabilizerMatrix
 from qconvenc.synthesis import _Driver, _symmetric_quotient
-from qconvenc.verify import _lane_bytes, _subcode_seeds, _unit_seeds
+from qconvenc.verify import _lane_bytes, _unit_seeds
 
 # reproducible runs that leave no example database behind
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=300)
@@ -387,18 +387,6 @@ def test_unit_seeds_pack_as_the_per_seed_lanes(window, data):
     assert _unit_seeds(lane_bytes, first, count) == _pack(seeds, lane_bytes)
 
 
-@PROPERTY
-@given(seed_runs(), st.data())
-def test_subcode_seeds_pack_as_the_per_placement_lanes(window, data):
-    """Lane (t - first)*r + gen holds the subcode placement (gen, t), a
-    single Z on qubit t*n + gen, bit for bit as `_pack` lays them out."""
-    n, lane_bytes, blocks, margin = window
-    r = data.draw(st.integers(1, n))
-    first, count = _run(data.draw, margin, blocks - margin)
-    seeds = [(0, 1 << t * n + gen) for t in range(first, first + count) for gen in range(r)]
-    assert _subcode_seeds(n, r, lane_bytes, first, count) == _pack(seeds, lane_bytes)
-
-
 @pytest.mark.parametrize(
     "n, blocks, memory",
     [(8, 3, 0), (4, 2, 0), (1, 8, 0), (3, 7, 2), (1, 1, 0)],
@@ -414,7 +402,3 @@ def test_packed_seeds_at_the_interior_edges(n, blocks, memory):
     for first, count in ((lo, 1), (hi - 1, 1), (lo, hi - lo)):
         seeds = [seed for q in range(first, first + count) for seed in ((1 << q, 0), (0, 1 << q))]
         assert _unit_seeds(lane_bytes, first, count) == _pack(seeds, lane_bytes)
-    for r in range(1, n + 1):
-        for first, count in ((memory, 1), (blocks - memory - 1, 1), (memory, blocks - 2 * memory)):
-            seeds = [(0, 1 << t * n + gen) for t in range(first, first + count) for gen in range(r)]
-            assert _subcode_seeds(n, r, lane_bytes, first, count) == _pack(seeds, lane_bytes)

@@ -25,7 +25,7 @@ from qconvenc.poly import LaurentPoly, Poly
 from qconvenc.smith import ElementaryColOp, smith
 from qconvenc.stabilizer import F4Poly, StabilizerMatrix, check_symplectic, params, parse_stabilizer
 from qconvenc.synthesis import synthesize
-from qconvenc.verify import PauliVector, _seed_walk, image_reach, propagation_report, verify_encoder
+from qconvenc.verify import PauliVector, image_reach, propagation_report, verify_encoder
 
 DATA = Path(__file__).parent / "data"
 
@@ -117,16 +117,6 @@ def test_reverse_equals_the_reversed_circuit_and_carries_memory():
     assert hash(inv) == hash(Circuit(c.n, c.templates[::-1]))
     # the memory is stored, not walked again
     assert vars(inv)["memory"] == c.memory == Circuit(c.n, c.templates[::-1]).memory
-
-
-def test_equal_circuits_share_the_seed_walk_memo():
-    c = synthesize(rate_third_code()).encoder
-    twin = Circuit(c.n, list(c.templates))
-    assert twin is not c and twin == c
-    _seed_walk.cache_clear()
-    assert image_reach(c) == image_reach(twin)
-    info = _seed_walk.cache_info()
-    assert (info.hits, info.misses) == (1, 1)
 
 
 def test_only_the_base_and_the_polynomials_define_setattr():

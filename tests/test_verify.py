@@ -1,5 +1,7 @@
+import io
 import random
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -24,6 +26,7 @@ from helpers import (
     z_only_identity_code,
 )
 from qconvenc import verify
+from qconvenc.cli import main
 from qconvenc.errors import ExponentOverflowError, PreconditionError, WindowTooSmallError
 from qconvenc.gates import (
     CNOT,
@@ -44,14 +47,14 @@ from qconvenc.verify import (
     PauliVector,
     PropagationReport,
     RowCheck,
-    _image_max,
-    _interior_max,
+    _seed_walk,
     conjugate,
     image_reach,
     propagation_report,
     render_encoder_check,
     render_propagation,
     verify_encoder,
+    verify_windows,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -237,7 +240,7 @@ class TestLaneKernel:
         for _ in range(120):
             c = random_circuit(rng, rng.randint(1, 4), rng.randint(0, 8), max_off=2)
             blocks = c.memory + 1 + rng.randint(0, 8)
-            assert _interior_max(c, blocks) == reference_interior_max(c, blocks, c.memory)
+            assert _table_max(c, blocks) == reference_interior_max(c, blocks, c.memory)
 
     def test_round_trip_rows_match_per_placement_reference(self):
         rng = random.Random(813)
@@ -260,10 +263,8 @@ class TestLaneKernel:
             done += 1
 
     def test_batches_of_one_to_three_lanes(self, monkeypatch):
-        # a batch narrower than a seed pair, or than the r placements of one
-        # shift, still takes them whole: the table's Y images fold each Z
-        # lane onto the X lane below, and the round trip reads generator
-        # gen off lane t*r + gen
+        # a batch narrower than a seed pair still takes it whole: the
+        # table's Y images fold each Z lane onto the X lane below
         calls = []
         kernel = verify._conjugate_lanes
 
@@ -279,30 +280,8 @@ class TestLaneKernel:
             lanes = rng.randint(1, 3)
             monkeypatch.setattr(verify, "_BATCH_BITS", 8 * verify._lane_bytes(c, blocks) * lanes)
             calls.clear()
-            assert _interior_max(c, blocks) == reference_interior_max(c, blocks, c.memory)
+            assert _table_max(c, blocks) == reference_interior_max(c, blocks, c.memory)
             assert calls == [2] * max(0, (blocks - 2 * c.memory) * c.n)
-        done = 0
-        while done < 12:
-            s = random_valid_code(rng, max_gates=8)
-            encoder = synthesize(s).encoder
-            if encoder.memory > 2 or s.r < 2:
-                continue
-            if done % 2 and encoder.templates:
-                encoder = Circuit(s.n, encoder.templates[:-1])
-            blocks = 2 * (encoder.memory + 1) + rng.randint(2, 8)
-            margin = max(encoder.memory, *reference_image_reach(encoder))
-            if blocks - 2 * margin < 1:
-                continue
-            lanes = rng.randint(1, 3)
-            monkeypatch.setattr(verify, "_BATCH_BITS", 8 * verify._lane_bytes(encoder, blocks) * lanes)
-            calls.clear()
-            chk = verify_encoder(s, encoder, blocks)
-            assert chk.rows == _reference_rows(s, encoder, blocks, margin)
-            per_batch = s.r * max(1, lanes // s.r)
-            shifts = blocks - 2 * margin
-            assert calls[:-1] == [per_batch] * (len(calls) - 1)
-            assert calls[-1] % s.r == 0 and sum(calls) == s.r * shifts
-            done += 1
 
     def test_wide_window_memory_is_bounded(self):
         # n=6 on 2,000 blocks: 24,000 interior X and Z seeds of 24,000 bits,
@@ -314,7 +293,7 @@ class TestLaneKernel:
         blocks = 2000
         tracemalloc.start()
         try:
-            _interior_max(c, blocks)
+            _table_max(c, blocks)
             interior_peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
             chk = verify_encoder(s, c, blocks)
@@ -430,9 +409,10 @@ class TestWindowBasis:
 
 
 class TestRoundTripReuse:
-    """The round trip reads its subcode images off the batch in which the
-    propagation table conjugated the same window, when there was one, and
-    otherwise conjugates r lanes a shift itself; the rows are the same."""
+    """The round trip reads its subcode images off the batches in which the
+    propagation table conjugates the same window: placement (gen, t), a
+    single Z on qubit t*n + gen, is that qubit's Z unit seed, so no window
+    is conjugated twice."""
 
     @staticmethod
     def _cases(rng: random.Random, count: int):
@@ -451,93 +431,59 @@ class TestRoundTripReuse:
             done += 1
             yield s, encoder, blocks, margin
 
-    @staticmethod
-    def _recording(monkeypatch) -> list[int]:
-        calls = []
+    def test_batches_of_one_to_three_lanes(self, monkeypatch):
+        # a batch of one qubit ends mid-block and splits the r placements
+        # of a shift; the rows and maxima do not depend on the cap
+        rng = random.Random(818)
+        split = 0
+        for s, encoder, blocks, margin in self._cases(rng, 16):
+            lanes = rng.randint(1, 3)
+            monkeypatch.setattr(verify, "_BATCH_BITS", 8 * verify._lane_bytes(encoder, blocks) * lanes)
+            report, checks, error = verify_windows(encoder, [blocks], s)
+            assert error is None
+            assert report.max_supports == (reference_interior_max(encoder, blocks, encoder.memory),)
+            assert [chk.rows for chk in checks] == [_reference_rows(s, encoder, blocks, margin)]
+            assert verify_encoder(s, encoder, blocks) == checks[0]
+            split += s.r > 1
+        assert split >= 8
+
+    def test_after_the_table_reads_its_batch(self, monkeypatch):
+        # one verify conjugates each window's interior X and Z unit seeds
+        # exactly once and nothing else, also on the 20-block window that
+        # the cap splits between generators 1 and 2 of shift 8
+        seeds = Counter()
         kernel = verify._conjugate_lanes
 
         def recording(c, blocks, lanes, x, z):
-            calls.append(lanes)
+            lane_bytes = verify._lane_bytes(c, blocks)
+            sides = (side.to_bytes(lanes * lane_bytes, "little") for side in (x, z))
+            for xl, zl in zip(*(verify._slices(side, lane_bytes) for side in sides)):
+                seeds[blocks, int.from_bytes(xl, "little"), int.from_bytes(zl, "little")] += 1
             return kernel(c, blocks, lanes, x, z)
 
         monkeypatch.setattr(verify, "_conjugate_lanes", recording)
-        return calls
+        enc_path = DATA / "rate_third.enc"
+        encoder = parse_circuit(enc_path.read_text(encoding="utf-8"))
+        n, memory = encoder.n, encoder.memory
+        # the interior starts at qubit 6, and 19 qubits a batch end the first
+        # at qubit 24, generator 1 of shift 8
+        assert (n, memory) == (3, 2)
+        monkeypatch.setattr(verify, "_BATCH_BITS", 8 * verify._lane_bytes(encoder, 20) * 2 * 19)
+        out = io.StringIO()
+        argv = ["verify", "--windows", "5,10,20", str(DATA / "rate_third.stab"), str(enc_path)]
+        assert main(argv, out=out) == 0
+        assert out.getvalue() == (DATA / "verify.txt").read_text(encoding="utf-8")
+        assert seeds == Counter(
+            (blocks, *seed)
+            for blocks in (5, 10, 20)
+            for q in range(memory * n, (blocks - memory) * n)
+            for seed in ((1 << q, 0), (0, 1 << q))
+        )
 
-    def test_after_the_table_reads_its_batch(self, monkeypatch):
-        calls = self._recording(monkeypatch)
-        for s, encoder, blocks, margin in self._cases(random.Random(816), 16):
-            verify._table_batches.clear()
-            calls.clear()
-            propagation_report(encoder, [blocks])
-            assert calls == [2 * s.n * (blocks - 2 * encoder.memory)]
-            calls.clear()
-            chk = verify_encoder(s, encoder, blocks)
-            assert calls == []
-            assert chk.rows == _reference_rows(s, encoder, blocks, margin)
 
-    def test_alone_conjugates_the_subcode(self, monkeypatch):
-        calls = self._recording(monkeypatch)
-        for s, encoder, blocks, margin in self._cases(random.Random(817), 16):
-            verify._table_batches.clear()
-            calls.clear()
-            chk = verify_encoder(s, encoder, blocks)
-            assert calls == [s.r * (blocks - 2 * margin)]
-            assert chk.rows == _reference_rows(s, encoder, blocks, margin)
-
-    def test_batches_of_one_to_three_lanes(self, monkeypatch):
-        # a batch kept under the default cap is still read under a smaller
-        # one, since the images do not depend on the cap; when the table
-        # takes several batches it keeps none, and the round trip
-        # conjugates its own
-        calls = self._recording(monkeypatch)
-        rng = random.Random(818)
-        several = 0
-        for s, encoder, blocks, margin in self._cases(rng, 16):
-            verify._table_batches.clear()
-            propagation_report(encoder, [blocks])
-            lanes = rng.randint(1, 3)
-            lane_bits = 8 * verify._lane_bytes(encoder, blocks)
-            monkeypatch.setattr(verify, "_BATCH_BITS", lane_bits * lanes)
-            calls.clear()
-            chk = verify_encoder(s, encoder, blocks)
-            assert calls == []
-            assert chk.rows == _reference_rows(s, encoder, blocks, margin)
-            if s.n * (blocks - 2 * encoder.memory) > max(1, lanes // 2):
-                # under this cap the table takes several batches itself
-                verify._table_batches.clear()
-                propagation_report(encoder, [blocks])
-                assert not verify._table_batches
-                several += 1
-                calls.clear()
-                assert verify_encoder(s, encoder, blocks) == chk
-                assert sum(calls) == s.r * (blocks - 2 * margin)
-            monkeypatch.setattr(verify, "_BATCH_BITS", 1 << 20)
-        assert several > 10
-
-    def test_a_batch_is_only_read_for_its_circuit_and_window(self, monkeypatch):
-        calls = self._recording(monkeypatch)
-        cases = list(self._cases(random.Random(819), 12))
-        for (s, encoder, blocks, margin), (s2, other, blocks2, margin2) in zip(cases, cases[1:]):
-            verify._table_batches.clear()
-            propagation_report(encoder, [blocks])
-            for s_, c_, b_, m_ in ((s2, other, blocks2, margin2), (s, encoder, blocks + 1, margin)):
-                calls.clear()
-                chk = verify_encoder(s_, c_, b_)
-                assert calls == [s_.r * (b_ - 2 * m_)]
-                assert chk.rows == _reference_rows(s_, c_, b_, m_)
-
-    def test_only_the_newest_windows_are_kept(self, monkeypatch):
-        calls = self._recording(monkeypatch)
-        for s, encoder, blocks, margin in self._cases(random.Random(820), 6):
-            verify._table_batches.clear()
-            sizes = range(blocks, blocks + verify._KEPT_BATCHES + 2)
-            propagation_report(encoder, sizes)
-            assert list(verify._table_batches) == [(encoder, b) for b in sizes[2:]]
-            for b in sizes:
-                calls.clear()
-                chk = verify_encoder(s, encoder, b)
-                assert calls == ([] if b in sizes[2:] else [s.r * (b - 2 * margin)])
-                assert chk.rows == _reference_rows(s, encoder, b, margin)
+def _table_max(c: Circuit, blocks: int) -> int:
+    """The propagation table's maximum on one window."""
+    return propagation_report(c, [blocks]).max_supports[0]
 
 
 def _reference_rows(s, encoder: Circuit, blocks: int, margin: int) -> tuple[RowCheck, ...]:
@@ -595,7 +541,7 @@ class TestPropagation:
         assert rep.max_supports == (12, 13, 13)
         assert rep.max_supports[-1] <= rep.bound
         # the verdict reads the unclipped images, which reach 13 qubits
-        assert _image_max(res.encoder) == 13
+        assert _seed_walk(res.encoder)[2] == 13
 
     def test_chain_negative_control(self):
         rep = chain_propagation_report(1, [5, 10, 20])
@@ -644,7 +590,7 @@ class TestPropagation:
                 circuits.append(res.encoder)
         for c in circuits:
             margin = sum(g.reach for g in c.templates)
-            assert _image_max(c) == reference_interior_max(c, 2 * margin + 1, margin)
+            assert _seed_walk(c)[2] == reference_interior_max(c, 2 * margin + 1, margin)
 
 
 class TestImageReach:
@@ -657,8 +603,8 @@ class TestImageReach:
             assert image_reach(c) == reference_image_reach(c)
 
     def test_lowered_span_limit_misses_the_memo(self):
-        # the seed push is memoized per circuit and span limit, so a push
-        # that passed under the default limit raises again under a lower one
+        # no push is kept between calls, so one that passed under the
+        # default limit raises under a lower one, and passes again after
         c = synthesize(rate_third_code()).encoder
         assert image_reach(c) == (3, 2)
         previous = set_max_span(4)
@@ -666,10 +612,10 @@ class TestImageReach:
             with pytest.raises(ExponentOverflowError):
                 image_reach(c)
             with pytest.raises(ExponentOverflowError):
-                _image_max(c)
+                propagation_report(c, [5])
         finally:
             set_max_span(previous)
-        assert _image_max(c) == 13
+        assert _seed_walk(c)[2] == 13
 
 
 class TestVerifyEncoder:

@@ -17,13 +17,11 @@ class Record:
     order (two or more, so that `_key` returns a tuple).
 
     Assignment and deletion raise AttributeError; a record equals only
-    records of its own class with equal fields; the hash of the field tuple
-    is computed once and kept in the instance dict, beside the values of
-    cached properties; the repr is `Name(field=value, ...)`.  A subclass
-    constructor checks its arguments and builds through `unchecked`."""
+    records of its own class with equal fields, and hashes as their tuple;
+    the repr is `Name(field=value, ...)`.  A subclass constructor checks its
+    arguments and builds through `unchecked`."""
 
     _fields: tuple[str, ...] = ()
-    _hash = None
 
     def __init_subclass__(cls) -> None:
         cls._key = attrgetter(*cls._fields)
@@ -40,18 +38,15 @@ class Record:
         return self._key(self) == other._key(other)
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = self.__dict__["_hash"] = hash(self._key(self))
-        return h
+        return hash(self._key(self))
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{k}={v!r}" for k, v in zip(self._fields, self._key(self)))
         return f"{type(self).__name__}({fields})"
 
     def __reduce__(self):
-        # copies and pickles rebuild from the fields; a string's hash differs
-        # between processes, so the cached one must not travel
+        # copies and pickles rebuild from the fields, leaving cached
+        # properties behind
         return type(self), self._key(self)
 
 

@@ -194,8 +194,9 @@ def _seed_walk(c: Circuit) -> tuple[int, int, int]:
     is the image of one seed that no boundary clips (exponent e is block
     offset e); it packs into one int per side, column q at q times the
     images' common width, and the rows pack into lanes as `_pair_max` reads
-    them.  Nothing is kept between calls: each walk runs under the span
-    limit of its own call."""
+    them.  No walk is kept between calls: each runs under the span limit of
+    its own call.  `verify` keeps only `_lane_masks`'s last batch masks,
+    worth about a tenth of each window that the cap splits."""
     n = c.n
     units = [[L_ONE if q == j else L_ZERO for q in range(n)] for j in range(n)]
     x = units + [[L_ZERO] * n for _ in range(n)]
@@ -341,29 +342,33 @@ def verify_encoder(s: StabilizerMatrix, encoder: Circuit, blocks: int) -> Encode
 def verify_windows(
     c: Circuit, sizes: Sequence[int], s: Optional[StabilizerMatrix] = None
 ) -> tuple[PropagationReport, list[EncoderCheck], Optional[Exception]]:
-    """The propagation table on every window in `sizes` and, given a code
-    `s` that `check_pair` accepts, the encoder round trip on every window
-    of at least 2(memory+1) blocks, from one conjugation of each window.
+    """The propagation table on every window in `sizes` of at least
+    memory + 1 blocks and, given a code `s` that `check_pair` accepts, the
+    encoder round trip on every window of at least 2(memory+1) blocks, from
+    one conjugation of each window.  A smaller window holds no interior
+    seed and is skipped; PreconditionError if no window is left.
 
     Returns the report, the round-trip checks in window order, and the
-    error that stopped the round trip, or None: the margin leaves a window
-    no interior (`WindowTooSmallError`), or a row of `s` spans past the
-    limit (`ExponentOverflowError`).  The error is returned, not raised, so
-    that a caller can print the table first; later windows get no check.
+    error that stopped the round trip, or None: no window reaches
+    2(memory+1) (`PreconditionError`), the margin leaves a window no
+    interior (`WindowTooSmallError`), or a row of `s` spans past the limit
+    (`ExponentOverflowError`).  The error is returned, not raised, so that
+    a caller can print the table first; later windows get no check.
     """
-    sizes = tuple(sizes)
     if any(a >= b for a, b in zip(sizes, sizes[1:])):
         raise ValueError("window sizes must be sorted ascending")
+    if s is not None:
+        check_pair(s, c)
     memory = c.memory
-    for blocks in sizes:
-        if blocks < memory + 1:
-            raise WindowTooSmallError(
-                f"window {blocks} < circuit memory {memory} + 1"
-            )
+    sizes = tuple(blocks for blocks in sizes if blocks >= memory + 1)
+    if not sizes:
+        raise PreconditionError(f"all window sizes are below circuit memory {memory} + 1")
     back, forward, image_max = _seed_walk(c)
     # the round trip's margin: seeds nearer an edge may have clipped images
     margin = max(memory, back, forward)
     maxima, checks, error = [], [], None
+    if s is not None and sizes[-1] < 2 * (memory + 1):
+        error = PreconditionError(f"no window size reaches 2*(memory+1) = {2 * (memory + 1)}")
     for blocks in sizes:
         basis = None
         if s is not None and error is None and blocks >= 2 * (memory + 1):

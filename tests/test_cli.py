@@ -416,6 +416,27 @@ class TestIntegerRule:
         assert capsys.readouterr() == ("", "")
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["verify"], 2),
+        (["bogus"], 2),
+        (["synth", "x.stab", "--nope"], 2),
+        (["verify", "a", "b", "--windows"], 2),
+        (["--help"], 0),
+    ],
+    ids=["missing-operands", "unknown-command", "unknown-option", "missing-value", "help"],
+)
+def test_argparse_exits_become_exit_codes(capsys, argv, code):
+    # in-process callers get argparse's status; its usage text still goes
+    # to stderr, and the help to stdout
+    assert run(argv) == (code, "")
+    captured = capsys.readouterr()
+    printed, quiet = (captured.err, captured.out) if code else (captured.out, captured.err)
+    assert printed.startswith("usage: qconvenc") and quiet == ""
+    assert ("error:" in printed) == bool(code)
+
+
 class TestGoldenTranscripts:
     """Output byte for byte as committed in tests/data.  rate_third is the
     worked example, and rate_third_cut.enc its encoder without the last

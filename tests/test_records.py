@@ -3,8 +3,8 @@
 Twelve plain result records are NamedTuples; the four types that check
 their fields or cache derived values (GateTemplate, Circuit,
 StabilizerMatrix, ElementaryColOp) derive from `qconvenc.matrix.Record`,
-which writes their immutability, equality, cached hash and repr once from
-each class's `_fields`.  Either way a record cannot be assigned to, and
+which writes their immutability, equality, hash and repr once from each
+class's `_fields`.  Either way a record cannot be assigned to, and
 records with equal fields are equal and hash alike."""
 
 import copy
@@ -138,11 +138,8 @@ def test_a_record_never_equals_a_tuple_of_its_fields(record):
 
 @pytest.mark.parametrize("record", CHECKED, ids=lambda r: type(r).__name__)
 def test_copies_rebuild_from_the_fields(record):
-    hash(record)
     twins = [copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))]
     for twin in twins:
-        # string hashes differ between processes: the cached hash stays home
-        assert "_hash" not in vars(twin)
         assert twin == record and hash(twin) == hash(record) and repr(twin) == repr(record)
 
 
@@ -160,18 +157,3 @@ def test_polynomial_values_copy_and_pickle(value):
         assert type(twin) is type(value)
         assert twin == value and hash(twin) == hash(value) and repr(twin) == repr(value)
 
-
-def test_the_hash_is_kept_after_the_first_call(monkeypatch):
-    c = Circuit(4, [_template(CNOT, 1 + k % 3, 4, k) for k in range(1000)])
-    calls = []
-    record_hash = Record.__hash__
-
-    def counting(g):
-        calls.append(g)
-        return record_hash(g)
-
-    monkeypatch.setattr(GateTemplate, "__hash__", counting)
-    first = hash(c)
-    assert len(calls) == 1000 and vars(c)["_hash"] == first
-    calls.clear()
-    assert hash(c) == first and calls == []

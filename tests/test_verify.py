@@ -593,6 +593,61 @@ class TestPropagation:
             assert _seed_walk(c)[2] == reference_interior_max(c, 2 * margin + 1, margin)
 
 
+def _no_seed_walk(c):
+    raise AssertionError("the seed walk ran")
+
+
+class TestWindowRules:
+    """`verify_windows` states every window rule of `verify`: windows below
+    memory + 1 are skipped, a PreconditionError is raised before the seed
+    walk when none is left, and one is returned after the table when no
+    window reaches 2(memory+1)."""
+
+    def test_windows_below_memory_plus_one_are_skipped(self):
+        c = synthesize(rate_third_code()).encoder
+        m = c.memory
+        assert m >= 1
+        rep = propagation_report(c, [m, m + 1, 2 * m + 2])
+        assert rep.sizes == (m + 1, 2 * m + 2)
+        assert rep == propagation_report(c, [m + 1, 2 * m + 2])
+
+    def test_no_window_left_raises_before_the_seed_walk(self, monkeypatch):
+        c = synthesize(rate_third_code()).encoder
+        m = c.memory
+        monkeypatch.setattr(verify, "_seed_walk", _no_seed_walk)
+        with pytest.raises(PreconditionError, match=rf"^all window sizes are below circuit memory {m} \+ 1$"):
+            propagation_report(c, [m])
+
+    def test_no_round_trip_window_is_returned_beside_the_table(self):
+        s = rate_third_code()
+        c = synthesize(s).encoder
+        m = c.memory
+        report, checks, error = verify_windows(c, [m + 1], s)
+        assert report == propagation_report(c, [m + 1])
+        assert checks == []
+        assert type(error) is PreconditionError
+        assert str(error) == f"no window size reaches 2*(memory+1) = {2 * (m + 1)}"
+
+    @pytest.mark.parametrize("entry", ["verify_windows", "verify_encoder", "cli"])
+    def test_dimension_mismatch_raises_before_the_seed_walk(self, monkeypatch, tmp_path, entry):
+        s = rate_third_code()
+        c = Circuit(2, (GateTemplate(CNOT, 1, 2, 1),))
+        monkeypatch.setattr(verify, "_seed_walk", _no_seed_walk)
+        message = "dimension mismatch: circuit n=2, stabilizer n=3"
+        if entry == "cli":
+            circ = tmp_path / "c.circ"
+            circ.write_text("n=2\nCNOT c=1 t=2 off=1\n", encoding="utf-8")
+            out = io.StringIO()
+            assert main(["verify", str(DATA / "rate_third.stab"), str(circ)], out=out) == 3
+            assert out.getvalue() == f"precondition failed: {message}\n"
+            return
+        with pytest.raises(PreconditionError, match=f"^{message}$"):
+            if entry == "verify_windows":
+                verify_windows(c, [10], s)
+            else:
+                verify_encoder(s, c, 10)
+
+
 class TestImageReach:
     def test_matches_wide_window_reference(self):
         rng = random.Random(807)

@@ -10,6 +10,7 @@ configuration produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from functools import cache
 from pathlib import Path
@@ -164,10 +165,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
-    out = out if out is not None else sys.stdout
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        if out is None:
+            args, out = parser.parse_args(argv), sys.stdout
+        else:
+            # argparse prints to the process's streams; a caller's `out`
+            # takes its help and its usage errors
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+                args = parser.parse_args(argv)
     except SystemExit as exc:
         # argparse has written its usage, or the help, and would exit
         return exc.code

@@ -1,25 +1,26 @@
 """End-to-end reduction of a stabilizer matrix to the normal form
-(0 0 | Gamma 0), with the gate transcript, the encoder (reversed transcript),
-the divisor classification, and the subcode stabilizer (0 0 | I 0).
+(0 0 | Gamma 0), with the gate transcript, the encoder (reversed transcript)
+and the divisor classification.
 
-The reduction phases:
+The reduction phases, one `_Driver` method each, run by `_Driver.reduce`:
 
-  1. Smith normal form of the X part.  Column operations become CNOT
-     templates (swaps expand to three CNOTs); row operations change only the
-     presentation and are kept in a separate log.
-  2. While the Z columns opposite the zero X block are neither zero nor
-     row-divisible by the diagonal, swap them into the X part with Hadamards
-     and recompute the normal form.  The divisor degree measure must shrink
-     on every full-rank recomputation; when the divisibility check passes,
-     the swap is skipped and the CSIGN stage clears those columns directly
-     (conjugating CNOT by Hadamards on the target is exactly CSIGN, and
-     skipping the swap reproduces the short transcript).
-  3/4. Clear every off-diagonal Z entry of row i with CSIGN batches using the
-     quotient by gamma_i; mirrored pairs must vanish together and are
-     verified, not assumed.
-  5. Clear the diagonal residue: sigma_i = Z_ii / gamma_i must be symmetric
-     (a constant plus D^-l + D^l pairs); P removes the constant, PL each pair.
-  6. Hadamard each diagonal qubit to leave Z-only generators.
+  1. `smith_x`: Smith normal form of the X part.  Column operations become
+     CNOT templates (swaps expand to three CNOTs); row operations change
+     only the presentation and are kept in a separate log.
+  2. `step2`: while the Z columns opposite the zero X block are neither
+     zero nor row-divisible by the diagonal, swap them into the X part with
+     Hadamards and recompute the normal form.  The divisor degree measure
+     must shrink on every full-rank recomputation; when the divisibility
+     check passes, the swap is skipped and the CSIGN stage clears those
+     columns directly (conjugating CNOT by Hadamards on the target is
+     exactly CSIGN, and skipping the swap reproduces the short transcript).
+  3/4. `step4`: clear every off-diagonal Z entry of row i with CSIGN batches
+     using the quotient by gamma_i; mirrored pairs must vanish together and
+     are verified, not assumed.
+  5. `step5`: clear the diagonal residue: sigma_i = Z_ii / gamma_i must be
+     symmetric (a constant plus D^-l + D^l pairs); P removes the constant,
+     PL each pair.
+  6. `step6`: Hadamard each diagonal qubit to leave Z-only generators.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .gates import (
     reverse,
     swap_templates,
 )
-from .matrix import freeze, identity, thaw, unchecked, zeros
+from .matrix import thaw, unchecked
 from .poly import (
     LaurentPoly,
     _exponents,
@@ -107,10 +108,7 @@ class SynthesisResult(NamedTuple):
     encoder: Circuit
     gamma: tuple[LaurentPoly, ...]
     classes: tuple[GammaClass, ...]
-    s0: StabilizerMatrix
     normal_form: StabilizerMatrix
-    rate: tuple[int, int]  # (k, n)
-    memory: int
     checkpoints: tuple[tuple[str, StabilizerMatrix], ...]
     row_ops: tuple[RowOp, ...]
     step2_log: tuple[tuple[int, int], ...]  # (rank, degree measure) per pass
@@ -120,10 +118,11 @@ class SynthesisResult(NamedTuple):
 class _Driver:
     """Applies streamed operations in place to one (X | Z) work pair kept for
     the whole reduction, emitting gate templates for column operations and
-    logging row operations."""
+    logging row operations.  `reduce` runs the reduction steps, one method
+    each; `gamma`, `step2_log` and `budget` carry its loop state."""
 
     def __init__(self, s: StabilizerMatrix, record_checkpoints: bool):
-        self.n = s.n
+        self.n, self.r = s.n, s.r
         self.x, self.z = thaw(s.x), thaw(s.z)
         self.gates: list[GateTemplate] = []
         self.row_ops: list[RowOp] = []
@@ -132,6 +131,11 @@ class _Driver:
         self.phase = "step1"
         self._run_type: Optional[str] = None
         self._dirty = False
+        # the last Smith pass's divisors, (rank, degree measure) per pass,
+        # and how many passes steps 2 and 5 may start
+        self.gamma: list[LaurentPoly] = []
+        self.step2_log: list[tuple[int, int]] = []
+        self.budget = 0
 
     def matrix(self) -> StabilizerMatrix:
         return StabilizerMatrix.from_rows(self.n, self.x, self.z)
@@ -229,6 +233,156 @@ class _Driver:
         else:
             self.run(CNOT, op.i, op.j, op.f)
 
+    # -- reduction steps -----------------------------------------------------
+
+    def reduce(self) -> SynthesisResult:
+        """The reduction behind `synthesize`, on a code with r < n."""
+        self.smith_x()
+        while True:
+            if not self.step2():
+                self.step4()
+                if not self.step5():
+                    return self.step6()
+            self.smith_x()
+
+    def smith_x(self) -> None:
+        """Step 1 and every re-run: the X part's normal form, in place."""
+        self.gamma = smith(self.x, self.on_smith_op).divisors
+        self.flush_run()
+        measure = sum(g.degree for g in self.gamma)
+        if self.step2_log:
+            prev_rank, prev_measure = self.step2_log[-1]
+            if prev_rank == self.r and measure >= prev_measure:
+                raise LoopLimitError(
+                    "divisor degree measure did not decrease "
+                    f"({prev_measure} -> {measure}); reduction is stuck"
+                )
+        self.step2_log.append((len(self.gamma), measure))
+        # rank-raising swaps may legitimately grow the measure; extend the
+        # budget so only non-decreasing full-rank passes can exhaust it
+        self.budget = max(self.budget, measure + self.r + 1)
+
+    def _check_budget(self) -> None:
+        # counting this one, steps 2 and 5 have started as many passes as
+        # Smith has logged: each earlier one ended in one more Smith pass
+        if len(self.step2_log) > self.budget:
+            raise LoopLimitError(
+                f"degree-reduction loop exceeded its budget of {self.budget}"
+            )
+
+    def step2(self) -> bool:
+        """Step 2; True when it swapped columns into the X part."""
+        self.phase = "step2"
+        n, r, rank = self.n, self.r, len(self.gamma)
+        z2_cols = range(rank, n)
+        z2 = [[self.z[i][c] for c in z2_cols] for i in range(r)]
+        z2_zero = all(e.is_zero() for row in z2 for e in row)
+        if z2_zero and rank != r:
+            raise PreconditionError("rank collapsed during reduction")
+        if z2_zero or (rank == r and all(row_divisibility_check(self.gamma, z2))):
+            return False
+        self._check_budget()
+        for c in z2_cols:
+            if any(not self.z[i][c].is_zero() for i in range(r)):
+                self.gate(_template(H, c + 1))
+        self.checkpoint("step2 hadamard swap")
+        return True
+
+    def step4(self) -> None:
+        """Steps 3-4; they also clear the residual columns that step 2 found
+        divisible (CSIGN is the Hadamard-conjugated CNOT of the swap)."""
+        self.phase = "step4"
+        gamma = self.gamma
+        for i in range(self.r):
+            for c in range(self.n):
+                if c == i:
+                    continue
+                e = self.z[i][c]
+                if e.is_zero():
+                    continue
+                f = laurent_div(e, gamma[i])
+                if f is None:
+                    raise NonClearableError(
+                        f"Z entry ({i + 1},{c + 1}) = {e} is not divisible by "
+                        f"gamma_{i + 1} = {gamma[i]}"
+                    )
+                self.run(CSIGN, i, c, f)
+                if not self.z[i][c].is_zero():
+                    raise NonClearableError(f"Z entry ({i + 1},{c + 1}) failed to clear")
+                if c < self.r and not self.z[c][i].is_zero():
+                    raise NonClearableError(
+                        f"mirrored Z entry ({c + 1},{i + 1}) did not vanish with "
+                        f"({i + 1},{c + 1}); input is not self-orthogonal"
+                    )
+            self.checkpoint(f"step4 csign row {i + 1}")
+
+    def step5(self) -> bool:
+        """Step 5 on the quotients Z_ii / gamma_i, one division each.  If
+        one is not exact, reduce those residues with symmetric quotients (P
+        and PL act as the floor division in the subring fixed by D -> 1/D),
+        swap the shrunken pairs with Hadamards and return True: the next
+        Smith pass strictly drops the divisor span measure."""
+        self.phase = "step5"
+        gamma = self.gamma
+        sigmas = [laurent_div(self.z[i][i], g) for i, g in enumerate(gamma)]
+        offenders = [i for i, sigma in enumerate(sigmas) if sigma is None]
+        if offenders:
+            self._check_budget()
+            for i in offenders:
+                self.phase_gates(i, symmetric_decompose(_symmetric_quotient(self.z[i][i], gamma[i])))
+                if self.z[i][i].is_zero() or self.z[i][i].degree >= gamma[i].degree:
+                    raise NonClearableError(
+                        f"symmetric reduction failed at row {i + 1}: residue "
+                        f"{self.z[i][i]} against gamma {gamma[i]}"
+                    )
+                self.gate(_template(H, i + 1))
+            self.checkpoint("step5 symmetric reduction")
+            return True
+        for i, sigma in enumerate(sigmas):
+            if sigma.is_zero():
+                continue
+            decomposition = symmetric_decompose(sigma)
+            if decomposition is None:
+                raise NonClearableError(
+                    f"diagonal residue {sigma} at row {i + 1} is not of the "
+                    "symmetric constant-plus-pairs shape"
+                )
+            self.phase_gates(i, decomposition)
+            if not self.z[i][i].is_zero():
+                raise NonClearableError(f"diagonal entry ({i + 1},{i + 1}) failed to clear")
+        self.checkpoint("step5 phase ops")
+        return False
+
+    def step6(self) -> SynthesisResult:
+        """Step 6, then the check of (0 0 | Gamma 0) that certifies the code."""
+        self.phase = "step6"
+        n, r, gamma = self.n, self.r, self.gamma
+        for i in range(r):
+            self.gate(_template(H, i + 1))
+        self.checkpoint("step6 hadamard")
+        normal_form = self.matrix()
+        for i in range(r):
+            for c in range(n):
+                if not normal_form.x[i][c].is_zero():
+                    raise AssertionError("normal form has a nonzero X part")
+                want = gamma[i] if c == i else LaurentPoly.zero()
+                if normal_form.z[i][c] != want:
+                    raise AssertionError("normal form Z part is not diag(gamma)")
+        templates = tuple(self.gates)
+        memory = max([abs(g.ell) for g in templates], default=0)
+        forward = unchecked(Circuit, {"n": n, "templates": templates, "memory": memory})
+        return SynthesisResult(
+            forward=forward,
+            encoder=reverse(forward),
+            gamma=tuple(gamma),
+            classes=classify(gamma),
+            normal_form=normal_form,
+            checkpoints=tuple(self.checkpoints),
+            row_ops=tuple(self.row_ops),
+            step2_log=tuple(self.step2_log),
+            step2_budget=self.budget,
+        )
+
 
 def _row_op(x: list[list[LaurentPoly]], z: list[list[LaurentPoly]], op: RowOp) -> None:
     apply_row_op(x, op)
@@ -283,174 +437,12 @@ def synthesize(s: StabilizerMatrix, record_checkpoints: bool = True) -> Synthesi
     if s.r >= s.n:
         validate_code(s)
     try:
-        return _reduce(s, record_checkpoints)
+        return _Driver(s, record_checkpoints).reduce()
     except Exception as exc:
         # any failure on input not yet validated defers to validation
         failure = exc
     validate_code(s)
     raise failure
-
-
-def _reduce(s: StabilizerMatrix, record_checkpoints: bool) -> SynthesisResult:
-    """The reduction behind `synthesize`, on a code with r < n."""
-    n, r = s.n, s.r
-    drv = _Driver(s, record_checkpoints)
-    rank, gamma, measure, budget = 0, [], 0, 0
-    step2_log: list[tuple[int, int]] = []
-    iterations = 0
-
-    def smith_x() -> None:
-        # reduce the work pair's X part in place; log (rank, degree measure)
-        nonlocal rank, gamma, measure, budget
-        gamma = smith(drv.x, drv.on_smith_op).divisors
-        drv.flush_run()
-        rank = len(gamma)
-        measure = sum(g.degree for g in gamma)
-        if step2_log:
-            prev_rank, prev_measure = step2_log[-1]
-            if prev_rank == r and measure >= prev_measure:
-                raise LoopLimitError(
-                    "divisor degree measure did not decrease "
-                    f"({prev_measure} -> {measure}); reduction is stuck"
-                )
-        step2_log.append((rank, measure))
-        # rank-raising swaps may legitimately grow the measure; extend the
-        # budget so only non-decreasing full-rank passes can exhaust it
-        budget = max(budget, measure + r + 1)
-
-    def spend_iteration() -> None:
-        nonlocal iterations
-        iterations += 1
-        if iterations > budget:
-            raise LoopLimitError(
-                f"degree-reduction loop exceeded its budget of {budget}"
-            )
-
-    # step 1: normal form of the X part
-    smith_x()
-    while True:
-        # residual Z columns opposite the zero X block
-        drv.phase = "step2"
-        z2_cols = list(range(rank, n))
-        z2 = [[drv.z[i][c] for c in z2_cols] for i in range(r)]
-        z2_zero = all(e.is_zero() for row in z2 for e in row)
-        if z2_zero and rank != r:
-            raise PreconditionError("rank collapsed during reduction")
-        if not z2_zero and not (rank == r and all(row_divisibility_check(gamma, z2))):
-            spend_iteration()
-            for c in z2_cols:
-                if any(not drv.z[i][c].is_zero() for i in range(r)):
-                    drv.gate(_template(H, c + 1))
-            drv.checkpoint("step2 hadamard swap")
-            smith_x()
-            continue
-
-        # steps 3-4: clear all off-diagonal Z entries with CSIGN batches;
-        # when the residual columns were divisible this clears them too
-        # (CSIGN equals the Hadamard-conjugated CNOT of the swap route)
-        drv.phase = "step4"
-        for i in range(r):
-            for c in range(n):
-                if c == i:
-                    continue
-                e = drv.z[i][c]
-                if e.is_zero():
-                    continue
-                f = laurent_div(e, gamma[i])
-                if f is None:
-                    raise NonClearableError(
-                        f"Z entry ({i + 1},{c + 1}) = {e} is not divisible by "
-                        f"gamma_{i + 1} = {gamma[i]}"
-                    )
-                drv.run(CSIGN, i, c, f)
-                if not drv.z[i][c].is_zero():
-                    raise NonClearableError(
-                        f"Z entry ({i + 1},{c + 1}) failed to clear"
-                    )
-                if c < r and not drv.z[c][i].is_zero():
-                    raise NonClearableError(
-                        f"mirrored Z entry ({c + 1},{i + 1}) did not vanish with "
-                        f"({i + 1},{c + 1}); input is not self-orthogonal"
-                    )
-            drv.checkpoint(f"step4 csign row {i + 1}")
-
-        # diagonal residues not divisible by their divisor: reduce them with
-        # symmetric quotients (P and PL act as the floor division in the
-        # subring fixed by D -> 1/D), swap the shrunken pair with a Hadamard,
-        # and rerun the normal form; the divisor span measure strictly drops
-        offenders = [
-            i
-            for i in range(r)
-            if not drv.z[i][i].is_zero()
-            and laurent_div(drv.z[i][i], gamma[i]) is None
-        ]
-        if not offenders:
-            break
-        drv.phase = "step5"
-        spend_iteration()
-        for i in offenders:
-            drv.phase_gates(i, symmetric_decompose(_symmetric_quotient(drv.z[i][i], gamma[i])))
-            if drv.z[i][i].is_zero() or drv.z[i][i].degree >= gamma[i].degree:
-                raise NonClearableError(
-                    f"symmetric reduction failed at row {i + 1}: residue "
-                    f"{drv.z[i][i]} against gamma {gamma[i]}"
-                )
-            drv.gate(_template(H, i + 1))
-        drv.checkpoint("step5 symmetric reduction")
-        smith_x()
-
-    # step 5: cancel the now-divisible diagonal residues with P and PL
-    drv.phase = "step5"
-    for i in range(r):
-        d = drv.z[i][i]
-        if d.is_zero():
-            continue
-        sigma = laurent_div(d, gamma[i])
-        assert sigma is not None
-        decomposition = symmetric_decompose(sigma)
-        if decomposition is None:
-            raise NonClearableError(
-                f"diagonal residue {sigma} at row {i + 1} is not of the "
-                "symmetric constant-plus-pairs shape"
-            )
-        drv.phase_gates(i, decomposition)
-        if not drv.z[i][i].is_zero():
-            raise NonClearableError(f"diagonal entry ({i + 1},{i + 1}) failed to clear")
-    drv.checkpoint("step5 phase ops")
-
-    # step 6: move the diagonal into the Z side
-    drv.phase = "step6"
-    for i in range(r):
-        drv.gate(_template(H, i + 1))
-    drv.checkpoint("step6 hadamard")
-
-    normal_form = drv.matrix()
-    for i in range(r):
-        for c in range(n):
-            if not normal_form.x[i][c].is_zero():
-                raise AssertionError("normal form has a nonzero X part")
-            want = gamma[i] if c == i else LaurentPoly.zero()
-            if normal_form.z[i][c] != want:
-                raise AssertionError("normal form Z part is not diag(gamma)")
-
-    templates = tuple(drv.gates)
-    memory = max([abs(g.ell) for g in templates], default=0)
-    forward = unchecked(Circuit, {"n": n, "templates": templates, "memory": memory})
-    encoder = reverse(forward)
-    return SynthesisResult(
-        forward=forward,
-        encoder=encoder,
-        gamma=tuple(gamma),
-        classes=classify(gamma),
-        s0=subcode_for(n, r),
-        normal_form=normal_form,
-        rate=(n - r, n),
-        memory=memory,
-        checkpoints=tuple(drv.checkpoints),
-        row_ops=tuple(drv.row_ops),
-        step2_log=tuple(step2_log),
-        step2_budget=budget,
-    )
 
 
 def classify(gamma: Sequence[LaurentPoly]) -> tuple[GammaClass, ...]:
@@ -501,14 +493,6 @@ def _series_head(body: int) -> tuple[int, str]:
     return 0, format(s | 1 << _HEAD_BITS, "b")[:0:-1]
 
 
-def subcode_for(n: int, r: int) -> StabilizerMatrix:
-    """The subcode stabilizer (0 0 | I 0) on n streams with r rows."""
-    eye = identity(n)
-    return StabilizerMatrix.from_rows(
-        n, zeros(r, n), freeze([list(eye[i]) for i in range(r)])
-    )
-
-
 def replay(s: StabilizerMatrix, result: SynthesisResult) -> StabilizerMatrix:
     """Re-apply a synthesis transcript to a matrix: the forward gates, then
     the row operations.  Gates act on columns and row operations on rows, so
@@ -538,7 +522,7 @@ def build_report(s: StabilizerMatrix, result: SynthesisResult) -> str:
     for idx, cls in enumerate(result.classes, start=1):
         lines.append(f"  row {idx}: gamma={cls.value}  {cls.describe()}")
     lines.append(
-        f"encoder: {len(result.encoder)} templates, memory {result.memory}, "
+        f"encoder: {len(result.encoder)} templates, memory {result.encoder.memory}, "
         f"{sched.layer_count} layers"
     )
     if all(c.kind == "unit" for c in result.classes):

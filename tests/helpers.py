@@ -728,7 +728,8 @@ def window_commutes(s: StabilizerMatrix, blocks: int) -> bool:
 
 
 def z_only_identity_code(n: int, r: int) -> StabilizerMatrix:
-    """The trivial code with stabilizer (0 | I 0)."""
+    """The trivial code with stabilizer (0 | I 0), which is also the subcode
+    stabilizer S0 of any code with r rows on n streams."""
     eye = identity(n)
     return StabilizerMatrix.from_rows(
         n,

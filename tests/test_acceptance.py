@@ -52,7 +52,7 @@ def random_code_suite():
     while len(suite) < 50:
         s = random_valid_code(rng, max_n=4, max_r=3, max_gates=12, max_off=2)
         result = synthesize(s)
-        if result.memory <= 2:
+        if result.encoder.memory <= 2:
             suite.append((s, result))
     return suite
 
@@ -76,7 +76,7 @@ def test_criterion_2_memory_claim(worked_example):
     report = build_report(s, result)
     ok = (
         sched.memory == 2
-        and result.memory == 2
+        and result.encoder.memory == 2
         and result.gamma == (L("1"), L("D"))
         and "diag(1, D)" in report
         and result.classes[1].kind == "shift"

@@ -428,13 +428,31 @@ class TestIntegerRule:
     ids=["missing-operands", "unknown-command", "unknown-option", "missing-value", "help"],
 )
 def test_argparse_exits_become_exit_codes(capsys, argv, code):
-    # in-process callers get argparse's status; its usage text still goes
-    # to stderr, and the help to stdout
-    assert run(argv) == (code, "")
-    captured = capsys.readouterr()
-    printed, quiet = (captured.err, captured.out) if code else (captured.out, captured.err)
-    assert printed.startswith("usage: qconvenc") and quiet == ""
+    # in-process callers get argparse's status, and its usage or help text
+    # on their own `out`, none of it on the process's streams
+    got, printed = run(argv)
+    assert got == code
+    assert printed.startswith("usage: qconvenc")
     assert ("error:" in printed) == bool(code)
+    assert capsys.readouterr() == ("", "")
+
+
+class TestReductionGap:
+    """Valid ladder codes that `synth` cannot reduce yet: step 4 finds an
+    off-diagonal Z entry inside the r x r block that its divisor does not
+    divide (ROADMAP item 3; each file's header says how it was drawn)."""
+
+    WITNESSES = ["reduction_gap_n8.stab", "reduction_gap_n12.stab"]
+
+    @pytest.mark.parametrize("name", WITNESSES)
+    def test_info_accepts_the_code(self, name):
+        code, out = run(["info", str(DATA / name)])
+        assert code == 0 and "symplectic=ok" in out
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 3")
+    @pytest.mark.parametrize("name", WITNESSES)
+    def test_synth_reduces_the_code(self, name):
+        assert run(["synth", str(DATA / name)])[0] == 0
 
 
 class TestGoldenTranscripts:

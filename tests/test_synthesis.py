@@ -1,6 +1,7 @@
 import random
 import signal
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +25,7 @@ from helpers import (
     z_only_identity_code,
 )
 from qconvenc import order
-from qconvenc.errors import ExponentOverflowError, PreconditionError
+from qconvenc.errors import ExponentOverflowError, LoopLimitError, PreconditionError
 from qconvenc.gates import (
     CNOT,
     CSIGN,
@@ -42,13 +43,14 @@ from qconvenc.stabilizer import (
     StabilizerMatrix,
     check_symplectic,
     params,
+    parse_stabilizer,
     rank_at_one,
     validate_code,
 )
 from qconvenc.synthesis import (
     _HEAD_BITS,
     SynthesisResult,
-    _reduce,
+    _Driver,
     _series_head,
     build_report,
     classify,
@@ -58,6 +60,7 @@ from qconvenc.synthesis import (
 
 D = L("D")
 ONE = L("1")
+DATA = Path(__file__).parent / "data"
 
 
 def reduction_displays():
@@ -120,17 +123,15 @@ class TestWorkedExample:
         assert result.gamma == (ONE, D)
         assert [c.kind for c in result.classes] == ["unit", "shift"]
         assert result.classes[1].shift == 1
-        assert result.memory == 2
+        assert result.encoder.memory == 2
         assert depth_schedule(result.encoder).memory == 2
-        assert result.rate == (1, 3)
 
     def test_encoder_is_reversed_forward(self):
         result = synthesize(rate_third_code())
         assert result.encoder.templates == tuple(reversed(result.forward.templates))
 
     def test_subcode_rows(self):
-        result = synthesize(rate_third_code())
-        s0 = result.s0
+        s0 = z_only_identity_code(3, 2)
         assert s0 == stab(3, [(["0", "0", "0"], ["1", "0", "0"]),
                               (["0", "0", "0"], ["0", "1", "0"])])
 
@@ -204,10 +205,35 @@ class TestPreconditions:
             synthesize(s)
 
 
+class TestReductionGuards:
+    """The loop guards, raised by the driver's step methods directly."""
+
+    def test_a_full_rank_pass_that_keeps_the_measure_is_stuck(self):
+        drv = _Driver(rate_third_code(), False)
+        drv.smith_x()
+        with pytest.raises(LoopLimitError, match="reduction is stuck"):
+            drv.smith_x()
+
+    def test_a_swap_past_the_budget_raises(self):
+        # proper's first step 2 swaps its residual Z columns
+        s = parse_stabilizer((DATA / "proper.stab").read_text(encoding="utf-8"))
+        drv = _Driver(s, False)
+        drv.smith_x()
+        drv.budget = 0
+        with pytest.raises(LoopLimitError, match="exceeded its budget of 0"):
+            drv.step2()
+
+    def test_an_all_zero_row_collapses_the_rank(self):
+        drv = _Driver(stab(2, [(["1", "0"], ["0", "0"]), (["0", "0"], ["0", "0"])]), False)
+        drv.smith_x()
+        with pytest.raises(PreconditionError, match="rank collapsed during reduction"):
+            drv.step2()
+
+
 def _validated_first(s: StabilizerMatrix) -> SynthesisResult:
     """synthesize with every code validated before it is reduced."""
     validate_code(s)
-    return _reduce(s, True)
+    return _Driver(s, True).reduce()
 
 
 def _outcome(synth, s: StabilizerMatrix):

@@ -42,7 +42,7 @@ from qconvenc.gates import (
 )
 from qconvenc.poly import LaurentPoly, set_max_span
 from qconvenc.stabilizer import StabilizerMatrix, params, parse_stabilizer, placement_bits
-from qconvenc.synthesis import subcode_for, synthesize
+from qconvenc.synthesis import synthesize
 from qconvenc.verify import (
     PauliVector,
     PropagationReport,
@@ -497,7 +497,7 @@ def _reference_rows(s, encoder: Circuit, blocks: int, margin: int) -> tuple[RowC
             if bits:
                 space.add(bits)
     expected = []
-    s0 = subcode_for(s.n, s.r)
+    s0 = z_only_identity_code(s.n, s.r)
     for gen in range(s0.r):
         for shift in range(margin, blocks - margin):
             bits = placement_bits(s0, blocks, gen, shift)
@@ -567,9 +567,9 @@ class TestPropagation:
         while done < 25:
             s = random_valid_code(rng, max_gates=8)
             res = synthesize(s)
-            if res.memory > 3:
+            if res.encoder.memory > 3:
                 continue
-            sizes = [res.memory * 2 + 2, res.memory * 2 + 6]
+            sizes = [res.encoder.memory * 2 + 2, res.encoder.memory * 2 + 6]
             rep = propagation_report(res.encoder, sizes)
             assert rep.verdict == "bounded"
             assert all(m <= rep.bound for m in rep.max_supports)
@@ -719,7 +719,7 @@ class TestVerifyEncoder:
         while done < 20:
             s = random_valid_code(rng, max_gates=8)
             res = synthesize(s)
-            if res.memory > 2:
+            if res.encoder.memory > 2:
                 continue
             chk = verify_encoder(s, res.encoder, 12)
             assert chk.ok

@@ -24,7 +24,7 @@ from .errors import (
     PreconditionError,
 )
 from .gates import format_circuit, parse_circuit
-from .poly import max_span, parse_int, set_max_span
+from .poly import max_span, parse_int, span_limit
 from .stabilizer import check_symplectic, is_systematic, params, parse_stabilizer
 from .synthesis import build_report, format_checkpoints, synthesize
 from .verify import render_encoder_check, render_propagation, verify_windows
@@ -177,23 +177,24 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     except SystemExit as exc:
         # argparse has written its usage, or the help, and would exit
         return exc.code
-    # option values; the span limit is set last, so a rejected value leaves
-    # it unchanged
+    # option values: a rejected one runs nothing and leaves the caller's
+    # span limit as it was
     try:
         if getattr(args, "windows", None) is not None:
             args.window_sizes = _windows(args.windows)
-        previous_span = None
+        scope = contextlib.nullcontext()
         if args.max_span is not None:
             try:
                 limit = parse_int(args.max_span)
             except ValueError:
                 raise ValueError(f"bad span limit {args.max_span!r}") from None
-            previous_span = set_max_span(limit)
+            scope = span_limit(limit)
     except ValueError as exc:
         out.write(f"error: {exc}\n")
         return EXIT_PARSE
     try:
-        return args.func(args, out)
+        with scope:
+            return args.func(args, out)
     except ParseError as exc:
         out.write(f"parse error: {exc}\n")
         return EXIT_PARSE
@@ -203,9 +204,6 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     except (NonClearableError, LoopLimitError, ExponentOverflowError) as exc:
         out.write(f"reduction failed: {exc}\n")
         return EXIT_NONCLEARABLE
-    finally:
-        if previous_span is not None:
-            set_max_span(previous_span)
 
 
 if __name__ == "__main__":

@@ -10,7 +10,8 @@ remainder do; sums, products, shifts and reciprocals are
 normalized by construction and span-checked before they are built, so they
 bypass the constructor.  The fused updates d + e*D^k (`add_shifted`) and
 d + g*e (`add_product`) build only their result, through the same sum as
-`+`, and raise where the two operators would.
+`+`, and raise where the two operators would.  Every span check reads the
+limit of the current scope, which `span_limit` sets for a block.
 
 The textual grammar shared by all file formats:
 
@@ -25,36 +26,46 @@ the rest here.
 
 from __future__ import annotations
 
+from contextlib import AbstractContextManager, contextmanager
+from contextvars import ContextVar
 from typing import Iterable, Iterator, Optional
 
 from .errors import ExponentOverflowError, ParseError
 
-_DEFAULT_MAX_SPAN = 1 << 16
-_max_span = _DEFAULT_MAX_SPAN
+# the exponent-span limit of the current scope, which `span_limit` sets:
+# runaway degree growth raises ExponentOverflowError instead of exhausting
+# memory.  A thread starts from the default, an asyncio task from its
+# creator's limit.
+_MAX_SPAN: ContextVar[int] = ContextVar("max_span", default=1 << 16)
+max_span = _MAX_SPAN.get  # the reader, bound once
 
 
-def set_max_span(limit: int) -> int:
-    """Set the exponent-span limit; returns the previous limit.
-
-    Runaway degree growth then raises ExponentOverflowError instead of
-    silently exhausting memory.
-    """
-    global _max_span
+def span_limit(limit: int) -> AbstractContextManager[int]:
+    """Set the span limit for a `with` block and restore the enclosing
+    limit on exit, also when the block raises, as `decimal.localcontext`
+    scopes a precision.  A limit below 1 raises ValueError at the call."""
     if limit < 1:
         raise ValueError("span limit must be positive")
-    old = _max_span
-    _max_span = limit
-    return old
+    return _scoped_span(limit)
 
 
-def max_span() -> int:
-    """The current exponent-span limit."""
-    return _max_span
+@contextmanager
+def _scoped_span(limit: int) -> Iterator[int]:
+    token = _MAX_SPAN.set(limit)
+    try:
+        yield limit
+    finally:
+        _MAX_SPAN.reset(token)
+
+
+def _overflow(span: int, limit: int) -> ExponentOverflowError:
+    return ExponentOverflowError(f"polynomial span {span} exceeds limit {limit}")
 
 
 def _check_span(span: int) -> None:
-    if span > _max_span:
-        raise ExponentOverflowError(f"polynomial span {span} exceeds limit {_max_span}")
+    limit = max_span()
+    if span > limit:
+        raise _overflow(span, limit)
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +241,7 @@ class LaurentPoly:
         if not exps:
             return L_ZERO
         lo = min(exps)
-        if max(exps) - lo > _max_span:
+        if max(exps) - lo > max_span():
             survivors: set[int] = set()
             for e in exps:
                 survivors ^= {e}
@@ -288,8 +299,8 @@ class LaurentPoly:
         if other.bits == 0:
             return self
         if self.offset <= other.offset:
-            return _sum(self.offset, self.bits, other.offset, other.bits)
-        return _sum(other.offset, other.bits, self.offset, self.bits)
+            return _sum(self.offset, self.bits, other.offset, other.bits, max_span())
+        return _sum(other.offset, other.bits, self.offset, self.bits, max_span())
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         if self.bits == 0 or other.bits == 0:
@@ -303,8 +314,8 @@ class LaurentPoly:
         """Multiply by D^k (shift by k blocks)."""
         if self.bits == 0 or k == 0:
             return self
-        # the body is unchanged; its span is checked against the current
-        # limit, which may have been lowered since it was built
+        # the body is unchanged; its span is checked against the limit of
+        # the current scope, which may be lower than where it was built
         _check_span(self.bits.bit_length() - 1)
         return _make(self.offset + k, self.bits)
 
@@ -312,7 +323,8 @@ class LaurentPoly:
         """The substitution D -> 1/D: each term c*D^e maps to c*D^(-e)."""
         if self.bits == 0:
             return self
-        # the reversed body is odd and spans as far, checked as in shifted
+        # the reversed body is odd and spans as far, checked against the
+        # limit of the current scope as in shifted
         _check_span(self.bits.bit_length() - 1)
         return _make(1 - self.offset - self.bits.bit_length(), _reverse_bits(self.bits))
 
@@ -347,17 +359,17 @@ def _make(offset: int, bits: int) -> LaurentPoly:
     return p
 
 
-def _sum(lo: int, low: int, hi: int, high: int) -> LaurentPoly:
+def _sum(lo: int, low: int, hi: int, high: int, limit: int) -> LaurentPoly:
     """D^lo * low + D^hi * high for nonzero bodies and lo <= hi, normalized
-    and span-checked: the one sum that `LaurentPoly.__add__` and the fused
-    updates build."""
+    and checked against `limit`, the span limit its caller read once: the
+    one sum that `LaurentPoly.__add__` and the fused updates build."""
     gap = hi - lo
-    if gap > _max_span:
-        # unless the tops meet too, no end cancels and the nominal span
-        # is the sum's: check it before building bits that wide
+    if gap > limit:
+        # unless the tops meet too, no end cancels and the nominal span,
+        # at least gap, is the sum's: raise before building bits that wide
         tops = (low.bit_length(), gap + high.bit_length())
         if tops[0] != tops[1]:
-            _check_span(max(tops) - 1)
+            raise _overflow(max(tops) - 1, limit)
     bits = low ^ (high << gap)
     if gap == 0:
         # equal offsets cancel the constant terms
@@ -366,7 +378,9 @@ def _sum(lo: int, low: int, hi: int, high: int) -> LaurentPoly:
         shift = (bits & -bits).bit_length() - 1
         bits >>= shift
         lo += shift
-    _check_span(bits.bit_length() - 1)
+    span = bits.bit_length() - 1
+    if span > limit:
+        raise _overflow(span, limit)
     return _make(lo, bits)
 
 
@@ -375,14 +389,15 @@ def add_shifted(d: LaurentPoly, e: LaurentPoly, k: int) -> LaurentPoly:
     intermediate value."""
     if e.bits == 0:
         return d
-    if k:
-        _check_span(e.bits.bit_length() - 1)
+    limit = max_span()
+    if k and e.bits.bit_length() - 1 > limit:
+        raise _overflow(e.bits.bit_length() - 1, limit)
     offset = e.offset + k
     if d.bits == 0:
         return _make(offset, e.bits) if k else e
     if d.offset <= offset:
-        return _sum(d.offset, d.bits, offset, e.bits)
-    return _sum(offset, e.bits, d.offset, d.bits)
+        return _sum(d.offset, d.bits, offset, e.bits, limit)
+    return _sum(offset, e.bits, d.offset, d.bits, limit)
 
 
 def add_product(d: LaurentPoly, g: LaurentPoly, e: LaurentPoly) -> LaurentPoly:
@@ -390,13 +405,16 @@ def add_product(d: LaurentPoly, g: LaurentPoly, e: LaurentPoly) -> LaurentPoly:
     intermediate value."""
     if g.bits == 0 or e.bits == 0:
         return d
-    _check_span(g.bits.bit_length() + e.bits.bit_length() - 2)
+    limit = max_span()
+    span = g.bits.bit_length() + e.bits.bit_length() - 2
+    if span > limit:
+        raise _overflow(span, limit)
     offset, bits = g.offset + e.offset, _mul_bits(g.bits, e.bits)
     if d.bits == 0:
         return _make(offset, bits)
     if d.offset <= offset:
-        return _sum(d.offset, d.bits, offset, bits)
-    return _sum(offset, bits, d.offset, d.bits)
+        return _sum(d.offset, d.bits, offset, bits, limit)
+    return _sum(offset, bits, d.offset, d.bits, limit)
 
 
 L_ZERO = _make(0, 0)

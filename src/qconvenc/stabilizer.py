@@ -48,7 +48,8 @@ class StabilizerMatrix(Record):
     def _row_patterns(self) -> tuple[Optional[tuple[int, int, int, int]], ...]:
         """Per row: (lo, hi, x, z) with the row's x and z bits laid out from
         block lo upward, qubit position (e - lo)*n + column; None if empty.
-        A row's envelope must pass the span limit before it is packed."""
+        A row's envelope must pass the span limit before it is packed;
+        `row_patterns` checks them again under the limit of each read."""
         n = self.n
         patterns = []
         for row_x, row_z in zip(self.x, self.z):
@@ -224,10 +225,21 @@ def from_f4(g: Sequence[Sequence[F4Poly]]) -> StabilizerMatrix:
 # finite windows
 
 
+def row_patterns(s: StabilizerMatrix) -> tuple[Optional[tuple[int, int, int, int]], ...]:
+    """`s._row_patterns`, each envelope checked in row order against the
+    limit of the current scope, as `LaurentPoly.shifted` checks a body: a
+    read under a lower limit than the first raises as the first would."""
+    patterns = s._row_patterns
+    for pattern in patterns:
+        if pattern is not None:
+            _check_span(pattern[1] - pattern[0])
+    return patterns
+
+
 def placement_bits(s: StabilizerMatrix, blocks: int, gen: int, shift: int) -> Optional[int]:
     """Bits of generator `gen` shifted by `shift` in a window of `blocks`
     blocks, out-of-window coordinates dropped; None when none is left."""
-    pattern = s._row_patterns[gen]
+    pattern = row_patterns(s)[gen]
     if pattern is None:
         return None
     lo, _, x, z = pattern

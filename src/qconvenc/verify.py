@@ -17,7 +17,7 @@ from .errors import ExponentOverflowError, PreconditionError, WindowTooSmallErro
 from .gates import CNOT, COLUMN_ACTIONS, CSIGN, Circuit, PL, act
 from .poly import L_ONE, L_ZERO
 # verify.placement_bits stays importable, though the basis inlines it
-from .stabilizer import StabilizerMatrix, placement_bits  # noqa: F401
+from .stabilizer import StabilizerMatrix, placement_bits, row_patterns  # noqa: F401
 
 
 class PauliVector(NamedTuple):
@@ -269,14 +269,14 @@ def _gf2_in_span(basis: dict[int, int], vec: int) -> bool:
 def stabilizer_window_basis(s: StabilizerMatrix, blocks: int) -> dict[int, int]:
     """GF(2) basis of all generator placements over the window, including the
     boundary-truncated ones, keyed by top bit.  Placement (gen, shift) is
-    `placement_bits` inline: the row's packed pattern (span-checked once)
-    moved by (shift + lo)*n bits and masked to the window on both sides,
-    since a pattern can be wider than the window."""
+    `placement_bits` inline: the row's packed pattern (span-checked on each
+    call by `row_patterns`) moved by (shift + lo)*n bits and masked to the
+    window on both sides, since a pattern can be wider than the window."""
     half = s.n * blocks
     window = (1 << half) - 1
     basis: dict[int, int] = {}
     pivot = basis.get
-    for pattern in s._row_patterns:
+    for pattern in row_patterns(s):
         if pattern is None:
             continue
         lo, hi, x, z = pattern

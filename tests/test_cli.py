@@ -324,6 +324,16 @@ class TestVerify:
             main(["verify", "--windows", "2,4,13", stab_path, circ_path], out=out)
         assert out.getvalue() == "N   max-interior-support\n2   0\n4   4\n13  9\nbound 21  margin 1  verdict bounded\n"
 
+    def test_uncaught_error_leaves_the_span_limit(self, tmp_path):
+        # the --max-span scope ends with main, also when the command raises
+        # past its handlers
+        stab_path = write(tmp_path, "code.stab", "n=2 r=1\nrow: 0, 0 | 1, 0\n")
+        circ_path = write(tmp_path, "c.circ", "n=2\n" + "CNOT c=1 t=2 off=1\nCNOT c=2 t=1 off=1\n" * 3)
+        before = max_span()
+        with pytest.raises(WindowTooSmallError):
+            main(["--max-span", "20", "verify", "--windows", "2,4,13", stab_path, circ_path], out=io.StringIO())
+        assert max_span() == before
+
 
 class TestMoreGeneratorsThanStreams:
     """Codes with r > n.  wide_f4.stab is `f4 n=1` with the row 1, whose
@@ -442,7 +452,7 @@ class TestReductionGap:
     off-diagonal Z entry inside the r x r block that its divisor does not
     divide (ROADMAP item 3; each file's header says how it was drawn)."""
 
-    WITNESSES = ["reduction_gap_n8.stab", "reduction_gap_n12.stab"]
+    WITNESSES = ["reduction_gap_n3.stab", "reduction_gap_n8.stab", "reduction_gap_n12.stab"]
 
     @pytest.mark.parametrize("name", WITNESSES)
     def test_info_accepts_the_code(self, name):

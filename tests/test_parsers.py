@@ -8,6 +8,7 @@ file in tests/data and of the rate-1/3 code's GF(4) text.  Every
 comparison requires an equal value, or an exception of the same type and
 message."""
 
+from contextlib import nullcontext
 from pathlib import Path
 
 import pytest
@@ -26,7 +27,7 @@ from helpers import (
     reference_template,
 )
 from qconvenc.gates import GateTemplate, parse_circuit
-from qconvenc.poly import parse_poly, set_max_span
+from qconvenc.poly import parse_poly, span_limit
 from qconvenc.stabilizer import _parse_f4_entry, parse_stabilizer
 
 DATA = Path(__file__).parent / "data"
@@ -57,12 +58,8 @@ def same_circuit(text: str) -> None:
 
 def under_limit(limit, check, *args) -> None:
     """`check(*args)` with the span limit lowered to `limit` (None: as is)."""
-    old = set_max_span(limit) if limit else None
-    try:
+    with span_limit(limit) if limit else nullcontext():
         check(*args)
-    finally:
-        if old is not None:
-            set_max_span(old)
 
 
 # -- drawn texts -----------------------------------------------------------------

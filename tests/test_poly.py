@@ -1,6 +1,8 @@
 import random
+import threading
 import time
 import tracemalloc
+from contextlib import nullcontext
 
 import pytest
 from hypothesis import given, settings
@@ -25,8 +27,9 @@ from qconvenc.poly import (
     laurent_divides,
     laurent_divmod,
     laurent_div,
+    max_span,
     parse_poly,
-    set_max_span,
+    span_limit,
     symmetric_decompose,
 )
 from qconvenc.stabilizer import parse_stabilizer
@@ -341,8 +344,7 @@ class TestUnitDivision:
     @settings(max_examples=300, deadline=None)
     @given(laurents, st.one_of(monomials, laurents), st.sampled_from([None, 4, 16, 39]))
     def test_matches_the_general_path(self, a, b, limit):
-        old = set_max_span(limit) if limit else None
-        try:
+        with span_limit(limit) if limit else nullcontext():
             want = outcome(reference_laurent_divmod, a, b)
             assert outcome(laurent_divmod, a, b) == want
             if a.bits and b.bits:
@@ -351,9 +353,6 @@ class TestUnitDivision:
                     want = "ok", q if rem.is_zero() else None
                 assert outcome(laurent_div, a, b) == want
                 assert laurent_divides(b, a) == (_divmod_bits(a.bits, b.bits)[1] == 0)
-        finally:
-            if old is not None:
-                set_max_span(old)
 
 
 class TestGrammar:
@@ -400,14 +399,65 @@ class TestExponents:
 
 
 class TestSpanLimit:
+    def test_nested_blocks_restore_the_outer_limit(self):
+        default = max_span()
+        with span_limit(40) as outer:
+            assert outer == max_span() == 40
+            with span_limit(10):
+                assert max_span() == 10
+            assert max_span() == 40
+            wide = L("1+D^5")
+            with pytest.raises(ExponentOverflowError, match="span 6 exceeds limit 3"):
+                with span_limit(3):
+                    wide * L("1+D")
+            assert max_span() == 40
+            with pytest.raises(KeyError):
+                with span_limit(5):
+                    raise KeyError("inner")
+            assert max_span() == 40
+        assert max_span() == default
+
+    @pytest.mark.parametrize("limit", [0, -3])
+    def test_nonpositive_limit_raises_when_called(self, limit):
+        before = max_span()
+        with pytest.raises(ValueError, match="^span limit must be positive$"):
+            span_limit(limit)
+        assert max_span() == before
+
+    def test_threads_do_not_see_each_others_limit(self):
+        """A worker starts from the default, not the main thread's limit,
+        and the limit it enters is not seen by the main thread."""
+        entered, read = threading.Event(), threading.Event()
+        seen = {}
+
+        def worker():
+            seen["start"] = max_span()
+            with span_limit(5):
+                entered.set()
+                read.wait(10)
+                seen["inside"] = max_span()
+                seen["raised"] = outcome(lambda: L("1+D^6") * L("1"))[0]
+
+        default = max_span()
+        with span_limit(7):
+            thread = threading.Thread(target=worker)
+            thread.start()
+            try:
+                assert entered.wait(10)
+                assert max_span() == 7
+                assert L("1+D^6") * L("1") == L("1+D^6")
+            finally:
+                read.set()
+                thread.join(10)
+        assert not thread.is_alive()
+        assert seen == {"start": default, "inside": 5, "raised": ExponentOverflowError}
+        assert max_span() == default
+
     def test_overflow_detected(self):
-        old = set_max_span(16)
-        try:
+        with span_limit(16):
             with pytest.raises(ExponentOverflowError):
                 L("D^20") * L("1+D^20")
             assert L("D^30") * L("D^-30") == L("1")  # monomials never widen
-        finally:
-            set_max_span(old)
 
     @pytest.mark.parametrize(
         "text",
@@ -421,27 +471,23 @@ class TestSpanLimit:
     )
     def test_parser_checks_span_before_allocating(self, text):
         # a 50,000,000-bit body would take over 6 MB
-        old = set_max_span(16)
-        tracemalloc.start()
-        try:
-            with pytest.raises(ExponentOverflowError, match="span 50000000 exceeds limit 16"):
-                if text.startswith(("f4", "n=")):
-                    parse_stabilizer(text)
-                else:
-                    parse_laurent(text)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-            set_max_span(old)
+        with span_limit(16):
+            tracemalloc.start()
+            try:
+                with pytest.raises(ExponentOverflowError, match="span 50000000 exceeds limit 16"):
+                    if text.startswith(("f4", "n=")):
+                        parse_stabilizer(text)
+                    else:
+                        parse_laurent(text)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
         assert peak < 1 << 20
 
     def test_cancelled_terms_do_not_count_toward_the_span(self):
         # the repeated term cancels before the span is checked
-        old = set_max_span(16)
-        try:
+        with span_limit(16):
             text = "D^50000000+D^50000000+1"
             assert parse_poly(text) == parse_laurent(text) == L("1")
             s = parse_stabilizer(f"n=2 r=1\nrow: {text}, 0 | 0, 0\n")
             assert s.x[0][0] == L("1")
-        finally:
-            set_max_span(old)

@@ -6,21 +6,36 @@ against their template-by-template replay, the polynomial seed images
 of `gates.act` against the window kernel, and the window kernel's packed
 unit and subcode seeds against its per-seed packing."""
 
+import random
 import tracemalloc
+from contextlib import nullcontext
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import L, _lane_images, _pack, exponent_sum, outcome, reference_symmetric_quotient
+from helpers import (
+    L,
+    _lane_images,
+    _pack,
+    exponent_sum,
+    outcome,
+    random_proper_code,
+    random_valid_code,
+    reference_symmetric_quotient,
+)
 from qconvenc.gates import CNOT, CSIGN, Circuit, GateTemplate, H, P, PL, act, format_circuit, parse_circuit
-from qconvenc.errors import ExponentOverflowError
+from qconvenc.errors import ExponentOverflowError, NonClearableError, ParseError, PreconditionError
 from qconvenc.matrix import identity, thaw, zeros
-from qconvenc.poly import LaurentPoly, add_product, add_shifted, max_span, set_max_span
-from qconvenc.stabilizer import StabilizerMatrix
-from qconvenc.synthesis import _Driver, _symmetric_quotient
+from qconvenc.poly import LaurentPoly, add_product, add_shifted, max_span, span_limit
+from qconvenc.smith import smith
+from qconvenc.stabilizer import StabilizerMatrix, parse_stabilizer
+from qconvenc.synthesis import _Driver, _symmetric_quotient, synthesize
 from qconvenc.verify import _lane_bytes, _unit_seeds
+
+DATA = Path(__file__).parent / "data"
 
 # reproducible runs that leave no example database behind
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=300)
@@ -141,15 +156,12 @@ def test_laurent_results_raise_exactly_above_a_lowered_limit(op, a, b, k, limit)
     run, reference = LAURENT_OPS[op]
     want = reference(a, b, k)
     passed_through = (op == "add" and not (a and b)) or (op == "shifted" and k == 0)
-    old = set_max_span(limit)
-    try:
+    with span_limit(limit):
         if want.bits and want.degree > limit and not passed_through:
             with pytest.raises(ExponentOverflowError):
                 run(a, b, k)
         else:
             assert run(a, b, k) == want
-    finally:
-        set_max_span(old)
 
 
 @st.composite
@@ -167,12 +179,8 @@ def test_from_exponents_matches_exponent_sets(exps, limit):
     """The one builder against the set reference: the same value, or the
     same overflow message, whether the exponents fit the limit (one body)
     or cancel through a set first."""
-    old = None if limit is None else set_max_span(limit)
-    try:
+    with nullcontext() if limit is None else span_limit(limit):
         assert outcome(LaurentPoly.from_exponents, exps) == outcome(exponent_sum, exps)
-    finally:
-        if old is not None:
-            set_max_span(old)
 
 
 # -- fused entry updates against the operators ---------------------------------
@@ -230,13 +238,9 @@ def test_fused_updates_match_the_operators(update, case, limit):
     built anew, not an operand passed through, is within the limit."""
     fused, operators, reference = FUSED_UPDATES[update]
     value = reference(*case)
-    old = None if limit is None else set_max_span(limit)
-    try:
+    with nullcontext() if limit is None else span_limit(limit):
         got, want = _outcome(fused, case), _outcome(operators, case)
         current = max_span()
-    finally:
-        if old is not None:
-            set_max_span(old)
     assert got == want
     if isinstance(got, LaurentPoly):
         assert got == value
@@ -310,11 +314,8 @@ def test_fused_run_leaves_the_rows_and_templates_of_its_replay(case):
 @PROPERTY
 @given(template_runs(), st.integers(1, 24))
 def test_fused_run_raises_exactly_as_its_replay_under_a_lowered_limit(case, limit):
-    old = set_max_span(limit)
-    try:
+    with span_limit(limit):
         outcomes, fused, replayed = _fused_and_replayed(*case)
-    finally:
-        set_max_span(old)
     assert outcomes[0] == outcomes[1]
     if outcomes[0] is None:
         assert fused == replayed
@@ -402,3 +403,56 @@ def test_packed_seeds_at_the_interior_edges(n, blocks, memory):
     for first, count in ((lo, 1), (hi - 1, 1), (lo, hi - lo)):
         seeds = [seed for q in range(first, first + count) for seed in ((1 << q, 0), (0, 1 << q))]
         assert _unit_seeds(lane_bytes, first, count) == _pack(seeds, lane_bytes)
+
+
+# -- Gamma against the code's Smith invariants ----------------------------------
+
+
+def _gamma_bodies(s: StabilizerMatrix):
+    """The bodies of `synthesize(s).gamma`, or None when it rejects s."""
+    try:
+        result = synthesize(s, record_checkpoints=False)
+    except (NonClearableError, PreconditionError):
+        return None
+    return [g.bits for g in result.gamma]
+
+
+def _smith_bodies(s: StabilizerMatrix) -> list[int]:
+    """The bodies of the Smith invariants of (X | Z), in order."""
+    return [g.bits for g in smith([x + z for x, z in zip(s.x, s.z)]).divisors]
+
+
+def test_gamma_bodies_are_the_smith_invariants_of_the_code():
+    """Every code that `synthesize` accepts ends with Gamma's bodies equal
+    to the invariant factors of (X | Z): gate templates are unimodular, so
+    they keep (X | Z)'s invariants.  Only bodies are compared; the shift
+    exponents depend on the route."""
+    rng = random.Random(17)
+    codes = [random_valid_code(rng, max_n=5, max_r=4, max_gates=16) for _ in range(200)]
+    for n, r in ((3, 2), (4, 2), (4, 3), (6, 4)):
+        codes += [random_proper_code(rng, n, r) for _ in range(25)]
+    accepted = 0
+    for s in codes:
+        bodies = _gamma_bodies(s)
+        if bodies is not None:
+            accepted += 1
+            assert bodies == _smith_bodies(s), s
+    # all 300 do today
+    assert accepted >= 290
+
+
+def test_golden_gamma_bodies_are_the_smith_invariants_of_the_code():
+    """As above, on every golden stabilizer file that synthesizes."""
+    accepted = 0
+    for path in sorted(DATA.glob("*.stab")):
+        try:
+            s = parse_stabilizer(path.read_text(encoding="utf-8"))
+        except ParseError:
+            continue
+        bodies = _gamma_bodies(s)
+        if bodies is not None:
+            accepted += 1
+            assert bodies == _smith_bodies(s), path.name
+    # rate_third, proper, ladder8, deep0111, low_span, primitive13 and
+    # span_fallback synthesize at the default limit
+    assert accepted >= 7

@@ -240,14 +240,11 @@ class TestSmithProperties:
 
     def test_exponent_overflow_surfaces(self):
         from qconvenc.errors import ExponentOverflowError
-        from qconvenc.poly import set_max_span
+        from qconvenc.poly import span_limit
 
-        old = set_max_span(8)
-        try:
+        with span_limit(8):
             with pytest.raises(ExponentOverflowError):
                 smith(lmat([["1+D^7", "D^6+D^7"], ["D^5", "1+D^3+D^7"]]))
-        finally:
-            set_max_span(old)
 
 
 class _CheckedReducer(smith_module._Reducer):

@@ -1,6 +1,7 @@
 import random
 import signal
 import time
+from contextlib import nullcontext
 from pathlib import Path
 
 import pytest
@@ -37,7 +38,7 @@ from qconvenc.gates import (
     depth_schedule,
 )
 from qconvenc import stabilizer
-from qconvenc.poly import LaurentPoly, Poly, set_max_span
+from qconvenc.poly import LaurentPoly, Poly, span_limit
 from qconvenc.smith import RowOp
 from qconvenc.stabilizer import (
     StabilizerMatrix,
@@ -291,13 +292,9 @@ class TestValidationOrder:
             memory = params(s).memory
             if lowered and memory == 0:
                 continue
-            old = set_max_span(2 * memory - 1) if lowered else None
-            try:
+            with span_limit(2 * memory - 1) if lowered else nullcontext():
                 want = _outcome(_validated_first, s)
                 got = _outcome(synthesize, s)
-            finally:
-                if old is not None:
-                    set_max_span(old)
             if want[0] is ExponentOverflowError and isinstance(got[0], Circuit):
                 # validation overflowed where the reduction fits
                 result = synthesize(s)

@@ -40,7 +40,7 @@ from qconvenc.gates import (
     apply_circuit,
     parse_circuit,
 )
-from qconvenc.poly import LaurentPoly, set_max_span
+from qconvenc.poly import LaurentPoly, span_limit
 from qconvenc.stabilizer import StabilizerMatrix, params, parse_stabilizer, placement_bits
 from qconvenc.synthesis import synthesize
 from qconvenc.verify import (
@@ -407,6 +407,21 @@ class TestWindowBasis:
             chk = verify_encoder(s, encoder, blocks)
             assert chk.ok and chk.rows == _reference_rows(s, encoder, blocks, margin)
 
+    def test_cached_row_patterns_are_checked_under_each_limit(self):
+        # s's row patterns are cached under the default limit; read under a
+        # lower one they raise as an equal stabilizer's first read does
+        text = "n=2 r=1\nrow: 0, 0 | 1+D^5, 0\n"
+        s, t = parse_stabilizer(text), parse_stabilizer(text)
+        assert verify_windows(Circuit(2), [12], s)[2] is None
+        with span_limit(3):
+            warm, cold = verify_windows(Circuit(2), [12], s)[2], verify_windows(Circuit(2), [12], t)[2]
+            for stab in (s, t):
+                with pytest.raises(ExponentOverflowError, match="^polynomial span 5 exceeds limit 3$"):
+                    placement_bits(stab, 12, 0, 0)
+        assert isinstance(warm, ExponentOverflowError) and isinstance(cold, ExponentOverflowError)
+        assert str(warm) == str(cold) == "polynomial span 5 exceeds limit 3"
+        assert verify_windows(Circuit(2), [12], t)[2] is None
+
 
 class TestRoundTripReuse:
     """The round trip reads its subcode images off the batches in which the
@@ -662,14 +677,11 @@ class TestImageReach:
         # default limit raises under a lower one, and passes again after
         c = synthesize(rate_third_code()).encoder
         assert image_reach(c) == (3, 2)
-        previous = set_max_span(4)
-        try:
+        with span_limit(4):
             with pytest.raises(ExponentOverflowError):
                 image_reach(c)
             with pytest.raises(ExponentOverflowError):
                 propagation_report(c, [5])
-        finally:
-            set_max_span(previous)
         assert _seed_walk(c)[2] == 13
 
 

@@ -1,13 +1,13 @@
 """Small dense matrices of Laurent polynomials: plumbing shared by the
 normal-form and stabilizer modules; and `Record`, the immutable value base of
-the records that check their fields or cache derived values."""
+the records that check their fields."""
 
 from __future__ import annotations
 
 from operator import attrgetter
 from typing import Sequence
 
-from .poly import LaurentPoly, L_ONE, L_ZERO
+from .poly import LaurentPoly
 
 Matrix = tuple[tuple[LaurentPoly, ...], ...]
 
@@ -45,8 +45,8 @@ class Record:
         return f"{type(self).__name__}({fields})"
 
     def __reduce__(self):
-        # copies and pickles rebuild from the fields, leaving cached
-        # properties behind
+        # copies and pickles rebuild from the fields through the
+        # constructor, which takes a circuit's memory again
         return type(self), self._key(self)
 
 
@@ -57,7 +57,7 @@ _set_dict = Record.__dict__["__dict__"].__set__
 def unchecked(cls: type, fields: dict) -> Record:
     """A `cls` record holding `fields` as its instance dict, without the
     constructor's checks: for values known to be valid.  `fields` may also
-    hold values of cached properties."""
+    hold a circuit's memory."""
     rec = _new(cls)
     _set_dict(rec, fields)
     return rec
@@ -70,12 +70,3 @@ def freeze(rows: Sequence[Sequence[LaurentPoly]]) -> Matrix:
 def thaw(m: Sequence[Sequence[LaurentPoly]]) -> list[list[LaurentPoly]]:
     return [list(row) for row in m]
 
-
-def identity(n: int) -> Matrix:
-    return tuple(
-        tuple(L_ONE if i == j else L_ZERO for j in range(n)) for i in range(n)
-    )
-
-
-def zeros(r: int, n: int) -> Matrix:
-    return tuple(tuple(L_ZERO for _ in range(n)) for _ in range(r))

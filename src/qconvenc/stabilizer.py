@@ -11,7 +11,6 @@ outside the window are dropped.
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import ParseError, PreconditionError
@@ -21,9 +20,7 @@ from .smith import smith_rank
 
 
 class StabilizerMatrix(Record):
-    """S(D) = (X(D) | Z(D)): r rows of n Laurent polynomials on each side.
-
-    The instance dict also holds the cached `_row_patterns`."""
+    """S(D) = (X(D) | Z(D)): r rows of n Laurent polynomials on each side."""
 
     _fields = ("n", "r", "x", "z")
 
@@ -43,37 +40,6 @@ class StabilizerMatrix(Record):
         z_rows: Sequence[Sequence[LaurentPoly]],
     ) -> "StabilizerMatrix":
         return cls(n=n, r=len(x_rows), x=freeze(x_rows), z=freeze(z_rows))
-
-    @cached_property
-    def _row_patterns(self) -> tuple[Optional[tuple[int, int, int, int]], ...]:
-        """Per row: (lo, hi, x, z) with the row's x and z bits laid out from
-        block lo upward, qubit position (e - lo)*n + column; None if empty.
-        A row's envelope must pass the span limit before it is packed;
-        `row_patterns` checks them again under the limit of each read."""
-        n = self.n
-        patterns = []
-        for row_x, row_z in zip(self.x, self.z):
-            entries = [e for e in (*row_x, *row_z) if e.bits]
-            if not entries:
-                patterns.append(None)
-                continue
-            lo = min([e.offset for e in entries])
-            hi = max([e.offset + e.bits.bit_length() for e in entries]) - 1
-            _check_span(hi - lo)
-            sides = []
-            for row in (row_x, row_z):
-                bits = 0
-                for c, e in enumerate(row):
-                    body = e.bits
-                    if body:
-                        at = (e.offset - lo) * n + c
-                        while body:
-                            low = body & -body
-                            bits |= 1 << at + (low.bit_length() - 1) * n
-                            body ^= low
-                sides.append(bits)
-            patterns.append((lo, hi, *sides))
-        return tuple(patterns)
 
     def __str__(self) -> str:
         return format_stabilizer(self)
@@ -226,14 +192,35 @@ def from_f4(g: Sequence[Sequence[F4Poly]]) -> StabilizerMatrix:
 
 
 def row_patterns(s: StabilizerMatrix) -> tuple[Optional[tuple[int, int, int, int]], ...]:
-    """`s._row_patterns`, each envelope checked in row order against the
-    limit of the current scope, as `LaurentPoly.shifted` checks a body: a
-    read under a lower limit than the first raises as the first would."""
-    patterns = s._row_patterns
-    for pattern in patterns:
-        if pattern is not None:
-            _check_span(pattern[1] - pattern[0])
-    return patterns
+    """Per row: (lo, hi, x, z) with the row's x and z bits laid out from
+    block lo upward, qubit position (e - lo)*n + column; None if empty.
+    Each row's envelope is checked against the span limit in force before
+    the row is packed.  Nothing is kept on `s`: a caller that reads the
+    patterns more than once holds them itself."""
+    n = s.n
+    patterns = []
+    for row_x, row_z in zip(s.x, s.z):
+        entries = [e for e in (*row_x, *row_z) if e.bits]
+        if not entries:
+            patterns.append(None)
+            continue
+        lo = min([e.offset for e in entries])
+        hi = max([e.offset + e.bits.bit_length() for e in entries]) - 1
+        _check_span(hi - lo)
+        sides = []
+        for row in (row_x, row_z):
+            bits = 0
+            for c, e in enumerate(row):
+                body = e.bits
+                if body:
+                    at = (e.offset - lo) * n + c
+                    while body:
+                        low = body & -body
+                        bits |= 1 << at + (low.bit_length() - 1) * n
+                        body ^= low
+            sides.append(bits)
+        patterns.append((lo, hi, *sides))
+    return tuple(patterns)
 
 
 def placement_bits(s: StabilizerMatrix, blocks: int, gen: int, shift: int) -> Optional[int]:

@@ -266,25 +266,28 @@ def _gf2_in_span(basis: dict[int, int], vec: int) -> bool:
     return True
 
 
-def stabilizer_window_basis(s: StabilizerMatrix, blocks: int) -> dict[int, int]:
+def stabilizer_window_basis(
+    patterns: Sequence[Optional[tuple[int, int, int, int]]], n: int, blocks: int
+) -> dict[int, int]:
     """GF(2) basis of all generator placements over the window, including the
-    boundary-truncated ones, keyed by top bit.  Placement (gen, shift) is
-    `placement_bits` inline: the row's packed pattern (span-checked on each
-    call by `row_patterns`) moved by (shift + lo)*n bits and masked to the
-    window on both sides, since a pattern can be wider than the window."""
-    half = s.n * blocks
+    boundary-truncated ones, keyed by top bit, from the rows' packed
+    `patterns` (`row_patterns`) on n streams.  Placement (gen, shift) is
+    `placement_bits` inline: the row's pattern moved by (shift + lo)*n bits
+    and masked to the window on both sides, since a pattern can be wider
+    than the window."""
+    half = n * blocks
     window = (1 << half) - 1
     basis: dict[int, int] = {}
     pivot = basis.get
-    for pattern in row_patterns(s):
+    for pattern in patterns:
         if pattern is None:
             continue
         lo, hi, x, z = pattern
         whole = x | z << half
         # shifts -hi .. blocks - lo - 1 each leave some bit in the window;
         # from 0 to `inner` the pattern fits, so no mask is needed
-        inner = half - (hi - lo + 1) * s.n
-        for at in range((lo - hi) * s.n, half, s.n):
+        inner = half - (hi - lo + 1) * n
+        for at in range((lo - hi) * n, half, n):
             if 0 <= at <= inner:
                 vec = whole << at
             elif at >= 0:
@@ -366,7 +369,7 @@ def verify_windows(
     back, forward, image_max = _seed_walk(c)
     # the round trip's margin: seeds nearer an edge may have clipped images
     margin = max(memory, back, forward)
-    maxima, checks, error = [], [], None
+    maxima, checks, error, patterns = [], [], None, None
     if s is not None and sizes[-1] < 2 * (memory + 1):
         error = PreconditionError(f"no window size reaches 2*(memory+1) = {2 * (memory + 1)}")
     for blocks in sizes:
@@ -378,7 +381,9 @@ def verify_windows(
                 )
             else:
                 try:
-                    basis = stabilizer_window_basis(s, blocks)
+                    if patterns is None:
+                        patterns = row_patterns(s)
+                    basis = stabilizer_window_basis(patterns, s.n, blocks)
                 except ExponentOverflowError as exc:
                     error = exc
         generators = 0 if basis is None else s.r

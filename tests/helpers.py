@@ -25,7 +25,7 @@ from qconvenc.gates import (
     apply,
     apply_circuit,
 )
-from qconvenc.matrix import Matrix, freeze, identity, thaw, zeros
+from qconvenc.matrix import Matrix, freeze, thaw
 from qconvenc.poly import L_ONE, L_ZERO, LaurentPoly, Poly, _check_span, _divmod_bits
 from qconvenc.smith import ElementaryColOp, SmithDecomposition, apply_col_op
 from qconvenc.stabilizer import (
@@ -296,6 +296,16 @@ def series_head(r: RationalFn, count: int) -> tuple[int, ...]:
         state >>= 1
         out.append(c)
     return tuple(out)
+
+
+def identity(n: int) -> Matrix:
+    return tuple(
+        tuple(L_ONE if i == j else L_ZERO for j in range(n)) for i in range(n)
+    )
+
+
+def zeros(r: int, n: int) -> Matrix:
+    return tuple(tuple(L_ZERO for _ in range(n)) for _ in range(r))
 
 
 def mat_mul(a, b) -> Matrix:

@@ -28,7 +28,7 @@ from helpers import (
 )
 from qconvenc.gates import GateTemplate, parse_circuit
 from qconvenc.poly import parse_poly, span_limit
-from qconvenc.stabilizer import _parse_f4_entry, parse_stabilizer
+from qconvenc.stabilizer import _parse_f4_entry, parse_stabilizer, row_patterns
 
 DATA = Path(__file__).parent / "data"
 
@@ -46,7 +46,7 @@ def same_stabilizer(text: str) -> None:
     assert got == want
     if got[0] == "ok":
         s = got[1]
-        assert outcome(lambda: s._row_patterns) == outcome(reference_row_patterns, s)
+        assert outcome(row_patterns, s) == outcome(reference_row_patterns, s)
 
 
 def same_circuit(text: str) -> None:

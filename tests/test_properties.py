@@ -21,14 +21,16 @@ from helpers import (
     _lane_images,
     _pack,
     exponent_sum,
+    identity,
     outcome,
     random_proper_code,
     random_valid_code,
     reference_symmetric_quotient,
+    zeros,
 )
 from qconvenc.gates import CNOT, CSIGN, Circuit, GateTemplate, H, P, PL, act, format_circuit, parse_circuit
 from qconvenc.errors import ExponentOverflowError, NonClearableError, ParseError, PreconditionError
-from qconvenc.matrix import identity, thaw, zeros
+from qconvenc.matrix import thaw
 from qconvenc.poly import LaurentPoly, add_product, add_shifted, max_span, span_limit
 from qconvenc.smith import smith
 from qconvenc.stabilizer import StabilizerMatrix, parse_stabilizer

@@ -1,11 +1,12 @@
 """Value semantics of the package's records.
 
 Twelve plain result records are NamedTuples; the four types that check
-their fields or cache derived values (GateTemplate, Circuit,
-StabilizerMatrix, ElementaryColOp) derive from `qconvenc.matrix.Record`,
-which writes their immutability, equality, hash and repr once from each
-class's `_fields`.  Either way a record cannot be assigned to, and
-records with equal fields are equal and hash alike."""
+their fields (GateTemplate, Circuit, StabilizerMatrix, ElementaryColOp)
+derive from `qconvenc.matrix.Record`, which writes their immutability,
+equality, hash and repr once from each class's `_fields`, and hold those
+fields and nothing derived from them but a circuit's memory.  Either way
+a record cannot be assigned to, and records with equal fields are equal
+and hash alike."""
 
 import copy
 import importlib
@@ -128,6 +129,14 @@ def test_only_the_base_and_the_polynomials_define_setattr():
         if cls.__module__.startswith("qconvenc.")
     }
     assert {cls for cls in classes if "__setattr__" in vars(cls)} == {Record, Poly, LaurentPoly}
+
+
+@pytest.mark.parametrize("record", CHECKED, ids=lambda r: type(r).__name__)
+def test_records_hold_only_their_fields(record):
+    # the worked records have been through synthesize and verify_encoder;
+    # a circuit's memory is the one value its constructor stores beside them
+    extra = {"memory"} if isinstance(record, Circuit) else set()
+    assert set(vars(record)) == {*record._fields, *extra}
 
 
 @pytest.mark.parametrize("record", [*CHECKED, GateTemplate(H, 1)], ids=lambda r: type(r).__name__)

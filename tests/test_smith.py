@@ -8,10 +8,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import L, apply_col_ops, body_of, det, mat_mul, poly_gcd, random_circuit, smith_a, smith_b
+from helpers import (
+    L,
+    apply_col_ops,
+    body_of,
+    det,
+    identity,
+    mat_mul,
+    poly_gcd,
+    random_circuit,
+    smith_a,
+    smith_b,
+    zeros,
+)
 from qconvenc.errors import LoopLimitError, NonClearableError
 from qconvenc.gates import apply_circuit
-from qconvenc.matrix import freeze, identity, thaw, zeros
+from qconvenc.matrix import freeze, thaw
 from qconvenc.poly import LaurentPoly, Poly, laurent_divides
 from qconvenc.smith import (
     ElementaryColOp,

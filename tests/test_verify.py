@@ -41,7 +41,7 @@ from qconvenc.gates import (
     parse_circuit,
 )
 from qconvenc.poly import LaurentPoly, span_limit
-from qconvenc.stabilizer import StabilizerMatrix, params, parse_stabilizer, placement_bits
+from qconvenc.stabilizer import StabilizerMatrix, params, parse_stabilizer, placement_bits, row_patterns
 from qconvenc.synthesis import synthesize
 from qconvenc.verify import (
     PauliVector,
@@ -367,7 +367,8 @@ class TestWindowBasis:
             s = self._code(rng, n, r, shared_top)
             blocks = rng.randint(1, 6)
             placements = []
-            for gen, pattern in enumerate(s._row_patterns):
+            patterns = row_patterns(s)
+            for gen, pattern in enumerate(patterns):
                 if pattern is None:
                     continue
                 lo, hi = row_envelope(s, gen)
@@ -379,13 +380,13 @@ class TestWindowBasis:
                     bits = placement_bits(s, blocks, gen, shift)
                     if bits:
                         placements.append(bits)
-            basis = verify.stabilizer_window_basis(s, blocks)
+            basis = verify.stabilizer_window_basis(patterns, s.n, blocks)
             assert all(top == vec.bit_length() - 1 for top, vec in basis.items())
             reference = self._echelon(placements)
             assert len(basis) == len(reference)
             assert all(verify._gf2_in_span(reference, v) for v in basis.values())
             assert all(verify._gf2_in_span(basis, v) for v in placements)
-            if shared_top and s._row_patterns[0] is not None:
+            if shared_top and patterns[0] is not None:
                 tops: list[set[int]] = [set(), set()]
                 for gen, found in enumerate(tops):
                     for shift in range(-8, blocks + 8):
@@ -408,8 +409,9 @@ class TestWindowBasis:
             assert chk.ok and chk.rows == _reference_rows(s, encoder, blocks, margin)
 
     def test_cached_row_patterns_are_checked_under_each_limit(self):
-        # s's row patterns are cached under the default limit; read under a
-        # lower one they raise as an equal stabilizer's first read does
+        # s was verified under the default limit; under a lower one it raises
+        # as an equal fresh stabilizer does, since each call packs the rows
+        # afresh under the limit in force and nothing is kept on s
         text = "n=2 r=1\nrow: 0, 0 | 1+D^5, 0\n"
         s, t = parse_stabilizer(text), parse_stabilizer(text)
         assert verify_windows(Circuit(2), [12], s)[2] is None
@@ -421,6 +423,22 @@ class TestWindowBasis:
         assert isinstance(warm, ExponentOverflowError) and isinstance(cold, ExponentOverflowError)
         assert str(warm) == str(cold) == "polynomial span 5 exceeds limit 3"
         assert verify_windows(Circuit(2), [12], t)[2] is None
+
+    def test_one_call_packs_the_rows_once(self, monkeypatch):
+        calls = []
+
+        def counted(s):
+            calls.append(s)
+            return row_patterns(s)
+
+        monkeypatch.setattr(verify, "row_patterns", counted)
+        s = rate_third_code()
+        encoder = synthesize(s).encoder
+        _, checks, error = verify_windows(encoder, [8, 16, 32], s)
+        assert error is None and [chk.blocks for chk in checks] == [8, 16, 32]
+        assert all(chk.ok for chk in checks)
+        assert calls == [s]
+        assert sorted(vars(s)) == ["n", "r", "x", "z"]
 
 
 class TestRoundTripReuse:

@@ -227,37 +227,30 @@ class Schedule(NamedTuple):
     own layer (each instance repeated in its shifted version before the next
     gate).  Layer count and memory are independent of any window size."""
 
-    layers: tuple[tuple[GateTemplate, ...], ...]
+    layer_count: int
     memory: int
-
-    @property
-    def layer_count(self) -> int:
-        return len(self.layers)
 
 
 def depth_schedule(c: Circuit) -> Schedule:
-    layers: list[list[GateTemplate]] = []
+    layers = 0
     mode = None  # "diag" | "h" | None
     used: set[int] = set()
     for g in c.templates:
         if g.kind in _DIAGONAL:
-            if mode == "diag":
-                layers[-1].append(g)
-            else:
-                layers.append([g])
+            if mode != "diag":
+                layers += 1
                 mode = "diag"
         elif g.kind == H:
             if mode == "h" and g.i not in used:
-                layers[-1].append(g)
                 used.add(g.i)
             else:
-                layers.append([g])
+                layers += 1
                 mode = "h"
                 used = {g.i}
         else:  # CNOT
-            layers.append([g])
+            layers += 1
             mode = None
-    return Schedule(tuple(tuple(l) for l in layers), c.memory)
+    return Schedule(layers, c.memory)
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,7 @@ from .gates import (
     _template,
     act,
     apply,
+    depth_schedule,
     reverse,
     swap_templates,
 )
@@ -511,8 +512,6 @@ def replay(s: StabilizerMatrix, result: SynthesisResult) -> StabilizerMatrix:
 
 def build_report(s: StabilizerMatrix, result: SynthesisResult) -> str:
     """Plain-text synthesis report: parameters, divisors, memory, layers."""
-    from .gates import depth_schedule
-
     p = params(s)
     sched = depth_schedule(result.encoder)
     lines = [

@@ -93,7 +93,9 @@ def _conjugate_lanes(c: Circuit, blocks: int, lanes: int, x: int, z: int) -> tup
 @lru_cache(maxsize=1)
 def _lane_masks(n: int, blocks: int, lane_bytes: int, lanes: int) -> tuple[tuple[int, ...], int]:
     """Column masks and the window mask over `lanes` lanes; kept for the
-    next batch of the same width, at most n + 1 batch widths of bits."""
+    next batch of the same width, at most n + 1 batch widths of bits.  This
+    one entry is all that `verify` keeps between calls, worth about a tenth
+    of each window that the cap splits."""
     window = (1 << n * blocks) - 1
     # column q of every lane is the first column's mask shifted by q
     first_column = int.from_bytes(
@@ -193,10 +195,9 @@ def _seed_walk(c: Circuit) -> tuple[int, int, int]:
     unit seeds, pushed once through the exact polynomial action.  Each row
     is the image of one seed that no boundary clips (exponent e is block
     offset e); it packs into one int per side, column q at q times the
-    images' common width, and the rows pack into lanes as `_pair_max` reads
-    them.  No walk is kept between calls: each runs under the span limit of
-    its own call.  `verify` keeps only `_lane_masks`'s last batch masks,
-    worth about a tenth of each window that the cap splits."""
+    images' common width, so columns hold disjoint fields and a support is
+    a bit count.  No walk is kept between calls: each runs under the span
+    limit of its own call."""
     n = c.n
     units = [[L_ONE if q == j else L_ZERO for q in range(n)] for j in range(n)]
     x = units + [[L_ZERO] * n for _ in range(n)]
@@ -207,22 +208,23 @@ def _seed_walk(c: Circuit) -> tuple[int, int, int]:
     lo = min([e.offset for e in entries], default=0)
     hi = max([e.offset + e.bits.bit_length() for e in entries], default=1) - 1
     width = hi + 1 - lo
-    lane_bytes = (n * width + 7) // 8
-    # lane 2q holds row q, the image of the X seed of qubit q, and lane
-    # 2q + 1 row n + q, that of its Z seed
-    order = [j for q in range(n) for j in (q, n + q)]
     packed = []
     for side in (x, z):
-        lanes = []
-        for j in order:
+        rows = []
+        for row in side:
             bits, at = 0, -lo
-            for e in side[j]:
+            for e in row:
                 if e.bits:
                     bits |= e.bits << e.offset + at
                 at += width
-            lanes.append(bits.to_bytes(lane_bytes, "little"))
-        packed.append(int.from_bytes(b"".join(lanes), "little"))
-    return max(0, -lo), max(0, hi), _pair_max(*packed, lane_bytes, n)
+            rows.append(bits)
+        packed.append(rows)
+    px, pz = packed
+    # rows q and n + q are the images of qubit q's X and Z seeds, and its Y
+    # image is their sum, since conjugation is linear
+    ys = [(px[q] ^ px[n + q], pz[q] ^ pz[n + q]) for q in range(n)]
+    image_max = max((xs | zs).bit_count() for xs, zs in [*zip(px, pz), *ys])
+    return max(0, -lo), max(0, hi), image_max
 
 
 def image_reach(c: Circuit) -> tuple[int, int]:
@@ -353,10 +355,11 @@ def verify_windows(
 
     Returns the report, the round-trip checks in window order, and the
     error that stopped the round trip, or None: no window reaches
-    2(memory+1) (`PreconditionError`), the margin leaves a window no
-    interior (`WindowTooSmallError`), or a row of `s` spans past the limit
-    (`ExponentOverflowError`).  The error is returned, not raised, so that
-    a caller can print the table first; later windows get no check.
+    2(memory+1) (`PreconditionError`), the margin leaves the first such
+    window no interior (`WindowTooSmallError`), or a row of `s` spans past
+    the limit (`ExponentOverflowError`).  No rule reads a window, so all are
+    decided once, in that order, before the first window; the error is
+    returned, not raised, so that a caller can print the table first.
     """
     if any(a >= b for a, b in zip(sizes, sizes[1:])):
         raise ValueError("window sizes must be sorted ascending")
@@ -370,22 +373,21 @@ def verify_windows(
     # the round trip's margin: seeds nearer an edge may have clipped images
     margin = max(memory, back, forward)
     maxima, checks, error, patterns = [], [], None, None
-    if s is not None and sizes[-1] < 2 * (memory + 1):
-        error = PreconditionError(f"no window size reaches 2*(memory+1) = {2 * (memory + 1)}")
+    if s is not None:
+        first = next((blocks for blocks in sizes if blocks >= 2 * (memory + 1)), None)
+        if first is None:
+            error = PreconditionError(f"no window size reaches 2*(memory+1) = {2 * (memory + 1)}")
+        elif first - 2 * margin < 1:
+            error = WindowTooSmallError(f"window {first} leaves no interior at margin {margin}")
+        else:
+            try:
+                patterns = row_patterns(s)
+            except ExponentOverflowError as exc:
+                error = exc
     for blocks in sizes:
         basis = None
-        if s is not None and error is None and blocks >= 2 * (memory + 1):
-            if blocks - 2 * margin < 1:
-                error = WindowTooSmallError(
-                    f"window {blocks} leaves no interior at margin {margin}"
-                )
-            else:
-                try:
-                    if patterns is None:
-                        patterns = row_patterns(s)
-                    basis = stabilizer_window_basis(patterns, s.n, blocks)
-                except ExponentOverflowError as exc:
-                    error = exc
+        if patterns is not None and blocks >= 2 * (memory + 1):
+            basis = stabilizer_window_basis(patterns, s.n, blocks)
         generators = 0 if basis is None else s.r
         best, spans = _window_pass(c, blocks, margin, basis, generators)
         maxima.append(best)

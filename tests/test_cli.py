@@ -496,7 +496,12 @@ class TestGoldenTranscripts:
     repeat is reported.  bad_term.stab has spaces inside terms and then a
     bad term in its second row.  bad_f4_term.stab is the worked example's
     GF(4) form with an empty last term in its first entry, which every
-    command reports as a bad GF(4) term."""
+    command reports as a bad GF(4) term.  verify returns two errors beside
+    its table: at window 3 no window of the worked example reaches
+    2*(memory+1), and under --max-span 8 the row of wide_row.stab spans 9,
+    though each of its entries is a monomial that parses, so the rows fail
+    when they are packed for the round trip of two_streams.enc (n=2, no
+    templates)."""
 
     @pytest.mark.parametrize(
         "argv, golden, exit_code",
@@ -520,6 +525,9 @@ class TestGoldenTranscripts:
             (["info", "bad_f4_term.stab"], "bad_f4_term.txt", 2),
             (["synth", "bad_f4_term.stab"], "bad_f4_term.txt", 2),
             (["verify", "bad_f4_term.stab", "rate_third.enc"], "bad_f4_term.txt", 2),
+            (["verify", "--windows", "3", "rate_third.stab", "rate_third.enc"], "verify_no_round_trip.txt", 3),
+            (["--max-span", "8", "verify", "--windows", "1,2", "wide_row.stab", "two_streams.enc"],
+             "wide_row_verify.txt", 4),
         ],
     )
     def test_transcript(self, argv, golden, exit_code):

@@ -455,6 +455,6 @@ def test_golden_gamma_bodies_are_the_smith_invariants_of_the_code():
         if bodies is not None:
             accepted += 1
             assert bodies == _smith_bodies(s), path.name
-    # rate_third, proper, ladder8, deep0111, low_span, primitive13 and
-    # span_fallback synthesize at the default limit
+    # rate_third, proper, ladder8, deep0111, low_span, primitive13,
+    # span_fallback and wide_row synthesize at the default limit
     assert accepted >= 7

@@ -417,6 +417,7 @@ class TestWindowBasis:
         assert verify_windows(Circuit(2), [12], s)[2] is None
         with span_limit(3):
             warm, cold = verify_windows(Circuit(2), [12], s)[2], verify_windows(Circuit(2), [12], t)[2]
+            assert verify_windows(Circuit(2), [12], t)[1] == []
             for stab in (s, t):
                 with pytest.raises(ExponentOverflowError, match="^polynomial span 5 exceeds limit 3$"):
                     placement_bits(stab, 12, 0, 0)
@@ -634,7 +635,8 @@ class TestWindowRules:
     """`verify_windows` states every window rule of `verify`: windows below
     memory + 1 are skipped, a PreconditionError is raised before the seed
     walk when none is left, and one is returned after the table when no
-    window reaches 2(memory+1)."""
+    window reaches 2(memory+1).  The round trip's rules read no window, so
+    they are decided once, before the first window runs."""
 
     def test_windows_below_memory_plus_one_are_skipped(self):
         c = synthesize(rate_third_code()).encoder
@@ -660,6 +662,50 @@ class TestWindowRules:
         assert checks == []
         assert type(error) is PreconditionError
         assert str(error) == f"no window size reaches 2*(memory+1) = {2 * (m + 1)}"
+
+    @staticmethod
+    def _recording(monkeypatch) -> list[str]:
+        calls = []
+        patterns, window_pass = verify.row_patterns, verify._window_pass
+
+        def rows(s):
+            calls.append("rows")
+            return patterns(s)
+
+        def window(*args):
+            calls.append("window")
+            return window_pass(*args)
+
+        monkeypatch.setattr(verify, "row_patterns", rows)
+        monkeypatch.setattr(verify, "_window_pass", window)
+        return calls
+
+    def test_round_trip_rules_are_decided_before_the_first_window(self, monkeypatch):
+        # the worked example's encoder (memory 2, round-trip margin 3): the
+        # rows are packed before window m+1, which the round trip skips
+        s = rate_third_code()
+        c = synthesize(s).encoder
+        m = c.memory
+        assert m == 2
+        calls = self._recording(monkeypatch)
+        report, checks, error = verify_windows(c, [m + 1, 4 * (m + 1)], s)
+        assert calls == ["rows", "window", "window"]
+        assert error is None and [(chk.blocks, chk.margin) for chk in checks] == [(12, 3)]
+        assert report == propagation_report(c, [m + 1, 4 * (m + 1)])
+
+    def test_no_interior_is_returned_before_the_first_window(self, monkeypatch):
+        # memory 1 but image reach 6: window 4 is the first to reach
+        # 2(memory+1) and leaves no interior, so window 13, which would have
+        # one, gets no check either, and the rows are never packed
+        s = stab(2, [(["0", "0"], ["1", "0"])])
+        c = Circuit(2, (GateTemplate(CNOT, 1, 2, 1), GateTemplate(CNOT, 2, 1, 1)) * 3)
+        calls = self._recording(monkeypatch)
+        report, checks, error = verify_windows(c, [2, 4, 13], s)
+        assert calls == ["window"] * 3
+        assert report.max_supports == (0, 4, 9)
+        assert checks == []
+        assert type(error) is WindowTooSmallError
+        assert str(error) == "window 4 leaves no interior at margin 6"
 
     @pytest.mark.parametrize("entry", ["verify_windows", "verify_encoder", "cli"])
     def test_dimension_mismatch_raises_before_the_seed_walk(self, monkeypatch, tmp_path, entry):

@@ -62,7 +62,7 @@ def _windows(text: str) -> list[int]:
 
 def cmd_synth(args: argparse.Namespace, out) -> int:
     s = parse_stabilizer(_read(args.input))
-    result = synthesize(s, record_checkpoints=args.checkpoints)
+    result = synthesize(s)
     circuit_text = format_circuit(result.encoder)
     if args.out:
         _write(args.out, circuit_text)
@@ -70,7 +70,7 @@ def cmd_synth(args: argparse.Namespace, out) -> int:
         out.write(circuit_text)
         out.write("\n")
     if args.checkpoints:
-        out.write(format_checkpoints(result))
+        out.write(format_checkpoints(s, result))
         out.write("\n")
     out.write(build_report(s, result))
     return EXIT_OK

@@ -350,7 +350,8 @@ def format_stabilizer(s: StabilizerMatrix) -> str:
 
 
 def format_sides(s: StabilizerMatrix) -> str:
-    """Readable (X | Z) block display used by reports and checkpoints."""
+    """Readable (X | Z) block display; `--checkpoints` prints one per mark
+    (`synthesis.format_checkpoints`)."""
     cells = []
     for i in range(s.r):
         cells.append([str(e) for e in s.x[i]] + ["|"] + [str(e) for e in s.z[i]])

@@ -21,6 +21,9 @@ The reduction phases, one `_Driver` method each, run by `_Driver.reduce`:
      symmetric (a constant plus D^-l + D^l pairs); P removes the constant,
      PL each pair.
   6. `step6`: Hadamard each diagonal qubit to leave Z-only generators.
+
+Checkpoints are marks in the transcript; `checkpoint_matrices` rebuilds their
+matrices on demand, so a reduction freezes only its normal form.
 """
 
 from __future__ import annotations
@@ -105,12 +108,16 @@ class GammaClass(NamedTuple):
 
 
 class SynthesisResult(NamedTuple):
+    """`checkpoints`: a mark (label, templates, row operations) after each
+    step and Smith run that emitted something, counting `forward.templates`
+    and `row_ops` so far; the last mark counts both whole."""
+
     forward: Circuit
     encoder: Circuit
     gamma: tuple[LaurentPoly, ...]
     classes: tuple[GammaClass, ...]
     normal_form: StabilizerMatrix
-    checkpoints: tuple[tuple[str, StabilizerMatrix], ...]
+    checkpoints: tuple[tuple[str, int, int], ...]
     row_ops: tuple[RowOp, ...]
     step2_log: tuple[tuple[int, int], ...]  # (rank, degree measure) per pass
     step2_budget: int
@@ -122,29 +129,23 @@ class _Driver:
     logging row operations.  `reduce` runs the reduction steps, one method
     each; `gamma`, `step2_log` and `budget` carry its loop state."""
 
-    def __init__(self, s: StabilizerMatrix, record_checkpoints: bool):
+    def __init__(self, s: StabilizerMatrix):
         self.n, self.r = s.n, s.r
         self.x, self.z = thaw(s.x), thaw(s.z)
         self.gates: list[GateTemplate] = []
         self.row_ops: list[RowOp] = []
-        self.checkpoints: list[tuple[str, StabilizerMatrix]] = []
-        self.record = record_checkpoints
+        self.checkpoints: list[tuple[str, int, int]] = []
         self.phase = "step1"
         self._run_type: Optional[str] = None
-        self._dirty = False
         # the last Smith pass's divisors, (rank, degree measure) per pass,
         # and how many passes steps 2 and 5 may start
         self.gamma: list[LaurentPoly] = []
         self.step2_log: list[tuple[int, int]] = []
         self.budget = 0
 
-    def matrix(self) -> StabilizerMatrix:
-        return StabilizerMatrix.from_rows(self.n, self.x, self.z)
-
     def gate(self, g: GateTemplate) -> None:
         act(self.x, self.z, g)
         self.gates.append(g)
-        self._dirty = True
 
     def run(self, kind: str, i: int, j: int, f: LaurentPoly) -> None:
         """The CNOT or CSIGN templates kind(i+1, j+1, l), one per exponent l
@@ -164,7 +165,6 @@ class _Driver:
             for row, col, value in new:
                 row[col] = value
         self.gates.extend(run)
-        self._dirty = True
 
     def _fused(
         self, kind: str, i: int, j: int, f: LaurentPoly
@@ -195,7 +195,6 @@ class _Driver:
     def row(self, op: RowOp) -> None:
         _row_op(self.x, self.z, op)
         self.row_ops.append(op)
-        self._dirty = True
 
     def phase_gates(self, i: int, decomposition: tuple[bool, tuple[int, ...]]) -> None:
         """P and PL on row i's stream for a `symmetric_decompose` result."""
@@ -206,9 +205,11 @@ class _Driver:
             self.gate(_template(PL, i + 1, 0, ell))
 
     def checkpoint(self, label: str) -> None:
-        if self.record and self._dirty:
-            self.checkpoints.append((label, self.matrix()))
-        self._dirty = False
+        """Mark the transcript, unless neither count moved since the last
+        mark: every `gate`, `run` and `row` call appends to one."""
+        mark = (label, len(self.gates), len(self.row_ops))
+        if mark[1:] != (self.checkpoints[-1][1:] if self.checkpoints else (0, 0)):
+            self.checkpoints.append(mark)
 
     # -- smith streaming -----------------------------------------------------
 
@@ -361,7 +362,7 @@ class _Driver:
         for i in range(r):
             self.gate(_template(H, i + 1))
         self.checkpoint("step6 hadamard")
-        normal_form = self.matrix()
+        normal_form = StabilizerMatrix.from_rows(n, self.x, self.z)
         for i in range(r):
             for c in range(n):
                 if not normal_form.x[i][c].is_zero():
@@ -413,8 +414,9 @@ def _symmetric_quotient(z: LaurentPoly, gamma: LaurentPoly) -> LaurentPoly:
     return f
 
 
-def synthesize(s: StabilizerMatrix, record_checkpoints: bool = True) -> SynthesisResult:
-    """Transform S(D) into (0 0 | Gamma 0), recording the full transcript.
+def synthesize(s: StabilizerMatrix) -> SynthesisResult:
+    """Transform S(D) into (0 0 | Gamma 0), recording the full transcript
+    and its checkpoint marks.
 
     Preconditions: r < n, the commutation condition holds, and the matrix has
     full rank over the rational function field; `validate_code` raises
@@ -438,7 +440,7 @@ def synthesize(s: StabilizerMatrix, record_checkpoints: bool = True) -> Synthesi
     if s.r >= s.n:
         validate_code(s)
     try:
-        return _Driver(s, record_checkpoints).reduce()
+        return _Driver(s).reduce()
     except Exception as exc:
         # any failure on input not yet validated defers to validation
         failure = exc
@@ -534,8 +536,26 @@ def build_report(s: StabilizerMatrix, result: SynthesisResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def format_checkpoints(result: SynthesisResult) -> str:
-    blocks = []
-    for label, snap in result.checkpoints:
-        blocks.append(f"-- {label} --\n{format_sides(snap)}")
+def checkpoint_matrices(
+    s: StabilizerMatrix, result: SynthesisResult
+) -> list[tuple[str, StabilizerMatrix]]:
+    """The matrix at each mark of `result.checkpoints`, rebuilt from `s`
+    through `act` and `_row_op`.  Each stretch between marks holds one kind
+    of operation, so this is the driver's own order.  Under the limit that
+    `synthesize` ran under it cannot overflow where the driver did not: a
+    fused run fits only if every partial sum that `act` builds fits."""
+    x, z = thaw(s.x), thaw(s.z)
+    out, done_gates, done_rows = [], 0, 0
+    for label, n_gates, n_rows in result.checkpoints:
+        for g in result.forward.templates[done_gates:n_gates]:
+            act(x, z, g)
+        for op in result.row_ops[done_rows:n_rows]:
+            _row_op(x, z, op)
+        out.append((label, StabilizerMatrix.from_rows(s.n, x, z)))
+        done_gates, done_rows = n_gates, n_rows
+    return out
+
+
+def format_checkpoints(s: StabilizerMatrix, result: SynthesisResult) -> str:
+    blocks = [f"-- {label} --\n{format_sides(m)}" for label, m in checkpoint_matrices(s, result)]
     return "\n".join(blocks) + ("\n" if blocks else "")

@@ -27,7 +27,7 @@ from qconvenc.matrix import freeze
 from qconvenc.poly import LaurentPoly, laurent_divides
 from qconvenc.smith import smith
 from qconvenc.stabilizer import check_symplectic, params
-from qconvenc.synthesis import build_report, synthesize
+from qconvenc.synthesis import build_report, checkpoint_matrices, synthesize
 from qconvenc.verify import propagation_report, verify_encoder
 from test_smith import minor_gcd_bodies, random_poly_matrix
 from test_synthesis import reduction_displays, expected_normal_form
@@ -59,7 +59,7 @@ def random_code_suite():
 
 def test_criterion_1_worked_example_golden_replay(worked_example):
     s, result = worked_example
-    snaps = [snap for _, snap in result.checkpoints]
+    snaps = [snap for _, snap in checkpoint_matrices(s, result)]
     expected = reduction_displays()
     idx = 0
     for snap in snaps:

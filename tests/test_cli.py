@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from goldens import DATA, ROWS, data_paths
 from helpers import RATE_THIRD_F4, bounded, mutations
 from qconvenc import verify
 from qconvenc.cli import main
@@ -32,8 +33,6 @@ RATE_ZERO = """\
 n=1 r=1
 row: 0 | 1+D
 """
-
-DATA = Path(__file__).parent / "data"
 
 
 def run(argv):
@@ -466,73 +465,12 @@ class TestReductionGap:
 
 
 class TestGoldenTranscripts:
-    """Output byte for byte as committed in tests/data.  rate_third is the
-    worked example, and rate_third_cut.enc its encoder without the last
-    template.  proper is a Z-only code with divisors of period 4 and 24,
-    whose synthesis takes step-2 Hadamard swaps, the step-5 symmetric
-    reduction, PL gates and CNOT/CSIGN runs; proper.enc is its encoder.
-    ladder8 is a gate-built n=8 code whose synthesis applies multi-term
-    CNOT and CSIGN runs as single polynomial updates and reuses Smith
-    pivots; ladder8.enc is its encoder (76 templates, memory 10), verified
-    at windows 11, 22 and 44 with a round-trip margin of 10, so the table's
-    first row has no interior and the round trip checks all six
-    generators on two windows.  span_fallback, under --max-span 12, has a CSIGN run whose
-    update would span past the limit: the run replays template by template
-    and stops with the span of the first template to overflow (13; the
-    fused product would report 14).  primitive13 has one primitive divisor of
-    degree 13: its period of 8191 is found without walking it, and its
-    ignored periodic states are printed as a head of 128 digits.  deep0111
-    is an n=6 ladder code (the 112th draw of `bench/corpus.ladder_code` on
-    the second rung from `random.Random(2101)`) whose fourth row spans
-    nine blocks, D^-3 .. D^5: on the 6-block window
-    the round-trip basis holds placements truncated at both edges at once.
-    noncommuting is the worked example with one term added, which breaks
-    commutation, and rank_deficient has one row a multiple of the other:
-    synth reduces each first, and validation reports the failure.
-    low_span (memory 7), under --max-span 8, synthesizes with its
-    default-limit transcript: the reduction fits the limit, where
-    validation's commutation products would span 10.  duplicate_field.enc
-    has a line with a bad integer and, after it, a repeated field: the
-    repeat is reported.  bad_term.stab has spaces inside terms and then a
-    bad term in its second row.  bad_f4_term.stab is the worked example's
-    GF(4) form with an empty last term in its first entry, which every
-    command reports as a bad GF(4) term.  verify returns two errors beside
-    its table: at window 3 no window of the worked example reaches
-    2*(memory+1), and under --max-span 8 the row of wide_row.stab spans 9,
-    though each of its entries is a monomial that parses, so the rows fail
-    when they are packed for the round trip of two_streams.enc (n=2, no
-    templates)."""
+    """Output byte for byte as committed in tests/data, for each row of
+    `goldens.ROWS` (its docstring says what each golden shows)."""
 
-    @pytest.mark.parametrize(
-        "argv, golden, exit_code",
-        [
-            (["synth", "rate_third.stab"], "synth.txt", 0),
-            (["synth", "--checkpoints", "rate_third.stab"], "synth_checkpoints.txt", 0),
-            (["verify", "--windows", "5,10,20", "rate_third.stab", "rate_third.enc"], "verify.txt", 0),
-            (["verify", "--windows", "5,10,20", "rate_third.stab", "rate_third_cut.enc"], "verify_cut.txt", 5),
-            (["synth", "--checkpoints", "proper.stab"], "proper_synth_checkpoints.txt", 0),
-            (["verify", "--windows", "7,14,28", "proper.stab", "proper.enc"], "proper_verify.txt", 0),
-            (["synth", "--checkpoints", "ladder8.stab"], "ladder8_synth_checkpoints.txt", 0),
-            (["--max-span", "12", "synth", "span_fallback.stab"], "span_fallback_synth.txt", 4),
-            (["synth", "primitive13.stab"], "primitive13_synth.txt", 0),
-            (["verify", "--windows", "11,22,44", "ladder8.stab", "ladder8.enc"], "ladder8_verify.txt", 0),
-            (["verify", "--windows", "3,6,12", "deep0111.stab", "deep0111.enc"], "deep0111_verify.txt", 0),
-            (["synth", "noncommuting.stab"], "noncommuting_synth.txt", 3),
-            (["synth", "rank_deficient.stab"], "rank_deficient_synth.txt", 3),
-            (["verify", "rate_third.stab", "duplicate_field.enc"], "duplicate_field_verify.txt", 2),
-            (["verify", "bad_term.stab", "rate_third.enc"], "bad_term_verify.txt", 2),
-            (["--max-span", "8", "synth", "low_span.stab"], "low_span_synth.txt", 0),
-            (["info", "bad_f4_term.stab"], "bad_f4_term.txt", 2),
-            (["synth", "bad_f4_term.stab"], "bad_f4_term.txt", 2),
-            (["verify", "bad_f4_term.stab", "rate_third.enc"], "bad_f4_term.txt", 2),
-            (["verify", "--windows", "3", "rate_third.stab", "rate_third.enc"], "verify_no_round_trip.txt", 3),
-            (["--max-span", "8", "verify", "--windows", "1,2", "wide_row.stab", "two_streams.enc"],
-             "wide_row_verify.txt", 4),
-        ],
-    )
+    @pytest.mark.parametrize("argv, golden, exit_code", ROWS)
     def test_transcript(self, argv, golden, exit_code):
-        argv = [str(DATA / a) if a.endswith((".stab", ".enc")) else a for a in argv]
-        code, text = run(argv)
+        code, text = run(data_paths(argv))
         assert code == exit_code
         assert text.encode("utf-8") == (DATA / golden).read_bytes()
 

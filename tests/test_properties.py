@@ -291,7 +291,7 @@ def template_runs(draw):
 
 def _fused_and_replayed(s, kind, i, j, f):
     """Each path's outcome: its rows and templates, or its exception."""
-    drv = _Driver(s, record_checkpoints=False)
+    drv = _Driver(s)
     x, z = thaw(s.x), thaw(s.z)
     run = [GateTemplate(kind, i + 1, j + 1, e) for e in f.exponents()]
     outcomes = []
@@ -413,7 +413,7 @@ def test_packed_seeds_at_the_interior_edges(n, blocks, memory):
 def _gamma_bodies(s: StabilizerMatrix):
     """The bodies of `synthesize(s).gamma`, or None when it rejects s."""
     try:
-        result = synthesize(s, record_checkpoints=False)
+        result = synthesize(s)
     except (NonClearableError, PreconditionError):
         return None
     return [g.bits for g in result.gamma]

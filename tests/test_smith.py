@@ -286,7 +286,7 @@ class TestPivotReuse:
         with patch.object(smith_module, "_Reducer", _CheckedReducer):
             for s in codes:
                 try:
-                    synthesize(s, record_checkpoints=False)
+                    synthesize(s)
                 except (NonClearableError, LoopLimitError):
                     pass
 

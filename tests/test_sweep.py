@@ -67,6 +67,6 @@ def test_the_sweep_covers_every_distinct_code():
 @pytest.mark.parametrize("depth", range(1, DEPTH + 1))
 def test_every_code_synthesizes_replays_and_keeps_its_invariants(depth):
     for s in LEVELS[depth - 1]:
-        result = synthesize(s, record_checkpoints=False)
+        result = synthesize(s)
         assert replay(s, result) == result.normal_form, s
         assert [g.bits for g in result.gamma] == _smith_bodies(s), s

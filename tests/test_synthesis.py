@@ -54,6 +54,7 @@ from qconvenc.synthesis import (
     _Driver,
     _series_head,
     build_report,
+    checkpoint_matrices,
     classify,
     replay,
     synthesize,
@@ -86,8 +87,9 @@ def expected_normal_form():
 
 class TestWorkedExample:
     def test_intermediate_matrices_replayed_exactly(self):
-        result = synthesize(rate_third_code())
-        snaps = [snap for _, snap in result.checkpoints]
+        s = rate_third_code()
+        result = synthesize(s)
+        snaps = [snap for _, snap in checkpoint_matrices(s, result)]
         expected = reduction_displays()
         idx = 0
         for snap in snaps:
@@ -146,6 +148,70 @@ class TestWorkedExample:
         assert "constrained to |0>" in report
 
 
+# the golden stabilizers that synthesize under the default span limit
+SYNTHESIZING_GOLDENS = (
+    "deep0111", "ladder8", "low_span", "primitive13", "proper", "rate_third", "span_fallback", "wide_row",
+)
+
+
+class TestCheckpointMarks:
+    def test_reduction_freezes_only_the_normal_form(self, monkeypatch):
+        """Checkpoints are marks, so the worked example's reduction builds
+        one frozen matrix; with a snapshot at each of its seven checkpoints
+        it built eight."""
+        s = rate_third_code()
+        calls = []
+        from_rows = StabilizerMatrix.from_rows
+
+        def counted(cls, *args):
+            calls.append(args)
+            return from_rows(*args)
+
+        monkeypatch.setattr(StabilizerMatrix, "from_rows", classmethod(counted))
+        result = synthesize(s)
+        assert len(calls) == 1
+        assert result.normal_form == expected_normal_form()
+
+    def test_marks_cut_the_transcript_into_one_kind_stretches(self):
+        """Between consecutive marks exactly one of the template and row
+        operation counts grows, the last mark counts the whole transcript,
+        and the replay at the last mark is the normal form."""
+        codes = [
+            parse_stabilizer((DATA / f"{name}.stab").read_text(encoding="utf-8"))
+            for name in SYNTHESIZING_GOLDENS
+        ]
+        rng = random.Random(3001)
+        codes += [random_valid_code(rng, max_n=6, max_r=4, max_gates=20) for _ in range(20)]
+        codes += [random_proper_code(rng) for _ in range(10)]
+        for s in codes:
+            result = synthesize(s)
+            counts = [(0, 0)] + [mark[1:] for mark in result.checkpoints]
+            for (g0, r0), (g1, r1) in zip(counts, counts[1:]):
+                assert g1 >= g0 and r1 >= r0
+                assert (g1 > g0) != (r1 > r0), result.checkpoints
+            assert counts[-1] == (len(result.forward.templates), len(result.row_ops))
+            assert checkpoint_matrices(s, result)[-1][1] == result.normal_form
+
+    @pytest.mark.parametrize("limit", [4, 6, 8, 12])
+    def test_rebuild_fits_the_limit_the_reduction_fit(self, limit):
+        """Under a low span limit some reductions overflow; every one that
+        completes is rebuilt template by template under the same limit
+        without overflow, where the reduction fused each run that fit."""
+        rng = random.Random(3002)
+        codes = [random_valid_code(rng, max_n=6, max_r=4, max_gates=20, max_off=3) for _ in range(40)]
+        codes += [parse_stabilizer((DATA / "span_fallback.stab").read_text(encoding="utf-8"))]
+        completed = 0
+        with span_limit(limit):
+            for s in codes:
+                try:
+                    result = synthesize(s)
+                except ExponentOverflowError:
+                    continue
+                assert checkpoint_matrices(s, result)[-1][1] == result.normal_form
+                completed += 1
+        assert 0 < completed < len(codes)
+
+
 class TestTrivialShapes:
     def test_z_only_identity_needs_only_hadamard_pairs(self):
         s = z_only_identity_code(3, 2)
@@ -168,14 +234,6 @@ class TestTrivialShapes:
         cls = result.classes[0]
         assert cls.kind == "proper"
         assert cls.period == 1 and cls.series == "1"
-
-    def test_checkpoint_recording_optional(self):
-        s = rate_third_code()
-        quiet = synthesize(s, record_checkpoints=False)
-        loud = synthesize(s)
-        assert quiet.checkpoints == ()
-        assert quiet.forward == loud.forward
-        assert quiet.normal_form == loud.normal_form
 
     def test_step2_swap_path_decreases_measure(self):
         # gamma_1 = 1+D fails to divide the opposite Z column, forcing the
@@ -210,7 +268,7 @@ class TestReductionGuards:
     """The loop guards, raised by the driver's step methods directly."""
 
     def test_a_full_rank_pass_that_keeps_the_measure_is_stuck(self):
-        drv = _Driver(rate_third_code(), False)
+        drv = _Driver(rate_third_code())
         drv.smith_x()
         with pytest.raises(LoopLimitError, match="reduction is stuck"):
             drv.smith_x()
@@ -218,14 +276,14 @@ class TestReductionGuards:
     def test_a_swap_past_the_budget_raises(self):
         # proper's first step 2 swaps its residual Z columns
         s = parse_stabilizer((DATA / "proper.stab").read_text(encoding="utf-8"))
-        drv = _Driver(s, False)
+        drv = _Driver(s)
         drv.smith_x()
         drv.budget = 0
         with pytest.raises(LoopLimitError, match="exceeded its budget of 0"):
             drv.step2()
 
     def test_an_all_zero_row_collapses_the_rank(self):
-        drv = _Driver(stab(2, [(["1", "0"], ["0", "0"]), (["0", "0"], ["0", "0"])]), False)
+        drv = _Driver(stab(2, [(["1", "0"], ["0", "0"]), (["0", "0"], ["0", "0"])]))
         drv.smith_x()
         with pytest.raises(PreconditionError, match="rank collapsed during reduction"):
             drv.step2()
@@ -234,7 +292,7 @@ class TestReductionGuards:
 def _validated_first(s: StabilizerMatrix) -> SynthesisResult:
     """synthesize with every code validated before it is reduced."""
     validate_code(s)
-    return _Driver(s, True).reduce()
+    return _Driver(s).reduce()
 
 
 def _outcome(synth, s: StabilizerMatrix):
@@ -360,7 +418,7 @@ class TestRandomizedRuns:
             # replaying the transcript reproduces the normal form bit-exactly
             assert replay(s, result) == result.normal_form
             # every recorded checkpoint still commutes
-            for _, snap in result.checkpoints:
+            for _, snap in checkpoint_matrices(s, result):
                 assert check_symplectic(snap)
             # normal form shape (0 | Gamma 0)
             nf = result.normal_form

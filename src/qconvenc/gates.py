@@ -117,10 +117,6 @@ class GateTemplate(Record):
     def reach(self) -> int:
         return abs(self.ell)
 
-    @property
-    def qubits(self) -> tuple[int, ...]:
-        return (self.i, self.j) if self.kind in _TWO_QUBIT else (self.i,)
-
     def __str__(self) -> str:
         return _FORMATS[self.kind].format(self.i, self.j, self.ell)
 
@@ -138,7 +134,8 @@ class Circuit(Record):
             raise ValueError(f"need at least one qubit stream, got n={n}")
         memory = 0
         for g in templates:
-            # j is 0 on single-qubit kinds, so this is max(g.qubits) > n
+            # the fit rule: j is 0 on single-qubit kinds, so this checks
+            # every stream the template acts on
             if g.i > n or g.j > n:
                 raise ValueError(f"template {g} exceeds n={n}")
             if abs(g.ell) > memory:
@@ -182,9 +179,9 @@ def reverse(c: Circuit) -> Circuit:
 def act(x: list[list[LaurentPoly]], z: list[list[LaurentPoly]], g: GateTemplate) -> None:
     """Apply one template in place to mutable (X | Z) rows."""
     n = len(x[0])
-    for q in g.qubits:
-        if not 1 <= q <= n:
-            raise IndexError(f"qubit index {q} outside 1..{n}")
+    # the fit rule of `Circuit`
+    if g.i > n or g.j > n:
+        raise IndexError(f"qubit index {g.i if g.i > n else g.j} outside 1..{n}")
     sides = (x, z)
     cols = (g.i - 1, g.j - 1)
     for dst_side, dst, src_side, src, sign in COLUMN_ACTIONS[g.kind]:

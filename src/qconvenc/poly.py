@@ -294,13 +294,7 @@ class LaurentPoly:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        if self.bits == 0:
-            return other
-        if other.bits == 0:
-            return self
-        if self.offset <= other.offset:
-            return _sum(self.offset, self.bits, other.offset, other.bits, max_span())
-        return _sum(other.offset, other.bits, self.offset, self.bits, max_span())
+        return add_shifted(self, other, 0)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         if self.bits == 0 or other.bits == 0:
@@ -360,9 +354,12 @@ def _make(offset: int, bits: int) -> LaurentPoly:
 
 
 def _sum(lo: int, low: int, hi: int, high: int, limit: int) -> LaurentPoly:
-    """D^lo * low + D^hi * high for nonzero bodies and lo <= hi, normalized
-    and checked against `limit`, the span limit its caller read once: the
-    one sum that `LaurentPoly.__add__` and the fused updates build."""
+    """D^lo * low + D^hi * high for nonzero bodies, in either order,
+    normalized and checked against `limit`, the span limit its caller read
+    once: the one sum that `LaurentPoly.__add__` and the fused updates
+    build."""
+    if hi < lo:
+        lo, low, hi, high = hi, high, lo, low
     gap = hi - lo
     if gap > limit:
         # unless the tops meet too, no end cancels and the nominal span,
@@ -395,9 +392,7 @@ def add_shifted(d: LaurentPoly, e: LaurentPoly, k: int) -> LaurentPoly:
     offset = e.offset + k
     if d.bits == 0:
         return _make(offset, e.bits) if k else e
-    if d.offset <= offset:
-        return _sum(d.offset, d.bits, offset, e.bits, limit)
-    return _sum(offset, e.bits, d.offset, d.bits, limit)
+    return _sum(d.offset, d.bits, offset, e.bits, limit)
 
 
 def add_product(d: LaurentPoly, g: LaurentPoly, e: LaurentPoly) -> LaurentPoly:
@@ -412,9 +407,7 @@ def add_product(d: LaurentPoly, g: LaurentPoly, e: LaurentPoly) -> LaurentPoly:
     offset, bits = g.offset + e.offset, _mul_bits(g.bits, e.bits)
     if d.bits == 0:
         return _make(offset, bits)
-    if d.offset <= offset:
-        return _sum(d.offset, d.bits, offset, bits, limit)
-    return _sum(offset, bits, d.offset, d.bits, limit)
+    return _sum(d.offset, d.bits, offset, bits, limit)
 
 
 L_ZERO = _make(0, 0)

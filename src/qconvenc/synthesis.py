@@ -48,7 +48,7 @@ from .gates import (
     reverse,
     swap_templates,
 )
-from .matrix import thaw, unchecked
+from .matrix import thaw
 from .poly import (
     LaurentPoly,
     _exponents,
@@ -370,9 +370,7 @@ class _Driver:
                 want = gamma[i] if c == i else LaurentPoly.zero()
                 if normal_form.z[i][c] != want:
                     raise AssertionError("normal form Z part is not diag(gamma)")
-        templates = tuple(self.gates)
-        memory = max([abs(g.ell) for g in templates], default=0)
-        forward = unchecked(Circuit, {"n": n, "templates": templates, "memory": memory})
+        forward = Circuit(n, self.gates)
         return SynthesisResult(
             forward=forward,
             encoder=reverse(forward),

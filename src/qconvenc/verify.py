@@ -9,7 +9,6 @@ starts at block 0).
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import repeat
 from typing import Iterator, NamedTuple, Optional, Sequence
 
@@ -62,10 +61,13 @@ def _batch_lanes(lane_bytes: int) -> int:
     return max(1, _BATCH_BITS // (8 * lane_bytes))
 
 
-def _conjugate_lanes(c: Circuit, blocks: int, lanes: int, x: int, z: int) -> tuple[int, int]:
-    """Conjugate one packed batch of window seeds: `lanes` lanes of
-    `_lane_bytes` each, lane j at bit 8*lane_bytes*j of one X int and one Z
-    int.  Returns the images packed the same way.
+def _conjugate_lanes(
+    c: Circuit, masks: tuple[tuple[int, ...], int], x: int, z: int
+) -> tuple[int, int]:
+    """Conjugate one packed batch of window seeds: lanes of `_lane_bytes`
+    each, lane j at bit 8*lane_bytes*j of one X int and one Z int, under the
+    window's `_lane_masks` over at least as many lanes.  Returns the images
+    packed the same way.
 
     Each column update of a template moves all its in-window instances in
     every lane at once: the source column's bits are masked out of one
@@ -78,7 +80,7 @@ def _conjugate_lanes(c: Circuit, blocks: int, lanes: int, x: int, z: int) -> tup
     order is immaterial.  The map is GF(2)-linear, boundary included.
     """
     n = c.n
-    columns, windows = _lane_masks(n, blocks, _lane_bytes(c, blocks), lanes)
+    columns, windows = masks
     sides = [x, z]
     for g in c.templates:
         # columns are 0-based; a shift of k blocks moves a bit k*n places
@@ -90,12 +92,11 @@ def _conjugate_lanes(c: Circuit, blocks: int, lanes: int, x: int, z: int) -> tup
     return sides[0] & windows, sides[1] & windows
 
 
-@lru_cache(maxsize=1)
 def _lane_masks(n: int, blocks: int, lane_bytes: int, lanes: int) -> tuple[tuple[int, ...], int]:
-    """Column masks and the window mask over `lanes` lanes; kept for the
-    next batch of the same width, at most n + 1 batch widths of bits.  This
-    one entry is all that `verify` keeps between calls, worth about a tenth
-    of each window that the cap splits."""
+    """Column masks and the window mask over `lanes` lanes, n + 1 batch
+    widths of bits.  A batch of fewer lanes runs under them too: it holds
+    no bit past its last lane's guard, so the masks of the lanes above it
+    read only zeros."""
     window = (1 << n * blocks) - 1
     # column q of every lane is the first column's mask shifted by q
     first_column = int.from_bytes(
@@ -148,7 +149,8 @@ def conjugate(c: Circuit, blocks: int, p: PauliVector) -> PauliVector:
         raise ValueError("Pauli vector does not match the window")
     if blocks < c.memory + 1:
         raise WindowTooSmallError(f"window {blocks} < circuit memory {c.memory} + 1")
-    x, z = _conjugate_lanes(c, blocks, 1, p.bits & ((1 << half) - 1), p.bits >> half)
+    masks = _lane_masks(c.n, blocks, _lane_bytes(c, blocks), 1)
+    x, z = _conjugate_lanes(c, masks, p.bits & ((1 << half) - 1), p.bits >> half)
     return PauliVector(c.n, blocks, x | z << half)
 
 
@@ -386,7 +388,8 @@ def verify_windows(
                 error = exc
     for blocks in sizes:
         basis = None
-        if patterns is not None and blocks >= 2 * (memory + 1):
+        # patterns are packed only once `first` holds an interior
+        if patterns is not None and blocks >= first:
             basis = stabilizer_window_basis(patterns, s.n, blocks)
         generators = 0 if basis is None else s.r
         best, spans = _window_pass(c, blocks, margin, basis, generators)
@@ -423,9 +426,12 @@ def _window_pass(
     half = n * blocks
     start, stop = c.memory * n, (blocks - c.memory) * n
     best, spans = 0, [[] for _ in range(generators)]
+    if start < stop:
+        # the first batch is the widest, and every later one fits its masks
+        masks = _lane_masks(n, blocks, lane_bytes, 2 * min(per_batch, stop - start))
     for first in range(start, stop, per_batch):
         count = min(per_batch, stop - first)
-        x, z = _conjugate_lanes(c, blocks, 2 * count, *_unit_seeds(lane_bytes, first, count))
+        x, z = _conjugate_lanes(c, masks, *_unit_seeds(lane_bytes, first, count))
         best = max(best, _pair_max(x, z, lane_bytes, count))
         # the batch's qubits from a up to b hold placements
         a, b = max(first, margin * n), min(first + count, (blocks - margin) * n)

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from itertools import islice, repeat
 from typing import Iterable, Iterator, Optional, Sequence
 
+from qconvenc import verify
 from qconvenc.errors import ParseError, WindowTooSmallError
 from qconvenc.gates import (
     _FIELDS,
@@ -44,6 +45,7 @@ from qconvenc.verify import (
     _batch_lanes,
     _conjugate_lanes,
     _lane_bytes,
+    _lane_masks,
     _slices,
     conjugate,
 )
@@ -870,12 +872,37 @@ def _lane_images(
     """Conjugate a stream of window seeds, each an (x, z) pair of n*blocks
     bits, yielding each image in order as the same kind of pair: the seeds
     are packed one lane each, a batch at a time, for the lane kernel
-    `verify._conjugate_lanes`."""
+    `verify._conjugate_lanes`, all under the first batch's masks, as
+    `verify._window_pass` runs it."""
     lane_bytes = _lane_bytes(c, blocks)
     seeds = iter(seeds)
+    masks = None
     while batch := list(islice(seeds, _batch_lanes(lane_bytes))):
-        x, z = _conjugate_lanes(c, blocks, len(batch), *_pack(batch, lane_bytes))
+        masks = masks or _lane_masks(c.n, blocks, lane_bytes, len(batch))
+        x, z = _conjugate_lanes(c, masks, *_pack(batch, lane_bytes))
         yield from zip(_lanes(x, len(batch), lane_bytes), _lanes(z, len(batch), lane_bytes))
+
+
+def watch_kernel(monkeypatch, watch) -> None:
+    """Call `watch(c, blocks, lanes, x, z)` before each batch that the lane
+    kernel `verify._conjugate_lanes` conjugates: blocks as the last
+    `verify._lane_masks` call received it, lanes from the seeds' bit
+    count (the top lane of a batch holds a seed)."""
+    windows = []
+    lane_masks, kernel = verify._lane_masks, verify._conjugate_lanes
+
+    def masking(n, blocks, lane_bytes, lanes):
+        windows.append(blocks)
+        return lane_masks(n, blocks, lane_bytes, lanes)
+
+    def recording(c, masks, x, z):
+        blocks = windows[-1]
+        lane_bits = 8 * _lane_bytes(c, blocks)
+        watch(c, blocks, -(-max(x.bit_length(), z.bit_length()) // lane_bits), x, z)
+        return kernel(c, masks, x, z)
+
+    monkeypatch.setattr(verify, "_lane_masks", masking)
+    monkeypatch.setattr(verify, "_conjugate_lanes", recording)
 
 
 # -- window conjugation oracle ------------------------------------------------

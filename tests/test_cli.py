@@ -9,12 +9,14 @@ from pathlib import Path
 import pytest
 
 from goldens import DATA, ROWS, data_paths
-from helpers import RATE_THIRD_F4, bounded, mutations
+from helpers import RATE_THIRD_F4, bounded, mutations, watch_kernel
 from qconvenc import verify
 from qconvenc.cli import main
 from qconvenc.errors import WindowTooSmallError
 from qconvenc.gates import parse_circuit
 from qconvenc.poly import max_span
+from qconvenc.stabilizer import parse_stabilizer
+from qconvenc.synthesis import replay, synthesize
 
 RATE_THIRD = """\
 # rate 1/3 example
@@ -245,13 +247,11 @@ class TestVerify:
     def test_windows_are_only_the_given_sizes(self, tmp_path, monkeypatch):
         # the verdict reads polynomial images: verify builds no window of its own
         seen = []
-        kernel = verify._conjugate_lanes
 
         def recording(c, blocks, lanes, x, z):
             seen.append(blocks)
-            return kernel(c, blocks, lanes, x, z)
 
-        monkeypatch.setattr(verify, "_conjugate_lanes", recording)
+        watch_kernel(monkeypatch, recording)
         stab_path = str(DATA / "rate_third.stab")
         assert run(["verify", "--windows", "5,10,20", stab_path, str(DATA / "rate_third.enc")])[0] == 0
         circ_path = write(tmp_path, "c.circ", "n=3\n" + "CNOT c=1 t=2 off=7\n" * 40)
@@ -462,6 +462,43 @@ class TestReductionGap:
     @pytest.mark.parametrize("name", WITNESSES)
     def test_synth_reduces_the_code(self, name):
         assert run(["synth", str(DATA / name)])[0] == 0
+
+
+class TestVerifyWitnesses:
+    """Codes whose encoders `synth` writes correctly and `verify` mishandles
+    (ROADMAP item 4; each file's header says how it was derived): a false
+    failure at the default windows, and an uncaught WindowTooSmallError
+    when the first window of at least 2(memory+1) blocks holds no shift at
+    the round trip's margin."""
+
+    @pytest.mark.parametrize(
+        "name, templates, memory", [("false_failure_n4", 36, 9), ("no_interior_n3", 6, 1)]
+    )
+    def test_synth_writes_the_committed_encoder(self, tmp_path, name, templates, memory):
+        stab_path, enc_path = DATA / f"{name}.stab", tmp_path / f"{name}.enc"
+        assert run(["synth", str(stab_path), "--out", str(enc_path)])[0] == 0
+        assert enc_path.read_bytes() == (DATA / f"{name}.enc").read_bytes()
+        encoder = parse_circuit(enc_path.read_text(encoding="utf-8"))
+        assert (len(encoder), encoder.memory) == (templates, memory)
+        s = parse_stabilizer(stab_path.read_text(encoding="utf-8"))
+        result = synthesize(s)
+        assert replay(s, result) == result.normal_form
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 4")
+    def test_verify_passes_the_correct_encoder(self):
+        # exits 5 today: generator 1 fails at shift 10, the last interior
+        # shift at N=20
+        argv = ["verify", str(DATA / "false_failure_n4.stab"), str(DATA / "false_failure_n4.enc")]
+        assert run(argv)[0] == 0
+
+    @pytest.mark.xfail(strict=True, raises=WindowTooSmallError, reason="ROADMAP item 4")
+    def test_verify_without_an_interior_exits_with_a_documented_code(self):
+        # raises today: window 4 leaves no interior at margin 2
+        argv = [
+            "verify", "--windows", "2,4,8",
+            str(DATA / "no_interior_n3.stab"), str(DATA / "no_interior_n3.enc"),
+        ]
+        assert run(argv)[0] in (0, 2, 3, 4, 5)
 
 
 class TestGoldenTranscripts:

@@ -108,6 +108,9 @@ class TestApply:
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):
             apply(rate_third_code(), GateTemplate(H, 4))
+        # a CNOT target past n: the j half of the fit rule
+        with pytest.raises(IndexError, match=r"qubit index 4 outside 1\.\.3"):
+            apply(rate_third_code(), GateTemplate(CNOT, 1, 4, 0))
 
 
 class TestApplyPoly:

@@ -23,6 +23,7 @@ from helpers import (
     single_pauli,
     stab,
     unroll,
+    watch_kernel,
     z_only_identity_code,
 )
 from qconvenc import verify
@@ -266,13 +267,11 @@ class TestLaneKernel:
         # a batch narrower than a seed pair still takes it whole: the
         # table's Y images fold each Z lane onto the X lane below
         calls = []
-        kernel = verify._conjugate_lanes
 
         def recording(c, blocks, lanes, x, z):
             calls.append(lanes)
-            return kernel(c, blocks, lanes, x, z)
 
-        monkeypatch.setattr(verify, "_conjugate_lanes", recording)
+        watch_kernel(monkeypatch, recording)
         rng = random.Random(814)
         for _ in range(40):
             c = random_circuit(rng, rng.randint(1, 4), rng.randint(0, 8), max_off=2)
@@ -486,16 +485,14 @@ class TestRoundTripReuse:
         # exactly once and nothing else, also on the 20-block window that
         # the cap splits between generators 1 and 2 of shift 8
         seeds = Counter()
-        kernel = verify._conjugate_lanes
 
         def recording(c, blocks, lanes, x, z):
             lane_bytes = verify._lane_bytes(c, blocks)
             sides = (side.to_bytes(lanes * lane_bytes, "little") for side in (x, z))
             for xl, zl in zip(*(verify._slices(side, lane_bytes) for side in sides)):
                 seeds[blocks, int.from_bytes(xl, "little"), int.from_bytes(zl, "little")] += 1
-            return kernel(c, blocks, lanes, x, z)
 
-        monkeypatch.setattr(verify, "_conjugate_lanes", recording)
+        watch_kernel(monkeypatch, recording)
         enc_path = DATA / "rate_third.enc"
         encoder = parse_circuit(enc_path.read_text(encoding="utf-8"))
         n, memory = encoder.n, encoder.memory
@@ -513,6 +510,33 @@ class TestRoundTripReuse:
             for q in range(memory * n, (blocks - memory) * n)
             for seed in ((1 << q, 0), (0, 1 << q))
         )
+
+    def test_lane_masks_once_per_window(self, monkeypatch):
+        # verify keeps nothing between calls, and a window that the cap
+        # splits builds its masks once, for its first batch, the widest:
+        # at memory 2, windows 3 and 4 hold no interior seed, and the cap
+        # splits window 20 into batches of 19, 19 and 10 qubits
+        assert [name for name, f in vars(verify).items() if hasattr(f, "cache_info")] == []
+        batches, built = [], []
+
+        def recording(c, blocks, lanes, x, z):
+            batches.append((blocks, lanes))
+
+        watch_kernel(monkeypatch, recording)
+        lane_masks = verify._lane_masks
+
+        def masking(n, blocks, lane_bytes, lanes):
+            built.append((blocks, lanes))
+            return lane_masks(n, blocks, lane_bytes, lanes)
+
+        monkeypatch.setattr(verify, "_lane_masks", masking)
+        s = parse_stabilizer((DATA / "rate_third.stab").read_text(encoding="utf-8"))
+        encoder = parse_circuit((DATA / "rate_third.enc").read_text(encoding="utf-8"))
+        monkeypatch.setattr(verify, "_BATCH_BITS", 8 * verify._lane_bytes(encoder, 20) * 2 * 19)
+        report, checks, error = verify_windows(encoder, [3, 4, 5, 10, 20], s)
+        assert error is None and all(chk.ok for chk in checks)
+        assert batches == [(5, 6), (10, 36), (20, 38), (20, 38), (20, 20)]
+        assert built == [(5, 6), (10, 36), (20, 38)]
 
 
 def _table_max(c: Circuit, blocks: int) -> int:

@@ -14,15 +14,16 @@ S(D) = (X(D) | Z(D)):
     CNOT(i,j,l)   x_j += D^l x_i ;  z_i += D^-l z_j
     CSIGN(i,j,l)  z_j += D^l x_i ;  z_i += D^-l x_j
 
-Two interpreters read it template by template, with the columns and shift
-of each update taken from the template's (i, j, ell): `act` updates
-mutable polynomial rows in place, skipping rows whose source entry is zero
-(`apply` wraps it for frozen matrices), and the window kernel
-`verify._conjugate_lanes` runs each update as one masked shift-and-XOR over
-a batch of unrolled windows packed side by side, for the one pass per
-window that serves the propagation table and the round trip
-(`_window_pass`) and for the one-lane `conjugate`.  The synthesis driver
-reads it for whole commuting CNOT and CSIGN runs, one update per column.
+Three interpreters read it, with the columns and shift of each update
+taken from the template's (i, j, ell).  On mutable polynomial rows, `act`
+applies one template in place, skipping rows whose source entry is zero
+(`apply` wraps it for frozen matrices), and `act_run` applies a commuting
+CNOT or CSIGN run, one template per exponent of a polynomial f, as one
+update per column; the synthesis driver calls both on its work pair.  On
+windows, the kernel `verify._conjugate_lanes` runs each update as one
+masked shift-and-XOR over a batch of unrolled windows packed side by side,
+for the one pass per window that serves the propagation table and the
+round trip (`_window_pass`) and for the one-lane `conjugate`.
 
 All of them square to the identity over GF(2), so a circuit is undone by
 replaying its templates in reversed order.
@@ -41,7 +42,7 @@ from typing import Iterable, NamedTuple
 
 from .errors import ParseError
 from .matrix import Record, thaw, unchecked
-from .poly import LaurentPoly, add_shifted, parse_int
+from .poly import LaurentPoly, add_product, add_shifted, max_span, parse_int
 from .stabilizer import StabilizerMatrix, _strip_comments
 
 H = "H"
@@ -161,14 +162,6 @@ def _template(kind: str, i: int, j: int = 0, ell: int = 0) -> GateTemplate:
     return unchecked(GateTemplate, {"kind": kind, "i": i, "j": j, "ell": ell})
 
 
-def _run_templates(kind: str, i: int, j: int, ells: Iterable[int]) -> list[GateTemplate]:
-    """The CNOT or CSIGN templates `_template(kind, i, j, ell)`, one per ell,
-    oriented once for the whole run."""
-    if kind == CSIGN and j < i:
-        i, j, ells = j, i, [-ell for ell in ells]
-    return [unchecked(GateTemplate, {"kind": kind, "i": i, "j": j, "ell": ell}) for ell in ells]
-
-
 def reverse(c: Circuit) -> Circuit:
     """The inverse circuit: same templates, reversed order.  c was checked
     when it was built, so its reverse is not checked again, and it shares
@@ -190,6 +183,55 @@ def act(x: list[list[LaurentPoly]], z: list[list[LaurentPoly]], g: GateTemplate)
             e = from_row[src_col]
             if e.bits:
                 row[dst_col] = add_shifted(row[dst_col], e, k)
+
+
+def act_run(
+    x: list[list[LaurentPoly]], z: list[list[LaurentPoly]], kind: str, i: int, j: int, f: LaurentPoly
+) -> list[GateTemplate]:
+    """Apply the CNOT or CSIGN run kind(i, j, l), one template per exponent
+    l of f, ascending, in place to mutable (X | Z) rows, and return its
+    templates in that order, oriented once as `_template` orients each.
+
+    No update of the run reads a column that it writes, so the templates
+    commute, and two or more apply as one update per column: column dst
+    += g * column src, g = f, or f(1/D) where the table's shift sign is -1.
+    Each partial sum of the template-by-template path lies in the hull of
+    the old entry and g * src.  If a hull spans past the limit, or the
+    streams do not fit the rows, the run goes through `act` one template at
+    a time instead, and so raises at the same template with the same
+    message."""
+    a, b, flip = (j, i, -1) if kind == CSIGN and j < i else (i, j, 1)
+    run = [
+        unchecked(GateTemplate, {"kind": kind, "i": a, "j": b, "ell": flip * ell}) for ell in f.exponents()
+    ]
+    limit = max_span()
+    new = [] if len(run) > 1 and f.degree <= limit and max(i, j) <= len(x[0]) else None
+    if new is not None:
+        sides, cols, coeff = (x, z), (i - 1, j - 1), {1: f, -1: f.reciprocal()}
+        for dst_side, dst, src_side, src, sign in COLUMN_ACTIONS[kind]:
+            g, col, src_col = coeff[sign], cols[dst], cols[src]
+            g_offset, g_span = g.offset, g.bits.bit_length() - 1
+            for row, from_row in zip(sides[dst_side], sides[src_side]):
+                e = from_row[src_col]
+                if e.bits:
+                    d = row[col]
+                    lo = g_offset + e.offset
+                    hi = lo + g_span + e.bits.bit_length() - 1
+                    if d.bits:
+                        lo, hi = min(lo, d.offset), max(hi, d.offset + d.bits.bit_length() - 1)
+                    if hi - lo > limit:
+                        new = None
+                        break
+                    new.append((row, col, add_product(d, g, e)))
+            if new is None:
+                break
+    if new is None:
+        for template in run:
+            act(x, z, template)
+    else:
+        for row, col, value in new:
+            row[col] = value
+    return run
 
 
 def apply(s: StabilizerMatrix, g: GateTemplate) -> StabilizerMatrix:

@@ -33,16 +33,15 @@ from typing import NamedTuple, Optional, Sequence
 from .errors import LoopLimitError, NonClearableError, PreconditionError
 from .gates import (
     CNOT,
-    COLUMN_ACTIONS,
     CSIGN,
     Circuit,
     GateTemplate,
     H,
     P,
     PL,
-    _run_templates,
     _template,
     act,
+    act_run,
     apply,
     depth_schedule,
     reverse,
@@ -52,10 +51,8 @@ from .matrix import thaw
 from .poly import (
     LaurentPoly,
     _exponents,
-    add_product,
     format_terms,
     laurent_div,
-    max_span,
     symmetric_decompose,
 )
 from .smith import ElementaryColOp, RowOp, apply_row_op, row_divisibility_check, smith
@@ -147,51 +144,6 @@ class _Driver:
         act(self.x, self.z, g)
         self.gates.append(g)
 
-    def run(self, kind: str, i: int, j: int, f: LaurentPoly) -> None:
-        """The CNOT or CSIGN templates kind(i+1, j+1, l), one per exponent l
-        of f, ascending.  No update of the run reads a column that it
-        writes, so the templates commute, and two or more apply as one
-        update per column: column dst += g * column src, g = f, or f(1/D)
-        where the table's shift sign is -1.  Each partial sum of the
-        template-by-template path lies in the hull of the old entry and
-        g * src; if a hull spans past the limit, the run replays through
-        `act` instead and raises as the templates do."""
-        run = _run_templates(kind, i + 1, j + 1, f.exponents())
-        new = self._fused(kind, i, j, f) if len(run) > 1 else None
-        if new is None:
-            for template in run:
-                act(self.x, self.z, template)
-        else:
-            for row, col, value in new:
-                row[col] = value
-        self.gates.extend(run)
-
-    def _fused(
-        self, kind: str, i: int, j: int, f: LaurentPoly
-    ) -> Optional[list[tuple[list[LaurentPoly], int, LaurentPoly]]]:
-        """The (row, column, new entry) updates of `run`, or None when a
-        hull spans past the limit."""
-        limit = max_span()
-        if f.degree > limit:
-            return None
-        sides, cols = (self.x, self.z), (i, j)
-        coeff, new = {1: f, -1: f.reciprocal()}, []
-        for dst_side, dst, src_side, src, sign in COLUMN_ACTIONS[kind]:
-            g, col, src_col = coeff[sign], cols[dst], cols[src]
-            g_offset, g_span = g.offset, g.bits.bit_length() - 1
-            for row, from_row in zip(sides[dst_side], sides[src_side]):
-                e = from_row[src_col]
-                if e.bits:
-                    d = row[col]
-                    lo = g_offset + e.offset
-                    hi = lo + g_span + e.bits.bit_length() - 1
-                    if d.bits:
-                        lo, hi = min(lo, d.offset), max(hi, d.offset + d.bits.bit_length() - 1)
-                    if hi - lo > limit:
-                        return None
-                    new.append((row, col, add_product(d, g, e)))
-        return new
-
     def row(self, op: RowOp) -> None:
         _row_op(self.x, self.z, op)
         self.row_ops.append(op)
@@ -206,7 +158,8 @@ class _Driver:
 
     def checkpoint(self, label: str) -> None:
         """Mark the transcript, unless neither count moved since the last
-        mark: every `gate`, `run` and `row` call appends to one."""
+        mark: every `gate` and `row` call, and every `act_run` of
+        `_col_op` and `step4`, appends to one."""
         mark = (label, len(self.gates), len(self.row_ops))
         if mark[1:] != (self.checkpoints[-1][1:] if self.checkpoints else (0, 0)):
             self.checkpoints.append(mark)
@@ -233,7 +186,7 @@ class _Driver:
             for g in swap_templates(op.i + 1, op.j + 1):
                 self.gate(g)
         else:
-            self.run(CNOT, op.i, op.j, op.f)
+            self.gates.extend(act_run(self.x, self.z, CNOT, op.i + 1, op.j + 1, op.f))
 
     # -- reduction steps -----------------------------------------------------
 
@@ -308,7 +261,7 @@ class _Driver:
                         f"Z entry ({i + 1},{c + 1}) = {e} is not divisible by "
                         f"gamma_{i + 1} = {gamma[i]}"
                     )
-                self.run(CSIGN, i, c, f)
+                self.gates.extend(act_run(self.x, self.z, CSIGN, i + 1, c + 1, f))
                 if not self.z[i][c].is_zero():
                     raise NonClearableError(f"Z entry ({i + 1},{c + 1}) failed to clear")
                 if c < self.r and not self.z[c][i].is_zero():
@@ -540,8 +493,9 @@ def checkpoint_matrices(
     """The matrix at each mark of `result.checkpoints`, rebuilt from `s`
     through `act` and `_row_op`.  Each stretch between marks holds one kind
     of operation, so this is the driver's own order.  Under the limit that
-    `synthesize` ran under it cannot overflow where the driver did not: a
-    fused run fits only if every partial sum that `act` builds fits."""
+    `synthesize` ran under it cannot overflow where the driver did not:
+    `gates.act_run` fuses a run only when every hull of an old entry and
+    its product fits, and each partial sum that `act` builds lies in one."""
     x, z = thaw(s.x), thaw(s.z)
     out, done_gates, done_rows = [], 0, 0
     for label, n_gates, n_rows in result.checkpoints:

@@ -12,6 +12,7 @@ from qconvenc.gates import (
     H,
     P,
     PL,
+    act_run,
     apply,
     apply_circuit,
     depth_schedule,
@@ -20,6 +21,7 @@ from qconvenc.gates import (
     reverse,
     swap_templates,
 )
+from qconvenc.matrix import thaw
 from qconvenc.poly import LaurentPoly
 from qconvenc.stabilizer import StabilizerMatrix, check_symplectic
 
@@ -111,6 +113,11 @@ class TestApply:
         # a CNOT target past n: the j half of the fit rule
         with pytest.raises(IndexError, match=r"qubit index 4 outside 1\.\.3"):
             apply(rate_third_code(), GateTemplate(CNOT, 1, 4, 0))
+        # a run of two terms past n, which would be fused, raises as its
+        # first template does
+        s = rate_third_code()
+        with pytest.raises(IndexError, match=r"qubit index 4 outside 1\.\.3"):
+            act_run(thaw(s.x), thaw(s.z), CNOT, 1, 4, L("1+D"))
 
 
 class TestApplyPoly:

@@ -1,7 +1,7 @@
 """Property tests: the circuit text format round trip, the symmetric
 quotient against the y-basis reference, Laurent arithmetic against its
 exponent-set reference, the fused entry updates against the operators
-they stand for, the synthesis driver's fused template runs
+they stand for, the template runs of `gates.act_run`
 against their template-by-template replay, the polynomial seed images
 of `gates.act` against the window kernel, and the window kernel's packed
 unit and subcode seeds against its per-seed packing."""
@@ -23,18 +23,33 @@ from helpers import (
     exponent_sum,
     identity,
     outcome,
+    random_circuit,
     random_proper_code,
     random_valid_code,
     reference_symmetric_quotient,
+    z_only_identity_code,
     zeros,
 )
-from qconvenc.gates import CNOT, CSIGN, Circuit, GateTemplate, H, P, PL, act, format_circuit, parse_circuit
+from qconvenc.gates import (
+    CNOT,
+    CSIGN,
+    Circuit,
+    GateTemplate,
+    H,
+    P,
+    PL,
+    act,
+    act_run,
+    apply_circuit,
+    format_circuit,
+    parse_circuit,
+)
 from qconvenc.errors import ExponentOverflowError, NonClearableError, ParseError, PreconditionError
 from qconvenc.matrix import thaw
 from qconvenc.poly import LaurentPoly, add_product, add_shifted, max_span, span_limit
 from qconvenc.smith import smith
 from qconvenc.stabilizer import StabilizerMatrix, parse_stabilizer
-from qconvenc.synthesis import _Driver, _symmetric_quotient, synthesize
+from qconvenc.synthesis import _symmetric_quotient, synthesize
 from qconvenc.verify import _lane_bytes, _unit_seeds
 
 DATA = Path(__file__).parent / "data"
@@ -278,31 +293,35 @@ def test_a_sum_wider_than_the_limit_raises_before_it_is_built(update):
 @st.composite
 def template_runs(draw):
     """Random (X | Z) rows and a CNOT or CSIGN run kind(i, j, f) on them,
-    f of at least two terms, columns 0-based."""
+    f of one term or more, columns 0-based: a single term goes through
+    `act`, two or more are fused."""
     n = draw(st.integers(2, 4))
     r = draw(st.integers(1, 3))
     entries = st.builds(LaurentPoly, st.integers(-6, 6), st.integers(0, (1 << 8) - 1))
     x, z = (draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=r, max_size=r)) for _ in "xz")
     kind = draw(st.sampled_from((CNOT, CSIGN)))
     i, j = draw(st.permutations(range(n)))[:2]
-    exps = draw(st.sets(st.integers(-5, 5), min_size=2, max_size=5))
+    exps = draw(st.sets(st.integers(-5, 5), min_size=1, max_size=5))
     return StabilizerMatrix.from_rows(n, x, z), kind, i, j, LaurentPoly.from_exponents(exps)
 
 
 def _fused_and_replayed(s, kind, i, j, f):
     """Each path's outcome: its rows and templates, or its exception."""
-    drv = _Driver(s)
+    fused_x, fused_z, fused_run = thaw(s.x), thaw(s.z), []
     x, z = thaw(s.x), thaw(s.z)
     run = [GateTemplate(kind, i + 1, j + 1, e) for e in f.exponents()]
     outcomes = []
-    for step in (lambda: drv.run(kind, i, j, f), lambda: [act(x, z, g) for g in run]):
+    for step in (
+        lambda: fused_run.extend(act_run(fused_x, fused_z, kind, i + 1, j + 1, f)),
+        lambda: [act(x, z, g) for g in run],
+    ):
         try:
             step()
         except ExponentOverflowError as exc:
             outcomes.append(("raised", str(exc)))
         else:
             outcomes.append(None)
-    return outcomes, (drv.x, drv.z, drv.gates), (x, z, run)
+    return outcomes, (fused_x, fused_z, fused_run), (x, z, run)
 
 
 @PROPERTY
@@ -428,7 +447,9 @@ def test_gamma_bodies_are_the_smith_invariants_of_the_code():
     """Every code that `synthesize` accepts ends with Gamma's bodies equal
     to the invariant factors of (X | Z): gate templates are unimodular, so
     they keep (X | Z)'s invariants.  Only bodies are compared; the shift
-    exponents depend on the route."""
+    exponents depend on the route.  The codes on the benchmark's four
+    ladder rung shapes (n, r, templates, largest offset) must all
+    synthesize."""
     rng = random.Random(17)
     codes = [random_valid_code(rng, max_n=5, max_r=4, max_gates=16) for _ in range(200)]
     for n, r in ((3, 2), (4, 2), (4, 3), (6, 4)):
@@ -441,6 +462,13 @@ def test_gamma_bodies_are_the_smith_invariants_of_the_code():
             assert bodies == _smith_bodies(s), s
     # all 300 do today
     assert accepted >= 290
+    # (n, r, templates, largest offset) -> codes drawn on that rung shape
+    rungs = {(4, 3, 12, 2): 20, (6, 4, 30, 3): 20, (8, 6, 60, 3): 20, (12, 8, 120, 4): 10}
+    rng = random.Random(31)
+    for (n, r, count, max_off), draws in rungs.items():
+        for _ in range(draws):
+            s = apply_circuit(z_only_identity_code(n, r), random_circuit(rng, n, count, max_off))
+            assert _gamma_bodies(s) == _smith_bodies(s), s
 
 
 def test_golden_gamma_bodies_are_the_smith_invariants_of_the_code():

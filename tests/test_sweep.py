@@ -1,12 +1,14 @@
-"""Small-scope sweep: every distinct code within three templates of (0 | I 0)
-on n=3 streams with r=2 generators.
+"""Small-scope sweeps: every distinct code within `depth` templates of
+(0 | I 0) on n streams with r generators, for each (n, r, depth) in SWEEPS.
 
 Each template is unimodular and keeps commutation, so every code reached is
 valid and has an encoder with Gamma = I: each must synthesize, its
 transcript must replay to the normal form, and Gamma's bodies must equal
-the Smith invariants of (X | Z).  Depth 4 (20,808 codes) is left out:
-nine of its codes end in `reduction failed` today, the reduction gap that
-`TestReductionGap` in tests/test_cli.py pins."""
+the Smith invariants of (X | Z).  Depth 4 on n=3, r=2 (20,808 codes) is
+left out: nine of its codes end in `reduction failed` today, the reduction
+gap that `TestReductionGap` in tests/test_cli.py pins."""
+
+from functools import lru_cache
 
 import pytest
 
@@ -15,14 +17,18 @@ from qconvenc.gates import CNOT, CSIGN, GateTemplate, H, P, PL, apply
 from qconvenc.synthesis import replay, synthesize
 from test_properties import _smith_bodies
 
-N, R, DEPTH = 3, 2, 3
+# (n, r, depth) -> (distinct templates, codes first reached at each depth)
+SWEEPS = {
+    (3, 2, 3): (36, [14, 162, 1838]),
+    (4, 3, 3): (66, [30, 651, 12814]),
+}
 
 
-def sweep_templates() -> list[GateTemplate]:
+def sweep_templates(n: int) -> list[GateTemplate]:
     """H, P and PL(l=1) on each stream, and CNOT and CSIGN on every ordered
     pair at offsets -1, 0 and 1, each distinct template once (CSIGN(i, j, l)
     is CSIGN(j, i, -l))."""
-    streams = range(1, N + 1)
+    streams = range(1, n + 1)
     candidates = [GateTemplate(H, i) for i in streams]
     candidates += [GateTemplate(P, i) for i in streams]
     candidates += [GateTemplate(PL, i, 0, 1) for i in streams]
@@ -37,13 +43,14 @@ def sweep_templates() -> list[GateTemplate]:
     return list(dict.fromkeys(candidates))
 
 
-def sweep_codes() -> list[list]:
-    """The codes first reached at depth 1, 2, ..., DEPTH, breadth first from
-    (0 | I 0); a matrix already seen at a smaller depth is dropped."""
-    templates = sweep_templates()
-    start = z_only_identity_code(N, R)
+@lru_cache(maxsize=None)
+def sweep_codes(n: int, r: int, depth: int) -> list[list]:
+    """The codes first reached at depth 1, 2, ..., depth, breadth first
+    from (0 | I 0); a matrix already seen at a smaller depth is dropped."""
+    templates = sweep_templates(n)
+    start = z_only_identity_code(n, r)
     seen, frontier, levels = {start}, [start], []
-    for _ in range(DEPTH):
+    for _ in range(depth):
         level = []
         for s in frontier:
             for g in templates:
@@ -56,17 +63,23 @@ def sweep_codes() -> list[list]:
     return levels
 
 
-LEVELS = sweep_codes()
-
-
 def test_the_sweep_covers_every_distinct_code():
-    assert len(sweep_templates()) == 36
-    assert [len(level) for level in LEVELS] == [14, 162, 1838]
+    for (n, r, depth), (templates, counts) in SWEEPS.items():
+        assert len(sweep_templates(n)) == templates
+        assert [len(level) for level in sweep_codes(n, r, depth)] == counts
 
 
-@pytest.mark.parametrize("depth", range(1, DEPTH + 1))
-def test_every_code_synthesizes_replays_and_keeps_its_invariants(depth):
-    for s in LEVELS[depth - 1]:
+# the n=3, r=2 sweep keeps its bare depth ids
+@pytest.mark.parametrize(
+    "n, r, depth, level",
+    [
+        pytest.param(n, r, depth, level, id=str(level) if (n, r) == (3, 2) else f"n{n}-r{r}-{level}")
+        for n, r, depth in SWEEPS
+        for level in range(1, depth + 1)
+    ],
+)
+def test_every_code_synthesizes_replays_and_keeps_its_invariants(n, r, depth, level):
+    for s in sweep_codes(n, r, depth)[level - 1]:
         result = synthesize(s)
         assert replay(s, result) == result.normal_form, s
         assert [g.bits for g in result.gamma] == _smith_bodies(s), s

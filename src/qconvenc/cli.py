@@ -1,8 +1,9 @@
 """Batch command-line front end: synth, verify, info.
 
-Exit codes: 0 ok, 2 parse error (also an unreadable input, an unwritable
---out path or a bad option value), 3 precondition failure, 4 non-clearable
-reduction (or an internal degree-growth guard), 5 verification failure.
+Exit codes: 0 ok, 1 stdout closed by its reader before the output was
+written, 2 parse error (also an unreadable input, an unwritable --out path
+or a bad option value), 3 precondition failure, 4 non-clearable reduction
+(or an internal degree-growth guard), 5 verification failure.
 All numeric output uses the polynomial grammar; identical input and
 configuration produce byte-identical output.
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
 from functools import cache
 from pathlib import Path
@@ -30,6 +32,7 @@ from .synthesis import build_report, format_checkpoints, synthesize
 from .verify import render_encoder_check, render_propagation, verify_windows
 
 EXIT_OK = 0
+EXIT_CLOSED_STDOUT = 1
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 EXIT_NONCLEARABLE = 4
@@ -44,8 +47,20 @@ def _read(path: str) -> str:
 
 
 def _write(path: str, text: str) -> None:
+    """Write `text` over the file at `path`, creating it if missing.
+
+    No O_TRUNC: on ext4 (`auto_da_alloc`), closing a file truncated while
+    it held data starts writeback, which costs more than the write. The
+    file is cut to the new end only when it held more bytes; a pipe or a
+    character device reports size 0, so `/dev/null` and a piped
+    `/dev/stdout`, which cannot be truncated, are not. Links are followed;
+    an existing file keeps its inode and mode. Nothing is synced."""
+    data = text.encode("utf-8")
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
+            f.write(data)
+            if os.fstat(f.fileno()).st_size > len(data):
+                f.truncate(len(data))
     except OSError as exc:
         raise ParseError(f"cannot write {path}: {exc}") from None
 
@@ -165,6 +180,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
+    if out is not None:
+        return _main(argv, out)
+    # the process's stdout, closed early by its reader (`| head`): as in
+    # the Note on SIGPIPE of the `signal` docs, exit 1 without a traceback,
+    # and point stdout at devnull so that the flush at exit cannot fail
+    try:
+        code = _main(argv, None)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_STDOUT
+    return code
+
+
+def _main(argv: Optional[Sequence[str]], out) -> int:
     parser = build_parser()
     try:
         if out is None:

@@ -43,14 +43,18 @@ script by default, and compares its stdout and exit status:
     python tests/goldens.py
     PYTHONPATH=src python tests/goldens.py python -m qconvenc
 
-It then runs the two checks that have no golden file: info and verify on
+It then runs the checks that have no golden file: info and verify on
 wide_f4.stab (more generators than qubit streams) exit 3 without a
-traceback, and verify without its circuit operand exits 2 with nothing on
-stdout.  It prints each failure and exits 1 if there was one.
+traceback, verify without its circuit operand exits 2 with nothing on
+stdout, synth with `--out /dev/null` exits 0 (the file is written over in
+place, and a device takes no truncate), and synth into a pipe whose reader
+has closed exits 1 with nothing on stderr.  It prints each failure and
+exits 1 if there was one.
 """
 
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -106,6 +110,16 @@ def main(command: list[str]) -> int:
             failures.append(f"{' '.join(argv)}: traceback")
     if run(["verify", "rate_third.stab"], 2).stdout:
         failures.append("verify without a circuit: output on stdout")
+    run(["synth", "rate_third.stab", "--out", "/dev/null"], 0)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run(command + data_paths(["synth", "rate_third.stab"]),
+                              stdout=write, stderr=subprocess.PIPE)
+    finally:
+        os.close(write)
+    if (done.returncode, done.stderr) != (1, b""):
+        failures.append(f"synth into a closed pipe: exit {done.returncode}, stderr {done.stderr[-200:]!r}")
     for failure in failures:
         print(failure, file=sys.stderr)
     return 1 if failures else 0

@@ -160,6 +160,59 @@ class TestSynth:
         assert text.startswith(f"parse error: cannot write {out_path}: ")
         assert text.count("\n") == 1
 
+    def test_out_rewrites_a_longer_file_in_place(self, tmp_path):
+        path = write(tmp_path, "code.stab", RATE_THIRD)
+        out_path = tmp_path / "encoder.circ"
+        out_path.write_text("x" * 4096 + "\n", encoding="utf-8")
+        out_path.chmod(0o600)
+        inode = out_path.stat().st_ino
+        code, report = run(["synth", path, "--out", str(out_path)])
+        assert code == 0
+        _, full = run(["synth", path])
+        assert full == out_path.read_text(encoding="utf-8") + "\n" + report
+        assert out_path.stat().st_ino == inode
+        assert out_path.stat().st_mode & 0o777 == 0o600
+
+    def test_out_through_a_symlink_writes_its_target(self, tmp_path):
+        path = write(tmp_path, "code.stab", RATE_THIRD)
+        target = tmp_path / "target.circ"
+        (tmp_path / "link.circ").symlink_to(target)
+        assert run(["synth", path, "--out", str(tmp_path / "link.circ")])[0] == 0
+        assert (tmp_path / "link.circ").is_symlink()
+        assert parse_circuit(target.read_text(encoding="utf-8")).memory == 2
+
+    @pytest.mark.skipif(os.name != "posix", reason="needs /dev/null")
+    def test_out_to_dev_null(self, tmp_path):
+        """A character device reports size 0, so nothing truncates it."""
+        path = write(tmp_path, "code.stab", RATE_THIRD)
+        code, report = run(["synth", path, "--out", "/dev/null"])
+        _, full = run(["synth", path])
+        assert code == 0
+        assert full.endswith("\n" + report) and report.startswith("code: ")
+
+    def test_out_naming_a_directory(self, tmp_path):
+        path = write(tmp_path, "code.stab", RATE_THIRD)
+        code, text = run(["synth", path, "--out", str(tmp_path)])
+        assert code == 2
+        assert text.startswith(f"parse error: cannot write {tmp_path}: [Errno 21]")
+        assert text.count("\n") == 1
+
+    @pytest.mark.skipif(os.name != "posix", reason="needs os.pipe semantics of POSIX")
+    def test_closed_stdout_exits_1_without_a_traceback(self):
+        """The process's stdout is a pipe whose reader has gone: the first
+        writes fail, and `main` exits 1 with nothing on stderr."""
+        read, write_end = os.pipe()
+        os.close(read)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "qconvenc", "synth", str(DATA / "rate_third.stab")],
+                stdout=write_end, stderr=subprocess.PIPE,
+                env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+            )
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (1, b"")
+
 
 class TestVerify:
     def test_round_trip_exit_zero(self, tmp_path):

@@ -1,8 +1,9 @@
 """Batch command-line front end: synth, verify, info.
 
 Exit codes: 0 ok, 1 stdout closed by its reader before the output was
-written, 2 parse error (also an unreadable input, an unwritable --out path
-or a bad option value), 3 precondition failure, 4 non-clearable reduction
+written, 2 parse error (also an unreadable or non-UTF-8 input, an
+unwritable --out path or standard output, a bad option value or a
+malformed command line), 3 precondition failure, 4 non-clearable reduction
 (or an internal degree-growth guard), 5 verification failure.
 All numeric output uses the polynomial grammar; identical input and
 configuration produce byte-identical output.
@@ -10,12 +11,10 @@ configuration produce byte-identical output.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import os
+import re
 import sys
-from functools import cache
-from pathlib import Path
 from typing import Optional, Sequence
 
 from .errors import (
@@ -40,9 +39,13 @@ EXIT_VERIFICATION = 5
 
 
 def _read(path: str) -> str:
+    """The file at `path`, decoded as UTF-8. Its line ends stay as they
+    are: the parsers split lines with `str.splitlines`, which reads CRLF
+    and CR as LF."""
     try:
-        return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+        with open(path, "rb") as f:
+            return f.read().decode("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
 
 
@@ -75,33 +78,32 @@ def _windows(text: str) -> list[int]:
     return sizes
 
 
-def cmd_synth(args: argparse.Namespace, out) -> int:
-    s = parse_stabilizer(_read(args.input))
+def cmd_synth(args: dict, out) -> int:
+    s = parse_stabilizer(_read(args["input"]))
     result = synthesize(s)
     circuit_text = format_circuit(result.encoder)
-    if args.out:
-        _write(args.out, circuit_text)
+    if args["out"]:
+        _write(args["out"], circuit_text)
     else:
         out.write(circuit_text)
         out.write("\n")
-    if args.checkpoints:
+    if args["checkpoints"]:
         out.write(format_checkpoints(s, result))
         out.write("\n")
     out.write(build_report(s, result))
     return EXIT_OK
 
 
-def cmd_verify(args: argparse.Namespace, out) -> int:
+def cmd_verify(args: dict, out) -> int:
     # verification cost grows faster than the window size, and windows must
     # cover the circuit memory, so this caps template offsets as well
     limit = max_span()
-    if args.window_sizes[-1] > limit:
-        raise PreconditionError(
-            f"window size {args.window_sizes[-1]} exceeds the span limit {limit}"
-        )
-    s = parse_stabilizer(_read(args.stabilizer))
-    circuit = parse_circuit(_read(args.circuit))
-    report, checks, error = verify_windows(circuit, args.window_sizes, s)
+    sizes = args["window_sizes"]
+    if sizes[-1] > limit:
+        raise PreconditionError(f"window size {sizes[-1]} exceeds the span limit {limit}")
+    s = parse_stabilizer(_read(args["stabilizer"]))
+    circuit = parse_circuit(_read(args["circuit"]))
+    report, checks, error = verify_windows(circuit, sizes, s)
     out.write(render_propagation(report))
     if error is not None:
         raise error
@@ -111,8 +113,8 @@ def cmd_verify(args: argparse.Namespace, out) -> int:
     return EXIT_OK if ok else EXIT_VERIFICATION
 
 
-def cmd_info(args: argparse.Namespace, out) -> int:
-    s = parse_stabilizer(_read(args.input))
+def cmd_info(args: dict, out) -> int:
+    s = parse_stabilizer(_read(args["input"]))
     p = params(s)
     chk = check_symplectic(s)
     fields = [f"n={p.n}", f"k={p.k}", f"r={p.r}", f"m={p.memory}"]
@@ -133,50 +135,176 @@ def cmd_info(args: argparse.Namespace, out) -> int:
     return EXIT_OK
 
 
-@cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: parsing leaves it as it
-    was, so in-process callers reuse it."""
-    parser = argparse.ArgumentParser(
-        prog="qconvenc",
-        description=(
-            "Compile quantum convolutional stabilizer codes into "
-            "shift-invariant finite-depth Clifford encoders, and verify them "
-            "on finite windows."
+# The command table: argv is read from it, and the usage lines and help
+# texts are built from it. An option is (flags, dest, metavar, default,
+# help), where a switch has no metavar and sets True; a command is (help,
+# positionals as (name, help), options, function).
+HELP = (("-h", "--help"), None, None, None, "show this help message and exit")
+OPTIONS = (HELP, (("--max-span",), "max_span", "INT", None, "exponent span limit for polynomial arithmetic"))
+COMMANDS = {
+    "synth": (
+        "synthesize an encoder circuit",
+        (("input", "stabilizer file"),),
+        (
+            HELP,
+            (("--out",), "out", "OUT", None, "write the encoder circuit to this path"),
+            (("--checkpoints",), "checkpoints", None, False, "print the matrix after each reduction step"),
         ),
-    )
-    parser.add_argument(
-        "--max-span",
-        metavar="INT",
-        help="exponent span limit for polynomial arithmetic",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+        cmd_synth,
+    ),
+    "verify": (
+        "verify a circuit against a code",
+        (("stabilizer", "stabilizer file"), ("circuit", "circuit file")),
+        (HELP, (("--windows",), "windows", "CSV", "5,10,20", "comma-separated window sizes (default 5,10,20)")),
+        cmd_verify,
+    ),
+    "info": ("print code parameters and checks", (("input", "stabilizer file"),), (HELP,), cmd_info),
+}
+# wrapped as at 80 columns
+DESCRIPTION = (
+    "Compile quantum convolutional stabilizer codes into shift-invariant finite-\n"
+    "depth Clifford encoders, and verify them on finite windows."
+)
+# a level of the command line is (prog, positionals, options); the
+# program's level has no positionals: its first one is the command, whose
+# level reads the tokens after it
+_PROGRAM = ("qconvenc", None, OPTIONS)
+_END = "--"
 
-    p_synth = sub.add_parser("synth", help="synthesize an encoder circuit")
-    p_synth.add_argument("input", help="stabilizer file")
-    p_synth.add_argument("--out", help="write the encoder circuit to this path")
-    p_synth.add_argument(
-        "--checkpoints",
-        action="store_true",
-        help="print the matrix after each reduction step",
-    )
-    p_synth.set_defaults(func=cmd_synth)
 
-    p_verify = sub.add_parser("verify", help="verify a circuit against a code")
-    p_verify.add_argument("stabilizer", help="stabilizer file")
-    p_verify.add_argument("circuit", help="circuit file")
-    p_verify.add_argument(
-        "--windows",
-        default="5,10,20",
-        metavar="CSV",
-        help="comma-separated window sizes (default 5,10,20)",
-    )
-    p_verify.set_defaults(func=cmd_verify)
+class UsageExit(Exception):
+    """The command line asks for help (code 0) or is malformed (code 2);
+    `text` is what to print."""
 
-    p_info = sub.add_parser("info", help="print code parameters and checks")
-    p_info.add_argument("input", help="stabilizer file")
-    p_info.set_defaults(func=cmd_info)
-    return parser
+    def __init__(self, code: int, text: str):
+        super().__init__(code, text)
+        self.code, self.text = code, text
+
+
+def _usage(level) -> str:
+    prog, positionals, options = level
+    words = [f"[{o[0][0]}]" if o[2] is None else f"[{o[0][0]} {o[2]}]" for o in options]
+    words += [name for name, _ in positionals] if positionals else ["{%s} ..." % ",".join(COMMANDS)]
+    return f"usage: {prog} {' '.join(words)}"
+
+
+def _help(level) -> str:
+    """The help text, laid out as argparse lays it out: the help of every
+    row starts in one column, two past the widest row and at most 24."""
+    _, positionals, options = level
+    if positionals:
+        rows = [(2, name, text) for name, text in positionals]
+    else:
+        rows = [(2, "{%s}" % ",".join(COMMANDS), "")] + [(4, name, c[0]) for name, c in COMMANDS.items()]
+    rows += [(2, ", ".join(f if o[2] is None else f"{f} {o[2]}" for f in o[0]), o[4]) for o in options]
+    column = min(24, 2 + max(indent + len(head) for indent, head, _ in rows))
+    lines = [f"{' ' * indent + head:<{column}}{text}".rstrip() for indent, head, text in rows]
+    cut = len(rows) - len(options)
+    head = [_usage(level), ""] + ([] if positionals else [DESCRIPTION, ""])
+    body = ["positional arguments:", *lines[:cut], "", "options:", *lines[cut:]]
+    return "\n".join(head + body) + "\n"
+
+
+def _fail(level, message: str):
+    raise UsageExit(EXIT_PARSE, f"{_usage(level)}\n{level[0]}: error: {message}\n")
+
+
+def _token(level, flags: dict, token: str):
+    """How `token` reads at `level`: None for a positional, else (option,
+    flag, the value given with it or None), the option None for a flag
+    that the level does not know."""
+    if token in flags:
+        return flags[token], token, None
+    if token[:1] != "-" or len(token) == 1:
+        return None
+    flag, eq, value = token.partition("=")
+    if eq and flag in flags:
+        return flags[flag], flag, value
+    if token[1] == "-":
+        # a unique prefix of a long flag
+        found = [(o, f, value if eq else None) for f, o in flags.items() if f.startswith(flag)]
+    else:
+        # a short flag with its value attached
+        found = [(o, f, token[2:]) for f, o in flags.items() if f == token[:2]]
+    if len(found) > 1:
+        _fail(level, f"ambiguous option: {token} could match {', '.join(f for _, f, _ in found)}")
+    if found:
+        return found[0]
+    # a negative number, or a token with a space, is a positional
+    if " " in token or re.match(r"^-\d+$|^-\d*\.\d+$", token):
+        return None
+    return None, token, None
+
+
+def _scan(level, tokens: list, args: dict) -> list:
+    """Read `tokens` at `level` into `args`, and return those it does not
+    know. At the program level the first positional is the command, and
+    the command's level reads the tokens after it."""
+    prog, positionals, options = level
+    flags = {f: o for o in options for f in o[0]}
+    # every token is read before any acts, so an ambiguous flag fails even
+    # after -h; after `--` every token is a positional
+    end = tokens.index(_END) if _END in tokens else len(tokens)
+    kinds = [_token(level, flags, t) for t in tokens[:end]] + [_END] + [None] * (len(tokens) - end - 1)
+    pending = [name for name, _ in positionals] if positionals else ["command"]
+    unknown, k, filled = [], 0, False
+    while k < len(tokens):
+        kind, token = kinds[k], tokens[k]
+        k += 1
+        if not positionals and (kind is None or kind is _END and k < len(tokens)):
+            if token not in COMMANDS:
+                choices = ", ".join(map(repr, COMMANDS))
+                _fail(level, f"argument command: invalid choice: {token!r} (choose from {choices})")
+            command = (f"{prog} {token}", *COMMANDS[token][1:3])
+            args["command"] = token
+            args.update((o[1], o[3]) for o in command[2] if o[1])
+            return unknown + _scan(command, tokens[k:], args)
+        if kind is None:
+            filled = bool(pending)
+            if filled:
+                args[pending.pop(0)] = token
+            else:
+                unknown.append(token)
+            continue
+        if kind is _END:
+            # a positional next to `--` takes it; a stray one is unknown
+            if not (pending or filled):
+                unknown.append(token)
+            continue
+        (opt, flag, value), filled = kind, False
+        if opt is None:
+            unknown.append(token)
+        elif opt[2] is None:
+            if value is not None:
+                # a switch takes no value, but -hh is -h -h (-h is the only
+                # short flag)
+                rest = value if flag[1] == "-" else value.lstrip(flag[1])
+                if rest or not value:
+                    _fail(level, f"argument {'/'.join(opt[0])}: ignored explicit argument {rest!r}")
+            if opt is HELP:
+                raise UsageExit(EXIT_OK, _help(level))
+            args[opt[1]] = True
+        else:
+            if value is None:
+                if k == len(tokens) or kinds[k] is not None:
+                    _fail(level, f"argument {'/'.join(opt[0])}: expected one argument")
+                value, k = tokens[k], k + 1
+            args[opt[1]] = value
+    if pending:
+        _fail(level, "the following arguments are required: " + ", ".join(pending))
+    return unknown
+
+
+def parse_args(argv: Sequence[str]) -> dict:
+    """The command line `argv` (without the program name) as a dict of
+    option and positional values, with `command` naming the command.
+    Raises `UsageExit` for help or a malformed command line, with the
+    usage and the error as argparse printed them."""
+    args = {"max_span": None}
+    unknown = _scan(_PROGRAM, list(argv), args)
+    if unknown:
+        _fail(_PROGRAM, "unrecognized arguments: " + " ".join(unknown))
+    return args
 
 
 def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
@@ -184,47 +312,50 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
         return _main(argv, out)
     # the process's stdout, closed early by its reader (`| head`): as in
     # the Note on SIGPIPE of the `signal` docs, exit 1 without a traceback,
-    # and point stdout at devnull so that the flush at exit cannot fail
+    # and point stdout at devnull so that the flush at exit cannot fail.
+    # Any other OSError here is stdout's too (`> /dev/full`): commands
+    # turn their own file errors into parse errors
     try:
         code = _main(argv, None)
         sys.stdout.flush()
     except BrokenPipeError:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_CLOSED_STDOUT
+    except OSError as exc:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.stderr.write(f"error: cannot write standard output: {exc}\n")
+        return EXIT_PARSE
     return code
 
 
 def _main(argv: Optional[Sequence[str]], out) -> int:
-    parser = build_parser()
     try:
-        if out is None:
-            args, out = parser.parse_args(argv), sys.stdout
-        else:
-            # argparse prints to the process's streams; a caller's `out`
-            # takes its help and its usage errors
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
-                args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse has written its usage, or the help, and would exit
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+    except UsageExit as exc:
+        # help on stdout and usage errors on stderr, or both on the
+        # caller's `out`
+        (out or (sys.stderr if exc.code else sys.stdout)).write(exc.text)
         return exc.code
+    if out is None:
+        out = sys.stdout
     # option values: a rejected one runs nothing and leaves the caller's
     # span limit as it was
     try:
-        if getattr(args, "windows", None) is not None:
-            args.window_sizes = _windows(args.windows)
+        if "windows" in args:
+            args["window_sizes"] = _windows(args["windows"])
         scope = contextlib.nullcontext()
-        if args.max_span is not None:
+        if args["max_span"] is not None:
             try:
-                limit = parse_int(args.max_span)
+                limit = parse_int(args["max_span"])
             except ValueError:
-                raise ValueError(f"bad span limit {args.max_span!r}") from None
+                raise ValueError(f"bad span limit {args['max_span']!r}") from None
             scope = span_limit(limit)
     except ValueError as exc:
         out.write(f"error: {exc}\n")
         return EXIT_PARSE
     try:
         with scope:
-            return args.func(args, out)
+            return COMMANDS[args["command"]][3](args, out)
     except ParseError as exc:
         out.write(f"parse error: {exc}\n")
         return EXIT_PARSE

@@ -34,7 +34,9 @@ verify returns two errors beside its table: at window 3 no window of the
 worked example reaches 2*(memory+1), and under --max-span 8 the row of
 wide_row.stab spans 9, though each of its entries is a monomial that
 parses, so the rows fail when they are packed for the round trip of
-two_streams.enc (n=2, no templates).
+two_streams.enc (n=2, no templates).  help.txt and <command>_help.txt are
+the help texts, as argparse printed them at 80 columns before the command
+line was read from `cli`'s command table.
 
 `tests/test_cli.py` runs every row in process through `cli.main`.  Run as a
 script, this file runs every row through a command, the installed console
@@ -47,8 +49,9 @@ It then runs the checks that have no golden file: info and verify on
 wide_f4.stab (more generators than qubit streams) exit 3 without a
 traceback, verify without its circuit operand exits 2 with nothing on
 stdout, synth with `--out /dev/null` exits 0 (the file is written over in
-place, and a device takes no truncate), and synth into a pipe whose reader
-has closed exits 1 with nothing on stderr.  It prints each failure and
+place, and a device takes no truncate), synth into a pipe whose reader
+has closed exits 1 with nothing on stderr, and synth into /dev/full (where
+there is one) exits 2 with one line on stderr.  It prints each failure and
 exits 1 if there was one.
 """
 
@@ -84,6 +87,11 @@ ROWS = [
     (["verify", "--windows", "3", "rate_third.stab", "rate_third.enc"], "verify_no_round_trip.txt", 3),
     (["--max-span", "8", "verify", "--windows", "1,2", "wide_row.stab", "two_streams.enc"],
      "wide_row_verify.txt", 4),
+    (["--help"], "help.txt", 0),
+    (["-h"], "help.txt", 0),
+    (["synth", "--help"], "synth_help.txt", 0),
+    (["verify", "--help"], "verify_help.txt", 0),
+    (["info", "--help"], "info_help.txt", 0),
 ]
 
 
@@ -120,6 +128,12 @@ def main(command: list[str]) -> int:
         os.close(write)
     if (done.returncode, done.stderr) != (1, b""):
         failures.append(f"synth into a closed pipe: exit {done.returncode}, stderr {done.stderr[-200:]!r}")
+    if os.path.exists("/dev/full"):
+        with open("/dev/full", "wb") as full:
+            done = subprocess.run(command + data_paths(["synth", "rate_third.stab"]),
+                                  stdout=full, stderr=subprocess.PIPE)
+        if done.returncode != 2 or done.stderr.count(b"\n") != 1:
+            failures.append(f"synth into /dev/full: exit {done.returncode}, stderr {done.stderr[-200:]!r}")
     for failure in failures:
         print(failure, file=sys.stderr)
     return 1 if failures else 0

@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import argparse
 import random
 import re
 import signal
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import islice, repeat
 from typing import Iterable, Iterator, Optional, Sequence
 
 from qconvenc import verify
+from qconvenc.cli import cmd_info, cmd_synth, cmd_verify
 from qconvenc.errors import ParseError, WindowTooSmallError
 from qconvenc.gates import (
     _FIELDS,
@@ -61,6 +64,54 @@ def reference_int(text: str) -> int:
     if not _INTEGER.fullmatch(text):
         raise ValueError(f"not an integer: {text!r}")
     return int(text)
+
+
+# the argparse parser the command line had before `cli` read it from its
+# command table: the oracle of tests/test_cli.py's differential test
+@cache
+def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as it
+    was, so in-process callers reuse it."""
+    parser = argparse.ArgumentParser(
+        prog="qconvenc",
+        description=(
+            "Compile quantum convolutional stabilizer codes into "
+            "shift-invariant finite-depth Clifford encoders, and verify them "
+            "on finite windows."
+        ),
+    )
+    parser.add_argument(
+        "--max-span",
+        metavar="INT",
+        help="exponent span limit for polynomial arithmetic",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p_synth = sub.add_parser("synth", help="synthesize an encoder circuit")
+    p_synth.add_argument("input", help="stabilizer file")
+    p_synth.add_argument("--out", help="write the encoder circuit to this path")
+    p_synth.add_argument(
+        "--checkpoints",
+        action="store_true",
+        help="print the matrix after each reduction step",
+    )
+    p_synth.set_defaults(func=cmd_synth)
+
+    p_verify = sub.add_parser("verify", help="verify a circuit against a code")
+    p_verify.add_argument("stabilizer", help="stabilizer file")
+    p_verify.add_argument("circuit", help="circuit file")
+    p_verify.add_argument(
+        "--windows",
+        default="5,10,20",
+        metavar="CSV",
+        help="comma-separated window sizes (default 5,10,20)",
+    )
+    p_verify.set_defaults(func=cmd_verify)
+
+    p_info = sub.add_parser("info", help="print code parameters and checks")
+    p_info.add_argument("input", help="stabilizer file")
+    p_info.set_defaults(func=cmd_info)
+    return parser
 
 
 def exponent_sum(exps: Iterable[int]) -> LaurentPoly:

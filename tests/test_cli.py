@@ -1,3 +1,4 @@
+import contextlib
 import io
 import os
 import signal
@@ -7,11 +8,13 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from goldens import DATA, ROWS, data_paths
-from helpers import RATE_THIRD_F4, bounded, mutations, watch_kernel
+from helpers import RATE_THIRD_F4, bounded, build_parser, mutations, watch_kernel
 from qconvenc import verify
-from qconvenc.cli import main
+from qconvenc.cli import COMMANDS, UsageExit, _read, main, parse_args
 from qconvenc.errors import WindowTooSmallError
 from qconvenc.gates import parse_circuit
 from qconvenc.poly import max_span
@@ -212,6 +215,20 @@ class TestSynth:
         finally:
             os.close(write_end)
         assert (done.returncode, done.stderr) == (1, b"")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_unwritable_stdout_exits_2_with_one_line(self):
+        """Writing stdout fails with ENOSPC: exit 2 and one `error:` line on
+        stderr, and the flush at exit stays quiet."""
+        with open("/dev/full", "wb") as full:
+            done = subprocess.run(
+                [sys.executable, "-m", "qconvenc", "synth", str(DATA / "rate_third.stab")],
+                stdout=full, stderr=subprocess.PIPE,
+                env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+            )
+        assert done.returncode == 2
+        assert done.stderr.startswith(b"error: cannot write standard output: [Errno 28]")
+        assert done.stderr.count(b"\n") == 1
 
 
 class TestVerify:
@@ -478,25 +495,149 @@ class TestIntegerRule:
         assert capsys.readouterr() == ("", "")
 
 
+MAIN_USAGE = "usage: qconvenc [-h] [--max-span INT] {synth,verify,info} ...\n"
+SYNTH_USAGE = "usage: qconvenc synth [-h] [--out OUT] [--checkpoints] input\n"
+VERIFY_USAGE = "usage: qconvenc verify [-h] [--windows CSV] stabilizer circuit\n"
+
+
 @pytest.mark.parametrize(
-    "argv, code",
+    "argv, code, text",
     [
-        (["verify"], 2),
-        (["bogus"], 2),
-        (["synth", "x.stab", "--nope"], 2),
-        (["verify", "a", "b", "--windows"], 2),
-        (["--help"], 0),
+        (["verify"], 2,
+         VERIFY_USAGE + "qconvenc verify: error: the following arguments are required: stabilizer, circuit\n"),
+        (["bogus"], 2,
+         MAIN_USAGE + "qconvenc: error: argument command: invalid choice: 'bogus' "
+         "(choose from 'synth', 'verify', 'info')\n"),
+        (["synth", "x.stab", "--nope"], 2, MAIN_USAGE + "qconvenc: error: unrecognized arguments: --nope\n"),
+        (["verify", "a", "b", "--windows"], 2,
+         VERIFY_USAGE + "qconvenc verify: error: argument --windows: expected one argument\n"),
+        (["--help"], 0, (DATA / "help.txt").read_text(encoding="utf-8")),
+        (["synth", "--checkpoints=1", "x.stab"], 2,
+         SYNTH_USAGE + "qconvenc synth: error: argument --checkpoints: ignored explicit argument '1'\n"),
     ],
-    ids=["missing-operands", "unknown-command", "unknown-option", "missing-value", "help"],
+    ids=["missing-operands", "unknown-command", "unknown-option", "missing-value", "help", "switch-value"],
 )
-def test_argparse_exits_become_exit_codes(capsys, argv, code):
+def test_argparse_exits_become_exit_codes(capsys, argv, code, text):
     # in-process callers get argparse's status, and its usage or help text
-    # on their own `out`, none of it on the process's streams
-    got, printed = run(argv)
-    assert got == code
-    assert printed.startswith("usage: qconvenc")
-    assert ("error:" in printed) == bool(code)
+    # (as argparse printed it under Python 3.11) on their own `out`, none
+    # of it on the process's streams
+    assert run(argv) == (code, text)
     assert capsys.readouterr() == ("", "")
+
+
+# tokens of the differential test: `--` stays out, since argparse's reading
+# of it changed between Python 3.10 and 3.13
+ARGV_TOKENS = (
+    "synth verify info --out --out=o --checkpoints --chec --windows --windows=5,10 --win "
+    "--max-span --max-span=8 --max -5 8 -h --help --nope a.stab b.enc 5,10,20"
+).split()
+
+
+class TestCommandLine:
+    """The command table's parser reads argv as argparse read it."""
+
+    @staticmethod
+    def oracle(argv):
+        """argparse's exit code and, for a parse, its values; else the text
+        it printed (help on stdout, usage errors on stderr)."""
+        printed = io.StringIO()
+        try:
+            with contextlib.redirect_stdout(printed), contextlib.redirect_stderr(printed):
+                namespace = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return exc.code, printed.getvalue()
+        return 0, vars(namespace)
+
+    @staticmethod
+    def table(argv):
+        try:
+            args = parse_args(argv)
+        except UsageExit as exc:
+            return exc.code, exc.text
+        return 0, {**args, "func": COMMANDS[args["command"]][3]}
+
+    @given(st.lists(st.sampled_from(ARGV_TOKENS), max_size=6))
+    @settings(derandomize=True, database=None, deadline=None, max_examples=2000)
+    def test_argv_reads_as_argparse_read_it(self, argv):
+        (code, got), (want_code, want) = self.table(argv), self.oracle(argv)
+        assert code == want_code
+        if isinstance(want, dict):
+            assert got == want
+        else:
+            # help texts and the messages are pinned elsewhere
+            # (goldens.ROWS, test_argparse_exits_become_exit_codes): the
+            # oracle's own wording differs between Python versions
+            assert got.partition("\n")[0] == want.partition("\n")[0]
+
+    def test_double_dash_ends_options(self, tmp_path, monkeypatch):
+        """After `--` every token is a positional; as in argparse 3.11, a
+        positional next to the `--` takes it, and a stray one is unknown."""
+        assert parse_args(["synth", "--", "-odd.stab"])["input"] == "-odd.stab"
+        args = parse_args(["verify", "a.stab", "--", "-b.enc"])
+        assert (args["stabilizer"], args["circuit"]) == ("a.stab", "-b.enc")
+        assert run(["synth", "a.stab", "b.stab", "--"]) == (
+            2, MAIN_USAGE + "qconvenc: error: unrecognized arguments: b.stab --\n"
+        )
+        monkeypatch.chdir(tmp_path)
+        write(tmp_path, "-odd.stab", RATE_THIRD)
+        code, text = run(["synth", "--", "-odd.stab"])
+        assert code == 0
+        assert text == run(["synth", str(tmp_path / "-odd.stab")])[1]
+
+    @pytest.mark.parametrize(
+        "argv, same",
+        [
+            (["--max=8", "synth", "--chec", "{stab}"], ["--max-span", "8", "synth", "--checkpoints", "{stab}"]),
+            (["verify", "{stab}", "--win", "5,10", "{enc}"], ["verify", "--windows", "5,10", "{stab}", "{enc}"]),
+            (["verify", "--windows=5,10", "{stab}", "{enc}"], ["verify", "{stab}", "{enc}", "--windows", "5,10"]),
+        ],
+        ids=["prefixes", "interleaved", "equals"],
+    )
+    def test_spellings_of_one_command(self, argv, same):
+        paths = {"stab": DATA / "rate_third.stab", "enc": DATA / "rate_third.enc"}
+        first, second = ([a.format(**paths) for a in v] for v in (argv, same))
+        assert run(first) == run(second)
+        assert run(first)[0] == 0
+
+    def test_process_streams(self, capsys):
+        """Without `out`, help goes to stdout and usage errors to stderr."""
+        assert main(["info", "-h"]) == 0
+        assert capsys.readouterr() == ((DATA / "info_help.txt").read_text(encoding="utf-8"), "")
+        assert main(["synth"]) == 2
+        assert capsys.readouterr() == (
+            "", SYNTH_USAGE + "qconvenc synth: error: the following arguments are required: input\n"
+        )
+
+
+class TestInputBytes:
+    """Inputs are read as bytes and decoded as UTF-8."""
+
+    @pytest.mark.parametrize(
+        "command",
+        [["info", "{bad}"], ["synth", "{bad}"], ["verify", "{bad}", "{enc}"], ["verify", "{stab}", "{bad}"]],
+        ids=["info", "synth", "verify-stabilizer", "verify-circuit"],
+    )
+    def test_non_utf8_input_is_a_parse_error(self, tmp_path, command):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"n=3 r=2\xff")
+        paths = {"bad": bad, "stab": DATA / "rate_third.stab", "enc": DATA / "rate_third.enc"}
+        assert run([a.format(**paths) for a in command]) == (
+            2,
+            f"parse error: cannot read {bad}: 'utf-8' codec can't decode byte 0xff in position 7: "
+            "invalid start byte\n",
+        )
+
+    @pytest.mark.parametrize("ending", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+    def test_line_ends_read_as_lf(self, tmp_path, ending):
+        twins = {}
+        for name in ("rate_third.stab", "rate_third.enc"):
+            twins[name] = tmp_path / name
+            twins[name].write_bytes((DATA / name).read_bytes().replace(b"\n", ending))
+        stab, enc = str(twins["rate_third.stab"]), str(twins["rate_third.enc"])
+        assert parse_stabilizer(_read(stab)) == parse_stabilizer(_read(str(DATA / "rate_third.stab")))
+        assert parse_circuit(_read(enc)) == parse_circuit(_read(str(DATA / "rate_third.enc")))
+        assert run(["synth", stab]) == run(["synth", str(DATA / "rate_third.stab")])
+        assert run(["verify", stab, enc]) == run(data_paths(["verify", "rate_third.stab", "rate_third.enc"]))
 
 
 class TestReductionGap:
@@ -605,7 +746,8 @@ def test_divisor_near_the_span_limit_prints_the_budget_text(tmp_path):
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
     """Start-up: `import qconvenc.cli` adds no `dataclasses` (whose import
     pulls in `inspect`, `ast`, `dis` and `tokenize`, and whose decorator
-    generates code per class) and no `inspect` to the modules a bare
+    generates code per class), no `inspect`, and none of `argparse`,
+    `gettext` (which argparse imports) and `pathlib` to the modules a bare
     interpreter, started the same way, already holds."""
     root = Path(__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": "src"}
@@ -619,4 +761,4 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
 
     added = loaded("import qconvenc.cli") - loaded("pass")
     assert "qconvenc.cli" in added
-    assert not {"dataclasses", "inspect"} & added
+    assert not {"dataclasses", "inspect", "argparse", "gettext", "pathlib"} & added

@@ -19,11 +19,12 @@ taken from the template's (i, j, ell).  On mutable polynomial rows, `act`
 applies one template in place, skipping rows whose source entry is zero
 (`apply` wraps it for frozen matrices), and `act_run` applies a commuting
 CNOT or CSIGN run, one template per exponent of a polynomial f, as one
-update per column; the synthesis driver calls both on its work pair.  On
-windows, the kernel `verify._conjugate_lanes` runs each update as one
-masked shift-and-XOR over a batch of unrolled windows packed side by side,
-for the one pass per window that serves the propagation table and the
-round trip (`_window_pass`) and for the one-lane `conjugate`.
+update per column; the synthesis driver calls both on its work pair, and
+`verify._seed_walk` calls `act` on the unit seeds.  On windows, the kernel
+`verify._conjugate_lanes` runs each update as one masked shift-and-XOR over
+a batch of unrolled windows packed side by side, for the seeds within
+max(memory, prefix reach) blocks of a window edge (`_window_pass`; the
+seeds further in read the walk's images) and for the one-lane `conjugate`.
 
 All of them square to the identity over GF(2), so a circuit is undone by
 replaying its templates in reversed order.

@@ -5,6 +5,14 @@ Windows hold N blocks of n qubits in (x|z) bit layout.  Every template is
 applied at every in-window block shift; gate instances that would reach
 outside the window are dropped (open boundary, matching a stream that
 starts at block 0).
+
+One rule decides which seeds are conjugated.  The seed walk pushes the
+unit seeds through the exact polynomial action and measures P, the prefix
+reach: the furthest block offset any image reaches after any template.
+With M = max(memory, P), a seed at least M blocks from both edges meets no
+dropped instance, since one that acted would put a term past P, so its
+window image is the walk's, translated.  Only the seeds within M of an
+edge go through the lane kernel.
 """
 
 from __future__ import annotations
@@ -191,21 +199,58 @@ def _pair_max(x: int, z: int, lane_bytes: int, pairs: int) -> int:
     return max(max(side, default=0) for side in counts)
 
 
-def _seed_walk(c: Circuit) -> tuple[int, int, int]:
+# kind -> the (side, qubit) columns its updates write, each once
+_WRITTEN = {kind: tuple(dict.fromkeys(u[:2] for u in updates)) for kind, updates in COLUMN_ACTIONS.items()}
+
+
+def _seed_walk(c: Circuit, streams: int = 0) -> tuple[int, int, int, int, list[tuple[int, int]]]:
     """Backward reach, forward reach and max X, Z or Y support of the
-    single-qubit seed images: the rows of the (X|Z) identity, the X and Z
-    unit seeds, pushed once through the exact polynomial action.  Each row
-    is the image of one seed that no boundary clips (exponent e is block
-    offset e); it packs into one int per side, column q at q times the
-    images' common width, so columns hold disjoint fields and a support is
-    a bit count.  No walk is kept between calls: each runs under the span
-    limit of its own call."""
+    single-qubit seed images, their prefix reach P, and the images of the Z
+    seeds on the first `streams` streams: the rows of the (X|Z) identity,
+    the X and Z unit seeds, pushed once through the exact polynomial
+    action.  Each row is the image of one seed that no boundary clips
+    (exponent e is block offset e); it packs into one int per side, column
+    q at q times the images' common width, so columns hold disjoint fields
+    and a support is a bit count.  P is the furthest block offset, in
+    either direction, that any image reaches after any template, read off
+    the columns it writes; an offset-0 template adds no term beyond those
+    it reads.  A Z image is an (x, z) pair packed block-major, as a window
+    holds it from block -P: term D^e of column j at bit (e + P)*n + j.  No
+    walk is kept between calls: each runs under the span limit of its own
+    call."""
     n = c.n
     units = [[L_ONE if q == j else L_ZERO for q in range(n)] for j in range(n)]
     x = units + [[L_ZERO] * n for _ in range(n)]
     z = [[L_ZERO] * n for _ in range(n)] + [row.copy() for row in units]
+    sides, reach = (x, z), 0
     for g in c.templates:
         act(x, z, g)
+        if g.ell:
+            cols = (g.i - 1, g.j - 1)
+            for side, dst in _WRITTEN[g.kind]:
+                col = cols[dst]
+                for row in sides[side]:
+                    e = row[col]
+                    if e.bits:
+                        at = e.offset
+                        if -at > reach:
+                            reach = -at
+                        at += e.bits.bit_length() - 1
+                        if at > reach:
+                            reach = at
+    # a body's bits n apart are its terms one block apart
+    gap = "0" * (n - 1)
+    z_images = [
+        tuple(
+            sum(
+                int(gap.join(format(e.bits, "b")), 2) << (e.offset + reach) * n + j
+                for j, e in enumerate(row)
+                if e.bits
+            )
+            for row in (x[q], z[q])
+        )
+        for q in range(n, n + streams)
+    ]
     entries = [e for row in x + z for e in row if e.bits]
     lo = min([e.offset for e in entries], default=0)
     hi = max([e.offset + e.bits.bit_length() for e in entries], default=1) - 1
@@ -226,7 +271,7 @@ def _seed_walk(c: Circuit) -> tuple[int, int, int]:
     # image is their sum, since conjugation is linear
     ys = [(px[q] ^ px[n + q], pz[q] ^ pz[n + q]) for q in range(n)]
     image_max = max((xs | zs).bit_count() for xs, zs in [*zip(px, pz), *ys])
-    return max(0, -lo), max(0, hi), image_max
+    return max(0, -lo), max(0, hi), image_max, reach, z_images
 
 
 def image_reach(c: Circuit) -> tuple[int, int]:
@@ -352,8 +397,9 @@ def verify_windows(
     """The propagation table on every window in `sizes` of at least
     memory + 1 blocks and, given a code `s` that `check_pair` accepts, the
     encoder round trip on every window of at least 2(memory+1) blocks, from
-    one conjugation of each window.  A smaller window holds no interior
-    seed and is skipped; PreconditionError if no window is left.
+    one seed walk and one pass over each window (`_window_pass`), which
+    conjugates only the seeds near its edges.  A smaller window holds no
+    interior seed and is skipped; PreconditionError if no window is left.
 
     Returns the report, the round-trip checks in window order, and the
     error that stopped the round trip, or None: no window reaches
@@ -371,7 +417,7 @@ def verify_windows(
     sizes = tuple(blocks for blocks in sizes if blocks >= memory + 1)
     if not sizes:
         raise PreconditionError(f"all window sizes are below circuit memory {memory} + 1")
-    back, forward, image_max = _seed_walk(c)
+    back, forward, image_max, reach, z_images = _seed_walk(c, 0 if s is None else s.r)
     # the round trip's margin: seeds nearer an edge may have clipped images
     margin = max(memory, back, forward)
     maxima, checks, error, patterns = [], [], None, None
@@ -391,8 +437,8 @@ def verify_windows(
         # patterns are packed only once `first` holds an interior
         if patterns is not None and blocks >= first:
             basis = stabilizer_window_basis(patterns, s.n, blocks)
-        generators = 0 if basis is None else s.r
-        best, spans = _window_pass(c, blocks, margin, basis, generators)
+        images = () if basis is None else z_images
+        best, spans = _window_pass(c, blocks, margin, reach, image_max, basis, images)
         maxima.append(best)
         if basis is not None:
             shifts = range(margin, blocks - margin)
@@ -409,42 +455,68 @@ def verify_windows(
 
 
 def _window_pass(
-    c: Circuit, blocks: int, margin: int, basis: Optional[dict[int, int]], generators: int
+    c: Circuit,
+    blocks: int,
+    margin: int,
+    reach: int,
+    image_max: int,
+    basis: Optional[dict[int, int]],
+    images: Sequence[tuple[int, int]],
 ) -> tuple[int, list[list[bool]]]:
-    """Conjugate the X and Z unit seeds of a window's qubits at least memory
-    blocks from either edge, batch by batch as `_unit_seeds` packs them.
-    Returns the table's max X, Z or Y image support and, for each of the
-    first `generators` generators, whether the image of each of its
-    placements at least `margin` blocks in lies in the span of `basis`,
-    tested as its batch goes by.  Placement (gen, t) of the subcode
-    (0 | I 0), a single Z on qubit q = t*n + gen, is the Z seed in lane
-    2(q - first) + 1 of the batch that starts at qubit `first`."""
-    n = c.n
+    """The table's max X, Z or Y image support over a window's qubits at
+    least memory blocks from either edge and, for each generator with a
+    Z seed image in `images` (the seed walk's, packed from block -reach),
+    whether the image of each of its placements at least `margin` blocks in
+    lies in the span of `basis`.
+
+    On a window of 2M + 1 blocks or more, M = max(memory, reach), the seeds
+    at least M blocks from both edges read the walk (module docstring):
+    their maximum is `image_max`, and placement (gen, t) is image gen moved
+    t - reach blocks up.  The seeds within M of an edge are conjugated,
+    batch by batch as `_unit_seeds` packs them, and their placements are
+    tested as their batch goes by: (gen, t), a single Z on qubit
+    q = t*n + gen, is the Z seed in lane 2(q - first) + 1 of the batch that
+    starts at qubit `first`."""
+    n, memory = c.n, c.memory
+    deep = max(memory, reach)
     lane_bytes = _lane_bytes(c, blocks)
     # the X and Z seeds of one qubit share a batch
     per_batch = max(1, _batch_lanes(lane_bytes) // 2)
     half = n * blocks
-    start, stop = c.memory * n, (blocks - c.memory) * n
-    best, spans = 0, [[] for _ in range(generators)]
-    if start < stop:
+    spans = [[None] * (blocks - 2 * margin) for _ in images]
+    if blocks > 2 * deep:
+        best, edges = image_max, ((memory, deep), (blocks - deep, blocks - memory))
+        # placement (gen, t) for deep <= t < blocks - deep
+        shifts = range((deep - reach) * n, (blocks - deep - reach) * n, n)
+        for span, (x, z) in zip(spans, images):
+            whole = x | z << half
+            span[deep - margin : blocks - deep - margin] = [_gf2_in_span(basis, whole << at) for at in shifts]
+    else:
+        best, edges = 0, ((memory, blocks - memory),)
+    batches = [
+        (first, min(per_batch, stop * n - first))
+        for start, stop in edges
+        for first in range(start * n, stop * n, per_batch)
+    ]
+    if batches:
         # the first batch is the widest, and every later one fits its masks
-        masks = _lane_masks(n, blocks, lane_bytes, 2 * min(per_batch, stop - start))
-    for first in range(start, stop, per_batch):
-        count = min(per_batch, stop - first)
+        masks = _lane_masks(n, blocks, lane_bytes, 2 * batches[0][1])
+    for first, count in batches:
         x, z = _conjugate_lanes(c, masks, *_unit_seeds(lane_bytes, first, count))
         best = max(best, _pair_max(x, z, lane_bytes, count))
         # the batch's qubits from a up to b hold placements
         a, b = max(first, margin * n), min(first + count, (blocks - margin) * n)
         if not spans or a >= b:
             continue
+        # every Z lane from qubit a on, unpacked once per side
         size = 2 * count * lane_bytes
-        cut = slice(2 * (a - first) * lane_bytes, 2 * (b - first) * lane_bytes)
-        sides = [side.to_bytes(size, "little")[cut] for side in (x, z)]
-        for gen, span in enumerate(spans):
-            # the Z seed of qubit a + k is lane 2k + 1 of the cut
-            lanes = [_slices(side, lane_bytes, 2 * n, 2 * ((gen - a) % n) + 1) for side in sides]
-            xs, zs = (map(int.from_bytes, side, repeat("little")) for side in lanes)
-            span += [_gf2_in_span(basis, xl | zl << half) for xl, zl in zip(xs, zs)]
+        lane = 2 * (a - first) + 1
+        xs, zs = (_slices(side.to_bytes(size, "little"), lane_bytes, 2, lane) for side in (x, z))
+        for q, xl, zl in zip(range(a, b), xs, zs):
+            t, gen = divmod(q, n)
+            if gen < len(spans):
+                vec = int.from_bytes(xl, "little") | int.from_bytes(zl, "little") << half
+                spans[gen][t - margin] = _gf2_in_span(basis, vec)
     return best, spans
 
 

@@ -26,6 +26,7 @@ from qconvenc.gates import (
     P,
     PL,
     _template,
+    act,
     apply,
     apply_circuit,
 )
@@ -1060,6 +1061,32 @@ def reference_image_reach(c: Circuit) -> tuple[int, int]:
                 back = max(back, center - blk)
                 fwd = max(fwd, blk - center)
     return back, fwd
+
+
+def reference_prefix_reach(c: Circuit) -> int:
+    """The prefix reach P: the furthest block offset, in either direction,
+    of any term of the 2n unit X and Z seeds' polynomial images, with every
+    one of their 4n^2 entries scanned after each template."""
+    n = c.n
+    x = [[L_ONE if q == j else L_ZERO for q in range(n)] for j in range(n)] + [[L_ZERO] * n for _ in range(n)]
+    z = [[L_ZERO] * n for _ in range(n)] + [[L_ONE if q == j else L_ZERO for q in range(n)] for j in range(n)]
+    reach = 0
+    for g in c.templates:
+        act(x, z, g)
+        for e in (e for row in x + z for e in row if e.bits):
+            reach = max(reach, -e.offset, e.offset + e.bits.bit_length() - 1)
+    return reach
+
+
+def edge_qubits(c: Circuit, blocks: int) -> list[int]:
+    """The window qubits whose X and Z seeds `verify` conjugates, ascending:
+    those at least memory m blocks from both edges, less those at least
+    M = max(m, P) from both on a window of 2M + 1 blocks or more, whose
+    images are the polynomial push's."""
+    n, m = c.n, c.memory
+    deep = max(m, reference_prefix_reach(c))
+    inner = range(deep * n, (blocks - deep) * n) if blocks > 2 * deep else range(0)
+    return [q for q in range(m * n, (blocks - m) * n) if q not in inner]
 
 
 # -- catastrophic negative control ---------------------------------------------

@@ -324,7 +324,11 @@ class TestVerify:
         watch_kernel(monkeypatch, recording)
         stab_path = str(DATA / "rate_third.stab")
         assert run(["verify", "--windows", "5,10,20", stab_path, str(DATA / "rate_third.enc")])[0] == 0
-        circ_path = write(tmp_path, "c.circ", "n=3\n" + "CNOT c=1 t=2 off=7\n" * 40)
+        # X on stream 2 at D^7 reaches stream 3 at D^8 and back: prefix
+        # reach 8 at memory 7, so the 16-block window, below 2*8 + 1, has
+        # no seed far enough from both edges to read the push
+        circuit = "CNOT c=1 t=2 off=7\n" + "CNOT c=2 t=3 off=1\n" * 2 + "CNOT c=1 t=2 off=7\n" * 39
+        circ_path = write(tmp_path, "c.circ", "n=3\n" + circuit)
         assert run(["verify", "--windows", "8,16", stab_path, circ_path])[0] == 5
         # at memory 7 the 8-block window has no interior: no seed to conjugate
         assert set(seen) == {5, 10, 20, 16}

@@ -11,6 +11,7 @@ from helpers import (
     chain_propagation_report,
     cnot_chain_conjugate,
     csign_cascade,
+    edge_qubits,
     inner,
     random_circuit,
     random_template,
@@ -19,6 +20,7 @@ from helpers import (
     reference_conjugate,
     reference_image_reach,
     reference_interior_max,
+    reference_prefix_reach,
     row_envelope,
     single_pauli,
     stab,
@@ -26,7 +28,7 @@ from helpers import (
     watch_kernel,
     z_only_identity_code,
 )
-from qconvenc import verify
+from qconvenc import gates, verify
 from qconvenc.cli import main
 from qconvenc.errors import ExponentOverflowError, PreconditionError, WindowTooSmallError
 from qconvenc.gates import (
@@ -280,7 +282,8 @@ class TestLaneKernel:
             monkeypatch.setattr(verify, "_BATCH_BITS", 8 * verify._lane_bytes(c, blocks) * lanes)
             calls.clear()
             assert _table_max(c, blocks) == reference_interior_max(c, blocks, c.memory)
-            assert calls == [2] * max(0, (blocks - 2 * c.memory) * c.n)
+            # one qubit a batch, for each seed that is still conjugated
+            assert calls == [2] * len(edge_qubits(c, blocks))
 
     def test_wide_window_memory_is_bounded(self):
         # n=6 on 2,000 blocks: 24,000 interior X and Z seeds of 24,000 bits,
@@ -481,9 +484,10 @@ class TestRoundTripReuse:
         assert split >= 8
 
     def test_after_the_table_reads_its_batch(self, monkeypatch):
-        # one verify conjugates each window's interior X and Z unit seeds
+        # one verify conjugates the X and Z unit seeds of each window's
+        # interior qubits within M = max(memory, P) blocks of an edge
         # exactly once and nothing else, also on the 20-block window that
-        # the cap splits between generators 1 and 2 of shift 8
+        # the cap splits between generators 1 and 2 of shift 3
         seeds = Counter()
 
         def recording(c, blocks, lanes, x, z):
@@ -496,26 +500,34 @@ class TestRoundTripReuse:
         enc_path = DATA / "rate_third.enc"
         encoder = parse_circuit(enc_path.read_text(encoding="utf-8"))
         n, memory = encoder.n, encoder.memory
-        # the interior starts at qubit 6, and 19 qubits a batch end the first
-        # at qubit 24, generator 1 of shift 8
-        assert (n, memory) == (3, 2)
-        monkeypatch.setattr(verify, "_BATCH_BITS", 8 * verify._lane_bytes(encoder, 20) * 2 * 19)
+        # the lower edge zone is qubits 6 to 11, and 4 qubits a batch end
+        # the first at qubit 9, generator 1 of shift 3
+        assert (n, memory, reference_prefix_reach(encoder)) == (3, 2, 4)
+        monkeypatch.setattr(verify, "_BATCH_BITS", 8 * verify._lane_bytes(encoder, 20) * 2 * 4)
         out = io.StringIO()
         argv = ["verify", "--windows", "5,10,20", str(DATA / "rate_third.stab"), str(enc_path)]
         assert main(argv, out=out) == 0
         assert out.getvalue() == (DATA / "verify.txt").read_text(encoding="utf-8")
+        # window 5 is below 2*4 + 1, so its whole interior is an edge zone
+        assert [edge_qubits(encoder, blocks) for blocks in (5, 10, 20)] == [
+            [6, 7, 8],
+            [*range(6, 12), *range(18, 24)],
+            [*range(6, 12), *range(48, 54)],
+        ]
         assert seeds == Counter(
             (blocks, *seed)
             for blocks in (5, 10, 20)
-            for q in range(memory * n, (blocks - memory) * n)
+            for q in edge_qubits(encoder, blocks)
             for seed in ((1 << q, 0), (0, 1 << q))
         )
 
     def test_lane_masks_once_per_window(self, monkeypatch):
         # verify keeps nothing between calls, and a window that the cap
         # splits builds its masks once, for its first batch, the widest:
-        # at memory 2, windows 3 and 4 hold no interior seed, and the cap
-        # splits window 20 into batches of 19, 19 and 10 qubits
+        # at memory 2, windows 3 and 4 hold no interior seed, window 5,
+        # below 2*4 + 1 at prefix reach 4, conjugates its 3 interior qubits,
+        # windows 10 and 20 the 6 qubits within 4 blocks of each edge, and
+        # the cap splits each of window 20's into batches of 4 and 2 qubits
         assert [name for name, f in vars(verify).items() if hasattr(f, "cache_info")] == []
         batches, built = [], []
 
@@ -532,11 +544,11 @@ class TestRoundTripReuse:
         monkeypatch.setattr(verify, "_lane_masks", masking)
         s = parse_stabilizer((DATA / "rate_third.stab").read_text(encoding="utf-8"))
         encoder = parse_circuit((DATA / "rate_third.enc").read_text(encoding="utf-8"))
-        monkeypatch.setattr(verify, "_BATCH_BITS", 8 * verify._lane_bytes(encoder, 20) * 2 * 19)
+        monkeypatch.setattr(verify, "_BATCH_BITS", 8 * verify._lane_bytes(encoder, 20) * 2 * 4)
         report, checks, error = verify_windows(encoder, [3, 4, 5, 10, 20], s)
         assert error is None and all(chk.ok for chk in checks)
-        assert batches == [(5, 6), (10, 36), (20, 38), (20, 38), (20, 20)]
-        assert built == [(5, 6), (10, 36), (20, 38)]
+        assert batches == [(5, 6), (10, 12), (10, 12), (20, 8), (20, 4), (20, 8), (20, 4)]
+        assert built == [(5, 6), (10, 12), (20, 8)]
 
 
 def _table_max(c: Circuit, blocks: int) -> int:
@@ -771,6 +783,172 @@ class TestImageReach:
             with pytest.raises(ExponentOverflowError):
                 propagation_report(c, [5])
         assert _seed_walk(c)[2] == 13
+
+
+def _below_memory(rng: random.Random, n: int) -> Circuit:
+    """A circuit whose prefix reach is below its memory, unless its short
+    tail reaches further: streams a and b trade places one block apart,
+    which moves every term of stream a to D^-1 and of stream b to D^1, so a
+    coupler from a to b of offset 3 writes terms at D^2 and D^-2 only.  A
+    CSIGN with a > b is stored with offset -3."""
+    a, b = rng.sample(range(1, n + 1), 2)
+    swap = [GateTemplate(CNOT, a, b, 1), GateTemplate(CNOT, b, a, -1), GateTemplate(CNOT, a, b, 1)]
+    coupler = GateTemplate(rng.choice((CNOT, CSIGN)), a, b, 3)
+    tail = [random_template(rng, n, max_off=1) for _ in range(rng.randint(0, 3))]
+    return Circuit(n, [*swap, coupler, *tail])
+
+
+def _short_random(rng: random.Random, n: int) -> Circuit:
+    return random_circuit(rng, n, rng.randint(1, 7))
+
+
+def _out_and_back(rng: random.Random, n: int) -> Circuit:
+    """A circuit whose prefix reach is often past its final image reach: a
+    template of offset 2 applied twice, which cancels, inside a circuit of
+    offsets up to 1, whose terms it moves further out in between."""
+    templates = [random_template(rng, n, max_off=1) for _ in range(rng.randint(1, 5))]
+    g = random_template(rng, n)
+    at = rng.randint(1, len(templates))
+    return Circuit(n, [*templates[:at], g, g, *templates[at:]])
+
+
+class TestEdgeZone:
+    """With M = max(memory, P), P the prefix reach, a seed at least M blocks
+    from both edges of a window meets no dropped template instance, so
+    `verify` reads its image off the seed walk and conjugates only the
+    seeds within M of an edge.  The table and the rows must still equal the
+    oracles that conjugate every seed gate by gate."""
+
+    @pytest.mark.parametrize(
+        "name, reach",
+        [
+            ("rate_third", 4),
+            ("rate_third_cut", 4),
+            ("proper", 6),
+            ("ladder8", 10),
+            ("deep0111", 2),
+            ("false_failure_n4", 10),
+            ("no_interior_n3", 2),
+        ],
+    )
+    def test_prefix_reach_of_the_committed_encoders(self, name, reach):
+        c = parse_circuit((DATA / f"{name}.enc").read_text(encoding="utf-8"))
+        assert _seed_walk(c)[3] == reference_prefix_reach(c) == reach
+
+    def test_prefix_reach_matches_a_full_scan(self):
+        rng = random.Random(840)
+        strata = Counter()
+        for trial in range(300):
+            n = rng.randint(1, 5)
+            if trial % 4 == 0 and n > 1:
+                c = _below_memory(rng, n)
+            else:
+                c = random_circuit(rng, n, rng.randint(0, 10), max_off=3)
+            reach = reference_prefix_reach(c)
+            assert _seed_walk(c)[3] == reach
+            assert reach >= max(reference_image_reach(c))
+            strata[(reach > c.memory) - (reach < c.memory)] += 1
+        assert min(strata[k] for k in (-1, 0, 1)) >= 20
+
+    def test_table_and_rows_match_the_lane_oracles(self, monkeypatch):
+        rng = random.Random(841)
+        full = verify._BATCH_BITS
+        # 16 circuits each with P below, at and above the memory
+        cases = {-1: [], 0: [], 1: []}
+        while any(len(found) < 16 for found in cases.values()):
+            n = rng.randint(2, 4)
+            c = rng.choice((_below_memory, _out_and_back, _short_random))(rng, n)
+            reach = reference_prefix_reach(c)
+            stratum = cases[(reach > c.memory) - (reach < c.memory)]
+            if max(c.memory, reach) <= 6 and len(stratum) < 16:
+                stratum.append(c)
+        kinds, rows, narrow = Counter(), Counter(), 0
+        for k, c in enumerate(case for found in cases.values() for case in found):
+            n, m = c.n, c.memory
+            kinds.update("CSIGN-" if g.kind == CSIGN and g.ell < 0 else g.kind for g in c.templates)
+            deep = max(m, reference_prefix_reach(c))
+            margin = max(m, *reference_image_reach(c))
+            # every other code is not the one c encodes, so rows fail
+            coder = c if k % 2 == 0 else Circuit(n, c.templates[:-1])
+            s = apply_circuit(z_only_identity_code(n, rng.randint(1, n)), coder)
+            # windows below and at or above 2M + 1, from memory + 1 up: one
+            # too small for the round trip, the first with a round trip,
+            # 2M and 2M + 1, and one wider
+            sizes = sorted(
+                {rng.randint(m + 1, 2 * m + 1), max(2 * (m + 1), 2 * margin + 1), 2 * deep, 2 * deep + 1}
+                | {2 * deep + 1 + rng.randint(1, 4)}
+            )
+            # on every third, batches of a few lanes split the edge zones
+            lanes = 2 * rng.randint(1, 3)
+            cap = 8 * verify._lane_bytes(c, sizes[-1]) * lanes if k % 3 == 0 else full
+            monkeypatch.setattr(verify, "_BATCH_BITS", cap)
+            report, checks, error = verify_windows(c, sizes, s)
+            kept = [blocks for blocks in sizes if blocks >= m + 1]
+            assert report.max_supports == tuple(reference_interior_max(c, blocks, m) for blocks in kept)
+            round_trip = [blocks for blocks in kept if blocks >= 2 * (m + 1)]
+            if round_trip[0] - 2 * margin < 1:
+                assert type(error) is WindowTooSmallError and checks == []
+                continue
+            assert error is None
+            expected = [_reference_rows(s, c, blocks, margin) for blocks in round_trip]
+            assert [chk.rows for chk in checks] == expected
+            rows.update(rc.ok for chk in checks for rc in chk.rows)
+            # round trips on windows below 2M + 1, whose seeds are all
+            # conjugated
+            narrow += sum(blocks <= 2 * deep for blocks in round_trip)
+        assert kinds[PL] and kinds["CSIGN-"]
+        assert rows[True] and rows[False] and narrow >= 3
+
+    def test_lowered_span_limit_stops_at_the_same_template(self, monkeypatch):
+        calls = []
+        act = verify.act
+
+        def counting(x, z, g):
+            calls.append(g)
+            act(x, z, g)
+
+        monkeypatch.setattr(verify, "act", counting)
+        rng = random.Random(842)
+        done = 0
+        while done < 12:
+            n = rng.randint(2, 4)
+            if done % 3 == 0:
+                c = _below_memory(rng, n)
+            else:
+                c = random_circuit(rng, n, rng.randint(2, 10), max_off=3)
+            s = apply_circuit(z_only_identity_code(n, 1), c)
+            limit = rng.randint(1, 4)
+            # the push template by template through gates.act, unwatched
+            x = [[LaurentPoly(0, 1 if q == j else 0) for q in range(n)] for j in range(2 * n)]
+            z = [[LaurentPoly(0, 1 if q + n == j else 0) for q in range(n)] for j in range(2 * n)]
+            with span_limit(limit):
+                try:
+                    for at, g in enumerate(c.templates):
+                        gates.act(x, z, g)
+                    continue
+                except ExponentOverflowError as exc:
+                    expected = (at + 1, str(exc))
+                calls.clear()
+                with pytest.raises(ExponentOverflowError) as raised:
+                    verify_windows(c, [c.memory + 1, 2 * c.memory + 9], s)
+            assert (len(calls), str(raised.value)) == expected
+            done += 1
+
+    @pytest.mark.parametrize("name, windows", [("proper", "7,14,28"), ("ladder8", "11,22,44")])
+    def test_no_lane_work_where_prefix_reach_is_memory(self, monkeypatch, name, windows):
+        # at M = memory no interior seed lies within M of an edge: a window
+        # has no interior or reads every seed off the push
+        def refuse(*args):
+            raise AssertionError("the lane kernel ran")
+
+        encoder = parse_circuit((DATA / f"{name}.enc").read_text(encoding="utf-8"))
+        assert reference_prefix_reach(encoder) == encoder.memory
+        monkeypatch.setattr(verify, "_conjugate_lanes", refuse)
+        monkeypatch.setattr(verify, "_lane_masks", refuse)
+        out = io.StringIO()
+        argv = ["verify", "--windows", windows, str(DATA / f"{name}.stab"), str(DATA / f"{name}.enc")]
+        assert main(argv, out=out) == 0
+        assert out.getvalue() == (DATA / f"{name}_verify.txt").read_text(encoding="utf-8")
 
 
 class TestVerifyEncoder:

@@ -2,7 +2,11 @@
 
 Each template denotes one gate replicated at every block shift.  Qubit
 indices are 1-based within a block; the offset couples qubits in blocks
-that many steps apart.
+that many steps apart.  A gate kind(i, j, ells) stands for the templates
+kind(i, j, ell), one per offset of `ells`, in that order: a CNOT or CSIGN
+gate is one polynomial column operation, the run of one template per term
+of f(D), and an H, P or PL gate is one template.  A circuit holds gates;
+its value, length, memory, schedule and text are those of its templates.
 
 COLUMN_ACTIONS is the single statement of gate semantics.  Each kind is an
 ordered tuple of column updates "column dst += D^k * column src" on
@@ -17,9 +21,13 @@ S(D) = (X(D) | Z(D)):
 Three interpreters read it, with the columns and shift of each update
 taken from the template's (i, j, ell).  On mutable polynomial rows, `act`
 applies one template in place, skipping rows whose source entry is zero
-(`apply` wraps it for frozen matrices), and `act_run` applies a commuting
-CNOT or CSIGN run, one template per exponent of a polynomial f, as one
-update per column; the synthesis driver calls both on its work pair, and
+(`apply` wraps it for frozen matrices), and `act_gate` applies one gate:
+a CNOT or CSIGN gate of two or more terms as one update per column, an H
+as a swap of its two columns, and any other gate through the updates of
+`act`.  The synthesis driver builds its gates on its work pair through
+`act_run` (a CNOT or CSIGN gate from its polynomial), `act_swap` (an
+in-block swap of two streams, three CNOT gates) and `act_gate`, and
+`synthesis.checkpoint_matrices` replays them through `act_gate`;
 `verify._seed_walk` calls `act` on the unit seeds.  On windows, the kernel
 `verify._conjugate_lanes` runs each update as one masked shift-and-XOR over
 a batch of unrolled windows packed side by side, for the seeds within
@@ -39,6 +47,7 @@ back in the same order.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Iterable, NamedTuple
 
 from .errors import ParseError
@@ -53,6 +62,9 @@ CNOT = "CNOT"
 CSIGN = "CSIGN"
 
 _TWO_QUBIT = (CNOT, CSIGN)
+
+# mutable polynomial rows, one side of an (X | Z) work pair
+Rows = list[list[LaurentPoly]]
 
 X_SIDE, Z_SIDE = 0, 1
 
@@ -81,6 +93,10 @@ _FORMATS = {
     for kind, keys in _FIELDS.items()
 }
 
+# CNOT and CSIGN -> the template's text before its offset, with fields
+# {0}, {1} for (i, j)
+_HEADS = {kind: _FORMATS[kind].partition("{2}")[0] for kind in _TWO_QUBIT}
+
 # kinds diagonal in the Z basis: no update writes an X column
 _DIAGONAL = frozenset(
     kind for kind, updates in COLUMN_ACTIONS.items() if all(u[0] == Z_SIDE for u in updates)
@@ -92,7 +108,8 @@ class GateTemplate(Record):
 
     The constructor checks the fields, then builds through `_template`,
     which stores the canonical orientation.  The instance dict holds the
-    fields and nothing derived from them."""
+    fields and nothing derived from them.  A template is also a gate of one
+    term, its offsets `(ell,)`."""
 
     _fields = ("kind", "i", "j", "ell")
 
@@ -119,36 +136,80 @@ class GateTemplate(Record):
     def reach(self) -> int:
         return abs(self.ell)
 
+    @property
+    def ells(self) -> tuple[int]:
+        return (self.ell,)
+
     def __str__(self) -> str:
         return _FORMATS[self.kind].format(self.i, self.j, self.ell)
 
 
+class Gate(NamedTuple):
+    """The templates kind(i, j, ell) for each offset ell of `ells`, in that
+    order, oriented once by `_gate` as `_template` orients each; the offsets
+    keep repeats.  Only CNOT and CSIGN gates carry more than one."""
+
+    kind: str
+    i: int
+    j: int
+    ells: tuple[int, ...]
+
+
 class Circuit(Record):
-    """An ordered list of templates on n qubit streams, applied left to right.
+    """An ordered list of gates on n qubit streams, applied left to right.
 
-    The instance dict also holds `memory`, the largest template reach."""
+    Its value is its templates, each gate's terms in turn (`templates`): two
+    circuits with the same templates are equal, hash alike and print alike,
+    however their gates group them.  The constructor checks every template
+    and keeps each as a gate of its own; `_circuit` builds the synthesis
+    driver's circuit of gates unchecked.  The instance dict also holds
+    `memory`, the largest template reach, and `size`, the template count,
+    both from the one pass that built it."""
 
-    _fields = ("n", "templates")
+    _fields = ("n", "gates")
 
-    def __new__(cls, n: int, templates: Iterable[GateTemplate] = ()) -> Circuit:
-        templates = tuple(templates)
+    def __new__(cls, n: int, gates: Iterable[GateTemplate | Gate] = ()) -> Circuit:
+        templates = tuple(gates)
         if n < 1:
             raise ValueError(f"need at least one qubit stream, got n={n}")
         memory = 0
         for g in templates:
+            if g.__class__ is not GateTemplate:
+                # any other gate is checked term by term: the circuit of
+                # every gate's templates, built through their constructor
+                return cls(n, [GateTemplate(u.kind, u.i, u.j, e) for u in templates for e in u.ells])
             # the fit rule: j is 0 on single-qubit kinds, so this checks
             # every stream the template acts on
             if g.i > n or g.j > n:
                 raise ValueError(f"template {g} exceeds n={n}")
             if abs(g.ell) > memory:
                 memory = abs(g.ell)
-        return unchecked(cls, {"n": n, "templates": templates, "memory": memory})
+        return unchecked(cls, {"n": n, "gates": templates, "memory": memory, "size": len(templates)})
+
+    @property
+    def templates(self) -> tuple[GateTemplate, ...]:
+        """Each gate's templates in turn, oriented as the gate is.  A checked
+        circuit holds only templates, and `_circuit` only `Gate`s, so the
+        first gate tells which."""
+        gates = self.gates
+        if not gates or gates[0].__class__ is GateTemplate:
+            return gates
+        return tuple(
+            unchecked(GateTemplate, {"kind": g.kind, "i": g.i, "j": g.j, "ell": ell})
+            for g in gates
+            for ell in g.ells
+        )
 
     def __len__(self) -> int:
-        return len(self.templates)
+        return self.size
 
     def __str__(self) -> str:
         return format_circuit(self)
+
+
+# equality, hash, repr and copies read a circuit's templates: its value is
+# the same however its gates group them
+Circuit._key = attrgetter("n", "templates")
 
 
 def _template(kind: str, i: int, j: int = 0, ell: int = 0) -> GateTemplate:
@@ -163,76 +224,168 @@ def _template(kind: str, i: int, j: int = 0, ell: int = 0) -> GateTemplate:
     return unchecked(GateTemplate, {"kind": kind, "i": i, "j": j, "ell": ell})
 
 
+def _gate(kind: str, i: int, j: int = 0, ells: tuple[int, ...] = (0,)) -> Gate:
+    """A gate from fields known to be valid, oriented once as `_template`
+    orients each of its templates."""
+    if kind == CSIGN and j < i:
+        return Gate(kind, j, i, tuple(-ell for ell in ells))
+    return Gate(kind, i, j, tuple(map(abs, ells)) if kind == PL else ells)
+
+
+def _circuit(n: int, gates: list[Gate]) -> Circuit:
+    """A circuit of oriented gates on at most n streams, such as the
+    synthesis driver's, without the constructor's checks: one pass takes
+    its memory and template count."""
+    offsets = [ell for g in gates for ell in g.ells]
+    memory = max(max(offsets, default=0), -min(offsets, default=0))
+    return unchecked(Circuit, {"n": n, "gates": tuple(gates), "memory": memory, "size": len(offsets)})
+
+
 def reverse(c: Circuit) -> Circuit:
-    """The inverse circuit: same templates, reversed order.  c was checked
-    when it was built, so its reverse is not checked again, and it shares
-    c's memory."""
-    return unchecked(Circuit, {"n": c.n, "templates": c.templates[::-1], "memory": c.memory})
+    """The inverse circuit: the gates in reversed order, each with its
+    offsets reversed, so its templates are c's reversed.  c was checked when
+    it was built, so its reverse is not checked again, and it shares c's
+    memory and length."""
+    gates = tuple([g if len(g.ells) < 2 else Gate(g.kind, g.i, g.j, g.ells[::-1]) for g in reversed(c.gates)])
+    return unchecked(Circuit, {"n": c.n, "gates": gates, "memory": c.memory, "size": c.size})
 
 
-def act(x: list[list[LaurentPoly]], z: list[list[LaurentPoly]], g: GateTemplate) -> None:
+def act(x: Rows, z: Rows, g: GateTemplate) -> None:
     """Apply one template in place to mutable (X | Z) rows."""
+    _act(x, z, g.kind, g.i, g.j, g.ell)
+
+
+def _act(x: Rows, z: Rows, kind: str, i: int, j: int, ell: int) -> None:
+    """`act` on a template's fields, without building the template."""
     n = len(x[0])
     # the fit rule of `Circuit`
-    if g.i > n or g.j > n:
-        raise IndexError(f"qubit index {g.i if g.i > n else g.j} outside 1..{n}")
+    if i > n or j > n:
+        raise IndexError(f"qubit index {i if i > n else j} outside 1..{n}")
     sides = (x, z)
-    cols = (g.i - 1, g.j - 1)
-    for dst_side, dst, src_side, src, sign in COLUMN_ACTIONS[g.kind]:
-        dst_col, src_col, k = cols[dst], cols[src], sign * g.ell
+    cols = (i - 1, j - 1)
+    for dst_side, dst, src_side, src, sign in COLUMN_ACTIONS[kind]:
+        dst_col, src_col, k = cols[dst], cols[src], sign * ell
         for row, from_row in zip(sides[dst_side], sides[src_side]):
             e = from_row[src_col]
             if e.bits:
                 row[dst_col] = add_shifted(row[dst_col], e, k)
 
 
-def act_run(
-    x: list[list[LaurentPoly]], z: list[list[LaurentPoly]], kind: str, i: int, j: int, f: LaurentPoly
-) -> list[GateTemplate]:
-    """Apply the CNOT or CSIGN run kind(i, j, l), one template per exponent
-    l of f, ascending, in place to mutable (X | Z) rows, and return its
-    templates in that order, oriented once as `_template` orients each.
+def act_gate(x: Rows, z: Rows, g: GateTemplate | Gate) -> None:
+    """Apply one gate in place to mutable (X | Z) rows, through the kernel
+    the synthesis driver runs it through: CNOT and CSIGN through `_run`, H
+    as a swap of its two columns, P and PL through `act`'s updates.  Each
+    leaves the rows, and raises the error, that its templates applied one
+    at a time through `act` would."""
+    kind, i = g.kind, g.i
+    if kind == H:
+        c = i - 1
+        # each row's x_i and z_i are summed
+        if i <= len(x[0]) and _hulls_fit(x, c, z, c):
+            for xr, zr in zip(x, z):
+                xr[c], zr[c] = zr[c], xr[c]
+        else:
+            _act(x, z, H, i, 0, 0)
+    elif kind in _TWO_QUBIT:
+        _run(x, z, g)
+    else:
+        for ell in g.ells:
+            _act(x, z, kind, i, g.j, ell)
 
-    No update of the run reads a column that it writes, so the templates
-    commute, and two or more apply as one update per column: column dst
-    += g * column src, g = f, or f(1/D) where the table's shift sign is -1.
+
+def act_run(x: Rows, z: Rows, kind: str, i: int, j: int, f: LaurentPoly) -> Gate:
+    """Apply the CNOT or CSIGN gate kind(i, j, l), one template per
+    exponent l of f, ascending, in place to mutable (X | Z) rows, as
+    `act_gate` would, and return the gate, oriented once by `_gate`.  No
+    template is built."""
+    g = _gate(kind, i, j, f.exponents())
+    # a flipped CSIGN's offsets are f's negated: f is not their sum
+    _run(x, z, g, f if g.i == i else None)
+    return g
+
+
+def _run(x: Rows, z: Rows, g: GateTemplate | Gate, f: LaurentPoly | None = None) -> None:
+    """Apply a CNOT or CSIGN gate in place; f, the sum of D^ell over its
+    offsets, is built from them unless given.  One term goes through `act`'s
+    updates.
+
+    No update of the gate reads a column that it writes, so two or more
+    templates commute and apply as one update per column: column dst +=
+    c * column src, c = f, or f(1/D) where the table's shift sign is -1.
     Each partial sum of the template-by-template path lies in the hull of
-    the old entry and g * src.  If a hull spans past the limit, or the
-    streams do not fit the rows, the run goes through `act` one template at
-    a time instead, and so raises at the same template with the same
+    the old entry and D^ell * src for the least and the greatest offset,
+    repeats included.  If a hull spans past the limit, or the streams do
+    not fit the rows, the templates go through `act`'s updates one at a
+    time instead, and so raise at the same template with the same
     message."""
-    a, b, flip = (j, i, -1) if kind == CSIGN and j < i else (i, j, 1)
-    run = [
-        unchecked(GateTemplate, {"kind": kind, "i": a, "j": b, "ell": flip * ell}) for ell in f.exponents()
-    ]
+    kind, i, j, ells = g.kind, g.i, g.j, g.ells
+    if len(ells) == 1:
+        _act(x, z, kind, i, j, ells[0])
+        return
+    lo, hi = min(ells), max(ells)
     limit = max_span()
-    new = [] if len(run) > 1 and f.degree <= limit and max(i, j) <= len(x[0]) else None
+    new = [] if hi - lo <= limit and max(i, j) <= len(x[0]) else None
     if new is not None:
-        sides, cols, coeff = (x, z), (i - 1, j - 1), {1: f, -1: f.reciprocal()}
+        if f is None:
+            f = LaurentPoly.from_exponents(ells)
+        sides, cols, width = (x, z), (i - 1, j - 1), hi - lo
+        # shift sign -> the update's coefficient and its least shift
+        coeff = {1: (f, lo), -1: (f.reciprocal(), -hi)}
         for dst_side, dst, src_side, src, sign in COLUMN_ACTIONS[kind]:
-            g, col, src_col = coeff[sign], cols[dst], cols[src]
-            g_offset, g_span = g.offset, g.bits.bit_length() - 1
+            (c, shift), col, src_col = coeff[sign], cols[dst], cols[src]
             for row, from_row in zip(sides[dst_side], sides[src_side]):
                 e = from_row[src_col]
                 if e.bits:
                     d = row[col]
-                    lo = g_offset + e.offset
-                    hi = lo + g_span + e.bits.bit_length() - 1
+                    a = shift + e.offset
+                    b = a + width + e.bits.bit_length() - 1
                     if d.bits:
-                        lo, hi = min(lo, d.offset), max(hi, d.offset + d.bits.bit_length() - 1)
-                    if hi - lo > limit:
+                        a, b = min(a, d.offset), max(b, d.offset + d.bits.bit_length() - 1)
+                    if b - a > limit:
                         new = None
                         break
-                    new.append((row, col, add_product(d, g, e)))
+                    new.append((row, col, add_product(d, c, e)))
             if new is None:
                 break
     if new is None:
-        for template in run:
-            act(x, z, template)
+        for ell in ells:
+            _act(x, z, kind, i, j, ell)
     else:
         for row, col, value in new:
             row[col] = value
-    return run
+
+
+def act_swap(x: Rows, z: Rows, i: int, j: int) -> tuple[Gate, Gate, Gate]:
+    """Swap streams i and j in place and return the three offset-0 CNOT
+    gates that do it (`swap_templates`).  The columns trade places directly
+    when x_i and x_j, and z_i and z_j, which the CNOTs sum, fit the limit
+    together in every row; otherwise the CNOTs run through `act`'s updates,
+    and so raise as they would."""
+    gates = (Gate(CNOT, i, j, (0,)), Gate(CNOT, j, i, (0,)), Gate(CNOT, i, j, (0,)))
+    a, b = i - 1, j - 1
+    if max(i, j) <= len(x[0]) and _hulls_fit(x, a, x, b) and _hulls_fit(z, a, z, b):
+        for row in x + z:
+            row[a], row[b] = row[b], row[a]
+    else:
+        for g in gates:
+            _act(x, z, CNOT, g.i, g.j, 0)
+    return gates
+
+
+def _hulls_fit(rows: Rows, col: int, other_rows: Rows, other_col: int) -> bool:
+    """Whether each row's entry at `col` and the matching row's at
+    `other_col`, both nonzero, span at most the limit together: every sum
+    of the two then lies in that hull, and where one is zero a sum is the
+    other."""
+    limit = max_span()
+    for row, other in zip(rows, other_rows):
+        a, b = row[col], other[other_col]
+        if a.bits and b.bits:
+            lo = min(a.offset, b.offset)
+            hi = max(a.offset + a.bits.bit_length(), b.offset + b.bits.bit_length()) - 1
+            if hi - lo > limit:
+                return False
+    return True
 
 
 def apply(s: StabilizerMatrix, g: GateTemplate) -> StabilizerMatrix:
@@ -272,10 +425,12 @@ class Schedule(NamedTuple):
 
 
 def depth_schedule(c: Circuit) -> Schedule:
+    """The schedule of c's templates, read per gate: a gate of several
+    terms is a CNOT, one layer per term, or a CSIGN, which is diagonal."""
     layers = 0
     mode = None  # "diag" | "h" | None
     used: set[int] = set()
-    for g in c.templates:
+    for g in c.gates:
         if g.kind in _DIAGONAL:
             if mode != "diag":
                 layers += 1
@@ -288,7 +443,7 @@ def depth_schedule(c: Circuit) -> Schedule:
                 mode = "h"
                 used = {g.i}
         else:  # CNOT
-            layers += 1
+            layers += len(g.ells)
             mode = None
     return Schedule(layers, c.memory)
 
@@ -298,8 +453,16 @@ def depth_schedule(c: Circuit) -> Schedule:
 
 
 def format_circuit(c: Circuit) -> str:
+    """One line per template: the text of a gate of several templates up to
+    its offset is formatted once, and their lines share it."""
     lines = [f"n={c.n}"]
-    lines.extend(_FORMATS[g.kind].format(g.i, g.j, g.ell) for g in c.templates)
+    for g in c.gates:
+        ells = g.ells
+        if len(ells) == 1:
+            lines.append(_FORMATS[g.kind].format(g.i, g.j, ells[0]))
+        else:
+            head = _HEADS[g.kind].format(g.i, g.j)
+            lines += [f"{head}{ell}" for ell in ells]
     return "\n".join(lines) + "\n"
 
 

@@ -4,9 +4,10 @@ and the divisor classification.
 
 The reduction phases, one `_Driver` method each, run by `_Driver.reduce`:
 
-  1. `smith_x`: Smith normal form of the X part.  Column operations become
-     CNOT templates (swaps expand to three CNOTs); row operations change
-     only the presentation and are kept in a separate log.
+  1. `smith_x`: Smith normal form of the X part.  Each column add becomes
+     one CNOT gate, the run of CNOT templates for its polynomial (a swap is
+     three offset-0 CNOTs); row operations change only the presentation and
+     are kept in a separate log.
   2. `step2`: while the Z columns opposite the zero X block are neither
      zero nor row-divisible by the diagonal, swap them into the X part with
      Hadamards and recompute the normal form.  The divisor degree measure
@@ -35,17 +36,18 @@ from .gates import (
     CNOT,
     CSIGN,
     Circuit,
-    GateTemplate,
+    Gate,
     H,
     P,
     PL,
-    _template,
-    act,
+    _circuit,
+    _gate,
+    act_gate,
     act_run,
+    act_swap,
     apply,
     depth_schedule,
     reverse,
-    swap_templates,
 )
 from .matrix import thaw
 from .poly import (
@@ -107,7 +109,8 @@ class GammaClass(NamedTuple):
 class SynthesisResult(NamedTuple):
     """`checkpoints`: a mark (label, templates, row operations) after each
     step and Smith run that emitted something, counting `forward.templates`
-    and `row_ops` so far; the last mark counts both whole."""
+    and `row_ops` so far; the last mark counts both whole.  A mark never
+    falls inside a gate."""
 
     forward: Circuit
     encoder: Circuit
@@ -122,14 +125,16 @@ class SynthesisResult(NamedTuple):
 
 class _Driver:
     """Applies streamed operations in place to one (X | Z) work pair kept for
-    the whole reduction, emitting gate templates for column operations and
-    logging row operations.  `reduce` runs the reduction steps, one method
-    each; `gamma`, `step2_log` and `budget` carry its loop state."""
+    the whole reduction, emitting gates for column operations and logging
+    row operations; `terms` counts the templates of the gates so far.
+    `reduce` runs the reduction steps, one method each; `gamma`,
+    `step2_log` and `budget` carry its loop state."""
 
     def __init__(self, s: StabilizerMatrix):
         self.n, self.r = s.n, s.r
         self.x, self.z = thaw(s.x), thaw(s.z)
-        self.gates: list[GateTemplate] = []
+        self.gates: list[Gate] = []
+        self.terms = 0
         self.row_ops: list[RowOp] = []
         self.checkpoints: list[tuple[str, int, int]] = []
         self.phase = "step1"
@@ -140,9 +145,13 @@ class _Driver:
         self.step2_log: list[tuple[int, int]] = []
         self.budget = 0
 
-    def gate(self, g: GateTemplate) -> None:
-        act(self.x, self.z, g)
+    def gate(self, g: Gate) -> None:
+        act_gate(self.x, self.z, g)
+        self.emit(g)
+
+    def emit(self, g: Gate) -> None:
         self.gates.append(g)
+        self.terms += len(g.ells)
 
     def row(self, op: RowOp) -> None:
         _row_op(self.x, self.z, op)
@@ -152,15 +161,15 @@ class _Driver:
         """P and PL on row i's stream for a `symmetric_decompose` result."""
         c0, ells = decomposition
         if c0:
-            self.gate(_template(P, i + 1))
+            self.gate(_gate(P, i + 1))
         for ell in ells:
-            self.gate(_template(PL, i + 1, 0, ell))
+            self.gate(_gate(PL, i + 1, 0, (ell,)))
 
     def checkpoint(self, label: str) -> None:
-        """Mark the transcript, unless neither count moved since the last
-        mark: every `gate` and `row` call, and every `act_run` of
-        `_col_op` and `step4`, appends to one."""
-        mark = (label, len(self.gates), len(self.row_ops))
+        """Mark the transcript with its template and row operation counts,
+        unless neither moved since the last mark: every `gate`, `emit` and
+        `row` call adds to one."""
+        mark = (label, self.terms, len(self.row_ops))
         if mark[1:] != (self.checkpoints[-1][1:] if self.checkpoints else (0, 0)):
             self.checkpoints.append(mark)
 
@@ -183,10 +192,10 @@ class _Driver:
 
     def _col_op(self, op: ElementaryColOp) -> None:
         if op.kind == "swap":
-            for g in swap_templates(op.i + 1, op.j + 1):
-                self.gate(g)
+            for g in act_swap(self.x, self.z, op.i + 1, op.j + 1):
+                self.emit(g)
         else:
-            self.gates.extend(act_run(self.x, self.z, CNOT, op.i + 1, op.j + 1, op.f))
+            self.emit(act_run(self.x, self.z, CNOT, op.i + 1, op.j + 1, op.f))
 
     # -- reduction steps -----------------------------------------------------
 
@@ -239,7 +248,7 @@ class _Driver:
         self._check_budget()
         for c in z2_cols:
             if any(not self.z[i][c].is_zero() for i in range(r)):
-                self.gate(_template(H, c + 1))
+                self.gate(_gate(H, c + 1))
         self.checkpoint("step2 hadamard swap")
         return True
 
@@ -261,7 +270,7 @@ class _Driver:
                         f"Z entry ({i + 1},{c + 1}) = {e} is not divisible by "
                         f"gamma_{i + 1} = {gamma[i]}"
                     )
-                self.gates.extend(act_run(self.x, self.z, CSIGN, i + 1, c + 1, f))
+                self.emit(act_run(self.x, self.z, CSIGN, i + 1, c + 1, f))
                 if not self.z[i][c].is_zero():
                     raise NonClearableError(f"Z entry ({i + 1},{c + 1}) failed to clear")
                 if c < self.r and not self.z[c][i].is_zero():
@@ -290,7 +299,7 @@ class _Driver:
                         f"symmetric reduction failed at row {i + 1}: residue "
                         f"{self.z[i][i]} against gamma {gamma[i]}"
                     )
-                self.gate(_template(H, i + 1))
+                self.gate(_gate(H, i + 1))
             self.checkpoint("step5 symmetric reduction")
             return True
         for i, sigma in enumerate(sigmas):
@@ -313,7 +322,7 @@ class _Driver:
         self.phase = "step6"
         n, r, gamma = self.n, self.r, self.gamma
         for i in range(r):
-            self.gate(_template(H, i + 1))
+            self.gate(_gate(H, i + 1))
         self.checkpoint("step6 hadamard")
         normal_form = StabilizerMatrix.from_rows(n, self.x, self.z)
         for i in range(r):
@@ -323,7 +332,7 @@ class _Driver:
                 want = gamma[i] if c == i else LaurentPoly.zero()
                 if normal_form.z[i][c] != want:
                     raise AssertionError("normal form Z part is not diag(gamma)")
-        forward = Circuit(n, self.gates)
+        forward = _circuit(n, self.gates)
         return SynthesisResult(
             forward=forward,
             encoder=reverse(forward),
@@ -491,20 +500,27 @@ def checkpoint_matrices(
     s: StabilizerMatrix, result: SynthesisResult
 ) -> list[tuple[str, StabilizerMatrix]]:
     """The matrix at each mark of `result.checkpoints`, rebuilt from `s`
-    through `act` and `_row_op`.  Each stretch between marks holds one kind
-    of operation, so this is the driver's own order.  Under the limit that
-    `synthesize` ran under it cannot overflow where the driver did not:
-    `gates.act_run` fuses a run only when every hull of an old entry and
-    its product fits, and each partial sum that `act` builds lies in one."""
+    through `gates.act_gate`, one call per gate, and `_row_op`.  Each
+    stretch between marks holds one kind of operation, so this is the
+    driver's own order.  Under the limit that `synthesize` ran under it
+    cannot overflow where the driver did not: each gate goes through the
+    kernel the driver ran it through, on the same rows.  The one exception
+    is the driver's stream swap, which `gates.act_swap` makes directly
+    only when every pair of columns it sums fits the limit, and whose three
+    CNOT gates replay through `act`'s updates, each partial sum in one of
+    those pairs' hulls."""
     x, z = thaw(s.x), thaw(s.z)
-    out, done_gates, done_rows = [], 0, 0
-    for label, n_gates, n_rows in result.checkpoints:
-        for g in result.forward.templates[done_gates:n_gates]:
-            act(x, z, g)
+    gates = iter(result.forward.gates)
+    out, done_terms, done_rows = [], 0, 0
+    for label, n_terms, n_rows in result.checkpoints:
+        while done_terms < n_terms:
+            g = next(gates)
+            act_gate(x, z, g)
+            done_terms += len(g.ells)
         for op in result.row_ops[done_rows:n_rows]:
             _row_op(x, z, op)
         out.append((label, StabilizerMatrix.from_rows(s.n, x, z)))
-        done_gates, done_rows = n_gates, n_rows
+        done_rows = n_rows
     return out
 
 

@@ -747,6 +747,17 @@ def test_divisor_near_the_span_limit_prints_the_budget_text(tmp_path):
     assert len(out) < 1024
 
 
+def test_deep_code_report_line():
+    """tests/data/depth240.stab is draw 0 of Random(5) on the depth-240
+    ladder shape (n, r, templates, largest offset) = (12, 8, 240, 4) of
+    `bench/corpus.ladder_code`: its encoder's size, memory and depth stay
+    as they are.  CI also runs it through `python -m qconvenc synth` under
+    a 5 s timeout."""
+    code, text = run(["synth", str(DATA / "depth240.stab"), "--out", os.devnull])
+    assert code == 0
+    assert "\nencoder: 53633 templates, memory 1743, 4673 layers\n" in text
+
+
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
     """Start-up: `import qconvenc.cli` adds no `dataclasses` (whose import
     pulls in `inspect`, `ast`, `dis` and `tokenize`, and whose decorator

@@ -1,17 +1,31 @@
 import random
+from pathlib import Path
 
 import pytest
 
-from helpers import L, apply_poly, lrow, random_template, random_valid_code, rate_third_code, stab
-from qconvenc.errors import ParseError
+from helpers import (
+    L,
+    apply_poly,
+    lrow,
+    random_circuit,
+    random_template,
+    random_valid_code,
+    rate_third_code,
+    stab,
+    z_only_identity_code,
+)
+from qconvenc import gates
+from qconvenc.errors import ExponentOverflowError, NonClearableError, ParseError, PreconditionError
 from qconvenc.gates import (
     CNOT,
     CSIGN,
     Circuit,
+    Gate,
     GateTemplate,
     H,
     P,
     PL,
+    _circuit,
     act_run,
     apply,
     apply_circuit,
@@ -22,8 +36,11 @@ from qconvenc.gates import (
     swap_templates,
 )
 from qconvenc.matrix import thaw
-from qconvenc.poly import LaurentPoly
-from qconvenc.stabilizer import StabilizerMatrix, check_symplectic
+from qconvenc.poly import LaurentPoly, span_limit
+from qconvenc.stabilizer import StabilizerMatrix, check_symplectic, parse_stabilizer
+from qconvenc.synthesis import synthesize
+
+DATA = Path(__file__).parent / "data"
 
 
 def eq5_intermediate() -> StabilizerMatrix:
@@ -284,3 +301,105 @@ class TestCircuitFormat:
         with pytest.raises(ParseError) as exc:
             parse_circuit(f"n=2\n{line}\n")
         assert str(exc.value) == message
+
+
+def golden_and_ladder_encoders() -> list[Circuit]:
+    """The encoders of every golden stabilizer file that synthesizes, and of
+    20 gate-built codes on each ladder rung (n, r, templates, largest
+    offset) drawn at seed 31."""
+    codes = []
+    for path in sorted(DATA.glob("*.stab")):
+        try:
+            codes.append(parse_stabilizer(path.read_text(encoding="utf-8")))
+        except ParseError:
+            pass
+    rng = random.Random(31)
+    for n, r, count, max_off in ((4, 3, 12, 2), (6, 4, 30, 3), (8, 6, 60, 3), (12, 8, 120, 4)):
+        for _ in range(20):
+            codes.append(apply_circuit(z_only_identity_code(n, r), random_circuit(rng, n, count, max_off)))
+    encoders = []
+    for s in codes:
+        try:
+            encoders.append(synthesize(s).encoder)
+        except (NonClearableError, PreconditionError):
+            continue
+    return encoders
+
+
+class TestGateForm:
+    def test_act_run_returns_one_gate_and_builds_no_template(self, monkeypatch):
+        built = []
+        unchecked = gates.unchecked
+
+        def counted(cls, fields):
+            built.append(cls)
+            return unchecked(cls, fields)
+
+        monkeypatch.setattr(gates, "unchecked", counted)
+        s = eq5_intermediate()
+        cases = [
+            (CSIGN, 2, 3, L("1+D+D^2")),
+            (CSIGN, 3, 1, L("D^-1+D^4")),
+            (CNOT, 1, 2, L("D^3")),
+            (CNOT, 2, 1, L("1+D^9")),
+        ]
+        outcomes = []
+        # at span limit 4 the run of 1+D^9 replays template by template and overflows
+        for limit in (1 << 16, 4):
+            for kind, i, j, f in cases:
+                x, z = thaw(s.x), thaw(s.z)
+                try:
+                    with span_limit(limit):
+                        g = act_run(x, z, kind, i, j, f)
+                except ExponentOverflowError:
+                    outcomes.append("raised")
+                    continue
+                assert type(g) is Gate and len(g.ells) == len(f.exponents())
+                outcomes.append("gate")
+        assert outcomes == ["gate"] * 7 + ["raised"]
+        assert GateTemplate not in built
+
+    def test_ladder8_forward_holds_fewer_gates_than_templates(self):
+        forward = synthesize(parse_stabilizer((DATA / "ladder8.stab").read_text(encoding="utf-8"))).forward
+        assert all(type(g) is Gate for g in forward.gates)
+        assert len(forward.gates) < len(forward) == len(forward.templates) == 76
+
+    def test_circuits_with_the_same_templates_are_equal_however_grouped(self):
+        c = synthesize(rate_third_code()).forward
+        one_term = _circuit(c.n, [Gate(g.kind, g.i, g.j, (ell,)) for g in c.gates for ell in g.ells])
+        for twin in (Circuit(c.n, c.templates), Circuit(c.n, c.gates), one_term):
+            assert twin == c and not twin != c
+            assert hash(twin) == hash(c) and repr(twin) == repr(c)
+        changed = list(c.templates)
+        changed[-1] = GateTemplate(H, 3)
+        assert Circuit(c.n, changed) != c
+        assert Circuit(c.n + 1, c.templates) != c
+
+    def test_gates_given_to_the_constructor_are_checked_term_by_term(self):
+        assert Circuit(3, [Gate(CSIGN, 2, 1, (3, -1))]).templates == (
+            GateTemplate(CSIGN, 1, 2, -3),
+            GateTemplate(CSIGN, 1, 2, 1),
+        )
+        for gate, message in [
+            (Gate(CNOT, 1, 3, (0, 1)), "template CNOT c=1 t=3 off=0 exceeds n=2"),
+            (Gate(CNOT, 1, 1, (0,)), "CNOT needs two distinct qubit streams"),
+            (Gate(PL, 1, 0, (2, 0)), "PL requires a nonzero offset"),
+            (Gate("Q", 1, 0, (0,)), "unknown gate kind 'Q'"),
+        ]:
+            with pytest.raises(ValueError) as exc:
+                Circuit(2, [GateTemplate(H, 1), gate])
+            assert str(exc.value) == message
+
+    def test_encoders_round_trip_and_read_as_their_templates(self):
+        encoders = golden_and_ladder_encoders()
+        assert len(encoders) > 80
+        for e in encoders:
+            text = format_circuit(e)
+            assert parse_circuit(text) == e
+            rebuilt = Circuit(e.n, e.templates)
+            assert (len(rebuilt), rebuilt.memory, depth_schedule(rebuilt), format_circuit(rebuilt)) == (
+                len(e),
+                e.memory,
+                depth_schedule(e),
+                text,
+            )

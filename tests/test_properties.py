@@ -2,7 +2,8 @@
 quotient against the y-basis reference, Laurent arithmetic against its
 exponent-set reference, the fused entry updates against the operators
 they stand for, the template runs of `gates.act_run`
-against their template-by-template replay, the polynomial seed images
+against their template-by-template replay, the driver's gate kernels
+against the template push, the polynomial seed images
 of `gates.act` against the window kernel, and the window kernel's packed
 unit and subcode seeds against its per-seed packing."""
 
@@ -13,7 +14,7 @@ from math import gcd
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -34,12 +35,17 @@ from qconvenc.gates import (
     CNOT,
     CSIGN,
     Circuit,
+    Gate,
     GateTemplate,
     H,
     P,
     PL,
+    _circuit,
+    _gate,
     act,
+    act_gate,
     act_run,
+    act_swap,
     apply_circuit,
     format_circuit,
     parse_circuit,
@@ -294,7 +300,7 @@ def test_a_sum_wider_than_the_limit_raises_before_it_is_built(update):
 def template_runs(draw):
     """Random (X | Z) rows and a CNOT or CSIGN run kind(i, j, f) on them,
     f of one term or more, columns 0-based: a single term goes through
-    `act`, two or more are fused."""
+    `act`'s updates, two or more are fused."""
     n = draw(st.integers(2, 4))
     r = draw(st.integers(1, 3))
     entries = st.builds(LaurentPoly, st.integers(-6, 6), st.integers(0, (1 << 8) - 1))
@@ -306,13 +312,15 @@ def template_runs(draw):
 
 
 def _fused_and_replayed(s, kind, i, j, f):
-    """Each path's outcome: its rows and templates, or its exception."""
+    """Each path's outcome: its rows and templates, or its exception.  A
+    template is compared as its fields (kind, i, j, ell), and the fused
+    path's templates are the terms of the one gate that `act_run` returns."""
     fused_x, fused_z, fused_run = thaw(s.x), thaw(s.z), []
     x, z = thaw(s.x), thaw(s.z)
     run = [GateTemplate(kind, i + 1, j + 1, e) for e in f.exponents()]
     outcomes = []
     for step in (
-        lambda: fused_run.extend(act_run(fused_x, fused_z, kind, i + 1, j + 1, f)),
+        lambda: fused_run.append(act_run(fused_x, fused_z, kind, i + 1, j + 1, f)),
         lambda: [act(x, z, g) for g in run],
     ):
         try:
@@ -321,7 +329,9 @@ def _fused_and_replayed(s, kind, i, j, f):
             outcomes.append(("raised", str(exc)))
         else:
             outcomes.append(None)
-    return outcomes, (fused_x, fused_z, fused_run), (x, z, run)
+    fused_terms = [(g.kind, g.i, g.j, ell) for g in fused_run for ell in g.ells]
+    run_terms = [(g.kind, g.i, g.j, g.ell) for g in run]
+    return outcomes, (fused_x, fused_z, fused_terms), (x, z, run_terms)
 
 
 @PROPERTY
@@ -340,6 +350,113 @@ def test_fused_run_raises_exactly_as_its_replay_under_a_lowered_limit(case, limi
     assert outcomes[0] == outcomes[1]
     if outcomes[0] is None:
         assert fused == replayed
+
+
+# -- the gate push against the template push -----------------------------------
+
+
+@st.composite
+def gate_pushes(draw):
+    """Random (X | Z) rows on n streams and the synthesis driver's steps on
+    them: a CNOT or CSIGN gate from a list of offsets, one or more,
+    repeats kept, or from a polynomial through `act_run`, either with
+    CSIGN's qubits in either order; H, P and PL; and stream swaps."""
+    n = draw(st.integers(2, 4))
+    r = draw(st.integers(1, 3))
+    entries = st.builds(LaurentPoly, st.integers(-6, 6), st.integers(0, (1 << 8) - 1))
+    x, z = (draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=r, max_size=r)) for _ in "xz")
+    pairs = st.permutations(range(1, n + 1)).map(lambda p: p[:2])
+    offsets = st.integers(-4, 4)
+    step = st.one_of(
+        st.tuples(
+            st.just("gate"), st.sampled_from((CNOT, CSIGN)), pairs, st.lists(offsets, min_size=1, max_size=5)
+        ),
+        st.tuples(
+            st.just("run"),
+            st.sampled_from((CNOT, CSIGN)),
+            pairs,
+            st.sets(offsets, min_size=1, max_size=5).map(LaurentPoly.from_exponents),
+        ),
+        st.tuples(st.sampled_from((H, P)), st.integers(1, n)),
+        st.tuples(st.just(PL), st.integers(1, n), offsets.filter(bool)),
+        st.tuples(st.just("swap"), pairs),
+    )
+    return StabilizerMatrix.from_rows(n, x, z), draw(st.lists(step, min_size=1, max_size=6))
+
+
+def _step_gates(step) -> list:
+    """The gates one step emits, built without touching any rows."""
+    if step[0] == "gate":
+        _, kind, (i, j), ells = step
+        return [_gate(kind, i, j, tuple(ells))]
+    if step[0] == "run":
+        _, kind, (i, j), f = step
+        return [_gate(kind, i, j, f.exponents())]
+    if step[0] == "swap":
+        i, j = step[1]
+        return [Gate(CNOT, i, j, (0,)), Gate(CNOT, j, i, (0,)), Gate(CNOT, i, j, (0,))]
+    if step[0] == PL:
+        return [_gate(PL, step[1], 0, (step[2],))]
+    return [_gate(step[0], step[1])]
+
+
+def _pushed(s, steps) -> list:
+    """Each path's outcome, the rows it leaves or the text of its overflow:
+    the driver's kernels step by step (`act_run`, `act_swap`, `act_gate`),
+    the replay of `act_gate` gate by gate, and the circuit's templates one
+    at a time through `act`."""
+    gates = [g for step in steps for g in _step_gates(step)]
+
+    def driver(x, z):
+        for step in steps:
+            if step[0] == "run":
+                _, kind, (i, j), f = step
+                assert act_run(x, z, kind, i, j, f) == _step_gates(step)[0]
+            elif step[0] == "swap":
+                assert list(act_swap(x, z, *step[1])) == _step_gates(step)
+            else:
+                act_gate(x, z, _step_gates(step)[0])
+
+    def replay(x, z):
+        for g in gates:
+            act_gate(x, z, g)
+
+    def templates(x, z):
+        for g in _circuit(s.n, gates).templates:
+            act(x, z, g)
+
+    outcomes = []
+    for path in (driver, replay, templates):
+        x, z = thaw(s.x), thaw(s.z)
+        try:
+            path(x, z)
+        except ExponentOverflowError as exc:
+            outcomes.append(str(exc))
+        else:
+            outcomes.append((x, z))
+    return outcomes
+
+
+@PROPERTY
+@given(gate_pushes())
+def test_gate_push_leaves_the_rows_of_the_template_push(case):
+    outcomes = _pushed(*case)
+    assert not isinstance(outcomes[0], str)
+    assert outcomes[0] == outcomes[1] == outcomes[2]
+
+
+@PROPERTY
+@given(gate_pushes(), st.integers(1, 24))
+# offsets 4, 4 cancel in the gate's polynomial, but the template push sums
+# D^4 into x_2 first: the hull spans the repeated offset too
+@example(
+    (StabilizerMatrix.from_rows(2, [[L("1"), L("1")]], [[L("0"), L("0")]]), [("gate", CNOT, (1, 2), [4, 4, 0])]),
+    3,
+)
+def test_gate_push_raises_exactly_as_the_template_push_under_a_lowered_limit(case, limit):
+    with span_limit(limit):
+        outcomes = _pushed(*case)
+    assert outcomes[0] == outcomes[1] == outcomes[2]
 
 
 # -- polynomial seed images against the window kernel --------------------------

@@ -3,8 +3,9 @@
 Twelve plain result records are NamedTuples; the four types that check
 their fields (GateTemplate, Circuit, StabilizerMatrix, ElementaryColOp)
 derive from `qconvenc.matrix.Record`, which writes their immutability,
-equality, hash and repr once from each class's `_fields`, and hold those
-fields and nothing derived from them but a circuit's memory.  Either way
+equality, hash and repr once from each class's `_fields` (a circuit's
+from its templates), and hold those fields and nothing derived from them
+but a circuit's memory and template count.  Either way
 a record cannot be assigned to, and records with equal fields are equal
 and hash alike."""
 
@@ -20,7 +21,19 @@ from hypothesis import strategies as st
 
 import qconvenc
 from helpers import L, rate_third_code, template_updates
-from qconvenc.gates import CNOT, CSIGN, Circuit, GateTemplate, H, P, PL, _template, depth_schedule, reverse
+from qconvenc.gates import (
+    CNOT,
+    CSIGN,
+    Circuit,
+    Gate,
+    GateTemplate,
+    H,
+    P,
+    PL,
+    _template,
+    depth_schedule,
+    reverse,
+)
 from qconvenc.matrix import Record
 from qconvenc.poly import LaurentPoly, Poly
 from qconvenc.smith import ElementaryColOp, smith
@@ -116,8 +129,12 @@ def test_reverse_equals_the_reversed_circuit_and_carries_memory():
     inv = reverse(c)
     assert inv == Circuit(c.n, c.templates[::-1])
     assert hash(inv) == hash(Circuit(c.n, c.templates[::-1]))
-    # the memory is stored, not walked again
+    # the memory and the template count are stored, not walked again
     assert vars(inv)["memory"] == c.memory == Circuit(c.n, c.templates[::-1]).memory
+    assert vars(inv)["size"] == len(c) == len(Circuit(c.n, c.templates[::-1]))
+    # the gates in reversed order, each with its offsets reversed
+    assert inv.gates == tuple(Gate(g.kind, g.i, g.j, g.ells[::-1]) for g in reversed(c.gates))
+    assert len(c.gates) < len(c)
 
 
 def test_only_the_base_and_the_polynomials_define_setattr():
@@ -134,8 +151,9 @@ def test_only_the_base_and_the_polynomials_define_setattr():
 @pytest.mark.parametrize("record", CHECKED, ids=lambda r: type(r).__name__)
 def test_records_hold_only_their_fields(record):
     # the worked records have been through synthesize and verify_encoder;
-    # a circuit's memory is the one value its constructor stores beside them
-    extra = {"memory"} if isinstance(record, Circuit) else set()
+    # a circuit's memory and template count are the values its constructor
+    # stores beside them
+    extra = {"memory", "size"} if isinstance(record, Circuit) else set()
     assert set(vars(record)) == {*record._fields, *extra}
 
 

@@ -195,8 +195,9 @@ class TestCheckpointMarks:
     @pytest.mark.parametrize("limit", [4, 6, 8, 12])
     def test_rebuild_fits_the_limit_the_reduction_fit(self, limit):
         """Under a low span limit some reductions overflow; every one that
-        completes is rebuilt template by template under the same limit
-        without overflow, where the reduction fused each run that fit."""
+        completes is rebuilt gate by gate under the same limit without
+        overflow, each gate through the kernel the reduction ran it
+        through."""
         rng = random.Random(3002)
         codes = [random_valid_code(rng, max_n=6, max_r=4, max_gates=20, max_off=3) for _ in range(40)]
         codes += [parse_stabilizer((DATA / "span_fallback.stab").read_text(encoding="utf-8"))]

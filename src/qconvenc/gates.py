@@ -18,7 +18,7 @@ S(D) = (X(D) | Z(D)):
     CNOT(i,j,l)   x_j += D^l x_i ;  z_i += D^-l z_j
     CSIGN(i,j,l)  z_j += D^l x_i ;  z_i += D^-l x_j
 
-Three interpreters read it, with the columns and shift of each update
+Four interpreters read it, with the columns and shift of each update
 taken from the template's (i, j, ell).  On mutable polynomial rows, `act`
 applies one template in place, skipping rows whose source entry is zero
 (`apply` wraps it for frozen matrices), and `act_gate` applies one gate:
@@ -27,12 +27,15 @@ as a swap of its two columns, and any other gate through the updates of
 `act`.  The synthesis driver builds its gates on its work pair through
 `act_run` (a CNOT or CSIGN gate from its polynomial), `act_swap` (an
 in-block swap of two streams, three CNOT gates) and `act_gate`, and
-`synthesis.checkpoint_matrices` replays them through `act_gate`;
-`verify._seed_walk` calls `act` on the unit seeds.  On windows, the kernel
-`verify._conjugate_lanes` runs each update as one masked shift-and-XOR over
-a batch of unrolled windows packed side by side, for the seeds within
-max(memory, prefix reach) blocks of a window edge (`_window_pass`; the
-seeds further in read the walk's images) and for the one-lane `conjugate`.
+`synthesis.checkpoint_matrices` replays them through `act_gate`.
+`verify._seed_walk` runs each update on the unit seeds as one shift and one
+XOR of a packed column, a field per seed, and calls `act` for the rest of a
+circuit once its images grow too wide for the fields or could pass the span
+limit.  On windows, the kernel `verify._conjugate_lanes` runs each update
+as one masked shift-and-XOR over a batch of unrolled windows packed side by
+side, for the seeds within max(memory, prefix reach) blocks of a window
+edge (`_window_pass`; the seeds further in read the walk's images) and for
+the one-lane `conjugate`.
 
 All of them square to the identity over GF(2), so a circuit is undone by
 replaying its templates in reversed order.

@@ -7,8 +7,9 @@ outside the window are dropped (open boundary, matching a stream that
 starts at block 0).
 
 One rule decides which seeds are conjugated.  The seed walk pushes the
-unit seeds through the exact polynomial action and measures P, the prefix
-reach: the furthest block offset any image reaches after any template.
+unit seeds through the exact polynomial action, on packed columns with one
+field per seed (`_seed_walk`), and measures P, the prefix reach: the
+furthest block offset any image reaches after any template.
 With M = max(memory, P), a seed at least M blocks from both edges meets no
 dropped instance, since one that acted would put a term past P, so its
 window image is the walk's, translated.  Only the seeds within M of an
@@ -18,11 +19,11 @@ edge go through the lane kernel.
 from __future__ import annotations
 
 from itertools import repeat
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import ExponentOverflowError, PreconditionError, WindowTooSmallError
-from .gates import CNOT, COLUMN_ACTIONS, CSIGN, Circuit, PL, act
-from .poly import L_ONE, L_ZERO
+from .gates import CNOT, COLUMN_ACTIONS, CSIGN, Circuit, GateTemplate, PL, act
+from .poly import LaurentPoly, max_span
 # verify.placement_bits stays importable, though the basis inlines it
 from .stabilizer import StabilizerMatrix, placement_bits, row_patterns  # noqa: F401
 
@@ -70,12 +71,13 @@ def _batch_lanes(lane_bytes: int) -> int:
 
 
 def _conjugate_lanes(
-    c: Circuit, masks: tuple[tuple[int, ...], int], x: int, z: int
+    c: Circuit, templates: Sequence[GateTemplate], masks: tuple[tuple[int, ...], int], x: int, z: int
 ) -> tuple[int, int]:
-    """Conjugate one packed batch of window seeds: lanes of `_lane_bytes`
-    each, lane j at bit 8*lane_bytes*j of one X int and one Z int, under the
-    window's `_lane_masks` over at least as many lanes.  Returns the images
-    packed the same way.
+    """Conjugate one packed batch of window seeds through c's `templates`,
+    read once by the caller: lanes of `_lane_bytes` each, lane j at bit
+    8*lane_bytes*j of one X int and one Z int, under the window's
+    `_lane_masks` over at least as many lanes.  Returns the images packed
+    the same way.
 
     Each column update of a template moves all its in-window instances in
     every lane at once: the source column's bits are masked out of one
@@ -90,7 +92,7 @@ def _conjugate_lanes(
     n = c.n
     columns, windows = masks
     sides = [x, z]
-    for g in c.templates:
+    for g in templates:
         # columns are 0-based; a shift of k blocks moves a bit k*n places
         cols, shift = (g.i - 1, g.j - 1), g.ell * n
         for dst_side, dst, src_side, src, sign in COLUMN_ACTIONS[g.kind]:
@@ -158,7 +160,7 @@ def conjugate(c: Circuit, blocks: int, p: PauliVector) -> PauliVector:
     if blocks < c.memory + 1:
         raise WindowTooSmallError(f"window {blocks} < circuit memory {c.memory} + 1")
     masks = _lane_masks(c.n, blocks, _lane_bytes(c, blocks), 1)
-    x, z = _conjugate_lanes(c, masks, p.bits & ((1 << half) - 1), p.bits >> half)
+    x, z = _conjugate_lanes(c, c.templates, masks, p.bits & ((1 << half) - 1), p.bits >> half)
     return PauliVector(c.n, blocks, x | z << half)
 
 
@@ -202,28 +204,106 @@ def _pair_max(x: int, z: int, lane_bytes: int, pairs: int) -> int:
 # kind -> the (side, qubit) columns its updates write, each once
 _WRITTEN = {kind: tuple(dict.fromkeys(u[:2] for u in updates)) for kind, updates in COLUMN_ACTIONS.items()}
 
+# widest field of the seed walk's packed columns, in bits, past which the
+# walk goes on polynomial rows (`_seed_walk`): placed by timing the walk on
+# ladder encoders, whose n=12 rung ran fastest under caps of 2048 to 4096
+# bits and slower from 8192 on; uncapped, depth-240's took 4x as long
+_FIELD_BITS = 2048
 
-def _seed_walk(c: Circuit, streams: int = 0) -> tuple[int, int, int, int, list[tuple[int, int]]]:
+# byte -> its bit count
+_BIT_COUNTS = bytes(map(int.bit_count, range(256)))
+
+
+def _field_width(room: int) -> int:
+    """The width of a seed-walk field, a multiple of 16 bits, whose middle
+    bit, exponent 0, leaves room for exponents -room .. room."""
+    return 16 * (room // 8 + 1)
+
+
+def _fold(bits: int, fields: int, width: int) -> int:
+    """The OR of the `fields` fields of `width` bits packed in `bits`."""
+    while fields > 1:
+        fields = (fields + 1) // 2
+        bits = bits & (1 << fields * width) - 1 | bits >> fields * width
+    return bits
+
+
+def _rebase(col: int, rows: int, width: int, wider: int) -> int:
+    """A packed column with its fields widened, each kept at its middle."""
+    mask, step = (1 << width) - 1, (wider - width) // 2
+    return sum((col >> r * width & mask) << r * wider + step for r in range(rows))
+
+
+def _seed_walk(
+    c: Circuit, streams: int = 0, templates: Optional[Iterable[GateTemplate]] = None
+) -> tuple[int, int, int, int, list[tuple[int, int]]]:
     """Backward reach, forward reach and max X, Z or Y support of the
     single-qubit seed images, their prefix reach P, and the images of the Z
     seeds on the first `streams` streams: the rows of the (X|Z) identity,
-    the X and Z unit seeds, pushed once through the exact polynomial
-    action.  Each row is the image of one seed that no boundary clips
-    (exponent e is block offset e); it packs into one int per side, column
-    q at q times the images' common width, so columns hold disjoint fields
-    and a support is a bit count.  P is the furthest block offset, in
-    either direction, that any image reaches after any template, read off
-    the columns it writes; an offset-0 template adds no term beyond those
-    it reads.  A Z image is an (x, z) pair packed block-major, as a window
-    holds it from block -P: term D^e of column j at bit (e + P)*n + j.  No
-    walk is kept between calls: each runs under the span limit of its own
-    call."""
-    n = c.n
-    units = [[L_ONE if q == j else L_ZERO for q in range(n)] for j in range(n)]
-    x = units + [[L_ZERO] * n for _ in range(n)]
-    z = [[L_ZERO] * n for _ in range(n)] + [row.copy() for row in units]
-    sides, reach = (x, z), 0
-    for g in c.templates:
+    the X and Z unit seeds, pushed once through the exact polynomial action
+    of c's `templates` (read from c unless given), iterated once.  Each row
+    is the image of one seed that no boundary clips (exponent e is block
+    offset e).  P is the furthest block offset, in either direction, that
+    any image reaches after any template, read off the columns it writes;
+    an offset-0 template adds no term beyond those it reads.  A Z image is
+    an (x, z) pair packed block-major, as a window holds it from block -P:
+    term D^e of column j at bit (e + P)*n + j.
+
+    The push runs on packed columns: one int per (side, column) holds the
+    2n rows as fields of one width, row r's exponent e at bit r*width +
+    width/2 + e, so an update "dst += D^k src" is one shift and one XOR for
+    every row.  No entry passes P + memory within a template, so a field
+    widens by about a quarter when that reaches its edge, and P is read by
+    masking a written column to the bits outside -P .. P, its fields folded
+    only when that mask hits.  Before a template that could raise, when
+    2(P + memory) passes the span limit, or once a field would pass
+    `_FIELD_BITS`, the walk goes on through `act` on polynomial rows: it
+    raises at the template and with the message of a bare push, and a deep
+    encoder, whose fields would each span its whole envelope, keeps the
+    rows' speed.  No walk is kept between calls: each runs under the span
+    limit of its own call."""
+    n, memory, limit = c.n, c.memory, max_span()
+    rows = 2 * n
+    rest = iter(c.templates if templates is None else templates)
+    width, reach = _field_width(2 * memory + 8), 0
+    base = width // 2
+    # row q < n is the X seed on stream q, and row n + q its Z seed
+    sides = ([1 << q * width + base for q in range(n)], [1 << (n + q) * width + base for q in range(n)])
+    if 2 * memory <= limit and width <= _FIELD_BITS:
+        outside = _series((1 << width) - 1 ^ 1 << base, rows, width)
+        for g in rest:
+            cols, ell = (g.i - 1, g.j - 1), g.ell
+            for dst_side, dst, src_side, src, sign in COLUMN_ACTIONS[g.kind]:
+                moved, k = sides[src_side][cols[src]], sign * ell
+                sides[dst_side][cols[dst]] ^= moved << k if k >= 0 else moved >> -k
+            if not ell:
+                continue
+            seen = reach
+            for side, dst in _WRITTEN[g.kind]:
+                col = sides[side][cols[dst]]
+                if col & outside:
+                    col = _fold(col, rows, width)
+                    seen = max(seen, base + 1 - (col & -col).bit_length(), col.bit_length() - 1 - base)
+            if seen == reach:
+                continue
+            reach = seen
+            if 2 * (reach + memory) > limit:
+                break
+            if reach + memory >= base:
+                wider = _field_width(max(reach + memory, 5 * width // 8))
+                if wider > _FIELD_BITS:
+                    break
+                sides = tuple([_rebase(col, rows, width, wider) for col in side] for side in sides)
+                width, base = wider, wider // 2
+            inside = (1 << 2 * reach + 1) - 1 << base - reach
+            outside = _series((1 << width) - 1 ^ inside, rows, width)
+        else:
+            return _read_columns(n, sides, width, reach, streams)
+    mask = (1 << width) - 1
+    sides = x, z = tuple(
+        [[LaurentPoly(-base, col >> r * width & mask) for col in side] for r in range(rows)] for side in sides
+    )
+    for g in rest:
         act(x, z, g)
         if g.ell:
             cols = (g.i - 1, g.j - 1)
@@ -238,40 +318,51 @@ def _seed_walk(c: Circuit, streams: int = 0) -> tuple[int, int, int, int, list[t
                         at += e.bits.bit_length() - 1
                         if at > reach:
                             reach = at
-    # a body's bits n apart are its terms one block apart
-    gap = "0" * (n - 1)
-    z_images = [
-        tuple(
-            sum(
-                int(gap.join(format(e.bits, "b")), 2) << (e.offset + reach) * n + j
-                for j, e in enumerate(row)
-                if e.bits
-            )
-            for row in (x[q], z[q])
-        )
-        for q in range(n, n + streams)
+    width = _field_width(reach)
+    base = width // 2
+    sides = tuple(
+        [sum(e.bits << r * width + base + e.offset for r, e in enumerate(col)) for col in zip(*side)]
+        for side in sides
+    )
+    return _read_columns(n, sides, width, reach, streams)
+
+
+def _read_columns(
+    n: int, sides: tuple[list[int], list[int]], width: int, reach: int, streams: int
+) -> tuple[int, int, int, int, list[tuple[int, int]]]:
+    """`_seed_walk`'s result, read off its packed columns: fields of
+    `width` bits, a multiple of 16, that hold no term beyond `reach`."""
+    rows, base, low = 2 * n, width // 2, n * width
+    size, every, union = 3 * low // 8, 0, []
+    for x, z in zip(*sides):
+        every |= x | z
+        # rows q and n + q are the images of qubit q's X and Z seeds, and
+        # its Y image is their sum, since conjugation is linear
+        union.append(x | z | (((x ^ x >> low) | (z ^ z >> low)) & (1 << low) - 1) << rows * width)
+    every = _fold(every, rows, width)
+    lo, hi = (every & -every).bit_length() - 1 - base, every.bit_length() - 1 - base
+    # a support is the sum of its fields' byte bit counts over the columns;
+    # a byte's count is at most 8, so 31 columns add up without a carry
+    supports, fields = [0] * (3 * n), range(0, size, width // 8)
+    for at in range(0, n, 31):
+        counts = sum(
+            int.from_bytes(v.to_bytes(size, "little").translate(_BIT_COUNTS), "little") for v in union[at : at + 31]
+        ).to_bytes(size, "little")
+        supports = [s + sum(counts[k : k + width // 8]) for s, k in zip(supports, fields)]
+    # the Z seeds' fields, X side then Z side, one string of bits a column
+    # (a leading 1 keeps the leading zeros), interleaved so that column j's
+    # bit b is the images' bit b*n + j: a window's block-major layout
+    length, chunk = 2 * streams * width, (1 << streams * width) - 1
+    interleaved = bytearray(length * n)
+    for j, (x, z) in enumerate(zip(*sides)):
+        bits = format(1 << length | (z >> low & chunk) << streams * width | x >> low & chunk, "b")
+        interleaved[n - 1 - j :: n] = bits[1:].encode()
+    # each field's terms -P .. P, the string's first char the top bit
+    images = [
+        int(interleaved[(length - at - 2 * reach - 1) * n : (length - at) * n], 2)
+        for at in range(base - reach, length, width)
     ]
-    entries = [e for row in x + z for e in row if e.bits]
-    lo = min([e.offset for e in entries], default=0)
-    hi = max([e.offset + e.bits.bit_length() for e in entries], default=1) - 1
-    width = hi + 1 - lo
-    packed = []
-    for side in (x, z):
-        rows = []
-        for row in side:
-            bits, at = 0, -lo
-            for e in row:
-                if e.bits:
-                    bits |= e.bits << e.offset + at
-                at += width
-            rows.append(bits)
-        packed.append(rows)
-    px, pz = packed
-    # rows q and n + q are the images of qubit q's X and Z seeds, and its Y
-    # image is their sum, since conjugation is linear
-    ys = [(px[q] ^ px[n + q], pz[q] ^ pz[n + q]) for q in range(n)]
-    image_max = max((xs | zs).bit_count() for xs, zs in [*zip(px, pz), *ys])
-    return max(0, -lo), max(0, hi), image_max, reach, z_images
+    return max(0, -lo), max(0, hi), max(supports), reach, list(zip(images[:streams], images[streams:]))
 
 
 def image_reach(c: Circuit) -> tuple[int, int]:
@@ -417,7 +508,10 @@ def verify_windows(
     sizes = tuple(blocks for blocks in sizes if blocks >= memory + 1)
     if not sizes:
         raise PreconditionError(f"all window sizes are below circuit memory {memory} + 1")
-    back, forward, image_max, reach, z_images = _seed_walk(c, 0 if s is None else s.r)
+    # a circuit that `synthesize` built holds gates: its templates are
+    # built on each read, so they are read once
+    templates = c.templates
+    back, forward, image_max, reach, z_images = _seed_walk(c, 0 if s is None else s.r, templates)
     # the round trip's margin: seeds nearer an edge may have clipped images
     margin = max(memory, back, forward)
     maxima, checks, error, patterns = [], [], None, None
@@ -438,7 +532,7 @@ def verify_windows(
         if patterns is not None and blocks >= first:
             basis = stabilizer_window_basis(patterns, s.n, blocks)
         images = () if basis is None else z_images
-        best, spans = _window_pass(c, blocks, margin, reach, image_max, basis, images)
+        best, spans = _window_pass(c, templates, blocks, margin, reach, image_max, basis, images)
         maxima.append(best)
         if basis is not None:
             shifts = range(margin, blocks - margin)
@@ -448,7 +542,7 @@ def verify_windows(
                 for shift, ok in zip(shifts, span)
             )
             checks.append(EncoderCheck(blocks, margin, rows))
-    couplers = sum(1 for g in c.templates if g.kind in (CNOT, CSIGN, PL))
+    couplers = sum(1 for g in templates if g.kind in (CNOT, CSIGN, PL))
     bound = (couplers + 1) * (2 * memory + 1)
     verdict = "bounded" if image_max <= bound else "growing"
     return PropagationReport(sizes, tuple(maxima), bound, verdict, memory), checks, error
@@ -456,6 +550,7 @@ def verify_windows(
 
 def _window_pass(
     c: Circuit,
+    templates: Sequence[GateTemplate],
     blocks: int,
     margin: int,
     reach: int,
@@ -476,7 +571,8 @@ def _window_pass(
     batch by batch as `_unit_seeds` packs them, and their placements are
     tested as their batch goes by: (gen, t), a single Z on qubit
     q = t*n + gen, is the Z seed in lane 2(q - first) + 1 of the batch that
-    starts at qubit `first`."""
+    starts at qubit `first`.  The lane kernel runs c's `templates`, read
+    once by the caller."""
     n, memory = c.n, c.memory
     deep = max(memory, reach)
     lane_bytes = _lane_bytes(c, blocks)
@@ -502,7 +598,7 @@ def _window_pass(
         # the first batch is the widest, and every later one fits its masks
         masks = _lane_masks(n, blocks, lane_bytes, 2 * batches[0][1])
     for first, count in batches:
-        x, z = _conjugate_lanes(c, masks, *_unit_seeds(lane_bytes, first, count))
+        x, z = _conjugate_lanes(c, templates, masks, *_unit_seeds(lane_bytes, first, count))
         best = max(best, _pair_max(x, z, lane_bytes, count))
         # the batch's qubits from a up to b hold placements
         a, b = max(first, margin * n), min(first + count, (blocks - margin) * n)

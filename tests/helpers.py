@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import random
 import re
 import signal
+import sys
 
 from dataclasses import dataclass
 from functools import cache
 from itertools import islice, repeat
+from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 
 from qconvenc import verify
@@ -41,8 +44,10 @@ from qconvenc.stabilizer import (
     _split_row,
     from_f4,
     params,
+    parse_stabilizer,
     placement_bits,
 )
+from qconvenc.synthesis import synthesize
 from qconvenc.verify import (
     PauliVector,
     PropagationReport,
@@ -54,6 +59,7 @@ from qconvenc.verify import (
     conjugate,
 )
 
+ROOT = Path(__file__).resolve().parent.parent
 
 _INTEGER = re.compile(r"\s*[+-]?[0-9]+\s*", re.ASCII)
 
@@ -931,7 +937,7 @@ def _lane_images(
     masks = None
     while batch := list(islice(seeds, _batch_lanes(lane_bytes))):
         masks = masks or _lane_masks(c.n, blocks, lane_bytes, len(batch))
-        x, z = _conjugate_lanes(c, masks, *_pack(batch, lane_bytes))
+        x, z = _conjugate_lanes(c, c.templates, masks, *_pack(batch, lane_bytes))
         yield from zip(_lanes(x, len(batch), lane_bytes), _lanes(z, len(batch), lane_bytes))
 
 
@@ -947,11 +953,11 @@ def watch_kernel(monkeypatch, watch) -> None:
         windows.append(blocks)
         return lane_masks(n, blocks, lane_bytes, lanes)
 
-    def recording(c, masks, x, z):
+    def recording(c, templates, masks, x, z):
         blocks = windows[-1]
         lane_bits = 8 * _lane_bytes(c, blocks)
         watch(c, blocks, -(-max(x.bit_length(), z.bit_length()) // lane_bits), x, z)
-        return kernel(c, masks, x, z)
+        return kernel(c, templates, masks, x, z)
 
     monkeypatch.setattr(verify, "_lane_masks", masking)
     monkeypatch.setattr(verify, "_conjugate_lanes", recording)
@@ -1076,6 +1082,70 @@ def reference_prefix_reach(c: Circuit) -> int:
         for e in (e for row in x + z for e in row if e.bits):
             reach = max(reach, -e.offset, e.offset + e.bits.bit_length() - 1)
     return reach
+
+
+def reference_seed_walk(c: Circuit, streams: int = 0) -> tuple[int, int, int, int, list[tuple[int, int]]]:
+    """`verify._seed_walk` on polynomial rows: the 2n unit seeds pushed
+    template by template through `act`, P read off the columns each
+    template of nonzero offset writes, and the images packed one int per
+    row and side, column q at q times the images' common width, so that a
+    support is a bit count."""
+    n = c.n
+    units = [[L_ONE if q == j else L_ZERO for q in range(n)] for j in range(n)]
+    x = units + [[L_ZERO] * n for _ in range(n)]
+    z = [[L_ZERO] * n for _ in range(n)] + [row.copy() for row in units]
+    sides, reach = (x, z), 0
+    for g in c.templates:
+        act(x, z, g)
+        if g.ell:
+            cols = (g.i - 1, g.j - 1)
+            for side, dst in verify._WRITTEN[g.kind]:
+                for row in sides[side]:
+                    e = row[cols[dst]]
+                    if e.bits:
+                        reach = max(reach, -e.offset, e.offset + e.bits.bit_length() - 1)
+    # a body's bits n apart are its terms one block apart
+    gap = "0" * (n - 1)
+    z_images = [
+        tuple(
+            sum(
+                int(gap.join(format(e.bits, "b")), 2) << (e.offset + reach) * n + j
+                for j, e in enumerate(row)
+                if e.bits
+            )
+            for row in (x[q], z[q])
+        )
+        for q in range(n, n + streams)
+    ]
+    entries = [e for row in x + z for e in row if e.bits]
+    lo = min([e.offset for e in entries], default=0)
+    hi = max([e.offset + e.bits.bit_length() for e in entries], default=1) - 1
+    width = hi + 1 - lo
+    px, pz = (
+        [sum(e.bits << e.offset - lo + q * width for q, e in enumerate(row) if e.bits) for row in side]
+        for side in (x, z)
+    )
+    # rows q and n + q are the images of qubit q's X and Z seeds, and its Y
+    # image is their sum
+    ys = [(px[q] ^ px[n + q], pz[q] ^ pz[n + q]) for q in range(n)]
+    image_max = max((xs | zs).bit_count() for xs, zs in [*zip(px, pz), *ys])
+    return max(0, -lo), max(0, hi), image_max, reach, z_images
+
+
+def ladder_encoders(n: int, count: int = 20, seed: int = 31) -> list[Circuit]:
+    """The encoders `synthesize` makes for the first `count` ladder codes of
+    the n-stream rung (`bench/corpus.ladder_code`), drawn from a fresh
+    `random.Random(seed)`."""
+    spec = importlib.util.spec_from_file_location("_bench_corpus", ROOT / "bench" / "corpus.py")
+    corpus = sys.modules.get(spec.name)
+    if corpus is None:
+        # dataclasses look their module up in sys.modules
+        corpus = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(corpus)
+    rung = next(rung for rung in corpus.LADDER_RUNGS if rung[0] == n)
+    rng = random.Random(seed)
+    codes = [parse_stabilizer(corpus.ladder_code(rng, rung, "ladder").text) for _ in range(count)]
+    return [synthesize(code).encoder for code in codes]
 
 
 def edge_qubits(c: Circuit, blocks: int) -> list[int]:

@@ -363,22 +363,28 @@ class TestVerify:
 
     def test_one_seed_push_per_command(self, monkeypatch):
         # the verdict and the round-trip margin read one push of the seeds,
-        # and nothing is kept for the next command on an equal circuit
+        # one walk over every template, and nothing is kept for the next
+        # command on an equal circuit
         calls = []
-        act = verify.act
+        seed_walk = verify._seed_walk
 
-        def counting(x, z, g):
-            calls.append(g)
-            act(x, z, g)
+        def counting(c, streams, templates):
+            def each():
+                for g in templates:
+                    calls.append(g)
+                    yield g
 
-        monkeypatch.setattr(verify, "act", counting)
+            calls.append("walk")
+            return seed_walk(c, streams, each())
+
+        monkeypatch.setattr(verify, "_seed_walk", counting)
         enc_path = DATA / "rate_third.enc"
-        templates = len(parse_circuit(enc_path.read_text(encoding="utf-8")))
+        templates = list(parse_circuit(enc_path.read_text(encoding="utf-8")).templates)
         argv = ["verify", "--windows", "5,10,20", str(DATA / "rate_third.stab"), str(enc_path)]
         for _ in range(2):
             calls.clear()
             assert run(argv)[0] == 0
-            assert len(calls) == templates
+            assert calls == ["walk", *templates]
 
     def test_lowered_span_limit_after_a_default_verify(self):
         # a push that passed under the default limit does not carry over:

@@ -13,6 +13,7 @@ from helpers import (
     csign_cascade,
     edge_qubits,
     inner,
+    ladder_encoders,
     random_circuit,
     random_template,
     random_valid_code,
@@ -21,6 +22,7 @@ from helpers import (
     reference_image_reach,
     reference_interior_max,
     reference_prefix_reach,
+    reference_seed_walk,
     row_envelope,
     single_pauli,
     stab,
@@ -900,6 +902,9 @@ class TestEdgeZone:
         assert rows[True] and rows[False] and narrow >= 3
 
     def test_lowered_span_limit_stops_at_the_same_template(self, monkeypatch):
+        # the walk raises the bare push's error text: its packed columns run
+        # until 2(P + memory) passes the limit, and it goes on through `act`
+        # from there, so the last template `act` sees is the failing one
         calls = []
         act = verify.act
 
@@ -918,20 +923,28 @@ class TestEdgeZone:
                 c = random_circuit(rng, n, rng.randint(2, 10), max_off=3)
             s = apply_circuit(z_only_identity_code(n, 1), c)
             limit = rng.randint(1, 4)
-            # the push template by template through gates.act, unwatched
+            # the push template by template through gates.act, unwatched,
+            # and the first template before which 2(P + memory) passes the
+            # limit, P read off every entry
             x = [[LaurentPoly(0, 1 if q == j else 0) for q in range(n)] for j in range(2 * n)]
             z = [[LaurentPoly(0, 1 if q + n == j else 0) for q in range(n)] for j in range(2 * n)]
+            reach, switch = 0, None
             with span_limit(limit):
                 try:
                     for at, g in enumerate(c.templates):
+                        if switch is None and 2 * (reach + c.memory) > limit:
+                            switch = at
                         gates.act(x, z, g)
+                        for e in (e for row in x + z for e in row if e.bits):
+                            reach = max(reach, -e.offset, e.offset + e.bits.bit_length() - 1)
                     continue
                 except ExponentOverflowError as exc:
-                    expected = (at + 1, str(exc))
+                    assert switch is not None
+                    expected = (list(c.templates[switch : at + 1]), str(exc))
                 calls.clear()
                 with pytest.raises(ExponentOverflowError) as raised:
                     verify_windows(c, [c.memory + 1, 2 * c.memory + 9], s)
-            assert (len(calls), str(raised.value)) == expected
+            assert (calls, str(raised.value)) == expected
             done += 1
 
     @pytest.mark.parametrize("name, windows", [("proper", "7,14,28"), ("ladder8", "11,22,44")])
@@ -949,6 +962,106 @@ class TestEdgeZone:
         argv = ["verify", "--windows", windows, str(DATA / f"{name}.stab"), str(DATA / f"{name}.enc")]
         assert main(argv, out=out) == 0
         assert out.getvalue() == (DATA / f"{name}_verify.txt").read_text(encoding="utf-8")
+
+
+class TestSeedWalk:
+    """`_seed_walk` pushes the unit seeds on packed columns and goes on
+    through `act` on polynomial rows once 2(P + memory) passes the span
+    limit or a field would pass `_FIELD_BITS`.  Its result, and the error
+    it raises, must equal `reference_seed_walk`'s, the push on rows alone,
+    for every number of Z images."""
+
+    @staticmethod
+    def _watch(monkeypatch) -> list[GateTemplate]:
+        """The templates that the walk's rows phase hands to `act`."""
+        calls = []
+        act = verify.act
+
+        def counting(x, z, g):
+            calls.append(g)
+            act(x, z, g)
+
+        monkeypatch.setattr(verify, "act", counting)
+        return calls
+
+    @staticmethod
+    def _outcome(walk, c: Circuit, streams: int):
+        try:
+            return walk(c, streams)
+        except ExponentOverflowError as exc:
+            return str(exc)
+
+    def _assert_matches(self, c: Circuit) -> None:
+        expected = reference_seed_walk(c, c.n)
+        for streams in range(c.n + 1):
+            assert _seed_walk(c, streams) == (*expected[:4], expected[4][:streams])
+
+    def test_random_circuits_under_lowered_limits_and_caps(self, monkeypatch):
+        calls = self._watch(monkeypatch)
+        rng = random.Random(850)
+        full = verify._FIELD_BITS
+        circuits = [Circuit(n) for n in range(1, 6)]
+        circuits += [random_circuit(rng, rng.randint(1, 5), rng.randint(0, 12), rng.randint(1, 4)) for _ in range(400)]
+        # longer circuits, whose P passes the first field's room
+        circuits += [random_circuit(rng, rng.randint(1, 5), rng.randint(30, 80), 4) for _ in range(100)]
+        kinds, switched = Counter(), Counter()
+        for c in circuits:
+            kinds.update("CSIGN-" if g.kind == CSIGN and g.ell < 0 else g.kind for g in c.templates)
+            self._assert_matches(c)
+            # under a lowered span limit both raise the same text, or the
+            # walk switches to rows where 2(P + memory) passes the limit
+            calls.clear()
+            with span_limit(rng.randint(1, 24)):
+                got = self._outcome(_seed_walk, c, c.n)
+                assert got == self._outcome(reference_seed_walk, c, c.n)
+            if not isinstance(got, str) and 0 < len(calls) < len(c):
+                switched["span"] += 1
+            # under a lowered width cap the walk switches to rows once a
+            # field would pass it
+            monkeypatch.setattr(verify, "_FIELD_BITS", 16 * rng.randint(2, 4))
+            calls.clear()
+            assert _seed_walk(c, c.n) == reference_seed_walk(c, c.n)
+            if 0 < len(calls) < len(c):
+                switched["width"] += 1
+            monkeypatch.setattr(verify, "_FIELD_BITS", full)
+        assert kinds[PL] and kinds["CSIGN-"] and kinds[H] and kinds[P]
+        # each kind of switch, after the walk's first template
+        assert switched["span"] >= 20 and switched["width"] >= 20
+
+    @pytest.mark.parametrize(
+        "name",
+        ["rate_third", "rate_third_cut", "proper", "ladder8", "deep0111", "false_failure_n4", "no_interior_n3"],
+    )
+    def test_committed_encoders(self, name):
+        self._assert_matches(parse_circuit((DATA / f"{name}.enc").read_text(encoding="utf-8")))
+
+    @pytest.mark.parametrize("n", [4, 6, 8, 12])
+    def test_ladder_encoders(self, n):
+        for c in ladder_encoders(n):
+            self._assert_matches(c)
+
+    @pytest.mark.parametrize("name", ["ladder8", "rate_third"])
+    def test_templates_are_built_once_per_verify(self, monkeypatch, name):
+        # a circuit that `synthesize` built holds gates and builds its
+        # templates on each read: verify reads them once, for the walk, the
+        # lane kernel and the coupler count
+        built, lanes = [], []
+        templates = Circuit.templates
+
+        def counting(c):
+            built.append(c)
+            return templates.fget(c)
+
+        monkeypatch.setattr(Circuit, "templates", property(counting))
+        watch_kernel(monkeypatch, lambda c, blocks, count, x, z: lanes.append(blocks))
+        s = parse_stabilizer((DATA / f"{name}.stab").read_text(encoding="utf-8"))
+        encoder = synthesize(s).encoder
+        m = encoder.memory
+        built.clear()
+        verify_windows(encoder, [m + 1, 2 * (m + 1), 4 * (m + 1)], s)
+        assert built == [encoder]
+        # seeds within P of an edge are conjugated where P passes memory
+        assert bool(lanes) == (reference_prefix_reach(encoder) > m)
 
 
 class TestVerifyEncoder:

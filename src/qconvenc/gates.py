@@ -5,8 +5,9 @@ indices are 1-based within a block; the offset couples qubits in blocks
 that many steps apart.  A gate kind(i, j, ells) stands for the templates
 kind(i, j, ell), one per offset of `ells`, in that order: a CNOT or CSIGN
 gate is one polynomial column operation, the run of one template per term
-of f(D), and an H, P or PL gate is one template.  A circuit holds gates;
-its value, length, memory, schedule and text are those of its templates.
+of f(D), and an H, P or PL gate is one template.  A circuit holds only
+gates, a parsed line being a gate of one term; its value, length, memory,
+schedule and text are those of its templates.
 
 COLUMN_ACTIONS is the single statement of gate semantics.  Each kind is an
 ordered tuple of column updates "column dst += D^k * column src" on
@@ -18,24 +19,25 @@ S(D) = (X(D) | Z(D)):
     CNOT(i,j,l)   x_j += D^l x_i ;  z_i += D^-l z_j
     CSIGN(i,j,l)  z_j += D^l x_i ;  z_i += D^-l x_j
 
-Four interpreters read it, with the columns and shift of each update
-taken from the template's (i, j, ell).  On mutable polynomial rows, `act`
-applies one template in place, skipping rows whose source entry is zero
-(`apply` wraps it for frozen matrices), and `act_gate` applies one gate:
-a CNOT or CSIGN gate of two or more terms as one update per column, an H
-as a swap of its two columns, and any other gate through the updates of
-`act`.  The synthesis driver builds its gates on its work pair through
-`act_run` (a CNOT or CSIGN gate from its polynomial), `act_swap` (an
-in-block swap of two streams, three CNOT gates) and `act_gate`, and
-`synthesis.checkpoint_matrices` replays them through `act_gate`.
-`verify._seed_walk` runs each update on the unit seeds as one shift and one
-XOR of a packed column, a field per seed, and calls `act` for the rest of a
-circuit once its images grow too wide for the fields or could pass the span
+Four interpreters read it, each walking a circuit's gates, with the
+columns and shift of each update taken from a term's (i, j, ell).  On
+mutable polynomial rows, `act` applies one template in place (`_act` on
+its fields), skipping rows whose source entry is zero (`apply` wraps it
+for frozen matrices), and `act_gate` applies one gate: a CNOT or CSIGN
+gate of two or more terms as one update per column, an H as a swap of its
+two columns, and any other gate through `_act`.  The synthesis driver
+builds its gates on its work pair through `act_run` (a CNOT or CSIGN gate
+from its polynomial), `act_swap` (an in-block swap of two streams, three
+CNOT gates) and `act_gate`, and `synthesis.checkpoint_matrices` replays
+them through `act_gate`.  `verify._seed_walk` runs each update of each
+term on the unit seeds as one shift and one XOR of a packed column, a
+field per seed, and calls `_act` from the next term on, inside a gate or
+not, once its images grow too wide for the fields or could pass the span
 limit.  On windows, the kernel `verify._conjugate_lanes` runs each update
-as one masked shift-and-XOR over a batch of unrolled windows packed side by
-side, for the seeds within max(memory, prefix reach) blocks of a window
-edge (`_window_pass`; the seeds further in read the walk's images) and for
-the one-lane `conjugate`.
+of each term as one masked shift-and-XOR over a batch of unrolled windows
+packed side by side, for the seeds within max(memory, prefix reach)
+blocks of a window edge (`_window_pass`; the seeds further in read the
+walk's images) and for the one-lane `conjugate`.
 
 All of them square to the identity over GF(2), so a circuit is undone by
 replaying its templates in reversed order.
@@ -109,30 +111,15 @@ _DIAGONAL = frozenset(
 class GateTemplate(Record):
     """One template: kind(i, j, ell), replicated at every block shift.
 
-    The constructor checks the fields, then builds through `_template`,
-    which stores the canonical orientation.  The instance dict holds the
-    fields and nothing derived from them.  A template is also a gate of one
-    term, its offsets `(ell,)`."""
+    The constructor makes the checks that `Circuit` makes on each term,
+    then builds through `_template`.  The instance dict holds the fields
+    and nothing derived from them.  A template is also a gate of one term,
+    its offsets `(ell,)`."""
 
     _fields = ("kind", "i", "j", "ell")
 
     def __new__(cls, kind: str, i: int, j: int = 0, ell: int = 0) -> GateTemplate:
-        if kind in _TWO_QUBIT:
-            if i < 1 or j < 1:
-                raise ValueError("qubit indices are 1-based")
-            if i == j:
-                raise ValueError(f"{kind} needs two distinct qubit streams")
-        elif kind in (H, P, PL):
-            if i < 1:
-                raise ValueError("qubit indices are 1-based")
-            if j != 0:
-                raise ValueError(f"{kind} takes a single qubit")
-            if kind == PL and ell == 0:
-                raise ValueError("PL requires a nonzero offset")
-            if kind != PL and ell != 0:
-                raise ValueError(f"{kind} carries no offset")
-        else:
-            raise ValueError(f"unknown gate kind {kind!r}")
+        _checked(kind, i, j, (ell,))
         return _template(kind, i, j, ell)
 
     @property
@@ -149,8 +136,8 @@ class GateTemplate(Record):
 
 class Gate(NamedTuple):
     """The templates kind(i, j, ell) for each offset ell of `ells`, in that
-    order, oriented once by `_gate` as `_template` orients each; the offsets
-    keep repeats.  Only CNOT and CSIGN gates carry more than one."""
+    order, oriented by `_gate`; the offsets keep repeats.  Only CNOT and
+    CSIGN gates carry more than one."""
 
     kind: str
     i: int
@@ -163,45 +150,25 @@ class Circuit(Record):
 
     Its value is its templates, each gate's terms in turn (`templates`): two
     circuits with the same templates are equal, hash alike and print alike,
-    however their gates group them.  The constructor checks every template
-    and keeps each as a gate of its own; `_circuit` builds the synthesis
-    driver's circuit of gates unchecked.  The instance dict also holds
-    `memory`, the largest template reach, and `size`, the template count,
-    both from the one pass that built it."""
+    however their gates group them.  The constructor takes templates or
+    gates and checks every term: it keeps a CNOT or CSIGN gate whole and
+    makes any other term a gate of its own.  `_circuit` builds the synthesis
+    driver's circuit unchecked.  Either way a circuit holds only `Gate`s,
+    and its instance dict also holds `memory`, the largest template reach,
+    and `size`, the template count, both from the one pass that built it."""
 
     _fields = ("n", "gates")
 
     def __new__(cls, n: int, gates: Iterable[GateTemplate | Gate] = ()) -> Circuit:
-        templates = tuple(gates)
-        if n < 1:
-            raise ValueError(f"need at least one qubit stream, got n={n}")
-        memory = 0
-        for g in templates:
-            if g.__class__ is not GateTemplate:
-                # any other gate is checked term by term: the circuit of
-                # every gate's templates, built through their constructor
-                return cls(n, [GateTemplate(u.kind, u.i, u.j, e) for u in templates for e in u.ells])
-            # the fit rule: j is 0 on single-qubit kinds, so this checks
-            # every stream the template acts on
-            if g.i > n or g.j > n:
-                raise ValueError(f"template {g} exceeds n={n}")
-            if abs(g.ell) > memory:
-                memory = abs(g.ell)
-        return unchecked(cls, {"n": n, "gates": templates, "memory": memory, "size": len(templates)})
+        split = ((g, (g.ells,) if g.kind in _TWO_QUBIT else zip(g.ells)) for g in gates if g.ells)
+        return _fitted(n, [_checked(g.kind, g.i, g.j, ells) for g, terms in split for ells in terms])
 
     @property
     def templates(self) -> tuple[GateTemplate, ...]:
-        """Each gate's templates in turn, oriented as the gate is.  A checked
-        circuit holds only templates, and `_circuit` only `Gate`s, so the
-        first gate tells which."""
-        gates = self.gates
-        if not gates or gates[0].__class__ is GateTemplate:
-            return gates
-        return tuple(
-            unchecked(GateTemplate, {"kind": g.kind, "i": g.i, "j": g.j, "ell": ell})
-            for g in gates
-            for ell in g.ells
-        )
+        """Each gate's terms in turn, as templates: the circuit's value, and
+        the input of `apply_circuit` and `synthesis.replay`.  The kernels
+        read the gates."""
+        return tuple(_template(g.kind, g.i, g.j, ell) for g in self.gates for ell in g.ells)
 
     def __len__(self) -> int:
         return self.size
@@ -215,21 +182,52 @@ class Circuit(Record):
 Circuit._key = attrgetter("n", "templates")
 
 
+def _checked(kind: str, i: int, j: int, ells: tuple[int, ...]) -> Gate:
+    """The gate kind(i, j, ells) from `_gate`, once every term passes the
+    template checks."""
+    if kind in _TWO_QUBIT:
+        if i < 1 or j < 1:
+            raise ValueError("qubit indices are 1-based")
+        if i == j:
+            raise ValueError(f"{kind} needs two distinct qubit streams")
+    elif kind in (H, P, PL):
+        if i < 1:
+            raise ValueError("qubit indices are 1-based")
+        if j != 0:
+            raise ValueError(f"{kind} takes a single qubit")
+        if kind == PL and 0 in ells:
+            raise ValueError("PL requires a nonzero offset")
+        if kind != PL and any(ells):
+            raise ValueError(f"{kind} carries no offset")
+    else:
+        raise ValueError(f"unknown gate kind {kind!r}")
+    return _gate(kind, i, j, ells)
+
+
+def _fitted(n: int, gates: list[Gate]) -> Circuit:
+    """The circuit of checked gates on n streams, through `_circuit`, once
+    the fit rule holds: j is 0 on single-qubit kinds, so it checks every
+    stream a gate acts on."""
+    if n < 1:
+        raise ValueError(f"need at least one qubit stream, got n={n}")
+    for g in gates:
+        if g.i > n or g.j > n:
+            raise ValueError(f"template {_FORMATS[g.kind].format(g.i, g.j, g.ells[0])} exceeds n={n}")
+    return _circuit(n, gates)
+
+
 def _template(kind: str, i: int, j: int = 0, ell: int = 0) -> GateTemplate:
-    """A template from fields known to be valid, such as the synthesis
-    driver's, without the constructor's checks.  It stores the canonical
-    orientation: PL(i, l) == PL(i, -l), and the CSIGN matrix is symmetric
-    under (i, j, l) -> (j, i, -l)."""
-    if kind == CSIGN and j < i:
-        i, j, ell = j, i, -ell
-    elif kind == PL and ell < 0:
-        ell = -ell
+    """A template from fields known to be valid, without the constructor's
+    checks, oriented by `_gate`."""
+    kind, i, j, (ell,) = _gate(kind, i, j, (ell,))
     return unchecked(GateTemplate, {"kind": kind, "i": i, "j": j, "ell": ell})
 
 
 def _gate(kind: str, i: int, j: int = 0, ells: tuple[int, ...] = (0,)) -> Gate:
-    """A gate from fields known to be valid, oriented once as `_template`
-    orients each of its templates."""
+    """A gate from fields known to be valid, in the canonical orientation:
+    PL(i, l) == PL(i, -l), and the CSIGN matrix is symmetric under
+    (i, j, l) -> (j, i, -l), so a CSIGN with j < i flips and a PL drops the
+    sign of each offset."""
     if kind == CSIGN and j < i:
         return Gate(kind, j, i, tuple(-ell for ell in ells))
     return Gate(kind, i, j, tuple(map(abs, ells)) if kind == PL else ells)
@@ -477,7 +475,7 @@ def parse_circuit(text: str) -> Circuit:
         n = parse_int(lines[0][2:])
     except ValueError:
         raise ParseError(f"bad circuit header {lines[0]!r}") from None
-    templates = []
+    gates = []
     for line in lines[1:]:
         kind, *parts = line.split()
         fields = {}
@@ -504,13 +502,13 @@ def parse_circuit(text: str) -> Circuit:
                     values.append(parse_int(val))
                 except ValueError:
                     raise ParseError(f"bad integer for {key}= in {line!r}") from None
-            g = GateTemplate(kind, *values)
+            g = _checked(kind, values[0], values[1], (values[2],))
         except ValueError as exc:
             raise ParseError(f"bad template {line!r}: {exc}") from None
         if fields:
             raise ParseError(f"unexpected fields {sorted(fields)} in {line!r}")
-        templates.append(g)
+        gates.append(g)
     try:
-        return Circuit(n, templates)
+        return _fitted(n, gates)
     except ValueError as exc:
         raise ParseError(str(exc)) from None

@@ -18,11 +18,11 @@ edge go through the lane kernel.
 
 from __future__ import annotations
 
-from itertools import repeat
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from itertools import chain, repeat
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .errors import ExponentOverflowError, PreconditionError, WindowTooSmallError
-from .gates import CNOT, COLUMN_ACTIONS, CSIGN, Circuit, GateTemplate, PL, act
+from .gates import CNOT, COLUMN_ACTIONS, CSIGN, Circuit, PL, _act
 from .poly import LaurentPoly, max_span
 # verify.placement_bits stays importable, though the basis inlines it
 from .stabilizer import StabilizerMatrix, placement_bits, row_patterns  # noqa: F401
@@ -70,14 +70,11 @@ def _batch_lanes(lane_bytes: int) -> int:
     return max(1, _BATCH_BITS // (8 * lane_bytes))
 
 
-def _conjugate_lanes(
-    c: Circuit, templates: Sequence[GateTemplate], masks: tuple[tuple[int, ...], int], x: int, z: int
-) -> tuple[int, int]:
-    """Conjugate one packed batch of window seeds through c's `templates`,
-    read once by the caller: lanes of `_lane_bytes` each, lane j at bit
-    8*lane_bytes*j of one X int and one Z int, under the window's
-    `_lane_masks` over at least as many lanes.  Returns the images packed
-    the same way.
+def _conjugate_lanes(c: Circuit, masks: tuple[tuple[int, ...], int], x: int, z: int) -> tuple[int, int]:
+    """Conjugate one packed batch of window seeds through c's gates: lanes
+    of `_lane_bytes` each, lane j at bit 8*lane_bytes*j of one X int and
+    one Z int, under the window's `_lane_masks` over at least as many
+    lanes.  Returns the images packed the same way.
 
     Each column update of a template moves all its in-window instances in
     every lane at once: the source column's bits are masked out of one
@@ -85,20 +82,23 @@ def _conjugate_lanes(
     update shifts by more than memory blocks, so a bit that leaves its
     window lands in a guard (its own lane's, or the lane below's).  Source
     masks never read a guard, and guards are cleared before the images are
-    returned, so what lands there is dropped: the open boundary.  Templates
-    apply in list order; the instances of one template commute, so their
-    order is immaterial.  The map is GF(2)-linear, boundary included.
+    returned, so what lands there is dropped: the open boundary.  Gates,
+    and each gate's terms, apply in list order; the instances of one
+    template commute, so their order is immaterial.  The map is
+    GF(2)-linear, boundary included.
     """
     n = c.n
     columns, windows = masks
     sides = [x, z]
-    for g in templates:
+    for kind, i, j, ells in c.gates:
         # columns are 0-based; a shift of k blocks moves a bit k*n places
-        cols, shift = (g.i - 1, g.j - 1), g.ell * n
-        for dst_side, dst, src_side, src, sign in COLUMN_ACTIONS[g.kind]:
-            moved = sides[src_side] & columns[cols[src]]
-            step = sign * shift + cols[dst] - cols[src]
-            sides[dst_side] ^= moved << step if step >= 0 else moved >> -step
+        cols, updates = (i - 1, j - 1), COLUMN_ACTIONS[kind]
+        for ell in ells:
+            shift = ell * n
+            for dst_side, dst, src_side, src, sign in updates:
+                moved = sides[src_side] & columns[cols[src]]
+                step = sign * shift + cols[dst] - cols[src]
+                sides[dst_side] ^= moved << step if step >= 0 else moved >> -step
     return sides[0] & windows, sides[1] & windows
 
 
@@ -160,7 +160,7 @@ def conjugate(c: Circuit, blocks: int, p: PauliVector) -> PauliVector:
     if blocks < c.memory + 1:
         raise WindowTooSmallError(f"window {blocks} < circuit memory {c.memory} + 1")
     masks = _lane_masks(c.n, blocks, _lane_bytes(c, blocks), 1)
-    x, z = _conjugate_lanes(c, c.templates, masks, p.bits & ((1 << half) - 1), p.bits >> half)
+    x, z = _conjugate_lanes(c, masks, p.bits & ((1 << half) - 1), p.bits >> half)
     return PauliVector(c.n, blocks, x | z << half)
 
 
@@ -234,15 +234,13 @@ def _rebase(col: int, rows: int, width: int, wider: int) -> int:
     return sum((col >> r * width & mask) << r * wider + step for r in range(rows))
 
 
-def _seed_walk(
-    c: Circuit, streams: int = 0, templates: Optional[Iterable[GateTemplate]] = None
-) -> tuple[int, int, int, int, list[tuple[int, int]]]:
+def _seed_walk(c: Circuit, streams: int = 0) -> tuple[int, int, int, int, list[tuple[int, int]]]:
     """Backward reach, forward reach and max X, Z or Y support of the
     single-qubit seed images, their prefix reach P, and the images of the Z
     seeds on the first `streams` streams: the rows of the (X|Z) identity,
     the X and Z unit seeds, pushed once through the exact polynomial action
-    of c's `templates` (read from c unless given), iterated once.  Each row
-    is the image of one seed that no boundary clips (exponent e is block
+    of c's gates, a template (one term of a gate) at a time.  Each row is
+    the image of one seed that no boundary clips (exponent e is block
     offset e).  P is the furthest block offset, in either direction, that
     any image reaches after any template, read off the columns it writes;
     an offset-0 template adds no term beyond those it reads.  A Z image is
@@ -257,67 +255,75 @@ def _seed_walk(
     masking a written column to the bits outside -P .. P, its fields folded
     only when that mask hits.  Before a template that could raise, when
     2(P + memory) passes the span limit, or once a field would pass
-    `_FIELD_BITS`, the walk goes on through `act` on polynomial rows: it
-    raises at the template and with the message of a bare push, and a deep
-    encoder, whose fields would each span its whole envelope, keeps the
-    rows' speed.  No walk is kept between calls: each runs under the span
-    limit of its own call."""
+    `_FIELD_BITS`, the walk goes on through `gates._act` on polynomial
+    rows, from the next template, inside a gate or not: it raises at the
+    template and with the message of a bare push, and a deep encoder, whose
+    fields would each span its whole envelope, keeps the rows' speed.  No
+    walk is kept between calls: each runs under the span limit of its own
+    call."""
     n, memory, limit = c.n, c.memory, max_span()
     rows = 2 * n
-    rest = iter(c.templates if templates is None else templates)
+    # the rows phase goes on after the packed phase's last term: the rest
+    # of its gate's `terms`, then the gates after it
+    gates, kind, i, j, terms = iter(c.gates), None, 0, 0, ()
     width, reach = _field_width(2 * memory + 8), 0
     base = width // 2
     # row q < n is the X seed on stream q, and row n + q its Z seed
     sides = ([1 << q * width + base for q in range(n)], [1 << (n + q) * width + base for q in range(n)])
     if 2 * memory <= limit and width <= _FIELD_BITS:
         outside = _series((1 << width) - 1 ^ 1 << base, rows, width)
-        for g in rest:
-            cols, ell = (g.i - 1, g.j - 1), g.ell
-            for dst_side, dst, src_side, src, sign in COLUMN_ACTIONS[g.kind]:
-                moved, k = sides[src_side][cols[src]], sign * ell
-                sides[dst_side][cols[dst]] ^= moved << k if k >= 0 else moved >> -k
-            if not ell:
-                continue
-            seen = reach
-            for side, dst in _WRITTEN[g.kind]:
-                col = sides[side][cols[dst]]
-                if col & outside:
-                    col = _fold(col, rows, width)
-                    seen = max(seen, base + 1 - (col & -col).bit_length(), col.bit_length() - 1 - base)
-            if seen == reach:
-                continue
-            reach = seen
-            if 2 * (reach + memory) > limit:
-                break
-            if reach + memory >= base:
-                wider = _field_width(max(reach + memory, 5 * width // 8))
-                if wider > _FIELD_BITS:
+        for kind, i, j, ells in gates:
+            cols, updates, terms = (i - 1, j - 1), COLUMN_ACTIONS[kind], iter(ells)
+            for ell in terms:
+                for dst_side, dst, src_side, src, sign in updates:
+                    moved, k = sides[src_side][cols[src]], sign * ell
+                    sides[dst_side][cols[dst]] ^= moved << k if k >= 0 else moved >> -k
+                if not ell:
+                    continue
+                seen = reach
+                for side, dst in _WRITTEN[kind]:
+                    col = sides[side][cols[dst]]
+                    if col & outside:
+                        col = _fold(col, rows, width)
+                        seen = max(seen, base + 1 - (col & -col).bit_length(), col.bit_length() - 1 - base)
+                if seen == reach:
+                    continue
+                reach = seen
+                if 2 * (reach + memory) > limit:
                     break
-                sides = tuple([_rebase(col, rows, width, wider) for col in side] for side in sides)
-                width, base = wider, wider // 2
-            inside = (1 << 2 * reach + 1) - 1 << base - reach
-            outside = _series((1 << width) - 1 ^ inside, rows, width)
+                if reach + memory >= base:
+                    wider = _field_width(max(reach + memory, 5 * width // 8))
+                    if wider > _FIELD_BITS:
+                        break
+                    sides = tuple([_rebase(col, rows, width, wider) for col in side] for side in sides)
+                    width, base = wider, wider // 2
+                inside = (1 << 2 * reach + 1) - 1 << base - reach
+                outside = _series((1 << width) - 1 ^ inside, rows, width)
+            else:
+                continue
+            break
         else:
             return _read_columns(n, sides, width, reach, streams)
     mask = (1 << width) - 1
     sides = x, z = tuple(
         [[LaurentPoly(-base, col >> r * width & mask) for col in side] for r in range(rows)] for side in sides
     )
-    for g in rest:
-        act(x, z, g)
-        if g.ell:
-            cols = (g.i - 1, g.j - 1)
-            for side, dst in _WRITTEN[g.kind]:
-                col = cols[dst]
-                for row in sides[side]:
-                    e = row[col]
-                    if e.bits:
-                        at = e.offset
-                        if -at > reach:
-                            reach = -at
-                        at += e.bits.bit_length() - 1
-                        if at > reach:
-                            reach = at
+    for kind, i, j, ells in chain([(kind, i, j, terms)], gates):
+        for ell in ells:
+            _act(x, z, kind, i, j, ell)
+            if ell:
+                cols = (i - 1, j - 1)
+                for side, dst in _WRITTEN[kind]:
+                    col = cols[dst]
+                    for row in sides[side]:
+                        e = row[col]
+                        if e.bits:
+                            at = e.offset
+                            if -at > reach:
+                                reach = -at
+                            at += e.bits.bit_length() - 1
+                            if at > reach:
+                                reach = at
     width = _field_width(reach)
     base = width // 2
     sides = tuple(
@@ -508,10 +514,7 @@ def verify_windows(
     sizes = tuple(blocks for blocks in sizes if blocks >= memory + 1)
     if not sizes:
         raise PreconditionError(f"all window sizes are below circuit memory {memory} + 1")
-    # a circuit that `synthesize` built holds gates: its templates are
-    # built on each read, so they are read once
-    templates = c.templates
-    back, forward, image_max, reach, z_images = _seed_walk(c, 0 if s is None else s.r, templates)
+    back, forward, image_max, reach, z_images = _seed_walk(c, 0 if s is None else s.r)
     # the round trip's margin: seeds nearer an edge may have clipped images
     margin = max(memory, back, forward)
     maxima, checks, error, patterns = [], [], None, None
@@ -532,7 +535,7 @@ def verify_windows(
         if patterns is not None and blocks >= first:
             basis = stabilizer_window_basis(patterns, s.n, blocks)
         images = () if basis is None else z_images
-        best, spans = _window_pass(c, templates, blocks, margin, reach, image_max, basis, images)
+        best, spans = _window_pass(c, blocks, margin, reach, image_max, basis, images)
         maxima.append(best)
         if basis is not None:
             shifts = range(margin, blocks - margin)
@@ -542,7 +545,7 @@ def verify_windows(
                 for shift, ok in zip(shifts, span)
             )
             checks.append(EncoderCheck(blocks, margin, rows))
-    couplers = sum(1 for g in templates if g.kind in (CNOT, CSIGN, PL))
+    couplers = sum(len(g.ells) for g in c.gates if g.kind in (CNOT, CSIGN, PL))
     bound = (couplers + 1) * (2 * memory + 1)
     verdict = "bounded" if image_max <= bound else "growing"
     return PropagationReport(sizes, tuple(maxima), bound, verdict, memory), checks, error
@@ -550,7 +553,6 @@ def verify_windows(
 
 def _window_pass(
     c: Circuit,
-    templates: Sequence[GateTemplate],
     blocks: int,
     margin: int,
     reach: int,
@@ -567,12 +569,11 @@ def _window_pass(
     On a window of 2M + 1 blocks or more, M = max(memory, reach), the seeds
     at least M blocks from both edges read the walk (module docstring):
     their maximum is `image_max`, and placement (gen, t) is image gen moved
-    t - reach blocks up.  The seeds within M of an edge are conjugated,
-    batch by batch as `_unit_seeds` packs them, and their placements are
-    tested as their batch goes by: (gen, t), a single Z on qubit
-    q = t*n + gen, is the Z seed in lane 2(q - first) + 1 of the batch that
-    starts at qubit `first`.  The lane kernel runs c's `templates`, read
-    once by the caller."""
+    t - reach blocks up.  The seeds within M of an edge go through the lane
+    kernel, batch by batch as `_unit_seeds` packs them, and their
+    placements are tested as their batch goes by: (gen, t), a single Z on
+    qubit q = t*n + gen, is the Z seed in lane 2(q - first) + 1 of the
+    batch that starts at qubit `first`."""
     n, memory = c.n, c.memory
     deep = max(memory, reach)
     lane_bytes = _lane_bytes(c, blocks)
@@ -598,7 +599,7 @@ def _window_pass(
         # the first batch is the widest, and every later one fits its masks
         masks = _lane_masks(n, blocks, lane_bytes, 2 * batches[0][1])
     for first, count in batches:
-        x, z = _conjugate_lanes(c, templates, masks, *_unit_seeds(lane_bytes, first, count))
+        x, z = _conjugate_lanes(c, masks, *_unit_seeds(lane_bytes, first, count))
         best = max(best, _pair_max(x, z, lane_bytes, count))
         # the batch's qubits from a up to b hold placements
         a, b = max(first, margin * n), min(first + count, (blocks - margin) * n)

@@ -931,13 +931,14 @@ def _lane_images(
     bits, yielding each image in order as the same kind of pair: the seeds
     are packed one lane each, a batch at a time, for the lane kernel
     `verify._conjugate_lanes`, all under the first batch's masks, as
-    `verify._window_pass` runs it."""
+    `verify._window_pass` runs it, on c's templates as one-term gates."""
+    one_term = Circuit(c.n, c.templates)
     lane_bytes = _lane_bytes(c, blocks)
     seeds = iter(seeds)
     masks = None
     while batch := list(islice(seeds, _batch_lanes(lane_bytes))):
         masks = masks or _lane_masks(c.n, blocks, lane_bytes, len(batch))
-        x, z = _conjugate_lanes(c, c.templates, masks, *_pack(batch, lane_bytes))
+        x, z = _conjugate_lanes(one_term, masks, *_pack(batch, lane_bytes))
         yield from zip(_lanes(x, len(batch), lane_bytes), _lanes(z, len(batch), lane_bytes))
 
 
@@ -953,11 +954,11 @@ def watch_kernel(monkeypatch, watch) -> None:
         windows.append(blocks)
         return lane_masks(n, blocks, lane_bytes, lanes)
 
-    def recording(c, templates, masks, x, z):
+    def recording(c, masks, x, z):
         blocks = windows[-1]
         lane_bits = 8 * _lane_bytes(c, blocks)
         watch(c, blocks, -(-max(x.bit_length(), z.bit_length()) // lane_bits), x, z)
-        return kernel(c, templates, masks, x, z)
+        return kernel(c, masks, x, z)
 
     monkeypatch.setattr(verify, "_lane_masks", masking)
     monkeypatch.setattr(verify, "_conjugate_lanes", recording)

@@ -13,10 +13,11 @@ from hypothesis import strategies as st
 
 from goldens import DATA, ROWS, data_paths
 from helpers import RATE_THIRD_F4, bounded, build_parser, mutations, watch_kernel
-from qconvenc import verify
+from qconvenc import gates, verify
 from qconvenc.cli import COMMANDS, UsageExit, _read, main, parse_args
 from qconvenc.errors import WindowTooSmallError
-from qconvenc.gates import parse_circuit
+from qconvenc.gates import Circuit, Gate, GateTemplate, parse_circuit
+from qconvenc.matrix import unchecked
 from qconvenc.poly import max_span
 from qconvenc.stabilizer import parse_stabilizer
 from qconvenc.synthesis import replay, synthesize
@@ -363,23 +364,25 @@ class TestVerify:
 
     def test_one_seed_push_per_command(self, monkeypatch):
         # the verdict and the round-trip margin read one push of the seeds,
-        # one walk over every template, and nothing is kept for the next
-        # command on an equal circuit
+        # one walk over every term of every gate, and nothing is kept for
+        # the next command on an equal circuit
         calls = []
         seed_walk = verify._seed_walk
 
-        def counting(c, streams, templates):
-            def each():
-                for g in templates:
-                    calls.append(g)
-                    yield g
+        def counting(c, streams):
+            def terms(g):
+                for ell in g.ells:
+                    calls.append((g.kind, g.i, g.j, ell))
+                    yield ell
 
+            # the walk's circuit hands out each gate's terms as it reads them
+            watched = unchecked(Circuit, {**vars(c), "gates": (Gate(*g[:3], terms(g)) for g in c.gates)})
             calls.append("walk")
-            return seed_walk(c, streams, each())
+            return seed_walk(watched, streams)
 
         monkeypatch.setattr(verify, "_seed_walk", counting)
         enc_path = DATA / "rate_third.enc"
-        templates = list(parse_circuit(enc_path.read_text(encoding="utf-8")).templates)
+        templates = [(g.kind, g.i, g.j, g.ell) for g in parse_circuit(enc_path.read_text(encoding="utf-8")).templates]
         argv = ["verify", "--windows", "5,10,20", str(DATA / "rate_third.stab"), str(enc_path)]
         for _ in range(2):
             calls.clear()
@@ -412,6 +415,35 @@ class TestVerify:
         with pytest.raises(WindowTooSmallError):
             main(["--max-span", "20", "verify", "--windows", "2,4,13", stab_path, circ_path], out=io.StringIO())
         assert max_span() == before
+
+
+    @pytest.mark.parametrize("name, windows", [("rate_third", "5,10,20"), ("ladder8", "11,22,44")])
+    def test_synth_and_verify_build_no_template(self, monkeypatch, tmp_path, name, windows):
+        # circuits hold gates: synth writes its encoder from them, and verify
+        # parses a gate per line and walks and conjugates the gates, so
+        # neither builds a GateTemplate, through its constructor or unchecked
+        built = []
+        make, new = gates.unchecked, GateTemplate.__new__
+
+        def making(cls, fields):
+            built.append(cls)
+            return make(cls, fields)
+
+        def constructing(cls, *args):
+            built.append("GateTemplate()")
+            return new(cls, *args)
+
+        monkeypatch.setattr(gates, "unchecked", making)
+        monkeypatch.setattr(GateTemplate, "__new__", constructing)
+        stab_path, enc_path = str(DATA / f"{name}.stab"), str(tmp_path / f"{name}.enc")
+        assert run(["synth", "--checkpoints", "--out", enc_path, stab_path])[0] == 0
+        assert Path(enc_path).read_text(encoding="utf-8") == (DATA / f"{name}.enc").read_text(encoding="utf-8")
+        assert run(["verify", "--windows", windows, stab_path, enc_path]) == (
+            0,
+            (DATA / f"{name}_verify.txt" if name == "ladder8" else DATA / "verify.txt").read_text(encoding="utf-8"),
+        )
+        assert Circuit in built
+        assert GateTemplate not in built and "GateTemplate()" not in built
 
 
 class TestMoreGeneratorsThanStreams:

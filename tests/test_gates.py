@@ -364,6 +364,33 @@ class TestGateForm:
         assert all(type(g) is Gate for g in forward.gates)
         assert len(forward.gates) < len(forward) == len(forward.templates) == 76
 
+    def test_every_circuit_holds_gates(self):
+        forward = synthesize(parse_stabilizer((DATA / "ladder8.stab").read_text(encoding="utf-8"))).forward
+        parsed = parse_circuit(format_circuit(forward))
+        for c in (
+            forward,
+            reverse(forward),
+            parsed,
+            reverse(parsed),
+            Circuit(forward.n, forward.templates),
+            Circuit(forward.n, forward.gates),
+        ):
+            assert all(type(g) is Gate for g in c.gates)
+        # a parsed line, and a template given to the constructor, is a gate
+        # of one term
+        one_term = tuple(Gate(t.kind, t.i, t.j, (t.ell,)) for t in forward.templates)
+        assert parsed.gates == Circuit(forward.n, forward.templates).gates == one_term
+        # the constructor keeps a CNOT or CSIGN gate whole, oriented, and
+        # makes any other term a gate of its own
+        assert Circuit(forward.n, forward.gates).gates == forward.gates
+        assert Circuit(3, [Gate(CSIGN, 3, 1, (2, 2)), Gate(H, 1, 0, (0, 0)), Gate(PL, 2, 0, (-1, 2))]).gates == (
+            Gate(CSIGN, 1, 3, (-2, -2)),
+            Gate(H, 1, 0, (0,)),
+            Gate(H, 1, 0, (0,)),
+            Gate(PL, 2, 0, (1,)),
+            Gate(PL, 2, 0, (2,)),
+        )
+
     def test_circuits_with_the_same_templates_are_equal_however_grouped(self):
         c = synthesize(rate_third_code()).forward
         one_term = _circuit(c.n, [Gate(g.kind, g.i, g.j, (ell,)) for g in c.gates for ell in g.ells])

@@ -2,7 +2,9 @@ import io
 import random
 import tracemalloc
 from collections import Counter
+from itertools import accumulate
 from pathlib import Path
+from typing import Optional
 
 import pytest
 
@@ -37,12 +39,14 @@ from qconvenc.gates import (
     CNOT,
     CSIGN,
     Circuit,
+    Gate,
     GateTemplate,
     H,
     P,
     PL,
     apply,
     apply_circuit,
+    format_circuit,
     parse_circuit,
 )
 from qconvenc.poly import LaurentPoly, span_limit
@@ -665,6 +669,30 @@ class TestPropagation:
             assert _seed_walk(c)[2] == reference_interior_max(c, 2 * margin + 1, margin)
 
 
+def _fields(g: GateTemplate) -> tuple[str, int, int, int]:
+    return g.kind, g.i, g.j, g.ell
+
+
+def _watch_rows(monkeypatch) -> list[tuple[str, int, int, int]]:
+    """The template fields that the walk's rows phase hands to `_act`."""
+    calls = []
+    act = verify._act
+
+    def counting(x, z, *fields):
+        calls.append(fields)
+        act(x, z, *fields)
+
+    monkeypatch.setattr(verify, "_act", counting)
+    return calls
+
+
+def _verified(c: Circuit, sizes: list[int], s: StabilizerMatrix) -> tuple:
+    """`verify_windows`'s report, checks and error, the error as its type
+    and text."""
+    report, checks, error = verify_windows(c, sizes, s)
+    return report, checks, error if error is None else (type(error), str(error))
+
+
 def _no_seed_walk(c):
     raise AssertionError("the seed walk ran")
 
@@ -903,16 +931,10 @@ class TestEdgeZone:
 
     def test_lowered_span_limit_stops_at_the_same_template(self, monkeypatch):
         # the walk raises the bare push's error text: its packed columns run
-        # until 2(P + memory) passes the limit, and it goes on through `act`
-        # from there, so the last template `act` sees is the failing one
-        calls = []
-        act = verify.act
-
-        def counting(x, z, g):
-            calls.append(g)
-            act(x, z, g)
-
-        monkeypatch.setattr(verify, "act", counting)
+        # until 2(P + memory) passes the limit, and it goes on through
+        # `_act` from there, so the last template `_act` sees is the
+        # failing one
+        calls = _watch_rows(monkeypatch)
         rng = random.Random(842)
         done = 0
         while done < 12:
@@ -940,7 +962,7 @@ class TestEdgeZone:
                     continue
                 except ExponentOverflowError as exc:
                     assert switch is not None
-                    expected = (list(c.templates[switch : at + 1]), str(exc))
+                    expected = ([_fields(g) for g in c.templates[switch : at + 1]], str(exc))
                 calls.clear()
                 with pytest.raises(ExponentOverflowError) as raised:
                     verify_windows(c, [c.memory + 1, 2 * c.memory + 9], s)
@@ -972,19 +994,6 @@ class TestSeedWalk:
     for every number of Z images."""
 
     @staticmethod
-    def _watch(monkeypatch) -> list[GateTemplate]:
-        """The templates that the walk's rows phase hands to `act`."""
-        calls = []
-        act = verify.act
-
-        def counting(x, z, g):
-            calls.append(g)
-            act(x, z, g)
-
-        monkeypatch.setattr(verify, "act", counting)
-        return calls
-
-    @staticmethod
     def _outcome(walk, c: Circuit, streams: int):
         try:
             return walk(c, streams)
@@ -997,7 +1006,7 @@ class TestSeedWalk:
             assert _seed_walk(c, streams) == (*expected[:4], expected[4][:streams])
 
     def test_random_circuits_under_lowered_limits_and_caps(self, monkeypatch):
-        calls = self._watch(monkeypatch)
+        calls = _watch_rows(monkeypatch)
         rng = random.Random(850)
         full = verify._FIELD_BITS
         circuits = [Circuit(n) for n in range(1, 6)]
@@ -1041,27 +1050,156 @@ class TestSeedWalk:
             self._assert_matches(c)
 
     @pytest.mark.parametrize("name", ["ladder8", "rate_third"])
-    def test_templates_are_built_once_per_verify(self, monkeypatch, name):
-        # a circuit that `synthesize` built holds gates and builds its
-        # templates on each read: verify reads them once, for the walk, the
-        # lane kernel and the coupler count
-        built, lanes = [], []
-        templates = Circuit.templates
+    def test_verify_never_reads_templates(self, monkeypatch, name):
+        # the walk, the lane kernel and the coupler count read the gates of
+        # a synthesized circuit and of a parsed one alike
+        def refuse(c):
+            raise AssertionError("verify read Circuit.templates")
 
-        def counting(c):
-            built.append(c)
-            return templates.fget(c)
-
-        monkeypatch.setattr(Circuit, "templates", property(counting))
+        lanes = []
         watch_kernel(monkeypatch, lambda c, blocks, count, x, z: lanes.append(blocks))
         s = parse_stabilizer((DATA / f"{name}.stab").read_text(encoding="utf-8"))
         encoder = synthesize(s).encoder
+        parsed = parse_circuit(format_circuit(encoder))
         m = encoder.memory
-        built.clear()
-        verify_windows(encoder, [m + 1, 2 * (m + 1), 4 * (m + 1)], s)
-        assert built == [encoder]
-        # seeds within P of an edge are conjugated where P passes memory
-        assert bool(lanes) == (reference_prefix_reach(encoder) > m)
+        sizes = [m + 1, 2 * (m + 1), 4 * (m + 1)]
+        expected = _verified(encoder, sizes, s)
+        deep = reference_prefix_reach(encoder) > m
+        monkeypatch.setattr(Circuit, "templates", property(refuse))
+        for c in (encoder, parsed):
+            lanes.clear()
+            assert _verified(c, sizes, s) == expected
+            # seeds within P of an edge are conjugated where P passes memory
+            assert bool(lanes) == deep
+
+
+def _switch_point(c: Circuit, limit: int) -> Optional[int]:
+    """The first template before which 2(P + memory) passes `limit`, P the
+    prefix reach of the templates before it read off every entry of the
+    push template by template through `gates.act`, or None."""
+    n = c.n
+    x = [[LaurentPoly(0, 1 if q == j else 0) for q in range(n)] for j in range(2 * n)]
+    z = [[LaurentPoly(0, 1 if q + n == j else 0) for q in range(n)] for j in range(2 * n)]
+    reach = 0
+    for at, g in enumerate(c.templates):
+        if 2 * (reach + c.memory) > limit:
+            return at
+        gates.act(x, z, g)
+        for e in (e for row in x + z for e in row if e.bits):
+            reach = max(reach, -e.offset, e.offset + e.bits.bit_length() - 1)
+    return None
+
+
+def _regrouped(c: Circuit) -> Circuit:
+    """c with each run of CNOT or CSIGN templates on the same streams as one
+    gate."""
+    runs = []
+    for g in c.templates:
+        if runs and g.kind in (CNOT, CSIGN) and runs[-1][:3] == (g.kind, g.i, g.j):
+            runs[-1][3].append(g.ell)
+        else:
+            runs.append((g.kind, g.i, g.j, [g.ell]))
+    return gates._circuit(c.n, [Gate(kind, i, j, tuple(ells)) for kind, i, j, ells in runs])
+
+
+def _random_gates(rng: random.Random, n: int) -> list[Gate]:
+    """Up to 8 gates on n >= 2 streams: CNOT and CSIGN gates of two to five
+    terms, offsets -3 .. 3 with repeats, in either stream order."""
+    out = []
+    for _ in range(rng.randint(1, 8)):
+        kind = rng.choice((H, P, PL, CNOT, CSIGN, CNOT, CSIGN))
+        if kind in (CNOT, CSIGN):
+            i, j = rng.sample(range(1, n + 1), 2)
+            out.append(Gate(kind, i, j, tuple(rng.choices(range(-3, 4), k=rng.randint(2, 5)))))
+        else:
+            out.append(Gate(kind, rng.randint(1, n), 0, (rng.choice((-2, -1, 1, 2)) if kind == PL else 0,)))
+    return out
+
+
+class TestGateGrouping:
+    """Verification does not depend on how gates group templates:
+    `verify_windows` returns the same report, checks and error on a
+    circuit of several-term gates, on its text parsed back and on the
+    circuit of its templates as one-term gates, on windows where the lane
+    kernel runs, and under lowered span limits, where the walk may switch
+    to rows inside a gate."""
+
+    @pytest.fixture
+    def walked(self, monkeypatch) -> list[tuple[str, int, int, int]]:
+        return _watch_rows(monkeypatch)
+
+    @staticmethod
+    def _outcome(c: Circuit, sizes: list[int], s: StabilizerMatrix):
+        try:
+            return _verified(c, sizes, s)
+        except ExponentOverflowError as exc:
+            return str(exc)
+
+    def _check(self, c: Circuit, s: StabilizerMatrix, rng: random.Random, walked: list, seen: Counter) -> None:
+        one_term = gates._circuit(c.n, [Gate(g.kind, g.i, g.j, (g.ell,)) for g in c.templates])
+        forms = (c, parse_circuit(format_circuit(c)), one_term)
+        assert forms[1] == c and forms[2] == c
+        assert [len(f.gates) for f in forms[1:]] == [len(c)] * 2
+        m, reach = c.memory, reference_prefix_reach(c)
+        deep = max(m, reach)
+        # the window of 2(memory + 1) conjugates every seed where P passes
+        # memory, and one past 2M reads the walk for its interior; up to
+        # M = 64, since the edge seeds of a deeper one take seconds
+        sizes = [m + 1, 2 * (m + 1)]
+        if 2 * m + 2 < 2 * deep + 1 <= 129:
+            sizes.append(2 * deep + 1)
+        expected = _verified(c, sizes, s)
+        assert [_verified(f, sizes, s) for f in forms[1:]] == [expected] * 2
+        seen["lanes"] += reach > m
+        seen["multi"] += len(c.gates) < len(c)
+        # under a lowered limit the walk switches to rows at the same
+        # template in every form, and all raise the same text or none
+        limit = rng.randint(max(1, 2 * m), 2 * (m + reach) + 1)
+        with span_limit(limit):
+            walked.clear()
+            expected = self._outcome(c, sizes[:2], s)
+            calls = list(walked)
+            assert [self._outcome(f, sizes[:2], s) for f in forms[1:]] == [expected] * 2
+        switch = _switch_point(c, limit)
+        if switch is None:
+            assert calls == []
+            return
+        assert calls == [_fields(g) for g in c.templates[switch : switch + len(calls)]]
+        # the index of each gate's first template
+        if switch not in {0, *accumulate(len(g.ells) for g in c.gates)}:
+            seen["raised inside" if isinstance(expected, str) else "inside"] += 1
+
+    def test_committed_encoders(self, walked):
+        seen = Counter()
+        for name in ["rate_third", "rate_third_cut", "proper", "ladder8", "deep0111", "false_failure_n4", "no_interior_n3"]:
+            c = _regrouped(parse_circuit((DATA / f"{name}.enc").read_text(encoding="utf-8")))
+            code = "rate_third" if name == "rate_third_cut" else name
+            s = parse_stabilizer((DATA / f"{code}.stab").read_text(encoding="utf-8"))
+            for k in range(3):
+                self._check(c, s, random.Random(f"{name}{k}"), walked, seen)
+        assert seen["multi"] == 3 * 5 and seen["lanes"] == 3 * 4
+
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_ladder_encoders(self, walked, n):
+        rng, seen = random.Random(n), Counter()
+        for c in ladder_encoders(n):
+            s = apply_circuit(z_only_identity_code(c.n, rng.randint(1, c.n)), c)
+            self._check(c, s, rng, walked, seen)
+        assert seen["multi"] >= 5
+
+    def test_random_gate_circuits(self, walked):
+        rng, seen, drawn = random.Random(860), Counter(), Counter()
+        for _ in range(100):
+            n = rng.randint(2, 5)
+            parts = _random_gates(rng, n)
+            drawn.update(g.kind for g in parts if g.kind == CSIGN and g.j < g.i)
+            drawn.update("repeat" for g in parts if len(set(g.ells)) < len(g.ells))
+            c = Circuit(n, parts)
+            s = apply_circuit(z_only_identity_code(n, rng.randint(1, n)), c)
+            self._check(c, s, rng, walked, seen)
+        assert drawn[CSIGN] >= 20 and drawn["repeat"] >= 20
+        assert seen["lanes"] >= 20 and seen["multi"] >= 80
+        assert seen["inside"] >= 20 and seen["raised inside"] >= 5
 
 
 class TestVerifyEncoder:

@@ -6,7 +6,9 @@ that many steps apart.  A gate kind(i, j, ells) stands for the templates
 kind(i, j, ell), one per offset of `ells`, in that order: a CNOT or CSIGN
 gate is one polynomial column operation, the run of one template per term
 of f(D), and an H, P or PL gate is one template.  A circuit holds only
-gates, a parsed line being a gate of one term; its value, length, memory,
+gates: a parsed or constructed one holds each run of CNOT terms, or CSIGN
+terms, on one stream pair as one gate (`_built`), and the synthesis
+driver's one gate per column operation.  Its value, length, memory,
 schedule and text are those of its templates.
 
 COLUMN_ACTIONS is the single statement of gate semantics.  Each kind is an
@@ -26,28 +28,20 @@ its fields), skipping rows whose source entry is zero (`apply` wraps it
 for frozen matrices), and `act_gate` applies one gate: a CNOT or CSIGN
 gate of two or more terms as one update per column, an H as a swap of its
 two columns, and any other gate through `_act`.  The synthesis driver
-builds its gates on its work pair through `act_run` (a CNOT or CSIGN gate
-from its polynomial), `act_swap` (an in-block swap of two streams, three
-CNOT gates) and `act_gate`, and `synthesis.checkpoint_matrices` replays
-them through `act_gate`.  `verify._seed_walk` runs each update of each
-term on the unit seeds as one shift and one XOR of a packed column, a
-field per seed, and calls `_act` from the next term on, inside a gate or
-not, once its images grow too wide for the fields or could pass the span
-limit.  On windows, the kernel `verify._conjugate_lanes` runs each update
-of each term as one masked shift-and-XOR over a batch of unrolled windows
-packed side by side, for the seeds within max(memory, prefix reach)
-blocks of a window edge (`_window_pass`; the seeds further in read the
-walk's images) and for the one-lane `conjugate`.
+builds its gates through `act_run` (a CNOT or CSIGN gate from its
+polynomial), `act_swap` (an in-block swap of two streams) and `act_gate`.
+`verify._seed_walk` runs each update on the unit seeds as one shift and
+one XOR of a packed column, and the window kernel `verify._conjugate_lanes`
+as one masked shift-and-XOR over a batch of windows packed side by side.
 
 All of them square to the identity over GF(2), so a circuit is undone by
 replaying its templates in reversed order.
 
 _FIELDS is the single statement of the circuit text format: each kind's
-field names for (i, j, ell), None where the kind carries no such field.
-`format_circuit` writes a template as its kind followed by the named
-fields, through one format string per kind derived from the table
-(`GateTemplate.__str__` uses the same one), and `parse_circuit` reads them
-back in the same order.
+field names for (i, j, ell), None where it has no such field.
+`format_circuit` writes a template as its kind and the named fields, through
+one format string per kind (`GateTemplate.__str__` shares it), and
+`parse_circuit` reads them back in the same order.
 """
 
 from __future__ import annotations
@@ -109,18 +103,14 @@ _DIAGONAL = frozenset(
 
 
 class GateTemplate(Record):
-    """One template: kind(i, j, ell), replicated at every block shift.
-
-    The constructor makes the checks that `Circuit` makes on each term,
-    then builds through `_template`.  The instance dict holds the fields
-    and nothing derived from them.  A template is also a gate of one term,
-    its offsets `(ell,)`."""
+    """One template: kind(i, j, ell), replicated at every block shift, and
+    a gate of one term, its offsets `(ell,)`.  The constructor makes the
+    checks that `Circuit` makes on each term (`_checked`)."""
 
     _fields = ("kind", "i", "j", "ell")
 
     def __new__(cls, kind: str, i: int, j: int = 0, ell: int = 0) -> GateTemplate:
-        _checked(kind, i, j, (ell,))
-        return _template(kind, i, j, ell)
+        return unchecked(cls, dict(zip(cls._fields, _checked(kind, i, j, ell))))
 
     @property
     def reach(self) -> int:
@@ -150,18 +140,16 @@ class Circuit(Record):
 
     Its value is its templates, each gate's terms in turn (`templates`): two
     circuits with the same templates are equal, hash alike and print alike,
-    however their gates group them.  The constructor takes templates or
-    gates and checks every term: it keeps a CNOT or CSIGN gate whole and
-    makes any other term a gate of its own.  `_circuit` builds the synthesis
-    driver's circuit unchecked.  Either way a circuit holds only `Gate`s,
-    and its instance dict also holds `memory`, the largest template reach,
-    and `size`, the template count, both from the one pass that built it."""
+    however their gates group them.  The constructor checks every term of
+    the templates or gates it takes and regroups them through `_built`, as
+    `parse_circuit` does; `_circuit` keeps the synthesis driver's gates,
+    unchecked.  Either way its instance dict also holds `memory`, the
+    largest template reach, and `size`, the template count."""
 
     _fields = ("n", "gates")
 
     def __new__(cls, n: int, gates: Iterable[GateTemplate | Gate] = ()) -> Circuit:
-        split = ((g, (g.ells,) if g.kind in _TWO_QUBIT else zip(g.ells)) for g in gates if g.ells)
-        return _fitted(n, [_checked(g.kind, g.i, g.j, ells) for g, terms in split for ells in terms])
+        return _built(n, (_checked(g.kind, g.i, g.j, ell) for g in gates for ell in g.ells))
 
     @property
     def templates(self) -> tuple[GateTemplate, ...]:
@@ -182,9 +170,9 @@ class Circuit(Record):
 Circuit._key = attrgetter("n", "templates")
 
 
-def _checked(kind: str, i: int, j: int, ells: tuple[int, ...]) -> Gate:
-    """The gate kind(i, j, ells) from `_gate`, once every term passes the
-    template checks."""
+def _checked(kind: str, i: int, j: int, ell: int) -> tuple[str, int, int, int]:
+    """The term kind(i, j, ell), once it passes the template checks, oriented
+    as `_gate` orients each term of a gate."""
     if kind in _TWO_QUBIT:
         if i < 1 or j < 1:
             raise ValueError("qubit indices are 1-based")
@@ -195,58 +183,78 @@ def _checked(kind: str, i: int, j: int, ells: tuple[int, ...]) -> Gate:
             raise ValueError("qubit indices are 1-based")
         if j != 0:
             raise ValueError(f"{kind} takes a single qubit")
-        if kind == PL and 0 in ells:
+        if kind == PL and not ell:
             raise ValueError("PL requires a nonzero offset")
-        if kind != PL and any(ells):
+        if kind != PL and ell:
             raise ValueError(f"{kind} carries no offset")
     else:
         raise ValueError(f"unknown gate kind {kind!r}")
-    return _gate(kind, i, j, ells)
-
-
-def _fitted(n: int, gates: list[Gate]) -> Circuit:
-    """The circuit of checked gates on n streams, through `_circuit`, once
-    the fit rule holds: j is 0 on single-qubit kinds, so it checks every
-    stream a gate acts on."""
-    if n < 1:
-        raise ValueError(f"need at least one qubit stream, got n={n}")
-    for g in gates:
-        if g.i > n or g.j > n:
-            raise ValueError(f"template {_FORMATS[g.kind].format(g.i, g.j, g.ells[0])} exceeds n={n}")
-    return _circuit(n, gates)
+    if kind == CSIGN and j < i:
+        return kind, j, i, -ell
+    return kind, i, j, abs(ell) if kind == PL else ell
 
 
 def _template(kind: str, i: int, j: int = 0, ell: int = 0) -> GateTemplate:
-    """A template from fields known to be valid, without the constructor's
-    checks, oriented by `_gate`."""
+    """A template from fields known to be valid, unchecked, oriented by `_gate`."""
     kind, i, j, (ell,) = _gate(kind, i, j, (ell,))
     return unchecked(GateTemplate, {"kind": kind, "i": i, "j": j, "ell": ell})
 
 
 def _gate(kind: str, i: int, j: int = 0, ells: tuple[int, ...] = (0,)) -> Gate:
     """A gate from fields known to be valid, in the canonical orientation:
-    PL(i, l) == PL(i, -l), and the CSIGN matrix is symmetric under
-    (i, j, l) -> (j, i, -l), so a CSIGN with j < i flips and a PL drops the
-    sign of each offset."""
+    PL(i, l) == PL(i, -l) and CSIGN(i, j, l) == CSIGN(j, i, -l), so a CSIGN
+    with j < i flips and a PL drops the sign of each offset."""
     if kind == CSIGN and j < i:
         return Gate(kind, j, i, tuple(-ell for ell in ells))
     return Gate(kind, i, j, tuple(map(abs, ells)) if kind == PL else ells)
 
 
+# a Gate from its fields, without a named tuple's Python-level constructor
+_new_gate = tuple.__new__
+
+
+def _built(n: int, terms: Iterable[tuple[str, int, int, int]], error: type = ValueError) -> Circuit:
+    """The circuit on n streams of checked terms (kind, i, j, ell), oriented
+    by `_checked`: each maximal run of CNOT terms, or CSIGN terms, on one
+    stream pair is one gate, any other term a gate of its own.  One pass
+    takes the memory, the size and the largest stream, and then the fit
+    rule raises `error` at the first template that does not fit."""
+    runs = []
+    size = memory = top = 0
+    pair = ()  # the kind and streams of the open CNOT or CSIGN run
+    for kind, i, j, ell in terms:
+        size += 1
+        if ell > memory or -ell > memory:
+            memory = abs(ell)
+        key = (kind, i, j)
+        if key == pair:
+            ells.append(ell)
+            continue
+        ells = [ell]
+        runs.append((kind, i, j, ells))
+        pair = key if kind in _TWO_QUBIT else ()
+        if i > top or j > top:
+            top = max(i, j)
+    if n < 1:
+        raise error(f"need at least one qubit stream, got n={n}")
+    if top > n:
+        kind, i, j, ells = next(run for run in runs if run[1] > n or run[2] > n)
+        raise error(f"template {_FORMATS[kind].format(i, j, ells[0])} exceeds n={n}")
+    gates = tuple([_new_gate(Gate, (kind, i, j, tuple(ells))) for kind, i, j, ells in runs])
+    return unchecked(Circuit, {"n": n, "gates": gates, "memory": memory, "size": size})
+
+
 def _circuit(n: int, gates: list[Gate]) -> Circuit:
-    """A circuit of oriented gates on at most n streams, such as the
-    synthesis driver's, without the constructor's checks: one pass takes
-    its memory and template count."""
-    offsets = [ell for g in gates for ell in g.ells]
-    memory = max(max(offsets, default=0), -min(offsets, default=0))
-    return unchecked(Circuit, {"n": n, "gates": tuple(gates), "memory": memory, "size": len(offsets)})
+    """The synthesis driver's circuit: oriented gates, kept as given, unchecked."""
+    memory = max((max(max(g.ells), -min(g.ells)) for g in gates), default=0)
+    size = sum(len(g.ells) for g in gates)
+    return unchecked(Circuit, {"n": n, "gates": tuple(gates), "memory": memory, "size": size})
 
 
 def reverse(c: Circuit) -> Circuit:
     """The inverse circuit: the gates in reversed order, each with its
-    offsets reversed, so its templates are c's reversed.  c was checked when
-    it was built, so its reverse is not checked again, and it shares c's
-    memory and length."""
+    offsets reversed, so its templates are c's reversed.  It is not checked
+    again, and shares c's memory and length."""
     gates = tuple([g if len(g.ells) < 2 else Gate(g.kind, g.i, g.j, g.ells[::-1]) for g in reversed(c.gates)])
     return unchecked(Circuit, {"n": c.n, "gates": gates, "memory": c.memory, "size": c.size})
 
@@ -358,10 +366,10 @@ def _run(x: Rows, z: Rows, g: GateTemplate | Gate, f: LaurentPoly | None = None)
 
 def act_swap(x: Rows, z: Rows, i: int, j: int) -> tuple[Gate, Gate, Gate]:
     """Swap streams i and j in place and return the three offset-0 CNOT
-    gates that do it (`swap_templates`).  The columns trade places directly
-    when x_i and x_j, and z_i and z_j, which the CNOTs sum, fit the limit
-    together in every row; otherwise the CNOTs run through `act`'s updates,
-    and so raise as they would."""
+    gates that do it.  The columns trade places directly when x_i and x_j,
+    and z_i and z_j, which the CNOTs sum, fit the limit together in every
+    row; otherwise the CNOTs run through `act`'s updates, and so raise as
+    they would."""
     gates = (Gate(CNOT, i, j, (0,)), Gate(CNOT, j, i, (0,)), Gate(CNOT, i, j, (0,)))
     a, b = i - 1, j - 1
     if max(i, j) <= len(x[0]) and _hulls_fit(x, a, x, b) and _hulls_fit(z, a, z, b):
@@ -400,15 +408,6 @@ def apply_circuit(s: StabilizerMatrix, c: Circuit) -> StabilizerMatrix:
     for g in c.templates:
         s = apply(s, g)
     return s
-
-
-def swap_templates(i: int, j: int) -> list[GateTemplate]:
-    """An in-block qubit swap realized as three offset-0 CNOTs."""
-    return [
-        GateTemplate(CNOT, i, j, 0),
-        GateTemplate(CNOT, j, i, 0),
-        GateTemplate(CNOT, i, j, 0),
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -468,6 +467,7 @@ def format_circuit(c: Circuit) -> str:
 
 
 def parse_circuit(text: str) -> Circuit:
+    """The circuit of a file's lines, built as the constructor builds."""
     lines = _strip_comments(text)
     if not lines or not lines[0].startswith("n="):
         raise ParseError("circuit file must start with n=<int>")
@@ -475,40 +475,39 @@ def parse_circuit(text: str) -> Circuit:
         n = parse_int(lines[0][2:])
     except ValueError:
         raise ParseError(f"bad circuit header {lines[0]!r}") from None
-    gates = []
-    for line in lines[1:]:
-        kind, *parts = line.split()
-        fields = {}
-        for part in parts:
-            key, eq, val = part.partition("=")
-            if not eq:
-                raise ParseError(f"bad field {part!r} in {line!r}")
-            if key in fields:
-                raise ParseError(f"duplicate field {key}= in {line!r}")
-            fields[key] = val
-        # the template's own errors, ParseErrors too, report a bad template
-        try:
-            if kind not in _FIELDS:
-                raise ParseError(f"unknown gate {kind!r}")
-            values = []
-            for key in _FIELDS[kind]:
-                if key is None:
-                    values.append(0)
-                    continue
-                val = fields.pop(key, None)
-                if val is None:
-                    raise ParseError(f"missing {key}= in {line!r}")
-                try:
-                    values.append(parse_int(val))
-                except ValueError:
-                    raise ParseError(f"bad integer for {key}= in {line!r}") from None
-            g = _checked(kind, values[0], values[1], (values[2],))
-        except ValueError as exc:
-            raise ParseError(f"bad template {line!r}: {exc}") from None
-        if fields:
-            raise ParseError(f"unexpected fields {sorted(fields)} in {line!r}")
-        gates.append(g)
+    return _built(n, map(_parsed_term, lines[1:]), ParseError)
+
+
+def _parsed_term(line: str) -> tuple[str, int, int, int]:
+    """The checked, oriented term of one circuit line."""
+    kind, *parts = line.split()
+    fields = {}
+    for part in parts:
+        key, eq, val = part.partition("=")
+        if not eq:
+            raise ParseError(f"bad field {part!r} in {line!r}")
+        if key in fields:
+            raise ParseError(f"duplicate field {key}= in {line!r}")
+        fields[key] = val
+    # the template's own errors, ParseErrors too, report a bad template
     try:
-        return _fitted(n, gates)
+        if kind not in _FIELDS:
+            raise ParseError(f"unknown gate {kind!r}")
+        values = []
+        for key in _FIELDS[kind]:
+            if key is None:
+                values.append(0)
+                continue
+            val = fields.pop(key, None)
+            if val is None:
+                raise ParseError(f"missing {key}= in {line!r}")
+            try:
+                values.append(parse_int(val))
+            except ValueError:
+                raise ParseError(f"bad integer for {key}= in {line!r}") from None
+        term = _checked(kind, values[0], values[1], values[2])
     except ValueError as exc:
-        raise ParseError(str(exc)) from None
+        raise ParseError(f"bad template {line!r}: {exc}") from None
+    if fields:
+        raise ParseError(f"unexpected fields {sorted(fields)} in {line!r}")
+    return term

@@ -24,18 +24,22 @@ from qconvenc.gates import (
     COLUMN_ACTIONS,
     CSIGN,
     Circuit,
+    Gate,
     GateTemplate,
     H,
     P,
     PL,
+    _circuit,
     _template,
     act,
+    act_gate,
     apply,
     apply_circuit,
+    reverse,
 )
 from qconvenc.matrix import Matrix, freeze, thaw
 from qconvenc.poly import L_ONE, L_ZERO, LaurentPoly, Poly, _check_span, _divmod_bits
-from qconvenc.smith import ElementaryColOp, SmithDecomposition, apply_col_op
+from qconvenc.smith import ElementaryColOp, SmithDecomposition, apply_col_op, smith_rank
 from qconvenc.stabilizer import (
     F4Poly,
     StabilizerMatrix,
@@ -932,7 +936,7 @@ def _lane_images(
     are packed one lane each, a batch at a time, for the lane kernel
     `verify._conjugate_lanes`, all under the first batch's masks, as
     `verify._window_pass` runs it, on c's templates as one-term gates."""
-    one_term = Circuit(c.n, c.templates)
+    one_term = _circuit(c.n, [Gate(g.kind, g.i, g.j, (g.ell,)) for g in c.templates])
     lane_bytes = _lane_bytes(c, blocks)
     seeds = iter(seeds)
     masks = None
@@ -1131,6 +1135,37 @@ def reference_seed_walk(c: Circuit, streams: int = 0) -> tuple[int, int, int, in
     ys = [(px[q] ^ px[n + q], pz[q] ^ pz[n + q]) for q in range(n)]
     image_max = max((xs | zs).bit_count() for xs, zs in [*zip(px, pz), *ys])
     return max(0, -lo), max(0, hi), image_max, reach, z_images
+
+
+def exact_round_trip(s: StabilizerMatrix, encoder: Circuit) -> Optional[str]:
+    """The exact round-trip check: S's r rows, pushed through the gates of
+    `reverse(encoder)` with `act_gate`, must come out as (0 | M 0) with the
+    r x r block M of full rank.  None if they do, else a witness: the first
+    nonzero X entry, then the first nonzero Z entry in columns r+1..n, or
+    M's rank."""
+    x, z = thaw(s.x), thaw(s.z)
+    for g in reverse(encoder).gates:
+        act_gate(x, z, g)
+    for side, rows, start in (("X", x, 0), ("Z", z, s.r)):
+        for i, row in enumerate(rows):
+            col = next((col for col in range(start, s.n) if row[col].bits), None)
+            if col is not None:
+                return f"{side} entry ({i + 1},{col + 1}) = {row[col]}"
+    rank = smith_rank([row[: s.r] for row in z])
+    return None if rank == s.r else f"Z block rank {rank} < r = {s.r}"
+
+
+def _regrouped(c: Circuit) -> Circuit:
+    """c with each run of CNOT or CSIGN templates on the same streams as one
+    gate, built term by term from its templates: the reference grouping of
+    a parsed or constructed circuit."""
+    runs = []
+    for g in c.templates:
+        if runs and g.kind in (CNOT, CSIGN) and runs[-1][:3] == (g.kind, g.i, g.j):
+            runs[-1][3].append(g.ell)
+        else:
+            runs.append((g.kind, g.i, g.j, [g.ell]))
+    return _circuit(c.n, [Gate(kind, i, j, tuple(ells)) for kind, i, j, ells in runs])
 
 
 def ladder_encoders(n: int, count: int = 20, seed: int = 31) -> list[Circuit]:

@@ -5,6 +5,7 @@ import pytest
 
 from helpers import (
     L,
+    _regrouped,
     apply_poly,
     lrow,
     random_circuit,
@@ -33,7 +34,6 @@ from qconvenc.gates import (
     format_circuit,
     parse_circuit,
     reverse,
-    swap_templates,
 )
 from qconvenc.matrix import thaw
 from qconvenc.poly import LaurentPoly, span_limit
@@ -197,7 +197,7 @@ class TestReverse:
 class TestSwap:
     def test_three_cnots_swap_columns(self):
         s = rate_third_code()
-        for g in swap_templates(1, 3):
+        for g in (GateTemplate(CNOT, 1, 3, 0), GateTemplate(CNOT, 3, 1, 0), GateTemplate(CNOT, 1, 3, 0)):
             s = apply(s, g)
         want = rate_third_code()
         for r in range(want.r):
@@ -302,6 +302,26 @@ class TestCircuitFormat:
             parse_circuit(f"n=2\n{line}\n")
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # the first line past n opens a run of two lines
+            (
+                "n=2\nCNOT c=1 t=2 off=0\nCNOT c=1 t=3 off=4\nCNOT c=1 t=3 off=5\nH q=4\n",
+                "template CNOT c=1 t=3 off=4 exceeds n=2",
+            ),
+            ("n=2\nCSIGN a=3 b=1 off=2\n", "template CSIGN a=1 b=3 off=-2 exceeds n=2"),
+            # every line's own error wins over the fit rule, and n < 1 over a misfit
+            ("n=2\nH q=4\nQ q=1\n", "bad template 'Q q=1': unknown gate 'Q'"),
+            ("n=0\nH q=1\nPL q=1 l=0\n", "bad template 'PL q=1 l=0': PL requires a nonzero offset"),
+            ("n=0\nH q=4\n", "need at least one qubit stream, got n=0"),
+        ],
+    )
+    def test_fit_errors_come_after_every_line_is_checked(self, text, message):
+        with pytest.raises(ParseError) as exc:
+            parse_circuit(text)
+        assert str(exc.value) == message
+
 
 def golden_and_ladder_encoders() -> list[Circuit]:
     """The encoders of every golden stabilizer file that synthesizes, and of
@@ -376,13 +396,19 @@ class TestGateForm:
             Circuit(forward.n, forward.gates),
         ):
             assert all(type(g) is Gate for g in c.gates)
-        # a parsed line, and a template given to the constructor, is a gate
-        # of one term
-        one_term = tuple(Gate(t.kind, t.i, t.j, (t.ell,)) for t in forward.templates)
-        assert parsed.gates == Circuit(forward.n, forward.templates).gates == one_term
-        # the constructor keeps a CNOT or CSIGN gate whole, oriented, and
-        # makes any other term a gate of its own
-        assert Circuit(forward.n, forward.gates).gates == forward.gates
+        # parsed lines, and the templates or gates given to the constructor,
+        # group into runs of CNOT or CSIGN terms on one stream pair; the
+        # driver's circuit keeps one gate per column operation
+        regrouped = _regrouped(forward).gates
+        assert parsed.gates == Circuit(forward.n, forward.templates).gates == regrouped
+        assert Circuit(forward.n, forward.gates).gates == regrouped
+        assert len(regrouped) == len(forward.gates) == 42
+        # proper's driver emits two gates of one kind on one pair in a row
+        proper = synthesize(parse_stabilizer((DATA / "proper.stab").read_text(encoding="utf-8"))).forward
+        assert Circuit(proper.n, proper.gates).gates == _regrouped(proper).gates
+        assert len(_regrouped(proper).gates) == 10 < len(proper.gates) == 11
+        # the constructor orients each term, and makes any other term a gate
+        # of its own
         assert Circuit(3, [Gate(CSIGN, 3, 1, (2, 2)), Gate(H, 1, 0, (0, 0)), Gate(PL, 2, 0, (-1, 2))]).gates == (
             Gate(CSIGN, 1, 3, (-2, -2)),
             Gate(H, 1, 0, (0,)),
@@ -390,6 +416,40 @@ class TestGateForm:
             Gate(PL, 2, 0, (1,)),
             Gate(PL, 2, 0, (2,)),
         )
+
+    def test_a_run_of_cnot_or_csign_terms_on_one_stream_pair_is_one_gate(self):
+        terms = [
+            GateTemplate(CNOT, 1, 2, 0),
+            Gate(CNOT, 1, 2, (1, 1, -2)),
+            GateTemplate(CNOT, 2, 1, 0),
+            GateTemplate(CSIGN, 3, 1, 1),
+            Gate(CSIGN, 1, 3, (0,)),
+            GateTemplate(H, 1),
+            GateTemplate(CSIGN, 1, 3, 2),
+            GateTemplate(P, 2),
+            GateTemplate(CSIGN, 1, 3, 2),
+            GateTemplate(PL, 3, 0, 1),
+            GateTemplate(PL, 3, 0, 1),
+            GateTemplate(CSIGN, 1, 3, 2),
+            GateTemplate(CNOT, 1, 3, 2),
+        ]
+        want = (
+            Gate(CNOT, 1, 2, (0, 1, 1, -2)),
+            Gate(CNOT, 2, 1, (0,)),
+            Gate(CSIGN, 1, 3, (-1, 0)),
+            Gate(H, 1, 0, (0,)),
+            Gate(CSIGN, 1, 3, (2,)),
+            Gate(P, 2, 0, (0,)),
+            Gate(CSIGN, 1, 3, (2,)),
+            Gate(PL, 3, 0, (1,)),
+            Gate(PL, 3, 0, (1,)),
+            Gate(CSIGN, 1, 3, (2,)),
+            Gate(CNOT, 1, 3, (2,)),
+        )
+        c = Circuit(3, terms)
+        assert c.gates == _regrouped(c).gates == want
+        assert parse_circuit(format_circuit(c)).gates == want
+        assert (len(c), c.memory, format_circuit(c).count("\n")) == (15, 2, 16)
 
     def test_circuits_with_the_same_templates_are_equal_however_grouped(self):
         c = synthesize(rate_third_code()).forward

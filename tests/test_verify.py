@@ -10,10 +10,12 @@ import pytest
 
 from helpers import (
     _lane_images,
+    _regrouped,
     chain_propagation_report,
     cnot_chain_conjugate,
     csign_cascade,
     edge_qubits,
+    exact_round_trip,
     inner,
     ladder_encoders,
     random_circuit,
@@ -46,6 +48,7 @@ from qconvenc.gates import (
     PL,
     apply,
     apply_circuit,
+    depth_schedule,
     format_circuit,
     parse_circuit,
 )
@@ -1090,18 +1093,6 @@ def _switch_point(c: Circuit, limit: int) -> Optional[int]:
     return None
 
 
-def _regrouped(c: Circuit) -> Circuit:
-    """c with each run of CNOT or CSIGN templates on the same streams as one
-    gate."""
-    runs = []
-    for g in c.templates:
-        if runs and g.kind in (CNOT, CSIGN) and runs[-1][:3] == (g.kind, g.i, g.j):
-            runs[-1][3].append(g.ell)
-        else:
-            runs.append((g.kind, g.i, g.j, [g.ell]))
-    return gates._circuit(c.n, [Gate(kind, i, j, tuple(ells)) for kind, i, j, ells in runs])
-
-
 def _random_gates(rng: random.Random, n: int) -> list[Gate]:
     """Up to 8 gates on n >= 2 streams: CNOT and CSIGN gates of two to five
     terms, offsets -3 .. 3 with repeats, in either stream order."""
@@ -1117,10 +1108,13 @@ def _random_gates(rng: random.Random, n: int) -> list[Gate]:
 
 
 class TestGateGrouping:
-    """Verification does not depend on how gates group templates:
-    `verify_windows` returns the same report, checks and error on a
-    circuit of several-term gates, on its text parsed back and on the
-    circuit of its templates as one-term gates, on windows where the lane
+    """A circuit parsed from text, or built by the constructor, groups its
+    terms as `_regrouped` does, and nothing depends on how gates group
+    templates: a circuit of several-term gates, its text parsed back, the
+    circuit the constructor builds from its templates and the circuit of
+    its templates as one-term gates have the same value, length, memory,
+    schedule, text and seed walk (P included), and `verify_windows`
+    returns the same report, checks and error, on windows where the lane
     kernel runs, and under lowered span limits, where the walk may switch
     to rows inside a gate."""
 
@@ -1135,12 +1129,25 @@ class TestGateGrouping:
         except ExponentOverflowError as exc:
             return str(exc)
 
+    @staticmethod
+    def _walk(c: Circuit):
+        """`_seed_walk`'s output with every stream's Z images, or the text
+        of its error."""
+        try:
+            return _seed_walk(c, c.n)
+        except ExponentOverflowError as exc:
+            return str(exc)
+
     def _check(self, c: Circuit, s: StabilizerMatrix, rng: random.Random, walked: list, seen: Counter) -> None:
         one_term = gates._circuit(c.n, [Gate(g.kind, g.i, g.j, (g.ell,)) for g in c.templates])
-        forms = (c, parse_circuit(format_circuit(c)), one_term)
-        assert forms[1] == c and forms[2] == c
-        assert [len(f.gates) for f in forms[1:]] == [len(c)] * 2
+        forms = (c, parse_circuit(format_circuit(c)), Circuit(c.n, c.templates), one_term)
+        runs = _regrouped(c).gates
+        assert forms[1].gates == forms[2].gates == runs and len(one_term.gates) == len(c)
         m, reach = c.memory, reference_prefix_reach(c)
+        facts = (c, len(c), m, depth_schedule(c), format_circuit(c), self._walk(c))
+        assert facts[-1][3] == reach
+        for f in forms[1:]:
+            assert (f, len(f), f.memory, depth_schedule(f), format_circuit(f), self._walk(f)) == facts
         deep = max(m, reach)
         # the window of 2(memory + 1) conjugates every seed where P passes
         # memory, and one past 2M reads the walk for its interior; up to
@@ -1149,9 +1156,9 @@ class TestGateGrouping:
         if 2 * m + 2 < 2 * deep + 1 <= 129:
             sizes.append(2 * deep + 1)
         expected = _verified(c, sizes, s)
-        assert [_verified(f, sizes, s) for f in forms[1:]] == [expected] * 2
+        assert [_verified(f, sizes, s) for f in forms[1:]] == [expected] * 3
         seen["lanes"] += reach > m
-        seen["multi"] += len(c.gates) < len(c)
+        seen["multi"] += len(runs) < len(c)
         # under a lowered limit the walk switches to rows at the same
         # template in every form, and all raise the same text or none
         limit = rng.randint(max(1, 2 * m), 2 * (m + reach) + 1)
@@ -1159,20 +1166,22 @@ class TestGateGrouping:
             walked.clear()
             expected = self._outcome(c, sizes[:2], s)
             calls = list(walked)
-            assert [self._outcome(f, sizes[:2], s) for f in forms[1:]] == [expected] * 2
+            assert [self._outcome(f, sizes[:2], s) for f in forms[1:]] == [expected] * 3
+            walk = self._walk(c)
+            assert [self._walk(f) for f in forms[1:]] == [walk] * 3
         switch = _switch_point(c, limit)
         if switch is None:
             assert calls == []
             return
         assert calls == [_fields(g) for g in c.templates[switch : switch + len(calls)]]
-        # the index of each gate's first template
-        if switch not in {0, *accumulate(len(g.ells) for g in c.gates)}:
+        # the index of each run's first template
+        if switch not in {0, *accumulate(len(g.ells) for g in runs)}:
             seen["raised inside" if isinstance(expected, str) else "inside"] += 1
 
     def test_committed_encoders(self, walked):
         seen = Counter()
         for name in ["rate_third", "rate_third_cut", "proper", "ladder8", "deep0111", "false_failure_n4", "no_interior_n3"]:
-            c = _regrouped(parse_circuit((DATA / f"{name}.enc").read_text(encoding="utf-8")))
+            c = parse_circuit((DATA / f"{name}.enc").read_text(encoding="utf-8"))
             code = "rate_third" if name == "rate_third_cut" else name
             s = parse_stabilizer((DATA / f"{code}.stab").read_text(encoding="utf-8"))
             for k in range(3):
@@ -1200,6 +1209,27 @@ class TestGateGrouping:
         assert drawn[CSIGN] >= 20 and drawn["repeat"] >= 20
         assert seen["lanes"] >= 20 and seen["multi"] >= 80
         assert seen["inside"] >= 20 and seen["raised inside"] >= 5
+
+
+class TestExactRoundTrip:
+    """The oracle `exact_round_trip` pushes S through the encoder inverse's
+    gates: the committed encoders pass, parsed or synthesized, and each cut
+    by its last gate gives a witness."""
+
+    @pytest.mark.parametrize("name", ["rate_third", "proper", "ladder8", "deep0111", "false_failure_n4", "no_interior_n3"])
+    def test_committed_encoders_pass_and_their_cuts_fail(self, name):
+        s = parse_stabilizer((DATA / f"{name}.stab").read_text(encoding="utf-8"))
+        parsed = parse_circuit((DATA / f"{name}.enc").read_text(encoding="utf-8"))
+        synthesized = synthesize(s).encoder
+        assert parsed == synthesized
+        for c in (parsed, synthesized):
+            assert exact_round_trip(s, c) is None
+            assert exact_round_trip(s, gates._circuit(c.n, c.gates[:-1])) is not None
+
+    def test_cut_worked_example_fails(self):
+        s = rate_third_code()
+        cut = parse_circuit((DATA / "rate_third_cut.enc").read_text(encoding="utf-8"))
+        assert exact_round_trip(s, cut) == "X entry (1,2) = D+D^2"
 
 
 class TestVerifyEncoder:

@@ -41,11 +41,14 @@ _FIELDS is the single statement of the circuit text format: each kind's
 field names for (i, j, ell), None where it has no such field.
 `format_circuit` writes a template as its kind and the named fields, through
 one format string per kind (`GateTemplate.__str__` shares it), and
-`parse_circuit` reads them back in the same order.
+`parse_circuit` reads them back: a line as that format string writes it in
+one match of a pattern built from it (`_LINES`), any other line field by
+field.
 """
 
 from __future__ import annotations
 
+import re
 from operator import attrgetter
 from typing import Iterable, NamedTuple
 
@@ -89,6 +92,20 @@ _FIELDS = {
 # kind -> the template's text, with fields {0}, {1}, {2} for (i, j, ell)
 _FORMATS = {
     kind: " ".join([kind, *(f"{key}={{{slot}}}" for slot, key in enumerate(keys) if key)])
+    for kind, keys in _FIELDS.items()
+}
+
+# the group names of (i, j, ell)
+_SLOTS = ("i", "j", "ell")
+
+# kind -> the fullmatch of its canonical line, the text `_FORMATS` writes
+# with each field a decimal of ASCII digits, as `int` reads it: groups i, j
+# and ell hold (i, j, ell), empty where the kind has no such field
+_LINES = {
+    kind: re.compile(
+        _FORMATS[kind].format(*(f"(?P<{name}>-?[0-9]+)" for name in _SLOTS))
+        + "".join(f"(?P<{name}>)" for name, key in zip(_SLOTS, keys) if not key)
+    ).fullmatch
     for kind, keys in _FIELDS.items()
 }
 
@@ -156,7 +173,11 @@ class Circuit(Record):
         """Each gate's terms in turn, as templates: the circuit's value, and
         the input of `apply_circuit` and `synthesis.replay`.  The kernels
         read the gates."""
-        return tuple(_template(g.kind, g.i, g.j, ell) for g in self.gates for ell in g.ells)
+        return tuple(
+            unchecked(GateTemplate, {"kind": kind, "i": i, "j": j, "ell": ell})
+            for kind, i, j, ells in self.gates
+            for ell in ells
+        )
 
     def __len__(self) -> int:
         return self.size
@@ -192,12 +213,6 @@ def _checked(kind: str, i: int, j: int, ell: int) -> tuple[str, int, int, int]:
     if kind == CSIGN and j < i:
         return kind, j, i, -ell
     return kind, i, j, abs(ell) if kind == PL else ell
-
-
-def _template(kind: str, i: int, j: int = 0, ell: int = 0) -> GateTemplate:
-    """A template from fields known to be valid, unchecked, oriented by `_gate`."""
-    kind, i, j, (ell,) = _gate(kind, i, j, (ell,))
-    return unchecked(GateTemplate, {"kind": kind, "i": i, "j": j, "ell": ell})
 
 
 def _gate(kind: str, i: int, j: int = 0, ells: tuple[int, ...] = (0,)) -> Gate:
@@ -475,11 +490,28 @@ def parse_circuit(text: str) -> Circuit:
         n = parse_int(lines[0][2:])
     except ValueError:
         raise ParseError(f"bad circuit header {lines[0]!r}") from None
-    return _built(n, map(_parsed_term, lines[1:]), ParseError)
+    return _built(n, map(_line_term, lines[1:]), ParseError)
+
+
+def _line_term(line: str) -> tuple[str, int, int, int]:
+    """The checked, oriented term of one circuit line: a canonical line in
+    one match (`_LINES`), and any other line, or one whose values the
+    template checks reject, through `_parsed_term`, which raises every
+    error."""
+    kind = line.partition(" ")[0]
+    match = _LINES.get(kind)
+    found = match(line) if match else None
+    if found:
+        i, j, ell = found.group(*_SLOTS)
+        try:
+            return _checked(kind, int(i), int(j or 0), int(ell or 0))
+        except ValueError:
+            pass
+    return _parsed_term(line)
 
 
 def _parsed_term(line: str) -> tuple[str, int, int, int]:
-    """The checked, oriented term of one circuit line."""
+    """The checked, oriented term of one circuit line, field by field."""
     kind, *parts = line.split()
     fields = {}
     for part in parts:

@@ -14,6 +14,14 @@ With M = max(memory, P), a seed at least M blocks from both edges meets no
 dropped instance, since one that acted would put a term past P, so its
 window image is the walk's, translated.  Only the seeds within M of an
 edge go through the lane kernel.
+
+The round trip tests each placement of the subcode's generators at least
+the margin from both edges against the window row space, the truncation
+of the span of all generator placements to the window.  A vector inside a
+smaller window that lies in a larger window's row space lies in the
+smaller one's, so when M equals the margin, and every row is a translate
+of a walk image, the largest window's passing rows vouch for the smaller
+windows' (`verify_windows`).
 """
 
 from __future__ import annotations
@@ -394,13 +402,25 @@ class RowCheck(NamedTuple):
 
 
 class EncoderCheck(NamedTuple):
+    """The round trip on one window: `flags[gen][k]` tells whether the
+    placement of generator gen at shift margin + k lies in the window row
+    space, for shifts margin .. blocks - margin - 1."""
+
     blocks: int
     margin: int
-    rows: tuple[RowCheck, ...]
+    flags: tuple[tuple[bool, ...], ...]
+
+    @property
+    def rows(self) -> tuple[RowCheck, ...]:
+        """One record a placement, generator by generator, shifts ascending."""
+        shifts = range(self.margin, self.blocks - self.margin)
+        return tuple(
+            RowCheck(gen, shift, ok) for gen, flags in enumerate(self.flags) for shift, ok in zip(shifts, flags)
+        )
 
     @property
     def ok(self) -> bool:
-        return all(rc.ok for rc in self.rows)
+        return all(map(all, self.flags))
 
 
 def _gf2_in_span(basis: dict[int, int], vec: int) -> bool:
@@ -498,6 +518,18 @@ def verify_windows(
     conjugates only the seeds near its edges.  A smaller window holds no
     interior seed and is skipped; PreconditionError if no window is left.
 
+    The round trip's window row space W_N is P_N(C), the truncation to
+    blocks 0 .. N - 1 of the span C of all generator placements, so a
+    vector supported in blocks 0 .. N1 - 1 that lies in W_N2, N2 > N1, lies
+    in W_N1: if P_N2(c) = v, then P_N1(c) = v.  When M = max(memory, P)
+    equals the margin, every round-trip row is a translate of a walk image
+    that lies inside each window, the same vector on every window that holds
+    its shift.  The largest round-trip window is then decided first, and a
+    smaller one whose shifts all passed there builds no basis and runs no
+    span test; it still runs its pass for the table.  Otherwise (P above the
+    margin, or a row that failed at the largest window) each window builds
+    its own basis, in window order.
+
     Returns the report, the round-trip checks in window order, and the
     error that stopped the round trip, or None: no window reaches
     2(memory+1) (`PreconditionError`), the margin leaves the first such
@@ -529,22 +561,31 @@ def verify_windows(
                 patterns = row_patterns(s)
             except ExponentOverflowError as exc:
                 error = exc
+    # at M = margin every row is a translate of a walk image, and the
+    # largest round-trip window goes first to vouch for the smaller ones
+    vouching = patterns is not None and max(memory, reach) == margin
+    if vouching:
+        top = sizes[-1]
+        basis = stabilizer_window_basis(patterns, s.n, top)
+        top_pass = _window_pass(c, top, margin, reach, image_max, basis, z_images)
     for blocks in sizes:
-        basis = None
         # patterns are packed only once `first` holds an interior
-        if patterns is not None and blocks >= first:
-            basis = stabilizer_window_basis(patterns, s.n, blocks)
-        images = () if basis is None else z_images
-        best, spans = _window_pass(c, blocks, margin, reach, image_max, basis, images)
+        checked = patterns is not None and blocks >= first
+        if vouching and blocks == top:
+            best, spans = top_pass
+        else:
+            spans = None
+            if vouching and checked:
+                spans = [span[: blocks - 2 * margin] for span in top_pass[1]]
+                if not all(map(all, spans)):
+                    spans = None
+            basis = stabilizer_window_basis(patterns, s.n, blocks) if checked and spans is None else None
+            best, found = _window_pass(c, blocks, margin, reach, image_max, basis, () if basis is None else z_images)
+            if basis is not None:
+                spans = found
         maxima.append(best)
-        if basis is not None:
-            shifts = range(margin, blocks - margin)
-            rows = tuple(
-                RowCheck(gen, shift, ok)
-                for gen, span in enumerate(spans)
-                for shift, ok in zip(shifts, span)
-            )
-            checks.append(EncoderCheck(blocks, margin, rows))
+        if checked:
+            checks.append(EncoderCheck(blocks, margin, tuple(map(tuple, spans))))
     couplers = sum(len(g.ells) for g in c.gates if g.kind in (CNOT, CSIGN, PL))
     bound = (couplers + 1) * (2 * memory + 1)
     verdict = "bounded" if image_max <= bound else "growing"
@@ -629,10 +670,19 @@ def render_propagation(report: PropagationReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+_STATUS = {True: "pass", False: "FAIL"}
+
+
 def render_encoder_check(check: EncoderCheck) -> str:
+    """The check's rows, read straight off its flags: the rows of a
+    generator that passes at every shift are one join."""
+    shifts = range(check.margin, check.blocks - check.margin)
     lines = [f"encoder round-trip: N={check.blocks} margin={check.margin}"]
-    for rc in check.rows:
-        status = "pass" if rc.ok else "FAIL"
-        lines.append(f"  generator {rc.gen + 1} shift {rc.shift}: {status}")
-    lines.append(f"result: {'pass' if check.ok else 'FAIL'}")
+    for gen, flags in enumerate(check.flags, 1):
+        head = f"  generator {gen} shift "
+        if all(flags):
+            lines.append(head + f": pass\n{head}".join(map(str, shifts)) + ": pass")
+        else:
+            lines += [f"{head}{shift}: {_STATUS[ok]}" for shift, ok in zip(shifts, flags)]
+    lines.append(f"result: {_STATUS[check.ok]}")
     return "\n".join(lines) + "\n"

@@ -30,14 +30,14 @@ from qconvenc.gates import (
     P,
     PL,
     _circuit,
-    _template,
+    _gate,
     act,
     act_gate,
     apply,
     apply_circuit,
     reverse,
 )
-from qconvenc.matrix import Matrix, freeze, thaw
+from qconvenc.matrix import Matrix, freeze, thaw, unchecked
 from qconvenc.poly import L_ONE, L_ZERO, LaurentPoly, Poly, _check_span, _divmod_bits
 from qconvenc.smith import ElementaryColOp, SmithDecomposition, apply_col_op, smith_rank
 from qconvenc.stabilizer import (
@@ -550,7 +550,14 @@ def reference_template(kind: str, i: int, j: int = 0, ell: int = 0) -> GateTempl
         raise ValueError("PL requires a nonzero offset")
     if kind in (H, P) and ell != 0:
         raise ValueError(f"{kind} carries no offset")
-    return _template(kind, i, j, ell)
+    return unchecked_template(kind, i, j, ell)
+
+
+def unchecked_template(kind: str, i: int, j: int = 0, ell: int = 0) -> GateTemplate:
+    """A template from fields known to be valid, unchecked, oriented as a
+    gate is (`gates._gate`)."""
+    kind, i, j, (ell,) = _gate(kind, i, j, (ell,))
+    return unchecked(GateTemplate, {"kind": kind, "i": i, "j": j, "ell": ell})
 
 
 def _reference_lines(text: str) -> list[str]:
@@ -1168,20 +1175,31 @@ def _regrouped(c: Circuit) -> Circuit:
     return _circuit(c.n, [Gate(kind, i, j, tuple(ells)) for kind, i, j, ells in runs])
 
 
-def ladder_encoders(n: int, count: int = 20, seed: int = 31) -> list[Circuit]:
-    """The encoders `synthesize` makes for the first `count` ladder codes of
-    the n-stream rung (`bench/corpus.ladder_code`), drawn from a fresh
-    `random.Random(seed)`."""
+def _bench_corpus():
+    """The benchmark's corpus module, `bench/corpus.py`, loaded once."""
     spec = importlib.util.spec_from_file_location("_bench_corpus", ROOT / "bench" / "corpus.py")
     corpus = sys.modules.get(spec.name)
     if corpus is None:
         # dataclasses look their module up in sys.modules
         corpus = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(corpus)
-    rung = next(rung for rung in corpus.LADDER_RUNGS if rung[0] == n)
-    rng = random.Random(seed)
-    codes = [parse_stabilizer(corpus.ladder_code(rng, rung, "ladder").text) for _ in range(count)]
-    return [synthesize(code).encoder for code in codes]
+    return corpus
+
+
+def ladder_codes(rung: tuple[int, int, int, int], count: int, seed: int) -> list[StabilizerMatrix]:
+    """The first `count` ladder codes of `rung`, (n, r, template count, max
+    offset) as in `bench/corpus.LADDER_RUNGS`, that `bench/corpus.ladder_code`
+    draws from a fresh `random.Random(seed)`."""
+    corpus, rng = _bench_corpus(), random.Random(seed)
+    return [parse_stabilizer(corpus.ladder_code(rng, rung, "ladder").text) for _ in range(count)]
+
+
+def ladder_encoders(n: int, count: int = 20, seed: int = 31) -> list[Circuit]:
+    """The encoders `synthesize` makes for the first `count` ladder codes of
+    the n-stream rung (`bench/corpus.ladder_code`), drawn from a fresh
+    `random.Random(seed)`."""
+    rung = next(rung for rung in _bench_corpus().LADDER_RUNGS if rung[0] == n)
+    return [synthesize(code).encoder for code in ladder_codes(rung, count, seed)]
 
 
 def edge_qubits(c: Circuit, blocks: int) -> list[int]:

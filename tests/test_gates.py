@@ -490,3 +490,32 @@ class TestGateForm:
                 depth_schedule(e),
                 text,
             )
+
+    def test_templates_are_each_gates_oriented_terms(self):
+        # a circuit's templates are built from its gates' fields, which are
+        # already oriented: each equals the checked template of its term,
+        # holds only its four fields, and reads as its line of the text
+        circuits = [
+            parse_circuit(path.read_text(encoding="utf-8"))
+            for path in sorted(DATA.glob("*.enc"))
+            if path.name != "duplicate_field.enc"
+        ]
+        # CSIGN gates given with a > b and PL gates with negative offsets
+        # are flipped by the constructor, and gates oriented by `_gate`, as
+        # synthesis builds them, are kept as given
+        flipped = [Gate(CSIGN, 3, 1, (2, -1, 0)), Gate(PL, 2, 0, (-2,)), Gate(CSIGN, 2, 1, (1,)), Gate(PL, 1, 0, (3,))]
+        circuits += [Circuit(3, flipped), _circuit(3, [gates._gate(*g) for g in flipped])]
+        circuits += golden_and_ladder_encoders()[:30]
+        for c in circuits:
+            terms = [(g.kind, g.i, g.j, ell) for g in c.gates for ell in g.ells]
+            assert c.templates == tuple(GateTemplate(*term) for term in terms)
+            assert [vars(t) for t in c.templates] == [dict(zip(GateTemplate._fields, term)) for term in terms]
+            assert [str(t) for t in c.templates] == format_circuit(c).splitlines()[1:]
+        assert Circuit(3, flipped).templates == (
+            GateTemplate(CSIGN, 1, 3, -2),
+            GateTemplate(CSIGN, 1, 3, 1),
+            GateTemplate(CSIGN, 1, 3, 0),
+            GateTemplate(PL, 2, 0, 2),
+            GateTemplate(CSIGN, 1, 2, -1),
+            GateTemplate(PL, 1, 0, 3),
+        )

@@ -4,10 +4,14 @@ the template checks, each against the term-by-term reference in `helpers`.
 Inputs are drawn texts (whitespace inside terms, `0` terms, repeated and
 negative exponents, GF(4) coefficients, empty rows, bad terms and fields)
 and seeded one-character mutations of every golden stabilizer and circuit
-file in tests/data and of the rate-1/3 code's GF(4) text.  Every
+file in tests/data and of the rate-1/3 code's GF(4) text.  A circuit line
+that matches its kind's canonical pattern is read in one step, and every
+other line field by field: the two paths are compared line by line on the
+golden circuits' lines and their field-level mutants.  Every
 comparison requires an equal value, or an exception of the same type and
 message."""
 
+from collections import Counter
 from contextlib import nullcontext
 from pathlib import Path
 
@@ -26,7 +30,7 @@ from helpers import (
     reference_row_patterns,
     reference_template,
 )
-from qconvenc.gates import GateTemplate, parse_circuit
+from qconvenc.gates import _LINES, GateTemplate, _line_term, _parsed_term, parse_circuit
 from qconvenc.poly import parse_poly, span_limit
 from qconvenc.stabilizer import _parse_f4_entry, parse_stabilizer, row_patterns
 
@@ -245,3 +249,84 @@ def test_mutated_golden_circuits_match_reference(name):
     same_circuit(text)
     for mutant in mutations(text, 1900 + len(name), 300):
         same_circuit(mutant)
+
+
+# -- the canonical line path ----------------------------------------------------
+
+GOLDEN_LINES = sorted(
+    {
+        line.strip()
+        for name in GOLDEN_CIRCUITS
+        for line in (DATA / name).read_text(encoding="utf-8").splitlines()[1:]
+        if line.strip()
+    }
+)
+
+
+def line_mutants(line: str) -> list[str]:
+    """`line` with its fields moved, spaced, renamed or rewritten: every
+    value signed, zero-padded, negated to -0, split by `_` or written in
+    non-ASCII digits, each field dropped, repeated or joined by an unknown
+    one, and the first two fields' values swapped (CSIGN with a > b) or
+    raised past any stream count."""
+    kind, *fields = line.split(" ")
+    pairs = [field.partition("=")[::2] for field in fields]
+
+    def joined(items, sep=" "):
+        return sep.join([kind, *(f"{key}={val}" for key, val in items)])
+
+    out = [line, line.replace(" ", "\t"), line.replace(" ", "  "), line + " ", f"{kind}"]
+    out += [joined(pairs[::-1]), joined(pairs[1:] + pairs[:1]), joined(pairs + [("x", "1")])]
+    for k, (key, val) in enumerate(pairs):
+        digits = val.lstrip("-")
+        for new in (
+            f"+{val}",
+            f"-00{digits}" if val.startswith("-") else f"00{val}",
+            "-0",
+            "0",
+            "-",
+            "",
+            f"{val}_0",
+            f"1_{digits}",
+            digits.translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")),
+            digits.translate(str.maketrans("0123456789", "０１２３４５６７８９")),
+            f"{val}x",
+            "99",
+            "-3",
+            "1" * 5000,
+        ):
+            out.append(joined(pairs[:k] + [(key, new)] + pairs[k + 1 :]))
+        out.append(joined(pairs[:k] + pairs[k + 1 :]))
+        out.append(joined(pairs[: k + 1] + [(key, val)] + pairs[k + 1 :]))
+        out.append(joined(pairs[:k] + [(key.upper(), val)] + pairs[k + 1 :]))
+        out.append(joined(pairs[:k] + [(key, val), ("", "")] + pairs[k + 1 :]))
+    if len(pairs) > 1:
+        (a, x), (b, y), *rest = pairs
+        out.append(joined([(a, y), (b, x), *rest]))
+    return out
+
+
+def test_canonical_lines_read_as_field_by_field():
+    # the same term, or a ParseError with the same message, on every golden
+    # line and its mutants, a PL l=0 and a CSIGN with a > b among them
+    lines = [mutant for line in GOLDEN_LINES for mutant in line_mutants(line)]
+    lines += ["PL q=1 l=0", "PL q=1 l=-0", "CSIGN a=3 b=1 off=2", "CSIGN a=2 b=2 off=0", "X q=1", "P q=0"]
+    matched = Counter()
+    for line in lines:
+        got = outcome(_line_term, line)
+        assert got == outcome(_parsed_term, line), line
+        match = _LINES.get(line.partition(" ")[0])
+        if match and match(line):
+            matched[line.partition(" ")[0], got[0] == "ok"] += 1
+    assert len(GOLDEN_LINES) > 100 and len(lines) > 7000
+    # every kind takes the one-step path, and lines whose values the
+    # template checks reject fall back to the field-by-field errors
+    assert all(matched[kind, True] >= 5 for kind in ("H", "P", "PL", "CNOT", "CSIGN"))
+    assert all(matched[kind, False] > 0 for kind in ("P", "PL", "CSIGN"))
+
+
+def test_circuits_of_mutated_lines_match_reference():
+    # whole circuits of mutated golden lines, some past n=3's streams
+    for line in GOLDEN_LINES:
+        for mutant in line_mutants(line)[:12]:
+            same_circuit(f"n=3\n{line}\n{mutant}\n")

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qconvenc
-from helpers import L, rate_third_code, template_updates
+from helpers import L, rate_third_code, template_updates, unchecked_template
 from qconvenc.gates import (
     CNOT,
     CSIGN,
@@ -30,7 +30,6 @@ from qconvenc.gates import (
     H,
     P,
     PL,
-    _template,
     depth_schedule,
     reverse,
 )
@@ -115,7 +114,7 @@ def valid_fields(draw) -> tuple[str, int, int, int]:
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(valid_fields())
 def test_unchecked_template_equals_checked(f):
-    checked, unchecked = GateTemplate(*f), _template(*f)
+    checked, unchecked = GateTemplate(*f), unchecked_template(*f)
     assert checked == unchecked and hash(checked) == hash(unchecked)
     assert template_updates(checked) == template_updates(unchecked)
     if f[0] == CSIGN:

@@ -17,6 +17,7 @@ from helpers import (
     edge_qubits,
     exact_round_trip,
     inner,
+    ladder_codes,
     ladder_encoders,
     random_circuit,
     random_template,
@@ -558,6 +559,111 @@ class TestRoundTripReuse:
         assert error is None and all(chk.ok for chk in checks)
         assert batches == [(5, 6), (10, 12), (10, 12), (20, 8), (20, 4), (20, 8), (20, 4)]
         assert built == [(5, 6), (10, 12), (20, 8)]
+
+
+class TestLargestWindowVouches:
+    """The window row space W_N is the truncation of the span of all
+    generator placements to the window, so a vector inside a smaller window
+    that lies in a larger window's W lies in the smaller one's.  When
+    M = max(memory, P) equals the margin, every round-trip row is a
+    translate of a walk image, and the largest window's passing rows stand
+    for the smaller windows' rows at the same shifts: those windows build no
+    basis.  Every window's check is the one it gets on its own."""
+
+    # (n, r, template count, max offset): an n=3 rung and the benchmark's
+    # n=4 and n=6 rungs
+    RUNGS = ((3, 2, 10, 2), (4, 3, 12, 2), (6, 4, 30, 3))
+
+    @staticmethod
+    def _counted(monkeypatch) -> list[int]:
+        """The window of each `stabilizer_window_basis` call."""
+        calls, basis = [], verify.stabilizer_window_basis
+
+        def counting(patterns, n, blocks):
+            calls.append(blocks)
+            return basis(patterns, n, blocks)
+
+        monkeypatch.setattr(verify, "stabilizer_window_basis", counting)
+        return calls
+
+    @staticmethod
+    def _variants(encoder: Circuit, rng: random.Random) -> list[Circuit]:
+        """The encoder, the encoder cut by its last gate, and the encoder with
+        one gate dropped."""
+        n, gates_ = encoder.n, encoder.gates
+        k = rng.randrange(len(gates_))
+        return [encoder, Circuit(n, gates_[:-1]), Circuit(n, gates_[:k] + gates_[k + 1 :])]
+
+    def test_each_window_checks_as_on_its_own(self, monkeypatch):
+        calls = self._counted(monkeypatch)
+        rng = random.Random(4307)
+        seen = Counter()
+        for seed, rung in enumerate(self.RUNGS, 4311):
+            for s in ladder_codes(rung, 16, seed):
+                for c in self._variants(synthesize(s).encoder, rng):
+                    m = c.memory
+                    for sizes in ((m + 1, 2 * (m + 1), 4 * (m + 1)), (5, 10, 20)):
+                        if sizes[-1] < m + 1:
+                            continue
+                        calls.clear()
+                        report, checks, error = verify_windows(c, sizes, s)
+                        built = len(calls)
+                        for blocks, best in zip(report.sizes, report.max_supports):
+                            alone = verify_windows(c, [blocks], s)
+                            assert alone[0].max_supports == (best,)
+                            if any(chk.blocks == blocks for chk in checks):
+                                assert alone[1:] == ([next(chk for chk in checks if chk.blocks == blocks)], None)
+                        if not checks:
+                            continue
+                        rows = [rc for chk in checks for rc in chk.rows]
+                        vouching = max(m, _seed_walk(c)[3]) == checks[0].margin
+                        seen["sets"] += 1
+                        seen["deep = margin"] += vouching
+                        seen["vouched"] += len(checks) - built
+                        seen["failing rows"] += sum(not rc.ok for rc in rows)
+                        # a failing row at the largest window: each builds its own
+                        seen["failing, deep = margin"] += vouching and built == len(checks) > 1
+        assert seen["sets"] > 200 and seen["deep = margin"] > 200
+        assert seen["vouched"] > 100 and seen["failing rows"] > 2000 and seen["failing, deep = margin"] > 50
+
+    def test_one_basis_a_call_where_p_is_the_margin(self, monkeypatch):
+        calls = self._counted(monkeypatch)
+        windows = {"ladder8": [11, 22, 44], "rate_third": [5, 10, 20]}
+        for name, sizes in windows.items():
+            s = parse_stabilizer((DATA / f"{name}.stab").read_text(encoding="utf-8"))
+            encoder = parse_circuit((DATA / f"{name}.enc").read_text(encoding="utf-8"))
+            calls.clear()
+            _, checks, error = verify_windows(encoder, sizes, s)
+            assert error is None and all(chk.ok for chk in checks)
+            margin = checks[0].margin
+            if name == "ladder8":
+                # P = memory = margin = 10: the largest window vouches for 22
+                assert (encoder.memory, _seed_walk(encoder)[3], margin) == (10, 10, 10)
+                assert calls == [44]
+            else:
+                # P = 4 passes the margin 3: each round-trip window builds its own
+                assert (encoder.memory, _seed_walk(encoder)[3], margin) == (2, 4, 3)
+                assert calls == [10, 20]
+
+    def test_flags_are_the_rows(self):
+        # a check holds one tuple of flags a generator; its rows, its verdict
+        # and its text are derived from them, whether every row of a
+        # generator passes, none does, or some do
+        s = parse_stabilizer((DATA / "rate_third.stab").read_text(encoding="utf-8"))
+        encoders = [parse_circuit((DATA / name).read_text(encoding="utf-8")) for name in ("rate_third.enc", "rate_third_cut.enc")]
+        checks = [verify_encoder(s, encoder, 20) for encoder in encoders]
+        checks.append(verify.EncoderCheck(12, 3, ((True,) * 6, (True, False, True, True, True, False))))
+        assert [chk.ok for chk in checks] == [True, False, False]
+        for chk in checks:
+            assert {len(flags) for flags in chk.flags} == {chk.blocks - 2 * chk.margin}
+            assert chk.rows == tuple(
+                RowCheck(gen, chk.margin + k, ok) for gen, flags in enumerate(chk.flags) for k, ok in enumerate(flags)
+            )
+            assert chk.ok == all(rc.ok for rc in chk.rows)
+            lines = [f"encoder round-trip: N={chk.blocks} margin={chk.margin}"]
+            lines += [f"  generator {rc.gen + 1} shift {rc.shift}: {'pass' if rc.ok else 'FAIL'}" for rc in chk.rows]
+            lines.append(f"result: {'pass' if chk.ok else 'FAIL'}")
+            assert render_encoder_check(chk) == "\n".join(lines) + "\n"
 
 
 def _table_max(c: Circuit, blocks: int) -> int:
